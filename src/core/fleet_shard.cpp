@@ -85,6 +85,12 @@ double auto_window_s(const fleet_config& config, const sim::rsu_chain& chain,
   return std::clamp(window, 1e-3, config.duration_s.value());
 }
 
+/// Narrow an engine index into a 32-bit event, slab, or ledger field.
+std::uint32_t narrow_index(std::size_t index) {
+  VTM_ASSERT(index <= std::numeric_limits<std::uint32_t>::max());
+  return static_cast<std::uint32_t>(index);
+}
+
 /// Resolve the streaming run's base config: the horizon is the handover
 /// admission deadline, and the closed-population `vehicle_count` is ignored
 /// (floored to satisfy the base validation).
@@ -426,7 +432,25 @@ void shard_engine::adopt(std::size_t vehicle) {
 
 void shard_engine::inject(std::size_t vehicle, double at) {
   VTM_EXPECTS(at >= queue_.now());
-  queue_.schedule(at, [this, vehicle] { schedule_next_handover(vehicle); });
+  queue_.schedule(at, {fleet_event::kind::arrival, narrow_index(vehicle)});
+}
+
+void shard_engine::dispatch(const fleet_event& event) {
+  switch (event.what) {
+    case fleet_event::kind::arrival:
+      schedule_next_handover(event.subject);
+      return;
+    case fleet_event::kind::handover:
+      sync_position(event.subject);
+      on_handover(event.subject, event.from_rsu, event.to_rsu);
+      return;
+    case fleet_event::kind::clearing:
+      run_clearing(event.subject);
+      return;
+    case fleet_event::kind::completion:
+      finish_migration(event.subject);
+      return;
+  }
 }
 
 void shard_engine::schedule_next_handover(std::size_t vehicle) {
@@ -458,11 +482,9 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
                                    when});
     return;
   }
-  queue_.schedule(when, [this, vehicle, from = next->from_rsu,
-                         to = next->to_rsu] {
-    sync_position(vehicle);
-    on_handover(vehicle, from, to);
-  });
+  queue_.schedule(when, {fleet_event::kind::handover, narrow_index(vehicle),
+                         narrow_index(next->from_rsu),
+                         narrow_index(next->to_rsu)});
 }
 
 void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
@@ -483,7 +505,7 @@ void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
 void shard_engine::schedule_clearing(std::size_t pidx, double at) {
   if (clearing_scheduled_[pidx]) return;
   clearing_scheduled_[pidx] = true;
-  queue_.schedule(at, [this, pidx] { run_clearing(pidx); });
+  queue_.schedule(at, {fleet_event::kind::clearing, narrow_index(pidx)});
 }
 
 void shard_engine::run_clearing(std::size_t pidx) {
@@ -673,9 +695,10 @@ void shard_engine::start_migration(std::size_t pidx,
                                    const clearing_grant& grant) {
   const auto handle = pools_[pidx].allocate(grant.bandwidth_mhz);
   VTM_ASSERT(handle.has_value());
-  launch_migration(pidx, grant.request, grant.price, grant.bandwidth_mhz,
-                   grant.vmu_utility, grant.msp_utility, grant.cohort, {},
-                   {*handle});
+  const std::uint32_t flight = acquire_flight(pidx);
+  flights_[flight].grant_ids.push_back(*handle);
+  launch_migration(flight, grant.request, grant.price, grant.bandwidth_mhz,
+                   grant.vmu_utility, grant.msp_utility, grant.cohort);
 }
 
 void shard_engine::start_migration(std::size_t pidx,
@@ -683,27 +706,41 @@ void shard_engine::start_migration(std::size_t pidx,
   // One physical grant per seller slice: the sellers' subchannels are
   // orthogonal within each pool, and every slice must release back to the
   // pool it came from.
-  std::vector<wireless::grant_id> grant_ids;
-  grant_ids.reserve(grant.slices.size());
+  const std::uint32_t flight = acquire_flight(pidx);
+  auto& pending = flights_[flight];
+  pending.slices.assign(grant.slices.begin(), grant.slices.end());
   for (const auto& slice : grant.slices) {
     const auto handle = msp_pools_[slice.msp][candidates_[pidx][slice.msp]]
                             .allocate(slice.bandwidth_mhz);
     VTM_ASSERT(handle.has_value());
-    grant_ids.push_back(*handle);
+    pending.grant_ids.push_back(*handle);
   }
-  launch_migration(pidx, grant.request, grant.price, grant.bandwidth_mhz,
-                   grant.vmu_utility, grant.msp_utility, grant.cohort,
-                   grant.slices, std::move(grant_ids));
+  launch_migration(flight, grant.request, grant.price, grant.bandwidth_mhz,
+                   grant.vmu_utility, grant.msp_utility, grant.cohort);
 }
 
-void shard_engine::launch_migration(std::size_t pidx,
+std::uint32_t shard_engine::acquire_flight(std::size_t pidx) {
+  if (free_flights_.empty()) {
+    free_flights_.push_back(narrow_index(flights_.size()));
+    flights_.emplace_back();
+  }
+  const std::uint32_t flight = free_flights_.back();
+  free_flights_.pop_back();
+  auto& pending = flights_[flight];
+  pending.pidx = pidx;
+  pending.slices.clear();
+  pending.grant_ids.clear();
+  return flight;
+}
+
+void shard_engine::launch_migration(std::uint32_t flight,
                                     const clearing_request& request,
                                     double price, double bandwidth_mhz,
                                     double vmu_utility, double msp_utility,
-                                    std::size_t cohort,
-                                    std::vector<seller_slice> slices,
-                                    std::vector<wireless::grant_id> grant_ids) {
+                                    std::size_t cohort) {
   auto& slot = vehicles_[request.vehicle];
+  auto& pending = flights_[flight];
+  const std::size_t pidx = pending.pidx;
 
   // Pre-copy migration over the granted bandwidth (normalized MB/s rate:
   // MHz × spectral efficiency, matching the paper's unit convention).
@@ -743,7 +780,8 @@ void shard_engine::launch_migration(std::size_t pidx,
   const double rate_mb_s = bandwidth_mhz * budget->spectral_efficiency();
   const auto report = sim::run_precopy(*slot.twin, rate_mb_s, precopy);
 
-  migration_record record;
+  migration_record& record = pending.record;
+  record = {};
   record.start_s = queue_.now();
   record.requested_s = request.submitted_s;
   record.vehicle = request.vehicle;
@@ -752,7 +790,7 @@ void shard_engine::launch_migration(std::size_t pidx,
   record.price = price;
   record.bandwidth_mhz = bandwidth_mhz;
   record.cohort = cohort;
-  record.sellers = slices.empty() ? 1 : slices.size();
+  record.sellers = pending.slices.empty() ? 1 : pending.slices.size();
   record.aotm_closed_form =
       aotm_closed_form(slot.twin->total_mb(), bandwidth_mhz, *budget);
   record.aotm_simulated = aotm_from_migration(report);
@@ -764,17 +802,15 @@ void shard_engine::launch_migration(std::size_t pidx,
   counters_.max_cohort = std::max(counters_.max_cohort, cohort);
 
   queue_.schedule_in(report.total_time_s,
-                     [this, pidx, slices = std::move(slices),
-                      grant_ids = std::move(grant_ids), record] {
-                       finish_migration(pidx, slices, grant_ids, record);
-                     });
+                     {fleet_event::kind::completion, flight});
 }
 
-void shard_engine::finish_migration(std::size_t pidx,
-                                    const std::vector<seller_slice>& slices,
-                                    const std::vector<wireless::grant_id>&
-                                        grant_ids,
-                                    const migration_record& record) {
+void shard_engine::finish_migration(std::uint32_t flight) {
+  const auto& pending = flights_[flight];
+  const std::size_t pidx = pending.pidx;
+  const auto& slices = pending.slices;
+  const auto& grant_ids = pending.grant_ids;
+  const migration_record& record = pending.record;
   if (slices.empty()) {
     pools_[pidx].release(grant_ids.front());
   } else {
@@ -799,7 +835,8 @@ void shard_engine::finish_migration(std::size_t pidx,
   // and sharded aggregates reproduce the serial summation order.
   completion_entry entry;
   entry.finish_s = queue_.now();
-  entry.vehicle = record.vehicle;
+  entry.vehicle = narrow_index(record.vehicle);
+  entry.cohort = narrow_index(record.cohort);
   entry.msp_utility = record.msp_utility;
   entry.vmu_utility = record.vmu_utility;
   entry.aotm = record.aotm_simulated;
@@ -814,27 +851,30 @@ void shard_engine::finish_migration(std::size_t pidx,
     records_.push_back(std::move(finished));
   }
 
+  // Neither the handover schedule nor a clearing schedule touches the slab,
+  // so `pending` stays valid until the slot is recycled below.
   schedule_next_handover(record.vehicle);
   // A release frees capacity: re-clear any deferred requests immediately.
   if (slices.empty()) {
     if (markets_[pidx].pending() > 0) schedule_clearing(pidx, queue_.now());
-    return;
-  }
-  // Offset chains let neighbouring cells draw on the same MSP pool, so a
-  // release can unblock any book sharing one of the released candidate
-  // pools (book q shares seller m's pool with this cell iff both resolve m
-  // to the same slot). Scanned in cell order — deterministic.
-  for (std::size_t q = 0; q < comarkets_.size(); ++q) {
-    if (comarkets_[q].pending() == 0) continue;
-    bool shares = false;
-    for (const auto& slice : slices) {
-      if (candidates_[q][slice.msp] == candidates_[pidx][slice.msp]) {
-        shares = true;
-        break;
+  } else {
+    // Offset chains let neighbouring cells draw on the same MSP pool, so a
+    // release can unblock any book sharing one of the released candidate
+    // pools (book q shares seller m's pool with this cell iff both resolve
+    // m to the same slot). Scanned in cell order — deterministic.
+    for (std::size_t q = 0; q < comarkets_.size(); ++q) {
+      if (comarkets_[q].pending() == 0) continue;
+      bool shares = false;
+      for (const auto& slice : slices) {
+        if (candidates_[q][slice.msp] == candidates_[pidx][slice.msp]) {
+          shares = true;
+          break;
+        }
       }
+      if (shares) schedule_clearing(q, queue_.now());
     }
-    if (shares) schedule_clearing(q, queue_.now());
   }
+  free_flights_.push_back(flight);
 }
 
 void shard_engine::deliver(const shard_message& message,
@@ -850,11 +890,10 @@ void shard_engine::deliver(const shard_message& message,
       if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->late);
       at = queue_.now();
     }
-    queue_.schedule(at, [this, vehicle = handoff->vehicle,
-                         from = handoff->from_rsu, to = handoff->to_rsu] {
-      sync_position(vehicle);
-      on_handover(vehicle, from, to);
-    });
+    queue_.schedule(at, {fleet_event::kind::handover,
+                         narrow_index(handoff->vehicle),
+                         narrow_index(handoff->from_rsu),
+                         narrow_index(handoff->to_rsu)});
     return;
   }
   const auto& retarget = std::get<retarget_handoff>(message);
@@ -872,13 +911,15 @@ void shard_engine::deliver(const shard_message& message,
 void shard_engine::run_window(double t_end) {
   util::trace_span span(tele_.trace, "shard.window");
   span.arg("t_end", t_end);
-  queue_.run_until(t_end);
+  queue_.run_until(t_end,
+                   [this](const fleet_event& event) { dispatch(event); });
 }
 
 std::size_t shard_engine::drain_round() {
   util::trace_span span(tele_.trace, "shard.drain");
   const std::size_t events =
-      queue_.run_all(std::numeric_limits<std::size_t>::max());
+      queue_.run_all(std::numeric_limits<std::size_t>::max(),
+                     [this](const fleet_event& event) { dispatch(event); });
   span.arg("events", static_cast<double>(events));
   return events;
 }
@@ -1333,7 +1374,6 @@ fleet_result shard_coordinator::flush_window(bool final) {
     window.priced_out += now.priced_out - before.priced_out;
     window.abandoned += now.abandoned - before.abandoned;
     window.clearings += now.clearings - before.clearings;
-    window.max_cohort = std::max(window.max_cohort, now.max_cohort);
     window.cross_shard_transfers +=
         now.cross_shard_transfers - before.cross_shard_transfers;
     window.cross_shard_retargets +=
@@ -1370,6 +1410,7 @@ fleet_result shard_coordinator::flush_window(bool final) {
     }
     const auto& entry = data[best].ledger[head[best]];
     ++window.completed;
+    window.max_cohort = std::max<std::size_t>(window.max_cohort, entry.cohort);
     window.msp_total_utility += entry.msp_utility;
     window.vmu_total_utility += entry.vmu_utility;
     sum_aotm += entry.aotm;

@@ -30,6 +30,17 @@
 // deliveries skew an event by at most one window and are counted, never
 // dropped.
 //
+// Event core: each shard advances a `sim::basic_event_queue<fleet_event>` —
+// the same `(time, seq)` 4-ary heap as `sim::event_queue`, so equal-time
+// events still run in schedule order — over a closed, trivially copyable
+// event record (arrival, handover, clearing, completion) that one switch
+// dispatches. A completion event carries only an index into the shard's
+// in-flight slab, which holds the migration's grants, seller slices, and
+// record until it lands; slab slots recycle through a free list. The heap,
+// the slab, and the pools' grant slots grow on first use and are then reused,
+// so a steady-state window schedules and completes migrations without
+// allocating. A completion is scheduled at exactly `now() + total_time_s`.
+//
 // `shard_engine` is an engine-internal component driven by the coordinator;
 // it is exposed here (rather than hidden in a TU) so white-box tests and
 // benches can run windows, drains, and the abandon sweep directly.
@@ -187,7 +198,8 @@ class shard_engine {
   /// off, so sharded aggregates stay bitwise reproducible).
   struct completion_entry {
     double finish_s = 0.0;
-    std::size_t vehicle = 0;
+    std::uint32_t vehicle = 0;
+    std::uint32_t cohort = 0;  ///< Cohort of the market that priced it.
     double msp_utility = 0.0;
     double vmu_utility = 0.0;
     double aotm = 0.0;
@@ -239,9 +251,6 @@ class shard_engine {
   /// the horizon has passed.
   void abandon_remaining();
 
-  [[nodiscard]] const sim::event_queue& queue() const noexcept {
-    return queue_;
-  }
   /// Book of the pool serving global RSU `rsu` (white-box tests; monopoly
   /// modes only — oligopoly books live in `comarket_at`).
   [[nodiscard]] spot_market& market_at(std::size_t rsu);
@@ -288,6 +297,28 @@ class shard_engine {
       VTM_REQUIRES(barrier);
 
  private:
+  /// The engine's closed event set. `subject` is the vehicle slot (arrival,
+  /// handover), the pool index (clearing), or the in-flight slab index
+  /// (completion); `from_rsu`/`to_rsu` are set for handovers only.
+  struct fleet_event {
+    enum class kind : std::uint8_t { arrival, handover, clearing, completion };
+    kind what = kind::arrival;
+    std::uint32_t subject = 0;
+    std::uint32_t from_rsu = 0;
+    std::uint32_t to_rsu = 0;
+  };
+
+  /// A launched migration awaiting its completion event: the pool it
+  /// cleared in, one grant per seller slice (one grant and no slices in
+  /// monopoly modes), and its record.
+  struct in_flight {
+    std::size_t pidx = 0;
+    std::vector<seller_slice> slices;
+    std::vector<wireless::grant_id> grant_ids;
+    migration_record record;
+  };
+
+  void dispatch(const fleet_event& event);
   [[nodiscard]] std::size_t pool_index(std::size_t rsu) const noexcept;
   [[nodiscard]] double pool_link_distance_m(std::size_t rsu) const;
   /// Channel of the cell at global RSU `rsu` over `distance_m`: the chain
@@ -309,18 +340,19 @@ class shard_engine {
   void run_clearing_oligopoly(std::size_t pidx);
   void start_migration(std::size_t pidx, const clearing_grant& grant);
   void start_migration(std::size_t pidx, const competitive_grant& grant);
-  /// Shared tail of both start paths: pre-copy over `rate_mb_s`, record
-  /// bookkeeping, and the completion schedule (release + accounting via
-  /// `release`).
-  void launch_migration(std::size_t pidx, const clearing_request& request,
+  /// Take an in-flight slab slot (a recycled one first) for a migration
+  /// clearing in pool `pidx`, with empty slices and grants.
+  [[nodiscard]] std::uint32_t acquire_flight(std::size_t pidx);
+  /// Shared tail of both start paths: pre-copy over the granted rate,
+  /// record bookkeeping, and the completion event for slab slot `flight`
+  /// (whose grants the start path already holds).
+  void launch_migration(std::uint32_t flight, const clearing_request& request,
                         double price, double bandwidth_mhz,
                         double vmu_utility, double msp_utility,
-                        std::size_t cohort, std::vector<seller_slice> slices,
-                        std::vector<wireless::grant_id> grant_ids);
-  void finish_migration(std::size_t pidx,
-                        const std::vector<seller_slice>& slices,
-                        const std::vector<wireless::grant_id>& grant_ids,
-                        const migration_record& record);
+                        std::size_t cohort);
+  /// Completion of slab slot `flight`: release its grants, account it, and
+  /// recycle the slot.
+  void finish_migration(std::uint32_t flight);
   /// Shared bookkeeping of both abandon paths (in-run and final sweep).
   void resolve_abandoned(const clearing_request& request);
 
@@ -334,7 +366,9 @@ class shard_engine {
   std::span<const std::uint32_t> rsu_shard_;
   std::vector<vehicle_slot>& vehicles_;
   sim::shard_mailbox<shard_message>& mailbox_;
-  sim::event_queue queue_;
+  sim::basic_event_queue<fleet_event> queue_;
+  std::vector<in_flight> flights_;            ///< In-flight migration slab.
+  std::vector<std::uint32_t> free_flights_;   ///< Recycled slab slots.
   double epoch_s_;
   std::vector<wireless::link_params> pool_links_;   ///< Per-pool channel.
   std::vector<wireless::link_budget> budgets_;      ///< Per-pool rates.

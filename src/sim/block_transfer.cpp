@@ -1,5 +1,6 @@
 #include "sim/block_transfer.hpp"
 
+#include <limits>
 #include <memory>
 
 #include "util/contracts.hpp"
@@ -60,11 +61,15 @@ transfer_timeline run_block_transfer(std::span<const double> block_sizes_mb,
                                      double rate_mb_s) {
   event_queue queue;
   transfer_timeline result;
+  bool completed = false;
   schedule_block_transfer(queue, block_sizes_mb, rate_mb_s,
-                          [&result](const transfer_timeline& timeline) {
+                          [&](const transfer_timeline& timeline) {
                             result = timeline;
+                            completed = true;
                           });
-  queue.run_all();
+  // One event per block: run to empty, not to run_all's default budget.
+  queue.run_all(std::numeric_limits<std::size_t>::max());
+  VTM_ENSURES(completed);
   return result;
 }
 

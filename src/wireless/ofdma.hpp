@@ -4,17 +4,25 @@
 // This pool enforces the physical invariant behind the market's B_max
 // constraint: the sum of simultaneously granted bandwidth never exceeds the
 // pool capacity, and grants are disjoint (orthogonal subchannels).
+//
+// Grants live in a dense slot vector with a free list, so a steady churn of
+// allocate/release reuses the same slots without allocating. A `grant_id`
+// carries its slot and the slot's generation at allocation time; releasing a
+// grant bumps the generation, so a stale id never reaches the grant that
+// reuses its slot, and a free slot's generation is one no id carries yet.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "util/quantity.hpp"
 
 namespace vtm::wireless {
 
-/// Identifier of an active bandwidth grant.
+/// Identifier of an active bandwidth grant: the slot index in the low 32
+/// bits, the slot's generation (>= 1) in the high 32 bits.
 struct grant_id {
   std::uint64_t value = 0;
   [[nodiscard]] bool operator==(const grant_id&) const noexcept = default;
@@ -56,7 +64,7 @@ class ofdma_pool {
 
   /// Number of live grants.
   [[nodiscard]] std::size_t active_grants() const noexcept {
-    return grants_.size();
+    return slots_.size() - free_.size();
   }
 
   /// Try to grant `mhz` (> 0) of bandwidth; nullopt when it does not fit.
@@ -82,11 +90,19 @@ class ofdma_pool {
   }
 
  private:
+  struct slot {
+    double mhz = 0.0;
+    std::uint32_t generation = 1;
+  };
+  /// Index of the live slot `id` names; nullopt for stale or unknown ids.
+  [[nodiscard]] std::optional<std::uint32_t> live_index(grant_id id) const
+      noexcept;
+
   double capacity_;
   double granularity_;
   double allocated_ = 0.0;
-  std::uint64_t next_id_ = 1;
-  std::unordered_map<std::uint64_t, double> grants_;
+  std::vector<slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< Released slots, reused LIFO.
 };
 
 }  // namespace vtm::wireless

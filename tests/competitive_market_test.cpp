@@ -97,6 +97,18 @@ core::fleet_config duopoly_fleet(double sharpness = 0.25) {
   return config;
 }
 
+/// Three sellers (costs 5 / 5.5 / 6) with scarce 10 MHz pools under a
+/// price cap of 12, over 300 vehicles on the default chain.
+core::fleet_config three_msp_fleet() {
+  core::fleet_config config;
+  config.mode = core::market_mode::oligopoly;
+  config.vehicle_count = 300;
+  for (const double cost : {5.0, 5.5, 6.0})
+    config.msps.push_back(
+        {vtm::util::meters{0.0}, cost, 12.0, vtm::util::megahertz{10.0}});
+  return config;
+}
+
 void expect_fleet_identical(const core::fleet_result& a,
                             const core::fleet_result& b) {
   EXPECT_EQ(a.handovers, b.handovers);
@@ -462,6 +474,27 @@ TEST(competitive_market, fleet_duopoly_deterministic_and_conserved) {
   other.seed = config.seed + 1;
   const auto c = core::run_fleet_scenario(other);
   EXPECT_NE(a.msp_total_utility, c.msp_total_utility);
+}
+
+// Counts of a closed three-seller run, pinned at the map-based event queue:
+// every grant splits across up to three seller pools, so each completion
+// releases several grants. Scarce 10 MHz pools under a 12 price cap keep the
+// clearings at their rationing price, which makes the solver counts
+// independent of FP contraction. The doubles are pinned in fig_golden_test.
+TEST(competitive_market, fleet_three_msp_counts_are_pinned) {
+  const auto r = core::run_fleet_scenario(three_msp_fleet());
+  expect_fleet_conserved(three_msp_fleet(), r);
+  EXPECT_EQ(r.handovers, 844u);
+  EXPECT_EQ(r.completed, 844u);
+  EXPECT_EQ(r.deferred, 13u);
+  EXPECT_EQ(r.priced_out, 0u);
+  EXPECT_EQ(r.abandoned, 0u);
+  EXPECT_EQ(r.clearings, 620u);
+  EXPECT_EQ(r.max_cohort, 5u);
+  EXPECT_EQ(r.unconverged_clearings, 0u);
+  EXPECT_EQ(r.solver_sweeps, 627u);
+  EXPECT_EQ(r.objective_evals, 4917u);
+  EXPECT_EQ(r.warm_started_clearings, 613u);
 }
 
 // An asymmetric duopoly: the cheaper seller wins share and profit.

@@ -19,12 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/equilibrium.hpp"
 #include "core/fleet_scenario.hpp"
 #include "core/market.hpp"
 #include "core/mechanism.hpp"
+#include "sim/road_graph.hpp"
 
 namespace core = vtm::core;
 
@@ -250,5 +252,70 @@ TEST(fig_golden, fleet_shard1_matches_pre_shard_engine) {
     EXPECT_DOUBLE_EQ(r.vmu_total_utility, 256604.17321267969);
     EXPECT_DOUBLE_EQ(r.mean_aotm, 4.7672394372724414);
     EXPECT_DOUBLE_EQ(r.mean_price, 50.000000000000007);
+  }
+}
+
+// Aggregates of the runs whose counts tier 1 pins for the typed event core
+// (streaming_fleet_test, competitive_market_test), captured at the map-based
+// event queue: a congested 4-shard chain stream, a 4-shard road-grid stream,
+// and a closed run with three sellers. Verified against both -march=native
+// and generic builds (they agree to within 3 ulps).
+TEST(fig_golden, sharded_streams_and_three_msp_aggregates) {
+  {
+    core::streaming_config config;
+    config.base.rsu_count = 8;
+    config.base.rsu_spacing_m = vtm::util::meters{200.0};
+    config.base.coverage_radius_m = vtm::util::meters{120.0};
+    config.base.bandwidth_per_pool_mhz = vtm::util::megahertz{20.0};
+    config.base.seed = 17;
+    config.base.shard_count = 4;
+    config.arrival_rate_per_s = vtm::util::per_second{5.0};
+    config.horizon_s = vtm::util::seconds{60.0};
+    config.flush_period_s = vtm::util::seconds{10.0};
+    const auto r = core::run_streaming_fleet(config).totals;
+    EXPECT_EQ(r.completed, 656u);
+    EXPECT_DOUBLE_EQ(r.msp_total_utility, 173164.16303805687);
+    EXPECT_DOUBLE_EQ(r.vmu_total_utility, 409462.4999485744);
+    EXPECT_DOUBLE_EQ(r.mean_aotm, 13.805585873254502);
+    EXPECT_DOUBLE_EQ(r.mean_amplification, 1.8587060536382927);
+    EXPECT_DOUBLE_EQ(r.mean_price, 45.62184011130023);
+  }
+  {
+    core::streaming_config config;
+    config.base.graph = std::make_shared<const vtm::sim::road_graph>(
+        vtm::sim::road_graph::grid(3, 3, 600.0, 400.0));
+    config.base.seed = 23;
+    config.base.shard_count = 4;
+    config.arrival_rate_per_s = vtm::util::per_second{4.0};
+    config.horizon_s = vtm::util::seconds{90.0};
+    config.flush_period_s = vtm::util::seconds{15.0};
+    const auto r = core::run_streaming_fleet(config).totals;
+    EXPECT_EQ(r.completed, 159u);
+    EXPECT_DOUBLE_EQ(r.msp_total_utility, 154625.86965057766);
+    EXPECT_DOUBLE_EQ(r.vmu_total_utility, 242851.48760000247);
+    EXPECT_DOUBLE_EQ(r.mean_aotm, 0.19467554254943278);
+    EXPECT_DOUBLE_EQ(r.mean_amplification, 1.0471895596445358);
+    EXPECT_DOUBLE_EQ(r.mean_price, 36.907748630769262);
+  }
+  {
+    core::fleet_config config;
+    config.mode = core::market_mode::oligopoly;
+    config.vehicle_count = 300;
+    for (const double cost : {5.0, 5.5, 6.0})
+      config.msps.push_back(
+          {vtm::util::meters{0.0}, cost, 12.0, vtm::util::megahertz{10.0}});
+    const auto r = core::run_fleet_scenario(config);
+    EXPECT_EQ(r.completed, 844u);
+    EXPECT_DOUBLE_EQ(r.msp_total_utility, 113229.06761018233);
+    EXPECT_DOUBLE_EQ(r.vmu_total_utility, 1414555.425119366);
+    EXPECT_DOUBLE_EQ(r.mean_aotm, 0.55168438584186175);
+    EXPECT_DOUBLE_EQ(r.mean_amplification, 1.1108307887670956);
+    EXPECT_DOUBLE_EQ(r.mean_price, 11.999999999999998);
+    ASSERT_EQ(r.msp_utilities.size(), 3u);
+    EXPECT_DOUBLE_EQ(r.msp_utilities[0], 40646.331962629607);
+    EXPECT_DOUBLE_EQ(r.msp_utilities[1], 37743.022536727498);
+    EXPECT_DOUBLE_EQ(r.msp_utilities[2], 34839.713110825382);
+    for (const double sold : r.msp_sold_mhz)
+      EXPECT_DOUBLE_EQ(sold, 5806.6188518042318);
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/aotm.hpp"
 #include "sim/block_transfer.hpp"
@@ -104,6 +105,15 @@ TEST(blocks, interleaved_transfers_keep_independent_timelines) {
   queue.run_all();
   EXPECT_DOUBLE_EQ(first_aotm, 4.0);
   EXPECT_DOUBLE_EQ(second_aotm, 2.0);
+}
+
+// One event per block, and more blocks than run_all's default event budget:
+// the synchronous transfer still delivers every block.
+TEST(blocks, run_block_transfer_outlasts_the_default_event_budget) {
+  const std::vector<double> blocks(1'000'001, 1.0);
+  const auto timeline = s::run_block_transfer(blocks, 1024.0);
+  EXPECT_EQ(timeline.blocks.size(), blocks.size());
+  EXPECT_EQ(timeline.completed_at, 1'000'001.0 / 1024.0);
 }
 
 TEST(blocks, rejects_invalid_input) {

@@ -2,7 +2,11 @@
 // migration engine, highway mobility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -10,6 +14,7 @@
 #include "sim/precopy.hpp"
 #include "sim/vt.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace s = vtm::sim;
 
@@ -50,16 +55,6 @@ TEST(event_queue, cannot_schedule_in_the_past) {
   q.schedule(5.0, [] {});
   q.step();
   EXPECT_THROW((void)q.schedule(1.0, [] {}), vtm::util::contract_error);
-}
-
-TEST(event_queue, cancel_prevents_execution) {
-  s::event_queue q;
-  bool ran = false;
-  const auto h = q.schedule(1.0, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(h));
-  EXPECT_FALSE(q.cancel(h));  // already cancelled
-  q.run_all();
-  EXPECT_FALSE(ran);
 }
 
 TEST(event_queue, run_until_stops_at_horizon) {
@@ -135,6 +130,51 @@ TEST(event_queue, windowed_run_until_matches_single_run) {
   q.schedule(5.0, [&] { ++ran_at_boundary; });  // at == now: still legal
   q.run_until(6.0);
   EXPECT_EQ(ran_at_boundary, 1);
+}
+
+// The heap's pop order is a stable sort by time over schedule order: exact
+// ties run FIFO, and an event scheduled at now() while another is being
+// dispatched runs after every event already pending at that time. Random
+// schedules over a few distinct times (many exact ties), events that schedule
+// more events from their dispatch, and windowed run_until calls followed by
+// a drain.
+TEST(event_queue, pop_order_is_a_stable_sort_by_time) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    vtm::util::rng gen(seed);
+    s::basic_event_queue<std::size_t> q;
+    std::vector<double> scheduled_at;  // indexed by schedule order
+    std::vector<std::size_t> popped;
+    const auto add = [&](double at) {
+      q.schedule(at, scheduled_at.size());
+      scheduled_at.push_back(at);
+    };
+    const auto initial = gen.uniform_int(1, 400);
+    for (std::int64_t i = 0; i < initial; ++i)
+      add(static_cast<double>(gen.uniform_int(0, 12)));
+    const auto dispatch = [&](std::size_t id) {
+      ASSERT_EQ(q.now(), scheduled_at[id]);
+      popped.push_back(id);
+      if (scheduled_at.size() >= 4000 || !gen.bernoulli(0.5)) return;
+      const auto extra = gen.uniform_int(1, 3);
+      for (std::int64_t k = 0; k < extra; ++k)
+        add(gen.bernoulli(0.5)
+                ? q.now()
+                : q.now() + static_cast<double>(gen.uniform_int(0, 3)));
+    };
+    for (double t = 0.0; t < 10.0; t += 1.0 + static_cast<double>(
+                                                 gen.uniform_int(0, 2)))
+      q.run_until(t, dispatch);
+    q.run_all(std::numeric_limits<std::size_t>::max(), dispatch);
+    EXPECT_EQ(q.pending(), 0u);
+
+    std::vector<std::size_t> expected(scheduled_at.size());
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return scheduled_at[a] < scheduled_at[b];
+                     });
+    EXPECT_EQ(popped, expected) << "seed " << seed;
+  }
 }
 
 // ---- vehicular twin ------------------------------------------------------------

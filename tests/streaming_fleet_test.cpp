@@ -4,6 +4,7 @@
 // streaming paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -108,7 +109,86 @@ void expect_stream_identical(const core::streaming_result& a,
   }
 }
 
+/// The pinned 4-shard chain stream: `stream_config` with 20 MHz pools, so
+/// about 40% of the handovers defer and cohorts reach 7.
+core::streaming_config congested_chain_stream() {
+  auto config = stream_config(60.0);
+  config.base.shard_count = 4;
+  config.base.bandwidth_per_pool_mhz = vtm::util::megahertz{20.0};
+  return config;
+}
+
+/// The pinned 4-shard road-grid stream.
+core::streaming_config grid_stream() {
+  core::streaming_config config;
+  config.base.graph = std::make_shared<const sim::road_graph>(
+      sim::road_graph::grid(3, 3, 600.0, 400.0));
+  config.base.seed = 23;
+  config.base.shard_count = 4;
+  config.arrival_rate_per_s = vtm::util::per_second{4.0};
+  config.horizon_s = vtm::util::seconds{90.0};
+  config.flush_period_s = vtm::util::seconds{15.0};
+  return config;
+}
+
 }  // namespace
+
+// Counts of two sharded streams, pinned at the map-based event queue: the
+// typed event core must reproduce them exactly. The aggregates' doubles are
+// pinned in fig_golden_test (FP-flag sensitive, tier 2).
+TEST(streaming_fleet, sharded_stream_counts_are_pinned) {
+  {
+    const auto r = core::run_streaming_fleet(congested_chain_stream());
+    expect_stream_conserved(r);
+    EXPECT_EQ(r.arrivals, 320u);
+    EXPECT_EQ(r.peak_live, 242u);
+    EXPECT_EQ(r.slot_high_water, 242u);
+    EXPECT_EQ(r.flushes.size(), 7u);
+    EXPECT_EQ(r.totals.handovers, 656u);
+    EXPECT_EQ(r.totals.completed, 656u);
+    EXPECT_EQ(r.totals.deferred, 263u);
+    EXPECT_EQ(r.totals.priced_out, 0u);
+    EXPECT_EQ(r.totals.abandoned, 0u);
+    EXPECT_EQ(r.totals.clearings, 366u);
+    EXPECT_EQ(r.totals.max_cohort, 7u);
+    EXPECT_EQ(r.totals.cross_shard_transfers, 309u);
+    EXPECT_EQ(r.totals.cross_shard_retargets, 0u);
+    EXPECT_EQ(r.totals.late_handoffs, 24u);
+  }
+  {
+    const auto r = core::run_streaming_fleet(grid_stream());
+    expect_stream_conserved(r);
+    EXPECT_EQ(r.arrivals, 348u);
+    EXPECT_EQ(r.peak_live, 103u);
+    EXPECT_EQ(r.slot_high_water, 103u);
+    EXPECT_EQ(r.flushes.size(), 7u);
+    EXPECT_EQ(r.totals.handovers, 159u);
+    EXPECT_EQ(r.totals.completed, 159u);
+    EXPECT_EQ(r.totals.deferred, 0u);
+    EXPECT_EQ(r.totals.clearings, 155u);
+    EXPECT_EQ(r.totals.max_cohort, 2u);
+    EXPECT_EQ(r.totals.cross_shard_transfers, 127u);
+    EXPECT_EQ(r.totals.late_handoffs, 21u);
+  }
+}
+
+// `flushes[k]` covers window k only, so its max_cohort is the largest
+// cohort among the migrations that completed in that window — not the
+// shards' run-to-date maximum.
+TEST(streaming_fleet, flush_max_cohort_covers_its_own_migrations) {
+  for (const auto& config : {congested_chain_stream(), grid_stream()}) {
+    const auto r = core::run_streaming_fleet(config);
+    std::size_t run_max = 0;
+    for (const auto& flush : r.flushes) {
+      std::size_t own = 0;
+      for (const auto& record : flush.migrations)
+        own = std::max(own, record.cohort);
+      EXPECT_EQ(flush.max_cohort, own);
+      run_max = std::max(run_max, own);
+    }
+    EXPECT_EQ(r.totals.max_cohort, run_max);
+  }
+}
 
 TEST(streaming_fleet, flush_accounting_is_exactly_once) {
   const auto r = core::run_streaming_fleet(stream_config(60.0));

@@ -126,6 +126,25 @@ TEST(ofdma, grant_lookup) {
   EXPECT_FALSE(pool.grant_mhz(w::grant_id{1234}).has_value());
 }
 
+// Released slots are reused; the released id must not reach the grant that
+// now occupies its slot.
+TEST(ofdma, stale_id_misses_the_grant_reusing_its_slot) {
+  w::ofdma_pool pool(10.0);
+  const auto old_grant = pool.allocate(3.0);
+  ASSERT_TRUE(old_grant);
+  ASSERT_TRUE(pool.release(*old_grant));
+  const auto new_grant = pool.allocate(4.0);
+  ASSERT_TRUE(new_grant);
+  EXPECT_NE(*old_grant, *new_grant);
+  EXPECT_FALSE(pool.release(*old_grant));
+  EXPECT_FALSE(pool.grant_mhz(*old_grant).has_value());
+  EXPECT_EQ(pool.active_grants(), 1u);
+  EXPECT_DOUBLE_EQ(pool.grant_mhz(*new_grant).value(), 4.0);
+  EXPECT_DOUBLE_EQ(pool.allocated_mhz(), 4.0);
+  EXPECT_TRUE(pool.release(*new_grant));
+  EXPECT_EQ(pool.active_grants(), 0u);
+}
+
 TEST(ofdma, granularity_rounds_up) {
   w::ofdma_pool pool(10.0, 0.5);
   EXPECT_DOUBLE_EQ(pool.rounded(1.2), 1.5);
