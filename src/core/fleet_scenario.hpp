@@ -210,7 +210,7 @@ struct fleet_result {
   std::size_t abandoned = 0;    ///< Requests dropped as permanently unservable.
   std::size_t completed = 0;    ///< Migrations run to completion.
   std::size_t clearings = 0;    ///< Clearing events that priced >= 1 market.
-  std::size_t max_cohort = 0;   ///< Largest cohort priced as one market.
+  std::size_t max_cohort = 0;   ///< Largest cohort among completed migrations.
   std::vector<vehicle_summary> vehicles;  ///< Final per-vehicle state.
   /// Sharding diagnostics (all zero for shard_count = 1).
   std::size_t cross_shard_transfers = 0;  ///< Vehicles handed between shards.

@@ -91,15 +91,52 @@ std::uint32_t narrow_index(std::size_t index) {
   return static_cast<std::uint32_t>(index);
 }
 
-/// Resolve the streaming run's base config: the horizon is the handover
-/// admission deadline, and the closed-population `vehicle_count` is ignored
-/// (floored to satisfy the base validation).
-fleet_config streaming_base(const streaming_config& config) {
-  validate_streaming_config(config);
+/// The streaming run's base config: the horizon is the handover admission
+/// deadline, and the closed-population `vehicle_count` is ignored (floored
+/// to satisfy the base validation).
+fleet_config resolved_base(const streaming_config& config) {
   fleet_config base = config.base;
   base.duration_s = config.horizon_s;
   if (base.vehicle_count == 0) base.vehicle_count = 1;
   return base;
+}
+
+/// Validate a streaming config, then resolve its base (streaming ctor).
+fleet_config streaming_base(const streaming_config& config) {
+  validate_streaming_config(config);
+  return resolved_base(config);
+}
+
+/// Fold `now - since` into `out`, field by field: the one list of counter
+/// fields, shared by each flush's per-window delta and a stream's run
+/// totals (`since` = {}). An empty `since` vector reads as zeros, and
+/// `x - 0.0 == x`, so a fold from {} is the cumulative value bitwise.
+void fold_counters(fleet_result& out, const shard_engine::counters& now,
+                   const shard_engine::counters& since) {
+  out.handovers += now.handovers - since.handovers;
+  out.deferred += now.deferred - since.deferred;
+  out.priced_out += now.priced_out - since.priced_out;
+  out.abandoned += now.abandoned - since.abandoned;
+  out.clearings += now.clearings - since.clearings;
+  out.cross_shard_transfers +=
+      now.cross_shard_transfers - since.cross_shard_transfers;
+  out.cross_shard_retargets +=
+      now.cross_shard_retargets - since.cross_shard_retargets;
+  out.late_handoffs += now.late_handoffs - since.late_handoffs;
+  out.unconverged_clearings +=
+      now.unconverged_clearings - since.unconverged_clearings;
+  out.solver_sweeps += now.solver_sweeps - since.solver_sweeps;
+  out.objective_evals += now.objective_evals - since.objective_evals;
+  out.warm_started_clearings +=
+      now.warm_started_clearings - since.warm_started_clearings;
+  const auto fold = [](std::vector<double>& to, const std::vector<double>& at,
+                       const std::vector<double>& from) {
+    to.resize(at.size());
+    for (std::size_t m = 0; m < at.size(); ++m)
+      to[m] += at[m] - (from.empty() ? 0.0 : from[m]);
+  };
+  fold(out.msp_utilities, now.msp_utility, since.msp_utility);
+  fold(out.msp_sold_mhz, now.msp_sold_mhz, since.msp_sold_mhz);
 }
 
 }  // namespace
@@ -238,10 +275,7 @@ void validate_streaming_config(const streaming_config& config) {
   // The competitive roster's warm-started books assume a closed population;
   // streaming stays on the spot-market paths.
   VTM_EXPECTS(config.base.mode != market_mode::oligopoly);
-  fleet_config base = config.base;
-  base.duration_s = config.horizon_s;
-  if (base.vehicle_count == 0) base.vehicle_count = 1;  // field is ignored
-  validate_fleet_config(base);
+  validate_fleet_config(resolved_base(config));
 }
 
 // ---- shard_engine -----------------------------------------------------------
@@ -799,7 +833,6 @@ void shard_engine::launch_migration(std::uint32_t flight,
   record.vmu_utility = vmu_utility;
   record.msp_utility = msp_utility;
   record.precopy_converged = report.converged;
-  counters_.max_cohort = std::max(counters_.max_cohort, cohort);
 
   queue_.schedule_in(report.total_time_s,
                      {fleet_event::kind::completion, flight});
@@ -978,7 +1011,6 @@ shard_coordinator::shard_coordinator(const streaming_config& config)
     : shard_coordinator(streaming_base(config), /*spawn=*/false) {
   stream_ = config;
   streaming_ = true;
-  flushed_.resize(shards_.size());
 }
 
 shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
@@ -1042,6 +1074,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
         mailbox_, policy_, std::move(tele)));
     lo += count;
   }
+  flushed_.resize(shard_count);
 
   // Route mode: one mobility profile per graph route (slots point into
   // this, so it is built once and never resized again).
@@ -1255,13 +1288,18 @@ std::size_t shard_coordinator::exchange() {
   return delivered;
 }
 
-fleet_result shard_coordinator::run() {
-  for (std::size_t v = 0; v < vehicles_.size(); ++v)
-    shards_[owner_[v]]->adopt(v);
+void shard_coordinator::run_windows() {
+  VTM_EXPECTS(!ran_);  // single-shot: construct one coordinator per run
+  ran_ = true;
+  const double horizon = config_.duration_s.value();
+  double t_end = std::min(horizon, window_s_);
   {
-    // No lane has started yet, so the barrier capability holds trivially:
-    // vehicles spawned next to a shard boundary re-home at t = 0.
+    // No lane has started yet, so the barrier capability holds trivially.
+    // The first window's arrivals — a closed run's whole spawn cohort — are
+    // admitted before the first exchange, so vehicles spawned next to a
+    // shard boundary re-home at t = 0 and no handoff posted then is late.
     const util::barrier_scope at_barrier(barrier_);
+    inject_arrivals(t_end);
     exchange();
   }
 
@@ -1269,9 +1307,11 @@ fleet_result shard_coordinator::run() {
   // every queue is dry and no message is in flight: no new handovers are
   // admitted past the horizon, so only completions and the re-clearings
   // they trigger remain, and running to quiescence guarantees every started
-  // migration lands in the totals *and* the records.
+  // migration lands in a flush. A closed run never flushes periodically.
   bool draining = false;
-  double t_end = std::min(config_.duration_s.value(), window_s_);
+  double next_flush = streaming_ ? stream_.flush_period_s.value()
+                                 : std::numeric_limits<double>::infinity();
+  std::size_t flush_index = 0;
   pool_.run_phased(
       shards_.size(),
       [&](std::size_t lane, std::size_t) {
@@ -1287,71 +1327,110 @@ fleet_result shard_coordinator::run() {
         const std::size_t delivered = exchange();
         merge_metrics();
         if (draining) return delivered > 0;
-        if (t_end >= config_.duration_s.value()) {
+        // Emit every flush boundary this window crossed. A flush covers
+        // events up to the barrier that emitted it (window granularity);
+        // conservation holds per window by the exactly-once ledger.
+        while (next_flush <= t_end) {
+          flushes_.push_back(flush_window(/*final=*/false));
+          if (flush_index == stream_.reseed_flush) {
+            // Mid-stream reseed: every pre-reseed draw fed an arrival
+            // admitted at or before t_end, whose events landed in this or
+            // an earlier flush — so flushes 0..reseed_flush are
+            // bitwise-unaffected, and the stream restarts cleanly from the
+            // admitted-up-to point.
+            if (config_.log.enabled(util::log_level::info))
+              config_.log.info("stream reseed at flush " +
+                               std::to_string(flush_index) + " (seed " +
+                               std::to_string(stream_.reseed_seed) + ")");
+            gen_ = util::rng(stream_.reseed_seed);
+            arrival_pending_ = false;
+            next_arrival_s_ = t_end;
+            platoon_left_ = 0;
+          }
+          ++flush_index;
+          next_flush += stream_.flush_period_s.value();
+        }
+        if (t_end >= horizon) {
           draining = true;
           return true;
         }
-        t_end = std::min(config_.duration_s.value(), t_end + window_s_);
+        t_end = std::min(horizon, t_end + window_s_);
         if (config_.log.enabled(util::log_level::debug))
           config_.log.debug("window advance: t_end " +
                             std::to_string(t_end));
+        inject_arrivals(t_end);
         return true;
       });
 
-  // Anything still booked has no release left to wait for; the pool has
-  // quiesced, so the barrier capability holds for the final sweep + merge.
+  // Quiesced: anything still booked has no release left to wait for. The
+  // pool has joined, so the barrier capability holds for the sweep and the
+  // final flush, which retires every remaining twin.
   const util::barrier_scope at_barrier(barrier_);
   for (auto& shard : shards_) shard->abandon_remaining();
-  util::trace_span span(coord_trace_, "coord.merge");
-  fleet_result result = merge();
+  flushes_.push_back(flush_window(/*final=*/true));
   merge_metrics();
-  return result;
+}
+
+fleet_result shard_coordinator::run() {
+  if (streaming_) return run_stream().totals;
+  run_windows();
+  return std::move(flushes_.back());  // a closed run's one flush
 }
 
 void shard_coordinator::inject_arrivals(double upto) {
+  if (!streaming_ && arrivals_ > 0) return;  // the closed cohort arrived
   util::trace_span span(coord_trace_, "coord.arrivals");
-  std::size_t admitted = 0;
-  for (;;) {
-    if (!arrival_pending_) {
-      // Poisson arrivals: exponential inter-arrival gaps. The undrawn-gap
-      // flag keeps the stream exact across reseeds — a drawn-but-unadmitted
-      // arrival survives window barriers, and a reseed discards it.
-      next_arrival_s_ += gen_.exponential(stream_.arrival_rate_per_s.value());
-      arrival_pending_ = true;
-    }
-    if (next_arrival_s_ > upto ||
-        next_arrival_s_ > stream_.horizon_s.value())
-      break;
-    arrival_pending_ = false;
-    const double at = next_arrival_s_;
+  const std::size_t before = arrivals_;
+  if (!streaming_) {
+    // A closed run's arrival source is its spawn cohort, all at t = 0.
+    for (std::size_t v = 0; v < vehicles_.size(); ++v)
+      shards_[owner_[v]]->adopt(v);
+    arrivals_ = vehicles_.size();
+  } else {
+    for (;;) {
+      if (!arrival_pending_) {
+        // Poisson arrivals: exponential inter-arrival gaps. The
+        // undrawn-gap flag keeps the stream exact across reseeds — a
+        // drawn-but-unadmitted arrival survives window barriers, and a
+        // reseed discards it.
+        next_arrival_s_ +=
+            gen_.exponential(stream_.arrival_rate_per_s.value());
+        arrival_pending_ = true;
+      }
+      if (next_arrival_s_ > upto ||
+          next_arrival_s_ > stream_.horizon_s.value())
+        break;
+      arrival_pending_ = false;
+      const double at = next_arrival_s_;
 
-    std::size_t v;
-    if (!free_slots_.empty()) {
-      v = free_slots_.back();  // LIFO keeps the arena hot and bounded
-      free_slots_.pop_back();
-    } else {
-      v = vehicles_.size();
-      vehicles_.emplace_back();
-      owner_.push_back(0);
+      std::size_t v;
+      if (!free_slots_.empty()) {
+        v = free_slots_.back();  // LIFO keeps the arena hot and bounded
+        free_slots_.pop_back();
+      } else {
+        v = vehicles_.size();
+        vehicles_.emplace_back();
+        owner_.push_back(0);
+      }
+      auto& slot = vehicles_[v];
+      draw_spawn(slot);
+      slot.id = arrivals_++;
+      slot.position_at = at;
+      slot.exited = false;
+      slot.twin = std::make_unique<sim::vehicular_twin>(
+          sim::vehicular_twin::with_total_mb(slot.id, slot.profile.data_mb,
+                                             config_.page_mb.value()));
+      const std::size_t serving =
+          slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
+                     : chain_.serving_rsu(slot.kinematics.position_m);
+      slot.twin->set_host_rsu(serving);
+      owner_[v] = rsu_shard_[serving];
+      shards_[owner_[v]]->inject(v, at);
     }
-    auto& slot = vehicles_[v];
-    draw_spawn(slot);
-    slot.id = arrivals_++;
-    slot.position_at = at;
-    slot.exited = false;
-    slot.twin = std::make_unique<sim::vehicular_twin>(
-        sim::vehicular_twin::with_total_mb(slot.id, slot.profile.data_mb,
-                                           config_.page_mb.value()));
-    const std::size_t serving =
-        slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
-                   : chain_.serving_rsu(slot.kinematics.position_m);
-    slot.twin->set_host_rsu(serving);
-    owner_[v] = rsu_shard_[serving];
-    shards_[owner_[v]]->inject(v, at);
-    ++admitted;
-    ++live_;
-    peak_live_ = std::max(peak_live_, live_);
   }
+  const std::size_t admitted = arrivals_ - before;
+  live_ += admitted;
+  peak_live_ = std::max(peak_live_, live_);
   if (coord_metrics_ != nullptr && admitted > 0)
     coord_metrics_->add(ids_.arrivals, admitted);
   span.arg("admitted", static_cast<double>(admitted));
@@ -1367,27 +1446,18 @@ fleet_result shard_coordinator::flush_window(bool final) {
   // Counter deltas against the previous flush's cumulative snapshots.
   std::size_t total = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto& now = data[s].stats;
-    const auto& before = flushed_[s];
-    window.handovers += now.handovers - before.handovers;
-    window.deferred += now.deferred - before.deferred;
-    window.priced_out += now.priced_out - before.priced_out;
-    window.abandoned += now.abandoned - before.abandoned;
-    window.clearings += now.clearings - before.clearings;
-    window.cross_shard_transfers +=
-        now.cross_shard_transfers - before.cross_shard_transfers;
-    window.cross_shard_retargets +=
-        now.cross_shard_retargets - before.cross_shard_retargets;
-    window.late_handoffs += now.late_handoffs - before.late_handoffs;
-    flushed_[s] = now;
+    fold_counters(window, data[s].stats, flushed_[s]);
+    flushed_[s] = std::move(data[s].stats);
     total += data[s].ledger.size();
   }
 
   // Reduce this window's completion ledgers in global finish-time order
-  // (slot index breaks exact ties) — `merge()`'s reduction restarted per
-  // window. The run-total accumulators advance inside the same loop, so the
-  // streaming totals are the same ordered sum an unwindowed reduction of
-  // the whole stream would produce.
+  // (vehicle slot breaks exact ties): one shard reproduces the serial
+  // engine's event-order summation bitwise, and multi-shard aggregates are
+  // independent of thread timing by construction. The run-total
+  // accumulators advance inside the same loop, so a stream's totals are the
+  // same ordered sum an unwindowed reduction of the whole stream would
+  // produce.
   double sum_aotm = 0.0;
   double sum_amplification = 0.0;
   double sum_price_bandwidth = 0.0;
@@ -1494,7 +1564,11 @@ fleet_result shard_coordinator::flush_window(bool final) {
       if (window_retired > 0)
         coord_metrics_->add(ids_.retired, window_retired);
     }
-    if (coord_trace_ != nullptr)
+    // Streams only: `tools/trace_summary.py --validate` requires this marker
+    // on a lane named "coordinator", and a session shared by runs of
+    // different shard counts keeps whichever name a run set last, so a
+    // closed k-shard run's coordinator lane k can be named "shard k".
+    if (coord_trace_ != nullptr && streaming_)
       coord_trace_->instant(
           "stream.flush",
           {{"live", static_cast<double>(live_)},
@@ -1508,74 +1582,7 @@ fleet_result shard_coordinator::flush_window(bool final) {
 }
 
 streaming_result shard_coordinator::run_stream() {
-  VTM_EXPECTS(streaming_);
-  const double horizon = config_.duration_s.value();  // == stream_.horizon_s
-  double t_end = std::min(horizon, window_s_);
-  {
-    // No lane has started yet, so the barrier capability holds trivially.
-    const util::barrier_scope at_barrier(barrier_);
-    inject_arrivals(t_end);
-    exchange();
-  }
-
-  bool draining = false;
-  double next_flush = stream_.flush_period_s.value();
-  std::size_t flush_index = 0;
-  pool_.run_phased(
-      shards_.size(),
-      [&](std::size_t lane, std::size_t) {
-        if (draining)
-          shards_[lane]->drain_round();
-        else
-          shards_[lane]->run_window(t_end);
-      },
-      [&](std::size_t) {
-        const util::barrier_scope at_barrier(barrier_);
-        const std::size_t delivered = exchange();
-        merge_metrics();
-        if (draining) return delivered > 0;
-        // Emit every flush boundary this window crossed. A flush covers
-        // events up to the barrier that emitted it (window granularity);
-        // conservation holds per window by the exactly-once ledger.
-        while (next_flush <= t_end) {
-          flushes_.push_back(flush_window(/*final=*/false));
-          if (flush_index == stream_.reseed_flush) {
-            // Mid-stream reseed: every pre-reseed draw fed an arrival
-            // admitted at or before t_end, whose events landed in this or
-            // an earlier flush — so flushes 0..reseed_flush are
-            // bitwise-unaffected, and the stream restarts cleanly from the
-            // admitted-up-to point.
-            if (config_.log.enabled(util::log_level::info))
-              config_.log.info("stream reseed at flush " +
-                               std::to_string(flush_index) + " (seed " +
-                               std::to_string(stream_.reseed_seed) + ")");
-            gen_ = util::rng(stream_.reseed_seed);
-            arrival_pending_ = false;
-            next_arrival_s_ = t_end;
-            platoon_left_ = 0;
-          }
-          ++flush_index;
-          next_flush += stream_.flush_period_s.value();
-        }
-        if (t_end >= horizon) {
-          draining = true;
-          return true;
-        }
-        t_end = std::min(horizon, t_end + window_s_);
-        if (config_.log.enabled(util::log_level::debug))
-          config_.log.debug("window advance: t_end " +
-                            std::to_string(t_end));
-        inject_arrivals(t_end);
-        return true;
-      });
-
-  // Quiesced: sweep the books, emit the final flush (retiring every
-  // remaining twin), and assemble the totals.
-  const util::barrier_scope at_barrier(barrier_);
-  for (auto& shard : shards_) shard->abandon_remaining();
-  flushes_.push_back(flush_window(/*final=*/true));
-  merge_metrics();
-
+  run_windows();
   streaming_result result;
   result.arrivals = arrivals_;
   result.retired = retired_;
@@ -1584,23 +1591,13 @@ streaming_result shard_coordinator::run_stream() {
   result.flushes = std::move(flushes_);
 
   fleet_result& totals = result.totals;
-  for (const auto& shard : shards_) {
-    const auto& c = shard->stats();
-    totals.handovers += c.handovers;
-    totals.deferred += c.deferred;
-    totals.priced_out += c.priced_out;
-    totals.abandoned += c.abandoned;
-    totals.clearings += c.clearings;
-    totals.max_cohort = std::max(totals.max_cohort, c.max_cohort);
-    totals.cross_shard_transfers += c.cross_shard_transfers;
-    totals.cross_shard_retargets += c.cross_shard_retargets;
-    totals.late_handoffs += c.late_handoffs;
-  }
+  for (const auto& shard : shards_) fold_counters(totals, shard->stats(), {});
   totals.msp_total_utility = total_msp_utility_;
   totals.vmu_total_utility = total_vmu_utility_;
   totals.vehicles.resize(arrivals_);
   for (const auto& flush : result.flushes) {
     totals.completed += flush.completed;
+    totals.max_cohort = std::max(totals.max_cohort, flush.max_cohort);
     for (const auto& summary : flush.vehicles) {
       VTM_ASSERT(summary.id < arrivals_);
       totals.vehicles[summary.id] = summary;
@@ -1618,96 +1615,6 @@ streaming_result shard_coordinator::run_stream() {
     totals.mean_amplification = sum_amplification_ / n;
     if (sum_bandwidth_ > 0.0)
       totals.mean_price = sum_price_bandwidth_ / sum_bandwidth_;
-  }
-  return result;
-}
-
-fleet_result shard_coordinator::merge() {
-  fleet_result result;
-  std::size_t total = 0;
-  if (!msp_chains_.empty()) {
-    result.msp_utilities.assign(msp_chains_.size(), 0.0);
-    result.msp_sold_mhz.assign(msp_chains_.size(), 0.0);
-  }
-  for (const auto& shard : shards_) {
-    const auto& c = shard->stats();
-    result.handovers += c.handovers;
-    result.deferred += c.deferred;
-    result.priced_out += c.priced_out;
-    result.abandoned += c.abandoned;
-    result.clearings += c.clearings;
-    result.max_cohort = std::max(result.max_cohort, c.max_cohort);
-    result.cross_shard_transfers += c.cross_shard_transfers;
-    result.cross_shard_retargets += c.cross_shard_retargets;
-    result.late_handoffs += c.late_handoffs;
-    result.unconverged_clearings += c.unconverged_clearings;
-    result.solver_sweeps += c.solver_sweeps;
-    result.objective_evals += c.objective_evals;
-    result.warm_started_clearings += c.warm_started_clearings;
-    for (std::size_t m = 0; m < c.msp_utility.size(); ++m) {
-      result.msp_utilities[m] += c.msp_utility[m];
-      result.msp_sold_mhz[m] += c.msp_sold_mhz[m];
-    }
-    total += shard->ledger().size();
-  }
-
-  // Reduce the completion streams in global finish-time order (vehicle id
-  // breaks exact ties): one shard reproduces the serial engine's event-order
-  // summation bitwise, and multi-shard aggregates are independent of thread
-  // timing by construction.
-  double sum_aotm = 0.0;
-  double sum_amplification = 0.0;
-  double sum_price_bandwidth = 0.0;
-  double sum_bandwidth = 0.0;
-  std::vector<std::size_t> head(shards_.size(), 0);
-  if (config_.record_migrations) result.migrations.reserve(total);
-  for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (head[s] >= shards_[s]->ledger().size()) continue;
-      if (best == shards_.size()) {
-        best = s;
-        continue;
-      }
-      const auto& a = shards_[s]->ledger()[head[s]];
-      const auto& b = shards_[best]->ledger()[head[best]];
-      if (a.finish_s < b.finish_s ||
-          (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
-        best = s;
-    }
-    const auto& entry = shards_[best]->ledger()[head[best]];
-    ++result.completed;
-    result.msp_total_utility += entry.msp_utility;
-    result.vmu_total_utility += entry.vmu_utility;
-    sum_aotm += entry.aotm;
-    sum_amplification += entry.amplification;
-    sum_price_bandwidth += entry.price_bandwidth;
-    sum_bandwidth += entry.bandwidth;
-    if (config_.record_migrations)
-      result.migrations.push_back(shards_[best]->records()[head[best]]);
-    ++head[best];
-  }
-
-  for (const auto& shard : shards_)
-    result.cohorts.insert(result.cohorts.end(), shard->cohorts().begin(),
-                          shard->cohorts().end());
-
-  result.vehicles.resize(vehicles_.size());
-  for (std::size_t v = 0; v < vehicles_.size(); ++v) {
-    auto& summary = result.vehicles[v];
-    summary.id = vehicles_[v].id;
-    summary.host_rsu = vehicles_[v].twin->host_rsu();
-    summary.migrations = vehicles_[v].twin->migration_count();
-    summary.position_m = vehicles_[v].kinematics.position_m;
-    summary.shard = owner_[v];
-  }
-
-  if (result.completed > 0) {
-    const double n = static_cast<double>(result.completed);
-    result.mean_aotm = sum_aotm / n;
-    result.mean_amplification = sum_amplification / n;
-    if (sum_bandwidth > 0.0)
-      result.mean_price = sum_price_bandwidth / sum_bandwidth;
   }
   return result;
 }

@@ -14,6 +14,15 @@
 //     shard's last RSU while waiting; the request (and the vehicle) re-home
 //     to the pool now serving the vehicle.
 //
+// One protocol, one reduction (DESIGN.md §10, §14): closed and streaming
+// runs share one window loop. Each barrier exchanges messages, emits any
+// flush due, and admits the next window's arrivals; past the horizon the
+// loop drains to quiescence and emits a final flush. A flush reduces the
+// shards' completion ledgers in global finish-time order and folds their
+// counter deltas. A closed run is the degenerate stream: its arrival source
+// is the t = 0 spawn cohort, adopted before the first exchange, it never
+// flushes periodically, and its `fleet_result` is the one final flush.
+//
 // Fidelity contract (DESIGN.md §10): with `shard_count = 1` the engine is
 // bitwise identical to the pre-shard serial engine. Multi-shard runs are
 // deterministic for a fixed (seed, shard_count) and preserve every market
@@ -21,8 +30,8 @@
 // totals == Σ records); they reproduce the serial run bitwise whenever no
 // delivery was clamped behind a barrier (`fleet_result::late_handoffs == 0`
 // and `cross_shard_retargets == 0`) and no two migrations finish at exactly
-// the same instant — the merge breaks exact finish-time ties by vehicle id,
-// not the serial engine's schedule order, so degenerate configs (equal
+// the same instant — the reduction breaks exact finish-time ties by vehicle
+// id, not the serial engine's schedule order, so degenerate configs (equal
 // fixed speeds/footprints completing on the same epoch grid) can differ in
 // the low ulps of the summed aggregates. With continuous parameter draws,
 // cross-shard crossing times are kinematically known ahead of the lookahead
@@ -171,14 +180,14 @@ struct shard_telemetry {
 /// its own event queue under the coordinator's window protocol.
 class shard_engine {
  public:
-  /// Side counters harvested by the coordinator's merge.
+  /// Cumulative side counters. The coordinator folds them field by field
+  /// into each flush's delta and into a stream's run totals.
   struct counters {
     std::size_t handovers = 0;
     std::size_t deferred = 0;
     std::size_t priced_out = 0;
     std::size_t abandoned = 0;
     std::size_t clearings = 0;
-    std::size_t max_cohort = 0;
     std::size_t cross_shard_transfers = 0;
     std::size_t cross_shard_retargets = 0;
     std::size_t late_handoffs = 0;
@@ -258,20 +267,11 @@ class shard_engine {
   [[nodiscard]] competitive_market& comarket_at(std::size_t rsu);
 
   [[nodiscard]] const counters& stats() const noexcept { return counters_; }
-  [[nodiscard]] const std::vector<completion_entry>& ledger() const noexcept {
-    return ledger_;
-  }
-  [[nodiscard]] const std::vector<migration_record>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] const std::vector<cohort_snapshot>& cohorts() const noexcept {
-    return cohorts_;
-  }
 
-  /// Snapshot for one streaming flush: cumulative counters plus the ledger,
-  /// records, and cohorts accrued since the previous flush (moved out, so
-  /// per-window memory is released). Barrier only — reads engine state the
-  /// lanes otherwise own.
+  /// Snapshot for one flush: cumulative counters plus the ledger, records,
+  /// and cohorts accrued since the previous flush (moved out, so per-window
+  /// memory is released). Barrier only — reads engine state the lanes
+  /// otherwise own.
   struct flush_data {
     counters stats;  ///< Cumulative; the coordinator diffs against the last.
     std::vector<completion_entry> ledger;
@@ -391,32 +391,32 @@ class shard_engine {
 };
 
 /// Owns the chain, the vehicle slots, the shards, and the window protocol.
-/// Single-shot: construct one per run.
+/// Single-shot: construct one per run; a second `run()` or `run_stream()`
+/// fails its entry contract.
 class shard_coordinator {
  public:
+  /// Closed run: the whole population spawns here and arrives at t = 0.
   explicit shard_coordinator(const fleet_config& config);
 
   /// Streaming run: the closed-population spawn is skipped; vehicles arrive
-  /// via `inject_arrivals` over the horizon and results flush per window.
+  /// as a Poisson process over the horizon and results flush per window.
   explicit shard_coordinator(const streaming_config& config);
 
-  /// Execute the run to full quiescence and merge shard results
-  /// deterministically (completion streams are reduced in global
-  /// finish-time order, so aggregates are independent of thread timing).
+  /// Execute the run to full quiescence and return its result: a closed
+  /// run's one final flush, or a stream's `totals`. Completion ledgers are
+  /// reduced in global finish-time order, so aggregates are independent of
+  /// thread timing.
   [[nodiscard]] fleet_result run();
 
-  /// Execute a streaming run (streaming ctor only): windows advance as in
-  /// `run()`, but arrivals inject at each barrier up to the next window end,
-  /// results flush every `flush_period_s`, and completed twins retire so the
-  /// slot arena stays bounded by the live population.
+  /// Execute the run as a stream: arrivals inject at each barrier up to the
+  /// next window end, results flush every `flush_period_s`, and completed
+  /// twins retire so the slot arena stays bounded by the live population.
+  /// A closed run yields its single final flush and totals equal to it.
   [[nodiscard]] streaming_result run_stream();
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
     return shards_.size();
   }
-  /// Resolved synchronization window (seconds).
-  [[nodiscard]] double window_s() const noexcept { return window_s_; }
-  [[nodiscard]] shard_engine& shard(std::size_t i) { return *shards_[i]; }
 
   /// The coordinator's own trace lane (lane index `shard_count()` of the
   /// run's `trace_session`), or null when tracing is off. Serial callers
@@ -442,23 +442,28 @@ class shard_coordinator {
   /// the platoon leader/follower machinery. With `platoon_size = 1` on the
   /// chain the draw sequence is bitwise the legacy spawn loop.
   void draw_spawn(vehicle_slot& slot);
-  /// Admit every Poisson arrival with time <= `upto` (and <= the horizon):
-  /// pop or grow a slot, draw its spawn, and inject it into its owning
-  /// shard. Barrier only — touches slots and shard queues across lanes.
+  /// Admit every arrival with time <= `upto` (and <= the horizon) into its
+  /// owning shard. A closed run's arrivals are its spawn cohort, adopted at
+  /// t = 0 by the first call; a stream pops or grows a slot per Poisson
+  /// arrival and draws its spawn. Barrier only — touches slots and shard
+  /// queues across lanes.
   void inject_arrivals(double upto) VTM_REQUIRES(barrier_);
-  /// Emit one flush window: diff shard counters, reduce the window's
+  /// Emit one flush window: fold shard counter deltas, reduce the window's
   /// completion ledgers in finish-time order, and retire exited twins
   /// (all twins when `final`), recycling their slots.
   [[nodiscard]] fleet_result flush_window(bool final) VTM_REQUIRES(barrier_);
   /// Deliver every buffered message in (destination, sender, send order)
   /// sequence; returns the number delivered. Barrier only — the analysis
   /// requires the coordinator's barrier capability, acquired exclusively by
-  /// `run()`'s barrier callback (and around the serial pre-/post-phase
-  /// steps, where every lane is trivially idle).
+  /// `run_windows()`'s barrier callback (and around the serial pre-/post-
+  /// phase steps, where every lane is trivially idle).
   std::size_t exchange() VTM_REQUIRES(barrier_);
-  /// Merge the shard completion streams. Reads every shard's state across
-  /// lanes, so it too may only run with all lanes parked.
-  [[nodiscard]] fleet_result merge() VTM_REQUIRES(barrier_);
+  /// The one window protocol behind `run()` and `run_stream()`: admit the
+  /// first window, advance lockstep windows to the horizon (exchanging,
+  /// flushing when due, and admitting at each barrier), drain to
+  /// quiescence, sweep the books, and push the final flush onto `flushes_`.
+  /// Fails its contract on a second call.
+  void run_windows();
 
   fleet_config config_;
   sim::rsu_chain chain_;
@@ -483,9 +488,11 @@ class shard_coordinator {
   std::size_t lead_route_ = 0;
   double lead_pos_ = 0.0;
   double lead_speed_ = 0.0;
-  // Streaming state (streaming ctor only).
+  // Stream state. `stream_` is set by the streaming ctor only; a closed run
+  // admits one t = 0 cohort and emits one final flush.
   streaming_config stream_;
   bool streaming_ = false;
+  bool ran_ = false;  ///< `run_windows()` has started (single-shot).
   std::vector<std::size_t> free_slots_;  ///< Retired slots, recycled LIFO.
   double next_arrival_s_ = 0.0;
   bool arrival_pending_ = false;  ///< `next_arrival_s_` drawn, not admitted.
@@ -506,8 +513,8 @@ class shard_coordinator {
   std::vector<vehicle_slot> vehicles_;
   std::vector<std::uint32_t> owner_;      ///< Vehicle -> owning shard.
   /// The run's barrier capability: "all shard lanes are parked". Stateless;
-  /// exists so the analysis can gate `exchange`/`merge`/mailbox delivery to
-  /// barrier scopes (DESIGN.md §13).
+  /// exists so the analysis can gate `exchange`/`flush_window`/mailbox
+  /// delivery to barrier scopes (DESIGN.md §13).
   util::barrier_phase barrier_;
   sim::shard_mailbox<shard_message> mailbox_;
   std::shared_ptr<pricing_policy> policy_;

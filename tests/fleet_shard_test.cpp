@@ -1,8 +1,8 @@
 // Sharded fleet engine: shard_count = 1 bitwise-golden against the pre-shard
 // serial engine, shard-vs-serial bitwise equivalence with real boundary
-// traffic, cross-shard handoff conservation, multi-shard determinism, and
-// the clearing-grid / drain-phase / spawn-window / link-gap regression
-// sweep.
+// traffic, cross-shard handoff conservation, multi-shard determinism,
+// single-shot entry points in either run mode, and the clearing-grid /
+// drain-phase / spawn-window / link-gap regression sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,7 +150,7 @@ TEST(fleet_shard, shard1_matches_pre_shard_engine_structure) {
 
 // With timely boundary handoffs (late_handoffs == 0, no cross-shard
 // retargets) a sharded run reproduces the serial engine bitwise: per-pool
-// books see the exact serial submission order and the merge reduces
+// books see the exact serial submission order and the flush reduces
 // completions in global finish-time order.
 TEST(fleet_shard, shard_counts_are_bitwise_equivalent_on_uniform_chain) {
   core::fleet_config config;  // 8 RSUs, 100 vehicles, 120 s
@@ -207,6 +207,80 @@ TEST(fleet_shard, multi_shard_runs_are_deterministic) {
   other.seed = config.seed + 1;
   const auto c = core::run_fleet_scenario(other);
   EXPECT_NE(a.msp_total_utility, c.msp_total_utility);
+}
+
+// ---- single-shot entry points in either mode ------------------------------
+
+namespace {
+
+void expect_same_counters(const core::fleet_result& a,
+                          const core::fleet_result& b) {
+  EXPECT_EQ(a.cross_shard_transfers, b.cross_shard_transfers);
+  EXPECT_EQ(a.cross_shard_retargets, b.cross_shard_retargets);
+  EXPECT_EQ(a.late_handoffs, b.late_handoffs);
+  EXPECT_EQ(a.msp_utilities, b.msp_utilities);
+  EXPECT_EQ(a.msp_sold_mhz, b.msp_sold_mhz);
+  EXPECT_EQ(a.unconverged_clearings, b.unconverged_clearings);
+  EXPECT_EQ(a.solver_sweeps, b.solver_sweeps);
+  EXPECT_EQ(a.objective_evals, b.objective_evals);
+  EXPECT_EQ(a.warm_started_clearings, b.warm_started_clearings);
+}
+
+}  // namespace
+
+// `run()` and `run_stream()` drive one window protocol, so each works on a
+// coordinator of either kind: `run()` on a stream returns its totals (it
+// used to return an all-zero result), and `run_stream()` on a closed run is
+// the single-flush stream. A coordinator runs once; a second call of either
+// entry point fails its contract.
+TEST(fleet_shard, single_shot_entry_points_work_in_either_mode) {
+  core::streaming_config stream;
+  stream.base.rsu_count = 8;
+  stream.base.rsu_spacing_m = vtm::util::meters{200.0};
+  stream.base.coverage_radius_m = vtm::util::meters{120.0};
+  stream.arrival_rate_per_s = vtm::util::per_second{5.0};
+  stream.horizon_s = vtm::util::seconds{60.0};
+  stream.flush_period_s = vtm::util::seconds{10.0};
+  const auto reference = core::run_streaming_fleet(stream);
+  {
+    core::shard_coordinator coordinator(stream);
+    const auto totals = coordinator.run();
+    EXPECT_EQ(totals.vehicles.size(), 306u);
+    EXPECT_EQ(totals.handovers, 890u);
+    expect_identical(reference.totals, totals);
+    expect_same_counters(reference.totals, totals);
+    EXPECT_THROW((void)coordinator.run(), vtm::util::contract_error);
+    EXPECT_THROW((void)coordinator.run_stream(), vtm::util::contract_error);
+  }
+
+  auto congested = congested_config();
+  congested.shard_count = 4;
+  auto oligopoly = congested_config();
+  oligopoly.mode = core::market_mode::oligopoly;
+  oligopoly.shard_count = 2;
+  for (std::size_t m = 0; m < 3; ++m)
+    oligopoly.msps.push_back({vtm::util::meters{0.0}, 5.0 + 0.5 * m, 50.0,
+                              oligopoly.bandwidth_per_pool_mhz});
+  for (const auto& closed : {congested, oligopoly}) {
+    core::shard_coordinator closed_run(closed);
+    const auto result = closed_run.run();
+    EXPECT_GT(result.cross_shard_transfers, 0u);
+    EXPECT_THROW((void)closed_run.run(), vtm::util::contract_error);
+    EXPECT_THROW((void)closed_run.run_stream(), vtm::util::contract_error);
+
+    core::shard_coordinator closed_stream(closed);
+    const auto streamed = closed_stream.run_stream();
+    EXPECT_EQ(streamed.arrivals, closed.vehicle_count);
+    EXPECT_EQ(streamed.retired, closed.vehicle_count);
+    EXPECT_EQ(streamed.peak_live, closed.vehicle_count);
+    EXPECT_EQ(streamed.slot_high_water, closed.vehicle_count);
+    ASSERT_EQ(streamed.flushes.size(), 1u);
+    for (const auto* same : {&streamed.flushes[0], &streamed.totals}) {
+      expect_identical(result, *same);
+      expect_same_counters(result, *same);
+    }
+    EXPECT_THROW((void)closed_stream.run(), vtm::util::contract_error);
+  }
 }
 
 TEST(fleet_shard, rejects_invalid_shard_configs) {

@@ -1,7 +1,7 @@
 // Streaming (open-system) fleet runs: exactly-once twin accounting across
-// window flushes, bounded live population and slot arena under growing
-// horizons, mid-stream reseed determinism, and the sharded / road-graph
-// streaming paths.
+// window flushes, single-flush totals equal to periodic-flush totals,
+// bounded live population and slot arena under growing horizons, mid-stream
+// reseed determinism, and the sharded / road-graph streaming paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,8 +33,9 @@ core::streaming_config stream_config(double horizon_s) {
 }
 
 /// Exactly-once accounting: every counter in `totals` is the sum of the
-/// per-window flush deltas, the handover ledger balances, and each arrival
-/// retires exactly once into exactly one flush.
+/// per-window flush deltas (`max_cohort` their maximum), the handover
+/// ledger balances, and each arrival retires exactly once into exactly one
+/// flush.
 void expect_stream_conserved(const core::streaming_result& r) {
   core::fleet_result sum;
   std::size_t flushed_migrations = 0;
@@ -46,6 +47,10 @@ void expect_stream_conserved(const core::streaming_result& r) {
     sum.abandoned += flush.abandoned;
     sum.completed += flush.completed;
     sum.clearings += flush.clearings;
+    sum.cross_shard_transfers += flush.cross_shard_transfers;
+    sum.cross_shard_retargets += flush.cross_shard_retargets;
+    sum.late_handoffs += flush.late_handoffs;
+    sum.max_cohort = std::max(sum.max_cohort, flush.max_cohort);
     flushed_migrations += flush.migrations.size();
     flushed_vehicles += flush.vehicles.size();
   }
@@ -55,6 +60,10 @@ void expect_stream_conserved(const core::streaming_result& r) {
   EXPECT_EQ(sum.abandoned, r.totals.abandoned);
   EXPECT_EQ(sum.completed, r.totals.completed);
   EXPECT_EQ(sum.clearings, r.totals.clearings);
+  EXPECT_EQ(sum.cross_shard_transfers, r.totals.cross_shard_transfers);
+  EXPECT_EQ(sum.cross_shard_retargets, r.totals.cross_shard_retargets);
+  EXPECT_EQ(sum.late_handoffs, r.totals.late_handoffs);
+  EXPECT_EQ(sum.max_cohort, r.totals.max_cohort);
   // The paper's conservation law, over the whole stream.
   EXPECT_EQ(r.totals.handovers,
             r.totals.completed + r.totals.priced_out + r.totals.abandoned);
@@ -187,6 +196,85 @@ TEST(streaming_fleet, flush_max_cohort_covers_its_own_migrations) {
       run_max = std::max(run_max, own);
     }
     EXPECT_EQ(r.totals.max_cohort, run_max);
+  }
+}
+
+namespace {
+
+/// Bitwise equality of two runs' totals: every counter, every aggregate,
+/// the migration records in order, and the vehicle summaries.
+void expect_totals_identical(const core::fleet_result& a,
+                             const core::fleet_result& b) {
+  EXPECT_EQ(a.handovers, b.handovers);
+  EXPECT_EQ(a.deferred, b.deferred);
+  EXPECT_EQ(a.priced_out, b.priced_out);
+  EXPECT_EQ(a.abandoned, b.abandoned);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.clearings, b.clearings);
+  EXPECT_EQ(a.max_cohort, b.max_cohort);
+  EXPECT_EQ(a.cross_shard_transfers, b.cross_shard_transfers);
+  EXPECT_EQ(a.cross_shard_retargets, b.cross_shard_retargets);
+  EXPECT_EQ(a.late_handoffs, b.late_handoffs);
+  EXPECT_EQ(a.unconverged_clearings, b.unconverged_clearings);
+  EXPECT_EQ(a.solver_sweeps, b.solver_sweeps);
+  EXPECT_EQ(a.objective_evals, b.objective_evals);
+  EXPECT_EQ(a.warm_started_clearings, b.warm_started_clearings);
+  EXPECT_EQ(a.msp_total_utility, b.msp_total_utility);
+  EXPECT_EQ(a.vmu_total_utility, b.vmu_total_utility);
+  EXPECT_EQ(a.mean_aotm, b.mean_aotm);
+  EXPECT_EQ(a.mean_amplification, b.mean_amplification);
+  EXPECT_EQ(a.mean_price, b.mean_price);
+  EXPECT_EQ(a.msp_utilities, b.msp_utilities);
+  EXPECT_EQ(a.msp_sold_mhz, b.msp_sold_mhz);
+  ASSERT_EQ(a.migrations.size(), b.migrations.size());
+  for (std::size_t i = 0; i < a.migrations.size(); ++i) {
+    const auto& x = a.migrations[i];
+    const auto& y = b.migrations[i];
+    EXPECT_EQ(x.start_s, y.start_s) << i;
+    EXPECT_EQ(x.requested_s, y.requested_s) << i;
+    EXPECT_EQ(x.finish_s, y.finish_s) << i;
+    EXPECT_EQ(x.vehicle, y.vehicle) << i;
+    EXPECT_EQ(x.from_rsu, y.from_rsu) << i;
+    EXPECT_EQ(x.to_rsu, y.to_rsu) << i;
+    EXPECT_EQ(x.price, y.price) << i;
+    EXPECT_EQ(x.bandwidth_mhz, y.bandwidth_mhz) << i;
+    EXPECT_EQ(x.cohort, y.cohort) << i;
+    EXPECT_EQ(x.aotm_closed_form, y.aotm_closed_form) << i;
+    EXPECT_EQ(x.aotm_simulated, y.aotm_simulated) << i;
+    EXPECT_EQ(x.data_sent_mb, y.data_sent_mb) << i;
+    EXPECT_EQ(x.vmu_utility, y.vmu_utility) << i;
+    EXPECT_EQ(x.msp_utility, y.msp_utility) << i;
+  }
+  ASSERT_EQ(a.vehicles.size(), b.vehicles.size());
+  for (std::size_t v = 0; v < a.vehicles.size(); ++v) {
+    EXPECT_EQ(a.vehicles[v].id, b.vehicles[v].id) << v;
+    EXPECT_EQ(a.vehicles[v].host_rsu, b.vehicles[v].host_rsu) << v;
+    EXPECT_EQ(a.vehicles[v].migrations, b.vehicles[v].migrations) << v;
+    EXPECT_EQ(a.vehicles[v].position_m, b.vehicles[v].position_m) << v;
+    EXPECT_EQ(a.vehicles[v].shard, b.vehicles[v].shard) << v;
+  }
+}
+
+}  // namespace
+
+// Flushing is pure reporting: with `flush_period_s` past the horizon the
+// run emits only its final flush, and its totals are bitwise the
+// periodic-flush run's. This is the property a closed run relies on — it
+// is exactly such a single-flush stream.
+TEST(streaming_fleet, single_flush_totals_equal_periodic_flush_totals) {
+  auto serial_chain = congested_chain_stream();
+  serial_chain.base.shard_count = 1;
+  for (const auto& periodic :
+       {serial_chain, congested_chain_stream(), grid_stream()}) {
+    auto single = periodic;
+    single.flush_period_s = periodic.horizon_s + vtm::util::seconds{1.0};
+    const auto a = core::run_streaming_fleet(periodic);
+    const auto b = core::run_streaming_fleet(single);
+    EXPECT_GT(a.flushes.size(), 1u);
+    ASSERT_EQ(b.flushes.size(), 1u);
+    expect_stream_conserved(b);
+    EXPECT_EQ(a.arrivals, b.arrivals);
+    expect_totals_identical(a.totals, b.totals);
   }
 }
 
