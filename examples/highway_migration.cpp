@@ -1,40 +1,41 @@
 // Highway scenario: the full pipeline the paper motivates — vehicles moving
 // along an RSU chain, coverage handovers triggering VT migrations, joint
 // epoch-based spot pricing at the Stackelberg equilibrium, bandwidth grants
-// from the OFDMA pool, and pre-copy live migration with dirty-page
+// from each RSU's OFDMA pool, and pre-copy live migration with dirty-page
 // retransmission.
 //
 // Compares the closed-form AoTM (eq. 1) against the AoTM measured from the
 // simulated block timeline for every migration. The cohort column shows how
-// many followers were priced together in the migration's market; pass
-// "single" to restore the legacy one-VMU-at-a-time spot market.
+// many followers were priced together in the migration's market.
 //
-//   $ ./highway_migration [vehicles] [duration_s] [dirty_rate_mb_s] [mode]
+//   $ ./highway_migration [vehicles] [duration_s] [dirty_rate_mb_s]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "core/scenario.hpp"
+#include "core/fleet_scenario.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
-  vtm::core::scenario_config config;
+  // 4 RSUs, 3 vehicles spawned on the stretch before the first boundary.
+  vtm::core::fleet_config config;
+  config.rsu_count = 4;
+  config.vehicle_count = 3;
+  config.spawn_min_m = vtm::util::meters{500.0};
+  config.spawn_max_m = vtm::util::meters{1400.0};
   if (argc > 1) config.vehicle_count = std::strtoul(argv[1], nullptr, 10);
   if (argc > 2) config.duration_s = vtm::util::seconds{std::strtod(argv[2], nullptr)};
   if (argc > 3) config.dirty_rate_mb_s = vtm::util::mb_per_s{std::strtod(argv[3], nullptr)};
-  if (argc > 4 && std::strcmp(argv[4], "single") == 0)
-    config.mode = vtm::core::market_mode::single;
 
   std::printf("Highway: %zu RSUs every %.0f m (coverage %.0f m), %zu "
-              "vehicles, %.0f s horizon, dirty rate %.0f MB/s, %s market\n\n",
-              config.rsu_count, config.rsu_spacing_m,
-              config.coverage_radius_m, config.vehicle_count,
-              config.duration_s, config.dirty_rate_mb_s,
-              config.mode == vtm::core::market_mode::joint ? "joint"
-                                                           : "single");
+              "vehicles, %.0f s horizon, dirty rate %.0f MB/s, %.1f s "
+              "clearing epoch\n\n",
+              config.rsu_count, config.rsu_spacing_m.value(),
+              config.coverage_radius_m.value(), config.vehicle_count,
+              config.duration_s.value(), config.dirty_rate_mb_s.value(),
+              config.clearing_epoch_s.value());
 
-  const auto result = vtm::core::run_highway_scenario(config);
+  const auto result = vtm::core::run_fleet_scenario(config);
 
   vtm::util::ascii_table table({"t (s)", "veh", "RSU", "price", "b (MHz)",
                                 "cohort", "AoTM eq.1", "AoTM sim", "downtime",

@@ -16,7 +16,6 @@ namespace {
 /// delegation must be bitwise the joint path, so it *is* the joint path).
 spot_market_config monopoly_config(const competitive_market_config& config) {
   spot_market_config mono;
-  mono.discipline = clearing_discipline::joint;
   mono.link = config.link;
   mono.unit_cost = config.msps.front().unit_cost;
   mono.price_cap = config.msps.front().price_cap;

@@ -10,9 +10,9 @@ namespace vtm::core {
 // The engine itself lives in core/fleet_shard.{hpp,cpp}: a run is a
 // `shard_coordinator` owning `shard_count` shard-local engines (per-RSU
 // pools and books over per-shard event queues) advanced in conservative
-// time windows. `shard_count = 1` — the default, and the only topology the
-// legacy shared pool supports — executes the exact pre-shard event
-// sequence, so this entry point stayed bitwise stable across the refactor.
+// time windows. `shard_count = 1` — the default — executes the exact
+// pre-shard event sequence, so this entry point stayed bitwise stable across
+// the refactor.
 
 fleet_result run_fleet_scenario(const fleet_config& config) {
   validate_fleet_config(config);  // fail fast at the public entry point

@@ -1,11 +1,12 @@
-// Fleet-scale highway scenario with joint spot-market clearing.
+// Fleet-scale vehicular twin migration with joint spot-market clearing.
 //
-// The event-driven engine behind `run_highway_scenario`, exposed directly for
-// fleet workloads (thousands of vehicles, long RSU chains). Each destination
-// RSU owns its own OFDMA pool and `core::spot_market` book; handovers landing
-// within one clearing epoch aggregate into a single N-follower Stackelberg
-// market over that pool's remaining capacity, and migration completions
-// trigger immediate re-clearing for deferred requests (DESIGN.md §8).
+// The event-driven engine behind every fleet workload, from a few vehicles
+// on a four-RSU highway to thousands on long RSU chains and road graphs.
+// Each destination RSU owns its own OFDMA pool and `core::spot_market` book;
+// handovers landing within one clearing epoch aggregate into a single
+// N-follower Stackelberg market over that pool's remaining capacity, and
+// migration completions trigger immediate re-clearing for deferred requests
+// (DESIGN.md §8). `clearing_epoch_s = 0` clears at each handover instant.
 //
 // Accounting is completion-based: utilities and records accrue when a
 // migration finishes, and the run drains the event queue to empty, so totals
@@ -29,8 +30,8 @@
 
 #include "core/competitive_market.hpp"
 #include "core/pricing_policy.hpp"
-#include "core/scenario.hpp"
 #include "util/log.hpp"
+#include "util/quantity.hpp"
 
 namespace vtm::sim {
 class road_graph;
@@ -42,6 +43,37 @@ class trace_session;
 }  // namespace vtm::util
 
 namespace vtm::core {
+
+/// How concurrent handovers are priced.
+enum class market_mode {
+  joint,      ///< Epoch-aggregated N-follower Stackelberg markets (eq. 8–13).
+  oligopoly,  ///< M competing MSPs per clearing: softmin-Bertrand price
+              ///< competition with per-VMU seller splits
+              ///< (core/competitive_market.hpp, DESIGN.md §11).
+};
+
+/// One completed migration.
+struct migration_record {
+  double start_s = 0.0;          ///< Clearing (market) time.
+  double requested_s = 0.0;      ///< Handover time (<= start_s).
+  double finish_s = 0.0;         ///< Completion time (>= start_s).
+  std::size_t vehicle = 0;
+  std::size_t from_rsu = 0;
+  std::size_t to_rsu = 0;
+  double price = 0.0;            ///< Equilibrium unit price charged (the
+                                 ///< effective share-weighted price under
+                                 ///< market_mode::oligopoly).
+  double bandwidth_mhz = 0.0;    ///< Purchased (granted) bandwidth.
+  std::size_t cohort = 1;        ///< Followers in the market that priced it.
+  std::size_t sellers = 1;       ///< MSPs the bandwidth was split across.
+  double aotm_closed_form = 0.0; ///< D/(b·R), eq. 1.
+  double aotm_simulated = 0.0;   ///< Pre-copy first-to-last-block time.
+  double downtime_s = 0.0;       ///< Stop-and-copy pause.
+  double data_sent_mb = 0.0;     ///< Includes dirty-page retransmissions.
+  double vmu_utility = 0.0;
+  double msp_utility = 0.0;
+  bool precopy_converged = true;
+};
 
 /// Optional observability sinks for a fleet run (DESIGN.md §16). Null
 /// members disable the corresponding instrument family at the cost of one
@@ -80,8 +112,6 @@ struct fleet_config {
   /// Spawn span along the highway; < 0 means "auto" (spread across the whole
   /// chain so every RSU sees load), so an explicit window may start at 0 m.
   /// When both bounds are explicit, spawn_max_m >= spawn_min_m is required.
-  /// The legacy scenario pins this to the stretch before the first handover
-  /// boundary.
   util::meters spawn_min_m{-1.0};
   util::meters spawn_max_m{-1.0};
 
@@ -90,10 +120,9 @@ struct fleet_config {
   /// entry->exit paths, and pools price graph distance (`upstream_gap_m`) —
   /// the chain geometry fields above are ignored. A degenerate single-path
   /// graph (`road_graph::as_chain()`) collapses back onto the legacy chain
-  /// engine bitwise. Requires per-RSU pools; oligopoly mode stays
-  /// chain-only. An explicit spawn window must intersect every route
-  /// (spawn_min_m < the shortest route length), else it spans zero edges on
-  /// some route and is rejected.
+  /// engine bitwise. Oligopoly mode stays chain-only. An explicit spawn
+  /// window must intersect every route (spawn_min_m < the shortest route
+  /// length), else it spans zero edges on some route and is rejected.
   std::shared_ptr<const sim::road_graph> graph;
 
   /// Spawn-cohort correlation: vehicles arrive in platoons of
@@ -115,7 +144,6 @@ struct fleet_config {
   util::megabytes min_data_mb{100.0};
   util::megabytes max_data_mb{300.0};
   util::megahertz bandwidth_per_pool_mhz{50.0};  ///< Per-OFDMA-pool capacity.
-  bool shared_pool = false;  ///< true: one global pool (legacy topology).
   double unit_cost = 5.0;
   double price_cap = 50.0;
   wireless::link_params link{};  ///< d is overridden by the RSU spacing.
@@ -134,8 +162,7 @@ struct fleet_config {
   // Oligopoly competition (market_mode::oligopoly; DESIGN.md §11).
   /// The competing sellers. Empty means one MSP inheriting the monopoly
   /// economics above (such a run is bitwise `market_mode::joint`). Each MSP
-  /// owns a chain of pools shifted `chain_offset_m` from the primary chain;
-  /// requires per-RSU pools (`shared_pool` unsupported).
+  /// owns a chain of pools shifted `chain_offset_m` from the primary chain.
   std::vector<fleet_msp> msps;
   double share_sharpness = 0.25;  ///< λ of the softmin seller-split rule.
   /// Learned seller seat: this MSP posts `pricer`'s competitor-aware price
@@ -152,8 +179,7 @@ struct fleet_config {
 
   /// Capture one `cohort_snapshot` per priced clearing into
   /// `fleet_result::cohorts` (training-data harvest for the learned
-  /// pricer). Joint mode only: sequential clearings price size-1
-  /// sub-markets that a whole-book snapshot would misrepresent.
+  /// pricer). Joint mode only; oligopoly runs record none.
   bool record_cohorts = false;
 
   // Migration machinery.
@@ -170,8 +196,7 @@ struct fleet_config {
   /// its RSUs' pools, spot-market books, and its own event queue; shards run
   /// on `util::thread_pool` workers and exchange boundary handoffs at
   /// conservative window barriers. 1 = the serial engine (bitwise identical
-  /// to the pre-shard code); requires shard_count <= RSU count, and the
-  /// legacy `shared_pool` topology supports only shard_count = 1.
+  /// to the pre-shard code); requires shard_count <= RSU count.
   std::size_t shard_count = 1;
   /// Synchronization window length in seconds; <= 0 derives it from the
   /// chain's minimum boundary travel time at `max_speed_mps` (snapped to a
@@ -259,7 +284,7 @@ inline constexpr std::size_t no_reseed = static_cast<std::size_t>(-1);
 struct streaming_config {
   /// Geometry, economics, and sharding for the run. `vehicle_count` is
   /// ignored (population is arrival-driven) and `duration_s` is overridden
-  /// by `horizon_s`. Spot modes only (oligopoly stays closed-population).
+  /// by `horizon_s`. Joint mode only (oligopoly stays closed-population).
   fleet_config base;
   util::per_second arrival_rate_per_s{5.0};  ///< Poisson arrival λ.
   util::seconds horizon_s{600.0};      ///< Arrival-admission horizon.

@@ -62,8 +62,8 @@ fleet_config normalized(fleet_config config) {
 /// Graph mode bounds the same quantity over every route: the narrowest
 /// inter-boundary gap at the worst-case speed (max base speed × max edge
 /// factor + the full lane-change bonus).
-double auto_window_s(const fleet_config& config, const sim::rsu_chain& chain,
-                     double epoch_s) {
+double auto_window_s(const fleet_config& config,
+                     const sim::rsu_chain& chain) {
   double min_cell_m = std::numeric_limits<double>::infinity();
   double top_speed = config.max_speed_mps.value();
   if (config.graph) {
@@ -80,6 +80,7 @@ double auto_window_s(const fleet_config& config, const sim::rsu_chain& chain,
   if (!std::isfinite(min_cell_m))
     return config.duration_s.value();  // <= 1 boundary
   double window = 0.5 * min_cell_m / top_speed;
+  const double epoch_s = config.clearing_epoch_s.value();
   if (epoch_s > 0.0)
     window = epoch_s * std::max(1.0, std::floor(window / epoch_s));
   return std::clamp(window, 1e-3, config.duration_s.value());
@@ -205,10 +206,9 @@ void validate_fleet_config(const fleet_config& config) {
                           : config.rsu_positions_m.size());
   if (config.graph) {
     // Graph topology: the RSUs are the graph's sites, so explicit chain
-    // centres would be dead config; pools are per-site by construction and
-    // the oligopoly roster's offset chains have no graph analogue yet.
+    // centres would be dead config, and the oligopoly roster's offset
+    // chains have no graph analogue yet.
     VTM_EXPECTS(config.rsu_positions_m.empty());
-    VTM_EXPECTS(!config.shared_pool);
     VTM_EXPECTS(config.mode != market_mode::oligopoly);
     // An explicit spawn floor at/after the shortest route's end would leave
     // a spawn window spanning zero graph edges on that route — the `< 0`
@@ -221,15 +221,11 @@ void validate_fleet_config(const fleet_config& config) {
   }
   VTM_EXPECTS(config.shard_count >= 1);
   VTM_EXPECTS(config.shard_count <= rsu_count);
-  // The legacy shared pool is one global book — there is nothing to shard.
-  VTM_EXPECTS(!config.shared_pool || config.shard_count == 1);
 
-  // Per-cell channel overrides: one entry per RSU, finite, and per-RSU pools
-  // only (the shared pool has no per-cell channel to override).
+  // Per-cell channel overrides: one finite entry per RSU.
   for (const auto* overrides : {&config.rsu_noise_dbm,
                                 &config.rsu_tx_power_dbm}) {
     if (overrides->empty()) continue;
-    VTM_EXPECTS(!config.shared_pool);
     VTM_EXPECTS(overrides->size() == rsu_count);
     for (const util::dbm level : *overrides)
       VTM_EXPECTS(std::isfinite(level.value()));
@@ -242,7 +238,6 @@ void validate_fleet_config(const fleet_config& config) {
     VTM_EXPECTS(config.learned_msp == no_learned_msp);
     return;
   }
-  VTM_EXPECTS(!config.shared_pool);
   VTM_EXPECTS(config.share_sharpness > 0.0);
   const auto msps = resolved_fleet_msps(config);
   for (const auto& msp : msps) {
@@ -298,16 +293,13 @@ shard_engine::shard_engine(const fleet_config& config,
       rsu_shard_(rsu_shard),
       vehicles_(vehicles),
       mailbox_(mailbox),
-      epoch_s_(config.mode == market_mode::single
-                   ? 0.0
-                   : config.clearing_epoch_s.value()),
+      epoch_s_(config.clearing_epoch_s.value()),
       msps_(resolved_fleet_msps(config)),
       msp_chains_(msp_chains),
       tele_(std::move(telemetry)) {
   VTM_EXPECTS(rsu_count >= 1);
   VTM_EXPECTS(rsu_lo + rsu_count <= chain.count());
   VTM_EXPECTS(msp_chains_.size() == msps_.size());
-  const std::size_t pool_count = config.shared_pool ? 1 : rsu_count;
 
   if (oligopoly()) {
     // One pool per (MSP, local RSU) plus one competitive book per cell; the
@@ -318,8 +310,8 @@ shard_engine::shard_engine(const fleet_config& config,
     counters_.msp_sold_mhz.assign(msps_.size(), 0.0);
     msp_pools_.resize(msps_.size());
     for (std::size_t m = 0; m < msps_.size(); ++m) {
-      msp_pools_[m].reserve(pool_count);
-      for (std::size_t p = 0; p < pool_count; ++p)
+      msp_pools_[m].reserve(rsu_count);
+      for (std::size_t p = 0; p < rsu_count; ++p)
         msp_pools_[m].emplace_back(msps_[m].bandwidth_per_pool_mhz);
     }
     competitive_market_config book_config;
@@ -330,11 +322,11 @@ shard_engine::shard_engine(const fleet_config& config,
     book_config.pricer = config.pricer;
     book_config.learned_msp = config.learned_msp;
     book_config.trace = tele_.trace;
-    comarkets_.reserve(pool_count);
-    candidates_.reserve(pool_count);
-    pool_links_.reserve(pool_count);
-    budgets_.reserve(pool_count);
-    for (std::size_t p = 0; p < pool_count; ++p) {
+    comarkets_.reserve(rsu_count);
+    candidates_.reserve(rsu_count);
+    pool_links_.reserve(rsu_count);
+    budgets_.reserve(rsu_count);
+    for (std::size_t p = 0; p < rsu_count; ++p) {
       const std::size_t rsu = rsu_lo + p;
       const wireless::link_params link =
           link_for(rsu, pool_link_distance_m(rsu));
@@ -350,14 +342,11 @@ shard_engine::shard_engine(const fleet_config& config,
       }
       candidates_.push_back(std::move(cell_candidates));
     }
-    clearing_scheduled_.assign(pool_count, false);
+    clearing_scheduled_.assign(rsu_count, false);
     return;
   }
 
   spot_market_config market_config;
-  market_config.discipline = config.mode == market_mode::joint
-                                 ? clearing_discipline::joint
-                                 : clearing_discipline::sequential;
   market_config.unit_cost = config.unit_cost;
   market_config.price_cap = config.price_cap;
   market_config.min_clearable_mhz = config.min_clearable_mhz;
@@ -367,28 +356,24 @@ shard_engine::shard_engine(const fleet_config& config,
   market_config.policy = std::move(policy);
   market_config.trace = tele_.trace;
 
-  pools_.reserve(pool_count);
-  markets_.reserve(pool_count);
-  pool_links_.reserve(pool_count);
-  budgets_.reserve(pool_count);
-  for (std::size_t p = 0; p < pool_count; ++p) {
-    wireless::link_params link = config.link;
-    if (config.shared_pool) {
-      link.distance_m = util::meters{pool_link_distance_m(0)};
-    } else {
-      link = link_for(rsu_lo + p, pool_link_distance_m(rsu_lo + p));
-    }
+  pools_.reserve(rsu_count);
+  markets_.reserve(rsu_count);
+  pool_links_.reserve(rsu_count);
+  budgets_.reserve(rsu_count);
+  for (std::size_t p = 0; p < rsu_count; ++p) {
+    const wireless::link_params link =
+        link_for(rsu_lo + p, pool_link_distance_m(rsu_lo + p));
     pool_links_.push_back(link);
     budgets_.emplace_back(link);
     market_config.link = link;
     pools_.emplace_back(config.bandwidth_per_pool_mhz);
     markets_.emplace_back(market_config);
   }
-  clearing_scheduled_.assign(pool_count, false);
+  clearing_scheduled_.assign(rsu_count, false);
 }
 
 std::size_t shard_engine::pool_index(std::size_t rsu) const noexcept {
-  return config_.shared_pool ? 0 : rsu - rsu_lo_;
+  return rsu - rsu_lo_;
 }
 
 spot_market& shard_engine::market_at(std::size_t rsu) {
@@ -433,17 +418,15 @@ wireless::link_params shard_engine::link_for(std::size_t rsu,
 /// Migration-link distance of the pool serving global RSU `rsu`: the actual
 /// gap to the destination RSU's upstream neighbour (forward traffic hands
 /// over from RSU r-1 to RSU r). RSU 0 receives no forward handovers, so its
-/// pool uses the downstream gap; the legacy shared pool keeps the chain-wide
-/// spacing. Uniform chains return the configured spacing directly — on a
-/// uniform chain every gap *is* the spacing, and the centre-difference
-/// arithmetic would drift from it by ulps for non-dyadic values, breaking
-/// bitwise reproduction of the pre-heterogeneity engine.
+/// pool uses the downstream gap. Uniform chains return the configured spacing
+/// directly — on a uniform chain every gap *is* the spacing, and the
+/// centre-difference arithmetic would drift from it by ulps for non-dyadic
+/// values, breaking bitwise reproduction of the pre-heterogeneity engine.
 double shard_engine::pool_link_distance_m(std::size_t rsu) const {
   // Route mode: the pool prices its site's upstream gap along the traffic
   // flow through the road network.
   if (graph_) return graph_->upstream_gap_m(rsu);
-  if (config_.shared_pool || chain_.count() < 2 ||
-      config_.rsu_positions_m.empty())
+  if (chain_.count() < 2 || config_.rsu_positions_m.empty())
     return chain_.spacing_m();
   return rsu > 0 ? chain_.link_distance_m(rsu - 1, rsu)
                  : chain_.link_distance_m(0, 1);
@@ -606,13 +589,8 @@ void shard_engine::run_clearing(std::size_t pidx) {
   // The pool tolerates epsilon overshoot at the capacity boundary, so the
   // remainder can read a hair below zero.
   const double available = std::max(0.0, pools_[pidx].available_mhz());
-  // Harvest only joint-mode clearings: they price the whole book as one
-  // market, which is exactly what a snapshot of (book, available)
-  // describes. Sequential mode prices size-1 sub-markets over a shrinking
-  // remainder, so a whole-book snapshot would train the pricer on
-  // observations it never sees at deployment.
-  if (config_.record_cohorts && config_.mode == market_mode::joint &&
-      !book.empty() && available >= config_.min_clearable_mhz.value()) {
+  if (config_.record_cohorts && !book.empty() &&
+      available >= config_.min_clearable_mhz.value()) {
     // Harvest the clearing cohort as training data for the learned pricer:
     // full profiles (the oracle label needs them) + the pool state the
     // partial-information observation summarizes.
@@ -788,8 +766,7 @@ void shard_engine::launch_migration(std::uint32_t flight,
   // over the true (from, to) distance, so the transfer rate and closed-form
   // AoTM are rebuilt over that gap (with the destination cell's channel
   // overrides). The *price* stays the posted cohort price — the market
-  // clears one link per cell. The legacy shared pool keeps its
-  // chain-constant link by construction.
+  // clears one link per cell.
   const wireless::link_budget* budget = &budgets_[pidx];
   std::optional<wireless::link_budget> actual;
   if (graph_) {
@@ -805,7 +782,7 @@ void shard_engine::launch_migration(std::uint32_t flight,
         budget = &*actual;
       }
     }
-  } else if (!config_.shared_pool && request.to_rsu != request.from_rsu + 1) {
+  } else if (request.to_rsu != request.from_rsu + 1) {
     actual.emplace(link_for(
         request.to_rsu,
         chain_.link_distance_m(request.from_rsu, request.to_rsu)));
@@ -1021,10 +998,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
       pool_(config_.shard_count > 1 ? config_.shard_count - 1 : 0) {
   window_s_ = config_.window_s > util::seconds{0.0}
                   ? config_.window_s.value()
-                  : auto_window_s(config_, chain_,
-                                  config_.mode == market_mode::single
-                                      ? 0.0
-                                      : config_.clearing_epoch_s.value());
+                  : auto_window_s(config_, chain_);
 
   // Contiguous balanced partition of the chain into shards.
   const std::size_t shard_count = config_.shard_count;
@@ -1120,8 +1094,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     }
   } else {
     // Auto spawn span: spread the fleet over the whole chain so every RSU
-    // sees load; the legacy scenario pins the span before the first
-    // boundary. Uniform chains keep the original spacing arithmetic
+    // sees load. Uniform chains keep the original spacing arithmetic
     // verbatim (bitwise reproduction); explicit chains derive the span from
     // the actual centres.
     double auto_lo, auto_hi;

@@ -102,7 +102,7 @@ void validate_streaming_config(const streaming_config& config);
 /// The oligopoly seller roster a fleet run competes with: `config.msps`
 /// verbatim, or — when that is empty — one MSP inheriting the monopoly
 /// economics (zero offset), so `market_mode::oligopoly` without a roster is
-/// bitwise the joint path. Empty for non-oligopoly modes.
+/// bitwise the joint path. Empty in joint mode.
 [[nodiscard]] std::vector<fleet_msp> resolved_fleet_msps(
     const fleet_config& config);
 
@@ -260,8 +260,8 @@ class shard_engine {
   /// the horizon has passed.
   void abandon_remaining();
 
-  /// Book of the pool serving global RSU `rsu` (white-box tests; monopoly
-  /// modes only — oligopoly books live in `comarket_at`).
+  /// Book of the pool serving global RSU `rsu` (white-box tests; joint mode
+  /// only — oligopoly books live in `comarket_at`).
   [[nodiscard]] spot_market& market_at(std::size_t rsu);
   /// Oligopoly book of the cell at global RSU `rsu` (white-box tests).
   [[nodiscard]] competitive_market& comarket_at(std::size_t rsu);
@@ -310,7 +310,7 @@ class shard_engine {
 
   /// A launched migration awaiting its completion event: the pool it
   /// cleared in, one grant per seller slice (one grant and no slices in
-  /// monopoly modes), and its record.
+  /// joint mode), and its record.
   struct in_flight {
     std::size_t pidx = 0;
     std::vector<seller_slice> slices;
@@ -374,7 +374,7 @@ class shard_engine {
   std::vector<wireless::link_budget> budgets_;      ///< Per-pool rates.
   std::vector<wireless::ofdma_pool> pools_;
   std::vector<spot_market> markets_;
-  // Oligopoly state (empty in monopoly modes): the resolved roster, each
+  // Oligopoly state (empty in joint mode): the resolved roster, each
   // MSP's pools over this shard's RSU range, the per-cell books, and the
   // per-(cell, MSP) candidate pool slots resolved from the offset chains.
   std::vector<fleet_msp> msps_;
@@ -468,7 +468,7 @@ class shard_coordinator {
   fleet_config config_;
   sim::rsu_chain chain_;
   /// Oligopoly rosters' (possibly offset) chains, one per MSP; empty in
-  /// monopoly modes. Candidate resolution (`chain_set` semantics) must keep
+  /// joint mode. Candidate resolution (`chain_set` semantics) must keep
   /// every cell's per-MSP pool inside the cell's own shard — validated at
   /// construction.
   std::vector<sim::rsu_chain> msp_chains_;

@@ -8,29 +8,12 @@
 
 namespace vtm::core {
 
-const char* to_string(clearing_discipline discipline) noexcept {
-  switch (discipline) {
-    case clearing_discipline::joint:
-      return "joint";
-    case clearing_discipline::sequential:
-      return "sequential";
-  }
-  return "?";
-}
-
 spot_market::spot_market(spot_market_config config)
     : config_(std::move(config)) {
   VTM_EXPECTS(config_.unit_cost > 0.0);
   VTM_EXPECTS(config_.price_cap >= config_.unit_cost);
   VTM_EXPECTS(config_.min_clearable_mhz > util::megahertz{0.0});
   if (!config_.policy) config_.policy = std::make_shared<oracle_policy>();
-}
-
-equilibrium spot_market::price_market(const migration_market& market,
-                                      double available_mhz) {
-  return config_.policy->price_cohort(
-      market, make_cohort_observation(market, available_mhz,
-                                      config_.pool_capacity_mhz.value()));
 }
 
 void spot_market::submit(clearing_request request) {
@@ -45,24 +28,12 @@ clearing_outcome spot_market::clear(double available_mhz) {
   util::trace_span span(config_.trace, "market.clear");
   span.arg("cohort", static_cast<double>(pending_.size()));
   span.arg("available_mhz", available_mhz);
+  clearing_outcome outcome;
   if (available_mhz < config_.min_clearable_mhz.value()) {
-    clearing_outcome outcome;
     outcome.deferred = pending_.size();
     span.arg("deferred", static_cast<double>(outcome.deferred));
     return outcome;
   }
-  clearing_outcome outcome =
-      config_.discipline == clearing_discipline::joint
-          ? clear_joint(available_mhz)
-          : clear_sequential(available_mhz);
-  span.arg("granted", static_cast<double>(outcome.grants.size()));
-  span.arg("deferred", static_cast<double>(outcome.deferred));
-  span.arg("priced_out", static_cast<double>(outcome.priced_out.size()));
-  return outcome;
-}
-
-clearing_outcome spot_market::clear_joint(double available_mhz) {
-  clearing_outcome outcome;
 
   market_params params;
   params.vmus.reserve(pending_.size());
@@ -73,7 +44,9 @@ clearing_outcome spot_market::clear_joint(double available_mhz) {
   params.price_cap = config_.price_cap;
 
   const migration_market market(std::move(params));
-  const equilibrium eq = price_market(market, available_mhz);
+  const equilibrium eq = config_.policy->price_cohort(
+      market, make_cohort_observation(market, available_mhz,
+                                      config_.pool_capacity_mhz.value()));
   outcome.price = eq.price;
   outcome.markets_cleared = 1;
 
@@ -108,49 +81,9 @@ clearing_outcome spot_market::clear_joint(double available_mhz) {
     outcome.grants.push_back(std::move(grant));
   }
   pending_ = std::move(still_pending);
-  return outcome;
-}
-
-clearing_outcome spot_market::clear_sequential(double available_mhz) {
-  clearing_outcome outcome;
-  double remaining = available_mhz;
-
-  std::vector<clearing_request> still_pending;
-  for (auto& request : pending_) {
-    if (remaining < config_.min_clearable_mhz.value()) {
-      // Pool exhausted mid-book: everything behind the cut waits.
-      still_pending.push_back(std::move(request));
-      ++outcome.deferred;
-      continue;
-    }
-    market_params params;
-    params.vmus = {request.profile};
-    params.link = config_.link;
-    params.bandwidth_cap_mhz = util::megahertz{remaining};
-    params.unit_cost = config_.unit_cost;
-    params.price_cap = config_.price_cap;
-    const migration_market market(std::move(params));
-    const equilibrium eq = price_market(market, remaining);
-    outcome.price = eq.price;
-    ++outcome.markets_cleared;
-
-    const double bandwidth = std::min(eq.demands[0], remaining);
-    if (bandwidth <= 0.0) {
-      outcome.priced_out.push_back(std::move(request));
-      continue;
-    }
-    remaining -= bandwidth;
-    clearing_grant grant;
-    grant.request = std::move(request);
-    grant.price = eq.price;
-    grant.bandwidth_mhz = bandwidth;
-    grant.vmu_utility = eq.vmu_utilities[0];
-    grant.msp_utility = (eq.price - config_.unit_cost) * bandwidth;
-    grant.cohort = 1;
-    grant.regime = eq.regime;
-    outcome.grants.push_back(std::move(grant));
-  }
-  pending_ = std::move(still_pending);
+  span.arg("granted", static_cast<double>(outcome.grants.size()));
+  span.arg("deferred", static_cast<double>(outcome.deferred));
+  span.arg("priced_out", static_cast<double>(outcome.priced_out.size()));
   return outcome;
 }
 

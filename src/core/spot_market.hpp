@@ -7,12 +7,6 @@
 // N-follower market over the destination pool's *remaining* capacity, using
 // `solve_equilibrium` (so rationing is the market's proportional rule).
 //
-// Two disciplines are supported:
-//   - joint:      one N-follower market per clearing (the paper's game);
-//   - sequential: FIFO single-follower markets over the shrinking remainder —
-//                 the legacy one-VMU-at-a-time behaviour, kept as a config
-//                 knob so the monopoly (fig3*) curves stay reproducible.
-//
 // *Where the price comes from* is pluggable (`core::pricing_policy`): the
 // default analytic oracle solves the Stackelberg equilibrium over the full
 // follower profiles (bitwise-identical to the pre-backend engine), while a
@@ -38,15 +32,6 @@ class trace_lane;
 }  // namespace vtm::util
 
 namespace vtm::core {
-
-/// How a clearing prices the pending cohort.
-enum class clearing_discipline {
-  joint,       ///< One N-follower Stackelberg market over the whole cohort.
-  sequential,  ///< Legacy: FIFO single-follower markets over the remainder.
-};
-
-/// Human-readable discipline name.
-[[nodiscard]] const char* to_string(clearing_discipline discipline) noexcept;
 
 /// A VMU waiting for migration bandwidth at a destination RSU.
 struct clearing_request {
@@ -74,13 +59,12 @@ struct clearing_outcome {
   std::vector<clearing_grant> grants;
   std::vector<clearing_request> priced_out;  ///< b* = 0: handover, no move.
   std::size_t deferred = 0;        ///< Requests left pending this clearing.
-  std::size_t markets_cleared = 0; ///< Equilibria solved (joint: 0 or 1).
-  double price = 0.0;              ///< Price of the last market solved.
+  std::size_t markets_cleared = 0; ///< Equilibria solved (0 or 1).
+  double price = 0.0;              ///< Price of the market solved.
 };
 
 /// Economics shared by every clearing of one pool.
 struct spot_market_config {
-  clearing_discipline discipline = clearing_discipline::joint;
   wireless::link_params link{};  ///< Source→destination RSU channel.
   double unit_cost = 5.0;        ///< C — MSP's unit transmission cost.
   double price_cap = 50.0;       ///< p_max.
@@ -120,9 +104,10 @@ class spot_market {
     return pending_;
   }
 
-  /// Price the book against `available_mhz` of remaining pool capacity.
-  /// Granted and priced-out requests are removed; deferred ones remain.
-  /// Grant bandwidths always sum to <= available_mhz.
+  /// Price the whole book as one N-follower market against `available_mhz`
+  /// of remaining pool capacity. Granted and priced-out requests are
+  /// removed; deferred ones remain. Grant bandwidths always sum to
+  /// <= available_mhz.
   [[nodiscard]] clearing_outcome clear(double available_mhz);
 
   /// Drop every pending request (end of run, nothing can serve them).
@@ -130,11 +115,6 @@ class spot_market {
   [[nodiscard]] std::vector<clearing_request> abandon_pending();
 
  private:
-  [[nodiscard]] clearing_outcome clear_joint(double available_mhz);
-  [[nodiscard]] clearing_outcome clear_sequential(double available_mhz);
-  [[nodiscard]] equilibrium price_market(const migration_market& market,
-                                         double available_mhz);
-
   spot_market_config config_;
   std::vector<clearing_request> pending_;
 };

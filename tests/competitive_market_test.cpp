@@ -164,7 +164,6 @@ TEST(competitive_market, m1_delegates_bitwise_to_spot_market) {
     core::competitive_market oligo(config);
 
     core::spot_market_config mono_config;
-    mono_config.discipline = core::clearing_discipline::joint;
     mono_config.link = config.link;
     core::spot_market mono(mono_config);
 
@@ -591,12 +590,6 @@ TEST(competitive_market, fleet_rejects_invalid_oligopoly_configs) {
   core::fleet_config roster_in_joint;
   roster_in_joint.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}};
   EXPECT_THROW((void)core::run_fleet_scenario(roster_in_joint),
-               vtm::util::contract_error);
-
-  core::fleet_config shared;
-  shared.mode = core::market_mode::oligopoly;
-  shared.shared_pool = true;
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
                vtm::util::contract_error);
 
   core::fleet_config seat_without_pricer = duopoly_fleet();

@@ -183,14 +183,16 @@ TEST(fig_golden, fleet_oligopoly_m1_matches_joint_pins) {
   EXPECT_DOUBLE_EQ(r1000.mean_price, 44.035863523444235);
 }
 
-// Legacy sequential (market_mode::single) fleet path, also pinned: the
-// monopoly curves' engine must survive backend work untouched.
-TEST(fig_golden, fleet_sequential_aggregates) {
+// Continuous clearing (epoch 0: each handover clears at its own instant),
+// also pinned. These numbers were captured from the retired one-VMU-at-a-time
+// market, which this regime reproduces while no two requests share a
+// clearing.
+TEST(fig_golden, fleet_continuous_clearing_aggregates) {
   core::fleet_config config;
   config.rsu_count = 6;
   config.vehicle_count = 40;
   config.duration_s = vtm::util::seconds{60.0};
-  config.mode = core::market_mode::single;
+  config.clearing_epoch_s = vtm::util::seconds{0.0};
   config.record_migrations = false;
   const auto r = core::run_fleet_scenario(config);
   EXPECT_EQ(r.handovers, 60u);

@@ -151,20 +151,24 @@ TEST(fleet_shard, shard1_matches_pre_shard_engine_structure) {
 // With timely boundary handoffs (late_handoffs == 0, no cross-shard
 // retargets) a sharded run reproduces the serial engine bitwise: per-pool
 // books see the exact serial submission order and the flush reduces
-// completions in global finish-time order.
+// completions in global finish-time order. Both clearing regimes: epoch
+// grid (0.5 s) and continuous (epoch 0, each handover clears at once).
 TEST(fleet_shard, shard_counts_are_bitwise_equivalent_on_uniform_chain) {
-  core::fleet_config config;  // 8 RSUs, 100 vehicles, 120 s
-  const auto serial = core::run_fleet_scenario(config);
-  for (const std::size_t shards : {2u, 4u}) {
-    auto sharded_config = config;
-    sharded_config.shard_count = shards;
-    const auto sharded = core::run_fleet_scenario(sharded_config);
-    // Preconditions of exact equivalence — and proof of real boundary
-    // traffic (the equivalence is not vacuous).
-    EXPECT_GT(sharded.cross_shard_transfers, 0u) << shards;
-    EXPECT_EQ(sharded.late_handoffs, 0u) << shards;
-    EXPECT_EQ(sharded.cross_shard_retargets, 0u) << shards;
-    expect_identical(serial, sharded);
+  for (const double epoch_s : {0.5, 0.0}) {
+    core::fleet_config config;  // 8 RSUs, 100 vehicles, 120 s
+    config.clearing_epoch_s = vtm::util::seconds{epoch_s};
+    const auto serial = core::run_fleet_scenario(config);
+    for (const std::size_t shards : {2u, 4u}) {
+      auto sharded_config = config;
+      sharded_config.shard_count = shards;
+      const auto sharded = core::run_fleet_scenario(sharded_config);
+      // Preconditions of exact equivalence — and proof of real boundary
+      // traffic (the equivalence is not vacuous).
+      EXPECT_GT(sharded.cross_shard_transfers, 0u) << shards;
+      EXPECT_EQ(sharded.late_handoffs, 0u) << shards;
+      EXPECT_EQ(sharded.cross_shard_retargets, 0u) << shards;
+      expect_identical(serial, sharded);
+    }
   }
 }
 
@@ -288,11 +292,6 @@ TEST(fleet_shard, rejects_invalid_shard_configs) {
   too_many.rsu_count = 4;
   too_many.shard_count = 5;
   EXPECT_THROW((void)core::run_fleet_scenario(too_many),
-               vtm::util::contract_error);
-  core::fleet_config shared;
-  shared.shared_pool = true;
-  shared.shard_count = 2;
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
                vtm::util::contract_error);
 }
 
@@ -524,12 +523,6 @@ TEST(fleet_shard, rejects_malformed_channel_overrides) {
   not_finite.rsu_tx_power_dbm[3] =
       vtm::util::dbm{std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW((void)core::run_fleet_scenario(not_finite),
-               vtm::util::contract_error);
-
-  core::fleet_config shared;
-  shared.shared_pool = true;
-  shared.rsu_noise_dbm.assign(shared.rsu_count, vtm::util::dbm{-150.0});
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
                vtm::util::contract_error);
 }
 

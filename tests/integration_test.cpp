@@ -5,14 +5,25 @@
 
 #include <cmath>
 
+#include "core/fleet_scenario.hpp"
 #include "core/mechanism.hpp"
-#include "core/scenario.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
 
 namespace core = vtm::core;
 
 namespace {
+
+/// A short highway: 4 RSUs, 3 vehicles spawned on the stretch before the
+/// first handover boundary.
+core::fleet_config highway_config() {
+  core::fleet_config config;
+  config.rsu_count = 4;
+  config.vehicle_count = 3;
+  config.spawn_min_m = vtm::util::meters{500.0};
+  config.spawn_max_m = vtm::util::meters{1400.0};
+  return config;
+}
 
 core::market_params fig2_params() {
   core::market_params p;
@@ -127,8 +138,8 @@ TEST(mechanism, callback_sees_every_episode) {
 // ---- highway scenario -------------------------------------------------------------
 
 TEST(scenario, runs_and_records_migrations) {
-  core::scenario_config config;
-  const auto result = core::run_highway_scenario(config);
+  const auto config = highway_config();
+  const auto result = core::run_fleet_scenario(config);
   EXPECT_GT(result.handovers, 0u);
   ASSERT_FALSE(result.migrations.empty());
   EXPECT_GT(result.msp_total_utility, 0.0);
@@ -136,7 +147,8 @@ TEST(scenario, runs_and_records_migrations) {
     EXPECT_GE(record.price, config.unit_cost);
     EXPECT_LE(record.price, config.price_cap);
     EXPECT_GT(record.bandwidth_mhz, 0.0);
-    EXPECT_LE(record.bandwidth_mhz, config.bandwidth_cap_mhz.value() + 1e-9);
+    EXPECT_LE(record.bandwidth_mhz,
+              config.bandwidth_per_pool_mhz.value() + 1e-9);
     EXPECT_GT(record.aotm_closed_form, 0.0);
     // Pre-copy with dirtying can only be slower than the cold copy.
     EXPECT_GE(record.aotm_simulated, record.aotm_closed_form - 1e-9);
@@ -148,9 +160,9 @@ TEST(scenario, runs_and_records_migrations) {
 }
 
 TEST(scenario, zero_dirty_rate_matches_closed_form_exactly) {
-  core::scenario_config config;
+  auto config = highway_config();
   config.dirty_rate_mb_s = vtm::util::mb_per_s{0.0};
-  const auto result = core::run_highway_scenario(config);
+  const auto result = core::run_fleet_scenario(config);
   ASSERT_FALSE(result.migrations.empty());
   for (const auto& record : result.migrations) {
     EXPECT_NEAR(record.aotm_simulated, record.aotm_closed_form, 1e-9);
@@ -159,12 +171,12 @@ TEST(scenario, zero_dirty_rate_matches_closed_form_exactly) {
 }
 
 TEST(scenario, dirty_pages_amplify_traffic) {
-  core::scenario_config clean;
+  auto clean = highway_config();
   clean.dirty_rate_mb_s = vtm::util::mb_per_s{0.0};
-  core::scenario_config dirty;
+  auto dirty = highway_config();
   dirty.dirty_rate_mb_s = vtm::util::mb_per_s{100.0};
-  const auto clean_result = core::run_highway_scenario(clean);
-  const auto dirty_result = core::run_highway_scenario(dirty);
+  const auto clean_result = core::run_fleet_scenario(clean);
+  const auto dirty_result = core::run_fleet_scenario(dirty);
   ASSERT_FALSE(clean_result.migrations.empty());
   ASSERT_FALSE(dirty_result.migrations.empty());
   EXPECT_GT(dirty_result.mean_amplification,
@@ -172,9 +184,9 @@ TEST(scenario, dirty_pages_amplify_traffic) {
 }
 
 TEST(scenario, deterministic_given_seed) {
-  core::scenario_config config;
-  const auto a = core::run_highway_scenario(config);
-  const auto b = core::run_highway_scenario(config);
+  const auto config = highway_config();
+  const auto a = core::run_fleet_scenario(config);
+  const auto b = core::run_fleet_scenario(config);
   ASSERT_EQ(a.migrations.size(), b.migrations.size());
   for (std::size_t i = 0; i < a.migrations.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.migrations[i].price, b.migrations[i].price);
@@ -184,30 +196,30 @@ TEST(scenario, deterministic_given_seed) {
 }
 
 TEST(scenario, more_vehicles_more_migrations) {
-  core::scenario_config few;
+  auto few = highway_config();
   few.vehicle_count = 2;
-  core::scenario_config many;
+  auto many = highway_config();
   many.vehicle_count = 8;
-  const auto few_result = core::run_highway_scenario(few);
-  const auto many_result = core::run_highway_scenario(many);
+  const auto few_result = core::run_fleet_scenario(few);
+  const auto many_result = core::run_fleet_scenario(many);
   EXPECT_GT(many_result.handovers, few_result.handovers);
   EXPECT_GT(many_result.msp_total_utility, few_result.msp_total_utility);
 }
 
 TEST(scenario, faster_vehicles_cross_more_boundaries) {
-  core::scenario_config slow;
+  auto slow = highway_config();
   slow.min_speed_mps = vtm::util::mps{10.0};
   slow.max_speed_mps = vtm::util::mps{12.0};
-  core::scenario_config fast;
+  auto fast = highway_config();
   fast.min_speed_mps = vtm::util::mps{30.0};
   fast.max_speed_mps = vtm::util::mps{34.0};
-  const auto slow_result = core::run_highway_scenario(slow);
-  const auto fast_result = core::run_highway_scenario(fast);
+  const auto slow_result = core::run_fleet_scenario(slow);
+  const auto fast_result = core::run_fleet_scenario(fast);
   EXPECT_GE(fast_result.handovers, slow_result.handovers);
 }
 
 TEST(scenario, rejects_invalid_config) {
-  core::scenario_config bad;
+  auto bad = highway_config();
   bad.vehicle_count = 0;
-  EXPECT_THROW((void)core::run_highway_scenario(bad), vtm::util::contract_error);
+  EXPECT_THROW((void)core::run_fleet_scenario(bad), vtm::util::contract_error);
 }

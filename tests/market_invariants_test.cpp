@@ -91,15 +91,11 @@ void check_clearing_invariants(const core::spot_market_config& config,
 
 }  // namespace
 
-class market_invariants
-    : public ::testing::TestWithParam<core::clearing_discipline> {};
-
 // Randomized cohorts x pool states, oracle backend.
-TEST_P(market_invariants, oracle_backend_randomized) {
+TEST(market_invariants, oracle_backend_randomized) {
   vtm::util::rng gen(20260729);
   for (int trial = 0; trial < 200; ++trial) {
     core::spot_market_config config;
-    config.discipline = GetParam();
     core::spot_market market(config);
     const auto book = draw_book(gen);
     for (const auto& request : book.requests) market.submit(request);
@@ -110,11 +106,10 @@ TEST_P(market_invariants, oracle_backend_randomized) {
 
 // Same properties with an untrained learned policy posting the prices: the
 // clearing mechanism, not the policy, enforces them.
-TEST_P(market_invariants, learned_backend_randomized) {
+TEST(market_invariants, learned_backend_randomized) {
   vtm::util::rng gen(887);
   for (int trial = 0; trial < 200; ++trial) {
     core::spot_market_config config;
-    config.discipline = GetParam();
     config.policy = std::make_shared<core::learned_policy>(
         random_pricer(1000 + static_cast<std::uint64_t>(trial),
                       config.unit_cost, config.price_cap));
@@ -126,13 +121,6 @@ TEST_P(market_invariants, learned_backend_randomized) {
     check_clearing_invariants(config, book, outcome, market.pending());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(disciplines, market_invariants,
-                         ::testing::Values(core::clearing_discipline::joint,
-                                           core::clearing_discipline::sequential),
-                         [](const auto& info) {
-                           return std::string(core::to_string(info.param));
-                         });
 
 // (4) Under the oracle backend, joint clearings match the combined-set
 // equilibrium bitwise, across randomized cohorts (not just one example).
@@ -184,8 +172,6 @@ TEST(market_invariants, every_request_resolves_exactly_once_across_clearings) {
   vtm::util::rng gen(9090);
   for (int trial = 0; trial < 50; ++trial) {
     core::spot_market_config config;
-    config.discipline = trial % 2 == 0 ? core::clearing_discipline::joint
-                                       : core::clearing_discipline::sequential;
     core::spot_market market(config);
     std::size_t submitted = 0;
     std::size_t resolved = 0;

@@ -6,5 +6,10 @@
 int main() {
   const vtm::util::dbm tx{40.0};
   const vtm::util::watts noise{1.0e-12};
-  return (tx + noise).value() > 0.0;  // no operator+(dbm, watts)
+#ifndef VTM_NEGATIVE_CONTROL
+  const auto total = tx + noise;  // no operator+(dbm, watts)
+#else
+  const auto total = vtm::util::to_watts(tx) + noise;
+#endif
+  return total.value() > 0.0;
 }

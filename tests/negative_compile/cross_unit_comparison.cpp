@@ -4,5 +4,9 @@
 #include "util/quantity.hpp"
 
 int main() {
+#ifndef VTM_NEGATIVE_CONTROL
   return vtm::util::meters{500.0} < vtm::util::seconds{500.0};
+#else
+  return vtm::util::meters{500.0} < vtm::util::meters{600.0};
+#endif
 }

@@ -5,6 +5,10 @@
 
 int main() {
   vtm::sim::vehicle_state v{0.0, 30.0};
-  vtm::sim::advance(v, vtm::util::meters{1.0});  // meters is not a duration
+#ifndef VTM_NEGATIVE_CONTROL
+  v = vtm::sim::advance(v, vtm::util::meters{1.0});  // meters is not a duration
+#else
+  v = vtm::sim::advance(v, vtm::util::seconds{1.0});
+#endif
   return 0;
 }

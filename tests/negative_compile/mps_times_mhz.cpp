@@ -4,6 +4,10 @@
 #include "util/quantity.hpp"
 
 int main() {
-  const auto nonsense = vtm::util::mps{30.0} * vtm::util::megahertz{50.0};
-  return nonsense > 0.0;
+#ifndef VTM_NEGATIVE_CONTROL
+  const auto product = vtm::util::mps{30.0} * vtm::util::megahertz{50.0};
+#else
+  const auto product = vtm::util::mps{30.0} * vtm::util::seconds{2.0};
+#endif
+  return product.value() > 0.0;
 }

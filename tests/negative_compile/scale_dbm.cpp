@@ -4,6 +4,10 @@
 #include "util/quantity.hpp"
 
 int main() {
+#ifndef VTM_NEGATIVE_CONTROL
   const auto twice = 2.0 * vtm::util::dbm{40.0};
+#else
+  const auto twice = vtm::util::dbm{40.0} + vtm::util::db{3.0};
+#endif
   return twice.value() > 0.0;
 }

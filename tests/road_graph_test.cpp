@@ -167,10 +167,11 @@ TEST(road_graph, grid_routes_traverse_only_real_connected_edges) {
     EXPECT_EQ(graph.edge(route.edges.back()).to, route.exit);
     double length = 0.0;
     for (std::size_t k = 0; k < route.edges.size(); ++k) {
-      if (k > 0)
+      if (k > 0) {
         EXPECT_EQ(graph.edge(route.edges[k]).from,
                   graph.edge(route.edges[k - 1]).to)
             << r;
+      }
       length += graph.edge(route.edges[k]).length_m;
       EXPECT_EQ(route.seg_end_m[k], length);
       EXPECT_EQ(route.seg_factor[k], graph.edge(route.edges[k]).speed_factor);
@@ -187,7 +188,9 @@ TEST(road_graph, grid_routes_traverse_only_real_connected_edges) {
       EXPECT_TRUE(on_route) << r;
       EXPECT_GT(route.site_pos_m[k], 0.0);
       EXPECT_LE(route.site_pos_m[k], route.length_m);
-      if (k > 0) EXPECT_GT(route.site_pos_m[k], route.site_pos_m[k - 1]);
+      if (k > 0) {
+        EXPECT_GT(route.site_pos_m[k], route.site_pos_m[k - 1]);
+      }
     }
   }
   EXPECT_GT(graph.max_lanes(), 1u);         // 2-lane arterials
@@ -302,12 +305,6 @@ TEST(road_graph, rejects_invalid_graph_configs) {
   zero_span.graph = grid;
   zero_span.spawn_min_m = vtm::util::meters{grid->min_route_length_m()};
   EXPECT_THROW((void)core::run_fleet_scenario(zero_span),
-               vtm::util::contract_error);
-
-  core::fleet_config shared;
-  shared.graph = grid;
-  shared.shared_pool = true;
-  EXPECT_THROW((void)core::run_fleet_scenario(shared),
                vtm::util::contract_error);
 
   core::fleet_config oligopoly;

@@ -1,6 +1,6 @@
 // Joint spot-market clearing: cohort pricing equals the N-follower
-// equilibrium, sequential mode reproduces the legacy single-follower chain,
-// deferral/retry around an exhausted pool, and oversubscription safety.
+// equilibrium, deferral/retry around an exhausted pool, and oversubscription
+// safety.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,12 +12,6 @@
 namespace core = vtm::core;
 
 namespace {
-
-core::spot_market_config joint_config() {
-  core::spot_market_config config;
-  config.discipline = core::clearing_discipline::joint;
-  return config;
-}
 
 core::clearing_request request_for(std::size_t vehicle, double alpha,
                                    double data_mb) {
@@ -46,7 +40,7 @@ core::market_params combined_params(const core::spot_market_config& config,
 // Acceptance regression: a cohort cleared jointly is priced exactly like the
 // combined N-follower market handed to solve_equilibrium.
 TEST(spot_market, joint_clearing_matches_combined_equilibrium) {
-  const auto config = joint_config();
+  const core::spot_market_config config;
   core::spot_market market(config);
   market.submit(request_for(0, 500.0, 200.0));
   market.submit(request_for(1, 900.0, 100.0));
@@ -76,59 +70,9 @@ TEST(spot_market, joint_clearing_matches_combined_equilibrium) {
   EXPECT_EQ(market.pending(), 0u);
 }
 
-// Sequential discipline reproduces the legacy chain: each request gets its
-// own single-follower market over the shrinking remainder, FIFO.
-TEST(spot_market, sequential_matches_single_follower_chain) {
-  auto config = joint_config();
-  config.discipline = core::clearing_discipline::sequential;
-  core::spot_market market(config);
-  market.submit(request_for(0, 800.0, 250.0));
-  market.submit(request_for(1, 600.0, 150.0));
-
-  const double available = 45.0;
-  const auto outcome = market.clear(available);
-  ASSERT_EQ(outcome.grants.size(), 2u);
-  EXPECT_EQ(outcome.markets_cleared, 2u);
-
-  const core::migration_market first(
-      combined_params(config, {{800.0, 250.0}}, available));
-  const auto eq_first = core::solve_equilibrium(first);
-  EXPECT_EQ(outcome.grants[0].bandwidth_mhz, eq_first.demands[0]);
-  EXPECT_EQ(outcome.grants[0].price, eq_first.price);
-  EXPECT_EQ(outcome.grants[0].cohort, 1u);
-
-  const core::migration_market second(combined_params(
-      config, {{600.0, 150.0}}, available - eq_first.demands[0]));
-  const auto eq_second = core::solve_equilibrium(second);
-  EXPECT_EQ(outcome.grants[1].bandwidth_mhz, eq_second.demands[0]);
-  EXPECT_EQ(outcome.grants[1].price, eq_second.price);
-}
-
-// Joint and sequential clearings price a 2-request book differently: the
-// joint price is one market over both followers.
-TEST(spot_market, joint_and_sequential_prices_diverge) {
-  const auto config = joint_config();
-  core::spot_market joint(config);
-  auto sequential_config = config;
-  sequential_config.discipline = core::clearing_discipline::sequential;
-  core::spot_market sequential(sequential_config);
-  for (auto* market : {&joint, &sequential}) {
-    market->submit(request_for(0, 500.0, 200.0));
-    market->submit(request_for(1, 1500.0, 100.0));
-  }
-  const auto joint_outcome = joint.clear(50.0);
-  const auto sequential_outcome = sequential.clear(50.0);
-  ASSERT_EQ(joint_outcome.grants.size(), 2u);
-  ASSERT_EQ(sequential_outcome.grants.size(), 2u);
-  // One shared price jointly; legacy prices each follower's own monopoly.
-  EXPECT_EQ(joint_outcome.grants[0].price, joint_outcome.grants[1].price);
-  EXPECT_NE(sequential_outcome.grants[0].price,
-            sequential_outcome.grants[1].price);
-}
-
 // Pool exhaustion -> deferral -> successful retry, at the book level.
 TEST(spot_market, defers_below_minimum_and_clears_on_retry) {
-  core::spot_market market(joint_config());
+  core::spot_market market(core::spot_market_config{});
   market.submit(request_for(0, 700.0, 200.0));
   market.submit(request_for(1, 900.0, 150.0));
 
@@ -148,7 +92,7 @@ TEST(spot_market, defers_below_minimum_and_clears_on_retry) {
 // A VMU whose willingness to pay cannot cover the equilibrium price is
 // priced out (b* = 0): the handover proceeds without a migration.
 TEST(spot_market, prices_out_unwilling_vmus) {
-  core::spot_market market(joint_config());
+  core::spot_market market(core::spot_market_config{});
   market.submit(request_for(0, 1.0, 300.0));     // alpha/p << D/R at any p >= C
   market.submit(request_for(1, 1200.0, 100.0));  // healthy follower
 
@@ -163,7 +107,7 @@ TEST(spot_market, prices_out_unwilling_vmus) {
 // Rationing never oversubscribes the remaining pool, even when the joint
 // demand is far above it.
 TEST(spot_market, grants_fit_within_available_capacity) {
-  core::spot_market market(joint_config());
+  core::spot_market market(core::spot_market_config{});
   for (std::size_t v = 0; v < 6; ++v)
     market.submit(request_for(v, 1900.0, 120.0));
 
@@ -180,7 +124,7 @@ TEST(spot_market, grants_fit_within_available_capacity) {
 }
 
 TEST(spot_market, abandon_returns_and_empties_book) {
-  core::spot_market market(joint_config());
+  core::spot_market market(core::spot_market_config{});
   market.submit(request_for(3, 500.0, 200.0));
   market.submit(request_for(7, 600.0, 100.0));
   const auto dropped = market.abandon_pending();

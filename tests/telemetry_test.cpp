@@ -176,7 +176,9 @@ TEST(TelemetryBitwise, ShardedRunIsIdenticalWithAndWithoutSinks) {
   const auto traced = core::run_fleet_scenario(instrumented);
 
   expect_identical(bare, traced);
-  if (util::telemetry_compiled()) EXPECT_GT(session.event_count(), 0u);
+  if (util::telemetry_compiled()) {
+    EXPECT_GT(session.event_count(), 0u);
+  }
 }
 
 TEST(TelemetryBitwise, OligopolyRunIsIdenticalWithAndWithoutSinks) {

@@ -31,9 +31,9 @@ sanitizers) cannot express:
       entry points must reject bad configs with `util::contract_error`, not
       propagate NaNs into a million-vehicle run. Additionally, every
       `run_*`-named definition taking a `*_config&` (run_fleet_scenario,
-      run_streaming_fleet, run_highway_scenario, ...) must validate *inside
-      its own body* — a validate call elsewhere in the file does not protect
-      an entry point a caller reaches directly.
+      run_streaming_fleet, ...) must validate *inside its own body* — a
+      validate call elsewhere in the file does not protect an entry point a
+      caller reaches directly.
 
   raw-io
       No direct console output (`std::cout`/`std::cerr`/`std::clog`, the
