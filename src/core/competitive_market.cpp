@@ -137,8 +137,8 @@ competitive_outcome competitive_market::clear_oligopoly(
   const multi_msp_market market(std::move(params));
 
   // Warm start: seed the solve from the prices this book's sellers posted
-  // in their most recent clearing (cohorts drift slowly between clearings,
-  // so the previous fixed point is a few sweeps from the new one). Sellers
+  // in their most recent clearing; the solver's Newton stage converges from
+  // there in a few iterations (DESIGN.md §12). Sellers
   // with no memory yet get their cap midpoint; when *no* active seller has
   // memory — the first clearing of a run — the solve cold-starts and is
   // bitwise-identical to the memoryless solver.
@@ -164,6 +164,7 @@ competitive_outcome competitive_market::clear_oligopoly(
   // scripted equilibrium doubles as the rival-price summary the learned
   // observation reads — the seat sees where competition *would* settle.
   std::vector<double> prices;
+  std::size_t newton_iterations = 0;  // 0 when the dampened loop answered
   const auto learned_it = config_.learned_msp == no_learned_msp
                               ? active.end()
                               : std::find(active.begin(), active.end(),
@@ -177,6 +178,7 @@ competitive_outcome competitive_market::clear_oligopoly(
     outcome.solver_sweeps += scripted.iterations;
     outcome.objective_evals += scripted.objective_evals;
     outcome.residual = scripted.residual;
+    newton_iterations += scripted.newton_iterations;
 
     const auto& own = config_.msps[config_.learned_msp];
     market_params own_view;
@@ -208,9 +210,9 @@ competitive_outcome competitive_market::clear_oligopoly(
     prices[seat] = std::clamp(config_.pricer->price(obs), own.unit_cost,
                               own.price_cap);
     if (active.size() > 1) {
-      // Rivals best-respond to the posted price: the same dampened solver
-      // with the learned coordinate pinned, warm-started from the scripted
-      // equilibrium (already a few sweeps from the rivals' fixed point).
+      // Rivals best-respond to the posted price: the same solver with the
+      // learned coordinate pinned, warm-started from the scripted
+      // equilibrium.
       price_competition_options rival_options = solve_options;
       rival_options.warm_start = prices;
       rival_options.pinned = seat;
@@ -221,6 +223,7 @@ competitive_outcome competitive_market::clear_oligopoly(
       outcome.solver_sweeps += rivals.iterations;
       outcome.objective_evals += rivals.objective_evals;
       outcome.residual = rivals.residual;
+      newton_iterations += rivals.newton_iterations;
     }
   } else {
     const auto equilibrium = solve_price_competition(market, solve_options);
@@ -230,6 +233,7 @@ competitive_outcome competitive_market::clear_oligopoly(
     outcome.solver_sweeps += equilibrium.iterations;
     outcome.objective_evals += equilibrium.objective_evals;
     outcome.residual = equilibrium.residual;
+    newton_iterations += equilibrium.newton_iterations;
   }
   outcome.markets_cleared = 1;
   outcome.prices.assign(config_.msps.size(), 0.0);
@@ -315,6 +319,7 @@ competitive_outcome competitive_market::clear_oligopoly(
   pending_ = std::move(still_pending);
   span.arg("sweeps", static_cast<double>(outcome.solver_sweeps));
   span.arg("objective_evals", static_cast<double>(outcome.objective_evals));
+  span.arg("newton_iterations", static_cast<double>(newton_iterations));
   span.arg("residual", outcome.residual);
   span.arg("warm_started", outcome.warm_started ? 1.0 : 0.0);
   span.arg("converged", outcome.converged ? 1.0 : 0.0);

@@ -4,9 +4,9 @@
 // (`core::spot_market`). This module is the oligopoly counterpart behind
 // `market_mode::oligopoly`: the same pending book of handover requests, but
 // each clearing runs the cohort through `core::multi_msp_market` price
-// competition — every MSP posts a price (dampened simultaneous best-response
-// fixed point of the softmin-Bertrand game, warm-started from this book's
-// previous clearing), VMUs split their purchase across
+// competition — every MSP posts a price (best-response fixed point of the
+// softmin-Bertrand game, warm-started from this book's previous clearing),
+// VMUs split their purchase across
 // sellers with the softmin share rule, and each MSP's sales are rationed to
 // its *own* remaining pool capacity. A VMU whose rationed total rounds to
 // zero defers back into the book (capacity in flight re-clears it), exactly
@@ -116,7 +116,8 @@ struct competitive_market_config {
   double fixed_point_tol = 1e-7;
   std::size_t max_sweeps = 200;
   /// Telemetry lane for per-clearing spans ("comarket.clear" carrying the
-  /// convergence certificate: sweeps, objective evals, residual, warm start).
+  /// convergence certificate: sweeps, objective evals, Newton iterations —
+  /// 0 when the dampened loop priced the clearing — residual, warm start).
   /// Null disables; never influences clearing results.
   util::trace_lane* trace = nullptr;
 };

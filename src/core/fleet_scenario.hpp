@@ -256,11 +256,17 @@ struct fleet_result {
   /// Oligopoly clearings whose best-response fixed point hit the sweep
   /// budget without converging (prices still valid, just not certified).
   std::size_t unconverged_clearings = 0;
-  /// Oligopoly solver cost breakdown (all zero outside oligopoly mode):
-  /// best-response sweeps and objective evaluations summed over clearings,
-  /// and how many clearings warm-started from their book's previous prices.
+  /// Oligopoly solver cost, summed over clearings (all zero outside
+  /// oligopoly mode). Best-response sweeps: a warm solve's Newton
+  /// verification sweep counts as one, whether it accepts the Newton prices
+  /// or the dampened loop runs after it.
   std::size_t solver_sweeps = 0;
+  /// Objective evaluations: every best-response objective call (the
+  /// verification sweep's bracket-edge probes included), plus one per free
+  /// seller for each residual-and-Jacobian evaluation of the Newton stage.
+  /// Failed Newton solves count too.
   std::size_t objective_evals = 0;
+  /// Clearings that warm-started from their book's previous prices.
   std::size_t warm_started_clearings = 0;
 };
 

@@ -396,33 +396,369 @@ double multi_msp_market::best_response_price_reference(
   return refined.value >= best_value ? refined.arg : best_price;
 }
 
-multi_msp_equilibrium solve_price_competition(
-    const multi_msp_market& market, const price_competition_options& options) {
-  VTM_EXPECTS(options.tol > 0.0);
-  VTM_EXPECTS(options.damping > 0.0 && options.damping <= 1.0);
-  VTM_EXPECTS(options.warm_start.empty() ||
-              options.warm_start.size() == market.msp_count());
-  VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
-              options.pinned < market.msp_count());
+namespace {
+
+// Accuracy bounds of the inner best-response searches, shared by the Newton
+// verification sweep and the dampened loop's forcing tolerance.
+constexpr double inner_cap = 1e-3;
+constexpr double inner_floor = 1e-9;
+// A warm start's first search bracket reaches (p_max − C)/47 either side of
+// the warm price: one cell of the cold 48-point grid.
+constexpr double warm_bracket_cells = 47.0;
+
+/// Certificate of a converged fixed point: the observed contraction ratio q
+/// and the a-posteriori bound q/(1−q)·residual (DESIGN.md §12).
+void certify(multi_msp_equilibrium& result, double ratio) {
+  result.contraction_ratio = ratio;
+  if (result.converged && ratio < 1.0) {
+    result.certified = true;
+    result.error_bound =
+        ratio > 0.0 ? (ratio / (1.0 - ratio)) * result.residual : 0.0;
+  } else {
+    result.error_bound = std::numeric_limits<double>::infinity();
+  }
+}
+
+// ---- Active-set Newton stage (DESIGN.md §12) -------------------------------
+
+/// Which equation fixes a seller's price in the Newton system.
+enum class seller_class : unsigned char {
+  pinned,    ///< Learned seat: price held, no equation.
+  interior,  ///< First-order row: the profit derivative is 0.
+  kink,      ///< Rationing row: w_m·D(p̄) = the seller's capacity.
+  capped,    ///< Held at its price cap p_max,m.
+};
+
+/// Working storage of one Newton solve, sized once so that no iteration
+/// allocates.
+struct newton_workspace {
+  explicit newton_workspace(std::size_t msps)
+      : cls(msps), w(msps), dp_eff(msps), sales(msps), foc(msps),
+        unknown(msps), residual(msps), jacobian(msps * msps), step(msps),
+        move(msps), trial(msps) {}
+
+  std::vector<seller_class> cls;
+  // The evaluated point: effective price, demand curve, and per seller the
+  // share w_m, ∂p̄/∂p_m, uncapped sales w_m·D, and the first-order value
+  // u_m = g_m/w_m (g_m is the uncapped profit derivative).
+  double p_eff = 0.0;
+  multi_msp_market::demand_point demand;
+  std::vector<double> w;
+  std::vector<double> dp_eff;
+  std::vector<double> sales;
+  std::vector<double> foc;
+  // The active system over its k unknown (interior and kink) sellers:
+  // residual F, row-major Jacobian J, and the Newton step.
+  std::size_t k = 0;
+  std::vector<std::size_t> unknown;
+  std::vector<double> residual;
+  std::vector<double> jacobian;
+  std::vector<double> step;
+  std::vector<double> move;   ///< The step per seller (0 off the system).
+  std::vector<double> trial;  ///< Line-search candidate prices.
+};
+
+/// Shares, demand curve, and every seller's uncapped sales and first-order
+/// value at `prices`. With ∂w/∂p = −λ·w·(1−w), ∂p̄/∂p = w·b and
+/// b = 1 − λ(p − p̄), best_response_local's uncapped profit derivative is
+///   g = w·D + (p − C)·(−λ·w·(1−w)·D + w·D'·w·b) = w·u,
+///   u = D + (p − C)·Y,  Y = −λ(1 − w)·D + w·D'·b.
+/// Dividing by the share removes the spurious root of g at w → 0: a seller
+/// pricing itself out does not zero its row. False when no buyer is active
+/// at `prices`, where the first-order conditions degenerate.
+bool evaluate_point(const multi_msp_market& market,
+                    std::span<const double> prices, newton_workspace& ws) {
+  const auto& msps = market.params().msps;
+  const double lambda = market.params().share_sharpness;
+  const double anchor = *std::min_element(prices.begin(), prices.end());
+  double total = 0.0;
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    ws.w[j] = std::exp(-lambda * (prices[j] - anchor));
+    total += ws.w[j];
+  }
+  ws.p_eff = 0.0;
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    ws.w[j] /= total;
+    ws.p_eff += ws.w[j] * prices[j];
+  }
+  ws.demand = market.demand_at(ws.p_eff);
+  const auto& d = ws.demand;
+  if (!(d.demand > 0.0)) return false;
+  for (std::size_t j = 0; j < prices.size(); ++j) {
+    const double w = ws.w[j];
+    const double b = 1.0 - lambda * (prices[j] - ws.p_eff);
+    ws.dp_eff[j] = w * b;
+    ws.sales[j] = w * d.demand;
+    ws.foc[j] = d.demand + (prices[j] - msps[j].unit_cost) *
+                               (-lambda * (1.0 - w) * d.demand +
+                                w * d.slope * b);
+  }
+  return true;
+}
+
+/// Lists the sellers with a row (interior and kink) as the system's
+/// unknowns.
+void list_unknowns(newton_workspace& ws) {
+  ws.k = 0;
+  for (std::size_t m = 0; m < ws.cls.size(); ++m)
+    if (ws.cls[m] == seller_class::interior || ws.cls[m] == seller_class::kink)
+      ws.unknown[ws.k++] = m;
+}
+
+/// KKT class of every free seller at the evaluated point, read from the
+/// signs of its best-response conditions: at its price cap while profit does
+/// not fall there (rationed, or u >= 0); otherwise the larger of u_m and
+/// w_m·D − cap_m picks the binding condition — the first-order row while the
+/// seller does not sell past its capacity, the kink row while its profit
+/// would still rise past the kink.
+void classify(const multi_msp_market& market, std::span<const double> prices,
+              std::size_t pinned, newton_workspace& ws) {
+  const auto& msps = market.params().msps;
+  for (std::size_t m = 0; m < prices.size(); ++m) {
+    const double over = ws.sales[m] - msps[m].bandwidth_cap_mhz;
+    if (m == pinned)
+      ws.cls[m] = seller_class::pinned;
+    else if (prices[m] >= msps[m].price_cap &&
+             (over >= 0.0 || ws.foc[m] >= 0.0))
+      ws.cls[m] = seller_class::capped;
+    else
+      ws.cls[m] =
+          ws.foc[m] >= over ? seller_class::interior : seller_class::kink;
+  }
+  list_unknowns(ws);
+}
+
+/// Residual and Jacobian of the active rows at the evaluated point, both
+/// rows divided by the demand D so that they are shares. With
+/// ∂w_m/∂p_j = −λ·w_m·(δ_mj − w_j), a_j = ∂p̄/∂p_j and μ_m = p_m − C_m:
+///   kink:     F = w_m − cap_m/D,
+///             ∂F/∂p_j = ∂w_m/∂p_j + cap_m·D'·a_j/D²;
+///   interior: F = u_m/D with u_m = D + μ_m·Y_m,
+///             ∂u_m/∂p_j = D'·a_j + δ_mj·Y_m + μ_m·∂Y_m/∂p_j,
+///             ∂F/∂p_j = (∂u_m/∂p_j − F·D'·a_j)/D,
+/// where ∂Y_m/∂p_j differentiates through w, D, D' and b, with
+/// D'' = 2A/p̄³ = −2·D'/p̄ on the same active suffix.
+/// Dividing by D keeps a seller's row away from zero as the buyers drop
+/// out, so pricing toward the demand threshold never looks like progress.
+void assemble(const multi_msp_market& market, std::span<const double> prices,
+              newton_workspace& ws) {
+  const auto& msps = market.params().msps;
+  const double lambda = market.params().share_sharpness;
+  const auto& d = ws.demand;
+  const double curvature = -2.0 * d.slope / ws.p_eff;
+  const std::size_t k = ws.k;
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t m = ws.unknown[r];
+    const double w = ws.w[m];
+    const double b = 1.0 - lambda * (prices[m] - ws.p_eff);
+    const double margin = prices[m] - msps[m].unit_cost;
+    const double cap = msps[m].bandwidth_cap_mhz;
+    const bool kink = ws.cls[m] == seller_class::kink;
+    const double y = -lambda * (1.0 - w) * d.demand + w * d.slope * b;
+    const double f = kink ? w - cap / d.demand : ws.foc[m] / d.demand;
+    ws.residual[r] = f;
+    for (std::size_t c = 0; c < k; ++c) {
+      const std::size_t j = ws.unknown[c];
+      const double delta = j == m ? 1.0 : 0.0;
+      const double a = ws.dp_eff[j];
+      const double dw = -lambda * w * (delta - ws.w[j]);
+      const double d_slope_a = d.slope * a;
+      ws.jacobian[r * k + c] =
+          kink ? dw + cap * d_slope_a / (d.demand * d.demand)
+               : (d_slope_a + delta * y +
+                  margin * (-lambda * ((1.0 - w) * d_slope_a - dw * d.demand) +
+                            dw * d.slope * b + w * curvature * a * b -
+                            lambda * w * d.slope * (delta - a)) -
+                  f * d_slope_a) /
+                     d.demand;
+    }
+  }
+}
+
+/// max_r |F_r| of the active rows; NaN propagates so a broken point never
+/// passes the merit test.
+double merit(const newton_workspace& ws) {
+  double worst = 0.0;
+  for (std::size_t r = 0; r < ws.k; ++r) {
+    const double f = std::abs(ws.residual[r]);
+    if (!(f <= worst)) worst = f;
+  }
+  return worst;
+}
+
+/// Newton step: solves J·step = −F by Gaussian elimination with partial
+/// pivoting, overwriting J. False when J is singular or the step is not
+/// finite.
+bool newton_direction(newton_workspace& ws) {
+  const std::size_t k = ws.k;
+  auto& a = ws.jacobian;
+  auto& x = ws.step;
+  for (std::size_t r = 0; r < k; ++r) x[r] = -ws.residual[r];
+  for (std::size_t col = 0; col < k; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < k; ++r)
+      if (std::abs(a[r * k + col]) > std::abs(a[pivot * k + col])) pivot = r;
+    if (!(std::abs(a[pivot * k + col]) > 0.0)) return false;
+    if (pivot != col) {
+      for (std::size_t c = col; c < k; ++c)
+        std::swap(a[col * k + c], a[pivot * k + c]);
+      std::swap(x[col], x[pivot]);
+    }
+    for (std::size_t r = col + 1; r < k; ++r) {
+      const double f = a[r * k + col] / a[col * k + col];
+      for (std::size_t c = col + 1; c < k; ++c)
+        a[r * k + c] -= f * a[col * k + c];
+      x[r] -= f * x[col];
+    }
+  }
+  for (std::size_t r = k; r-- > 0;) {
+    double sum = x[r];
+    for (std::size_t c = r + 1; c < k; ++c) sum -= a[r * k + c] * x[c];
+    x[r] = sum / a[r * k + r];
+    if (!std::isfinite(x[r])) return false;
+  }
+  return true;
+}
+
+/// Slope of seller m's profit in its own price at `price`, the rivals'
+/// prices held: the capacity while rationed, else the sign-equivalent u_m,
+/// and −1 where no buyer is active (profit flat at 0, as in
+/// best_response_local). Overwrites the workspace's point data.
+double profit_slope(const multi_msp_market& market,
+                    std::span<const double> prices, std::size_t m,
+                    double price, newton_workspace& ws) {
+  std::copy(prices.begin(), prices.end(), ws.trial.begin());
+  ws.trial[m] = price;
+  if (!evaluate_point(market, ws.trial, ws)) return -1.0;
+  const double cap = market.params().msps[m].bandwidth_cap_mhz;
+  return ws.sales[m] >= cap ? cap : ws.foc[m];
+}
+
+/// What the Newton stage spent and measured.
+struct newton_stats {
+  bool converged = false;
+  std::size_t iterations = 0;   ///< Accepted Newton steps.
+  std::size_t evaluations = 0;  ///< One per free seller per evaluation.
+  /// Norms ‖J⁻¹F‖∞ of the last two Newton steps.
+  double last_step = 0.0;
+  double prev_step = 0.0;
+};
+
+/// Active-set Newton on the free sellers' best-response conditions, from
+/// `prices` (updated in place). Every evaluated point reclassifies each
+/// seller as interior, at its rationing kink, or at its price cap from the
+/// KKT signs there (`classify`), so the step is semismooth Newton on
+/// min(p_max − p, max(u, w·D − cap)) = 0. A step that would cross a price
+/// cap pins that seller there; one that would cross unit cost is cut to
+/// half the distance to it; every step must lower max|F| by the Armijo rule.
+newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
+                           double tol, std::vector<double>& prices,
+                           newton_workspace& ws) {
+  constexpr std::size_t max_iterations = 24;
+  constexpr std::size_t max_backtracks = 8;
+  constexpr double armijo = 1e-4;
+  // Newton converges quadratically: a point whose next step is this short
+  // sits within ~step² of the root.
+  const double step_tol = 0.1 * tol;
+  const auto& msps = market.params().msps;
+  const std::size_t count = msps.size();
+  const std::size_t free_sellers = pinned < count ? count - 1 : count;
+  newton_stats stats;
+  const auto evaluate = [&](std::span<const double> at) {
+    stats.evaluations += free_sellers;
+    if (!evaluate_point(market, at, ws)) return false;
+    classify(market, at, pinned, ws);
+    assemble(market, at, ws);
+    return true;
+  };
+
+  // A warm start whose every free seller is held at its price cap by its
+  // KKT signs leaves no rows to solve: the stage stops before counting an
+  // evaluation, and the dampened loop's first sweep verifies the caps.
+  if (!evaluate_point(market, prices, ws)) return stats;
+  classify(market, prices, pinned, ws);
+  if (ws.k == 0) return stats;
+  stats.evaluations += free_sellers;
+  assemble(market, prices, ws);
+  std::size_t measured = 0;
+  bool holding = false;  // a seller sits on its cap against its KKT signs
+  while (ws.k > 0) {
+    const double phi = merit(ws);
+    if (!newton_direction(ws)) return stats;
+    // A step past a price cap pins that seller there. One below its cap
+    // moves onto it, and the point is reclassified. One already on it is
+    // held there and the step solved again without it; a solve that ends
+    // holding one has not converged.
+    bool moved = false;
+    bool hold = false;
+    for (std::size_t r = 0; r < ws.k; ++r) {
+      const std::size_t m = ws.unknown[r];
+      const double hi = msps[m].price_cap;
+      if (prices[m] + ws.step[r] <= hi) continue;
+      if (prices[m] < hi) {
+        prices[m] = hi;
+        moved = true;
+      } else {
+        ws.cls[m] = seller_class::capped;
+        hold = true;
+      }
+    }
+    if (moved) {
+      if (++stats.iterations > max_iterations || !evaluate(prices))
+        return stats;
+      holding = false;
+      continue;
+    }
+    if (hold) {
+      holding = true;
+      list_unknowns(ws);
+      assemble(market, prices, ws);
+      continue;
+    }
+    double longest = 0.0;
+    for (std::size_t r = 0; r < ws.k; ++r)
+      longest = std::max(longest, std::abs(ws.step[r]));
+    stats.prev_step = stats.last_step;
+    stats.last_step = longest;
+    if (++measured >= 2 && longest <= step_tol) break;
+    if (stats.iterations >= max_iterations) return stats;
+
+    // A step past unit cost is cut to half the distance to it.
+    double t = 1.0;
+    std::fill(ws.move.begin(), ws.move.end(), 0.0);
+    for (std::size_t r = 0; r < ws.k; ++r) {
+      const std::size_t m = ws.unknown[r];
+      const double lo = msps[m].unit_cost;
+      ws.move[m] = ws.step[r];
+      if (prices[m] + ws.step[r] < lo)
+        t = std::min(t, 0.5 * (prices[m] - lo) / -ws.step[r]);
+    }
+    // The line search re-evaluates, and so reclassifies, at every trial.
+    for (std::size_t backtrack = 0;; ++backtrack, t *= 0.5) {
+      if (backtrack > max_backtracks) return stats;
+      for (std::size_t m = 0; m < count; ++m)
+        ws.trial[m] = prices[m] + t * ws.move[m];
+      // A step already below the tolerance only measures the next defect;
+      // max|F| sits at its rounding floor there, so it skips the test.
+      if (evaluate(ws.trial) &&
+          (longest <= step_tol || merit(ws) <= (1.0 - armijo * t) * phi))
+        break;
+    }
+    prices.swap(ws.trial);
+    ++stats.iterations;
+    holding = false;
+  }
+  stats.converged = !holding;
+  return stats;
+}
+
+/// Dampened simultaneous best response from `result.prices` (DESIGN.md §12);
+/// adds its sweeps and objective calls to the counters already in `result`.
+void dampened_best_response(const multi_msp_market& market,
+                            const price_competition_options& options,
+                            multi_msp_equilibrium& result) {
   const auto& params = market.params();
   const std::size_t msps = market.msp_count();
-
-  multi_msp_equilibrium result;
-  result.prices.resize(msps);
-  if (options.warm_start.empty()) {
-    // Cold start from each MSP's cap midpoint (any interior point works);
-    // this is the bitwise-stable path for the first clearing of a run.
-    for (std::size_t m = 0; m < msps; ++m)
-      result.prices[m] =
-          0.5 * (params.msps[m].unit_cost + params.msps[m].price_cap);
-  } else {
-    result.warm_started = true;
-    for (std::size_t m = 0; m < msps; ++m)
-      result.prices[m] = std::clamp(options.warm_start[m],
-                                    params.msps[m].unit_cost,
-                                    params.msps[m].price_cap);
-  }
-
   // Dampened simultaneous best response: every sweep computes all BR_m at
   // the current vector, then relaxes p ← p + θ(BR(p) − p). The residual
   // max_m |BR_m − p_m| is the fixed-point defect; its ratio across sweeps is
@@ -443,8 +779,6 @@ multi_msp_equilibrium solve_price_competition(
   // rule restores the full-range search whenever the bracket goes stale.
   constexpr double stall_ratio = 0.95;
   constexpr double theta_min = 1.0 / 64.0;
-  constexpr double inner_cap = 1e-3;
-  constexpr double inner_floor = 1e-9;
   double theta = options.damping;
   double prev_residual = std::numeric_limits<double>::infinity();
   double ratio = 0.0;
@@ -462,7 +796,7 @@ multi_msp_equilibrium solve_price_competition(
     for (std::size_t m = 0; m < msps; ++m) {
       center[m] = result.prices[m];
       halfwidth[m] = (params.msps[m].price_cap - params.msps[m].unit_cost) /
-                     static_cast<double>(47);
+                     warm_bracket_cells;
     }
   }
 
@@ -555,14 +889,96 @@ multi_msp_equilibrium solve_price_competition(
   }
 
   result.damping = theta;
-  result.contraction_ratio = ratio;
-  if (result.converged && ratio < 1.0) {
-    result.certified = true;
-    result.error_bound =
-        ratio > 0.0 ? (ratio / (1.0 - ratio)) * result.residual : 0.0;
+  certify(result, ratio);
+}
+
+}  // namespace
+
+multi_msp_equilibrium solve_price_competition(
+    const multi_msp_market& market, const price_competition_options& options) {
+  VTM_EXPECTS(options.tol > 0.0);
+  VTM_EXPECTS(options.damping > 0.0 && options.damping <= 1.0);
+  VTM_EXPECTS(options.warm_start.empty() ||
+              options.warm_start.size() == market.msp_count());
+  VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
+              options.pinned < market.msp_count());
+  const auto& params = market.params();
+  const std::size_t msps = market.msp_count();
+
+  multi_msp_equilibrium result;
+  result.prices.resize(msps);
+  if (options.warm_start.empty()) {
+    // Cold start from each MSP's cap midpoint (any interior point works);
+    // this is the bitwise-stable path for the first clearing of a run.
+    for (std::size_t m = 0; m < msps; ++m)
+      result.prices[m] =
+          0.5 * (params.msps[m].unit_cost + params.msps[m].price_cap);
   } else {
-    result.error_bound = std::numeric_limits<double>::infinity();
+    result.warm_started = true;
+    for (std::size_t m = 0; m < msps; ++m)
+      result.prices[m] = std::clamp(options.warm_start[m],
+                                    params.msps[m].unit_cost,
+                                    params.msps[m].price_cap);
   }
+
+  // Newton stage: a warm start sits next to the new fixed point, where
+  // Newton converges quadratically. Cold starts and M = 1 stay on the
+  // dampened loop, and so does a warm start that already holds every free
+  // seller at its price cap; so these solves stay bitwise the loop's.
+  if (result.warm_started && msps >= 2) {
+    newton_workspace ws(msps);
+    std::vector<double> prices(result.prices);
+    const auto stats =
+        newton_prices(market, options.pinned, options.tol, prices, ws);
+    result.objective_evals += stats.evaluations;
+    if (stats.converged) {
+      // Verification sweep. First the edges of the bracket the dampened
+      // loop's first warm sweep searches, (p_max − C)/47 around each Newton
+      // price: a profit still rising past the right edge, or already falling
+      // at the left one, means another local maximum lies beyond, which that
+      // sweep would chase, so Newton's local answer is not trusted. Then
+      // every free seller's best response, searched in a tight bracket
+      // around its Newton price, must sit within tol of it.
+      const double inner =
+          std::clamp(0.01 * options.tol, inner_floor, inner_cap);
+      const auto slope_at = [&](std::size_t m, double price) {
+        ++result.objective_evals;
+        return profit_slope(market, prices, m, price, ws);
+      };
+      std::vector<double> response(prices);
+      double defect = 0.0;
+      for (std::size_t m = 0; m < msps && defect <= options.tol; ++m) {
+        if (m == options.pinned) continue;
+        const double lo = params.msps[m].unit_cost;
+        const double hi = params.msps[m].price_cap;
+        const double reach = (hi - lo) / warm_bracket_cells;
+        if ((prices[m] - reach > lo && slope_at(m, prices[m] - reach) < 0.0) ||
+            (prices[m] + reach < hi && slope_at(m, prices[m] + reach) > 0.0)) {
+          defect = std::numeric_limits<double>::infinity();
+          break;
+        }
+        const auto br = market.best_response_local(m, prices, prices[m],
+                                                   16.0 * inner, inner);
+        response[m] = br.price;
+        result.objective_evals += br.evaluations;
+        defect = std::max(defect, std::abs(br.price - prices[m]));
+      }
+      ++result.iterations;
+      if (defect <= options.tol) {
+        result.prices = response;
+        result.converged = true;
+        result.residual = defect;
+        result.damping = options.damping;
+        result.newton_iterations = stats.iterations;
+        certify(result, stats.prev_step > 0.0
+                            ? stats.last_step / stats.prev_step
+                            : 0.0);
+      }
+    }
+  }
+  // Fallback (and the only path for cold starts): the dampened loop from
+  // the original warm start, as if Newton had not been tried.
+  if (!result.converged) dampened_best_response(market, options, result);
 
   // Equilibrium summary: one softmin pass, then the per-VMU demand loop at
   // the effective price — the same arithmetic `msp_sales`/`msp_utilities`/
@@ -596,7 +1012,6 @@ multi_msp_equilibrium solve_price_competition(
   }
   return result;
 }
-
 multi_msp_equilibrium solve_price_competition(const multi_msp_market& market,
                                               double tol,
                                               std::size_t max_sweeps) {

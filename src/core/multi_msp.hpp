@@ -21,7 +21,9 @@
 // threshold-sorted order; `total_demand(p_eff)` is then an O(log N) lookup
 // and the best-response objective costs one `exp` per candidate price. The
 // equilibrium solver is a dampened simultaneous best-response iteration with
-// an Aitken-style contraction-ratio certificate and warm-start support.
+// an Aitken-style contraction-ratio certificate; a warm-started solve first
+// tries an active-set Newton solve of the sellers' first-order conditions,
+// verified by one best-response sweep.
 #pragma once
 
 #include <cstddef>
@@ -131,6 +133,17 @@ class multi_msp_market {
   [[nodiscard]] double best_response_price(
       std::size_t m, std::span<const double> prices) const;
 
+  /// Demand curve value and slope at an effective price: D = A_i/p̄ − K_i
+  /// and D' = −A_i/p̄² over the active suffix i (one shared lookup); both
+  /// zero where no buyer is active. The value is bitwise `total_demand`;
+  /// the slope feeds the closed-form profit derivative of the local
+  /// best-response search and the Jacobian of the Newton clearing.
+  struct demand_point {
+    double demand = 0.0;
+    double slope = 0.0;
+  };
+  [[nodiscard]] demand_point demand_at(double p_eff) const;
+
   /// Slow-path oracle: the original O(N·M)-per-evaluation objective (full
   /// softmin re-normalization, per-VMU demand loop in roster order) under
   /// the original grid + golden-section search. Bitwise-identical to the
@@ -164,16 +177,6 @@ class multi_msp_market {
   [[nodiscard]] rival_cache cache_rivals(std::size_t m,
                                          std::span<const double> prices) const;
 
-  /// Demand curve value and slope at an effective price: D = A_i/p̄ − K_i
-  /// and D' = −A_i/p̄² over the active suffix i (one shared lookup). The
-  /// value is bitwise `total_demand`; the slope feeds the closed-form profit
-  /// derivative of the local best-response search.
-  struct demand_point {
-    double demand = 0.0;
-    double slope = 0.0;
-  };
-  [[nodiscard]] demand_point demand_at(double p_eff) const;
-
   multi_msp_params params_;
   wireless::link_budget link_;
   // Demand curve: VMUs sorted ascending by activation threshold α_n/κ_n,
@@ -195,16 +198,26 @@ struct multi_msp_equilibrium {
   double effective_price = 0.0;       ///< Share-weighted price seen by VMUs.
   double total_demand = 0.0;          ///< Σ over MSPs of sales.
   double total_vmu_utility = 0.0;     ///< Σ_n U_n at the effective price.
+  /// Best-response sweeps; the Newton stage's verification sweep counts as
+  /// one, whether or not the fallback loop then runs.
   std::size_t iterations = 0;
+  /// Newton iterations of the solve that answered; 0 when the dampened
+  /// best-response loop answered (cold starts, M = 1, fallbacks).
+  std::size_t newton_iterations = 0;
   bool converged = false;
   // Convergence certificate (DESIGN.md §12).
   double residual = 0.0;           ///< Final max_m |BR_m(p) − p_m|.
-  double contraction_ratio = 0.0;  ///< Last observed q = r_k / r_{k−1}.
+  /// Last observed q = r_k / r_{k−1}: of the best-response defects, or of
+  /// the last two Newton step norms when Newton answered.
+  double contraction_ratio = 0.0;
   double error_bound = 0.0;        ///< q/(1−q)·residual; +inf if q >= 1.
   double damping = 1.0;            ///< Final relaxation factor θ.
   bool certified = false;          ///< converged && q < 1.
   bool warm_started = false;       ///< Initialized from a warm-start vector.
-  std::size_t objective_evals = 0; ///< Total best-response objective calls.
+  /// Best-response objective calls (the verification sweep's bracket-edge
+  /// probes included), plus one per free seller for every
+  /// residual-and-Jacobian evaluation of the Newton stage.
+  std::size_t objective_evals = 0;
 };
 
 /// Tuning knobs for `solve_price_competition`.
@@ -227,7 +240,12 @@ struct price_competition_options {
 /// Dampened simultaneous best-response iteration with a contraction-ratio
 /// certificate: p ← p + θ(BR(p) − p), θ bisected on stall. Converges
 /// deterministically for smoothed shares, including sharp-λ/binding-cap
-/// configs that cycle under pure Gauss–Seidel. Requires tol > 0.
+/// configs that cycle under pure Gauss–Seidel. A warm-started solve with
+/// M >= 2 first runs an active-set Newton solve of the free sellers'
+/// first-order conditions and accepts it only if one best-response sweep
+/// around its prices measures a defect <= tol; otherwise the dampened loop
+/// runs from the warm start as if Newton had not been tried (DESIGN.md
+/// §12). Requires tol > 0.
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market, const price_competition_options& options);
 

@@ -141,7 +141,7 @@ class trace_span {
   void finish();
 
  private:
-  static constexpr std::uint32_t kMaxArgs = 8;
+  static constexpr std::uint32_t kMaxArgs = 9;
 
   trace_lane* lane_ = nullptr;
   const char* name_ = nullptr;

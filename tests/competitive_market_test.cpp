@@ -109,6 +109,18 @@ core::fleet_config three_msp_fleet() {
   return config;
 }
 
+/// The same fleet under the closed_oligopoly roster: price caps of 50 and
+/// 50 MHz pools, so clearings settle at interior and rationing-kink prices
+/// instead of the cap.
+core::fleet_config interior_three_msp_fleet() {
+  core::fleet_config config = three_msp_fleet();
+  for (auto& msp : config.msps) {
+    msp.price_cap = 50.0;
+    msp.bandwidth_per_pool_mhz = vtm::util::megahertz{50.0};
+  }
+  return config;
+}
+
 void expect_fleet_identical(const core::fleet_result& a,
                             const core::fleet_result& b) {
   EXPECT_EQ(a.handovers, b.handovers);
@@ -494,6 +506,27 @@ TEST(competitive_market, fleet_three_msp_counts_are_pinned) {
   EXPECT_EQ(r.solver_sweeps, 627u);
   EXPECT_EQ(r.objective_evals, 4917u);
   EXPECT_EQ(r.warm_started_clearings, 613u);
+}
+
+// Counts of the three-seller run whose clearings price below the cap, so
+// warm solves go through the Newton stage's interior and kink rows. The
+// market counts are the dampened solver's; the effort bounds hold only when
+// Newton prices the warm clearings (the dampened loop alone spends ~437
+// evaluations and ~12 sweeps per clearing here).
+TEST(competitive_market, fleet_interior_three_msp_counts_are_pinned) {
+  const auto config = interior_three_msp_fleet();
+  const auto r = core::run_fleet_scenario(config);
+  expect_fleet_conserved(config, r);
+  EXPECT_EQ(r.handovers, 844u);
+  EXPECT_EQ(r.completed, 844u);
+  EXPECT_EQ(r.deferred, 0u);
+  EXPECT_EQ(r.priced_out, 0u);
+  EXPECT_EQ(r.clearings, 621u);
+  EXPECT_EQ(r.max_cohort, 5u);
+  EXPECT_EQ(r.warm_started_clearings, 614u);
+  EXPECT_EQ(r.unconverged_clearings, 0u);
+  EXPECT_LT(r.objective_evals, 60 * r.clearings);
+  EXPECT_LE(10 * r.solver_sweeps, 12 * r.clearings);
 }
 
 // An asymmetric duopoly: the cheaper seller wins share and profit.

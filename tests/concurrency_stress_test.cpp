@@ -30,6 +30,12 @@ std::uint64_t churn(std::uint64_t seed, std::uint64_t rounds) {
   return h;
 }
 
+/// One lane's private accumulator, padded to its own 64-byte cache line so
+/// lanes neither race on nor false-share it.
+struct alignas(64) lane_sink {
+  std::uint64_t value = 0;
+};
+
 }  // namespace
 
 // More lanes than workers, uneven per-lane work, and cross-lane reads of
@@ -51,6 +57,9 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
         2, std::vector<std::size_t>(lanes, 0));
     std::size_t epoch = 0;  // written by the barrier, read by every lane
     std::atomic<int> violations{0};
+    // Each lane only ever touches its own sink; they are summed after the
+    // run, once run_phased has joined every lane.
+    std::vector<lane_sink> sinks(lanes);
 
     pool.run_phased(
         lanes,
@@ -63,7 +72,8 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
           if (phase > 0 &&
               published[(phase - 1) % 2][rival] != (phase - 1) * lanes + rival)
             ++violations;
-          sink += churn(lane * 977 + phase, (lane * 31 + phase * 7) % 997);
+          sinks[lane].value +=
+              churn(lane * 977 + phase, (lane * 31 + phase * 7) % 997);
           published[phase % 2][lane] = phase * lanes + lane;
         },
         [&](std::size_t phase) {
@@ -75,6 +85,7 @@ TEST(concurrency_stress, run_phased_orders_nonatomic_cross_lane_state) {
           return phase + 1 < phases;
         });
 
+    for (const auto& lane_total : sinks) sink += lane_total.value;
     EXPECT_EQ(violations.load(), 0) << "threads=" << threads;
     EXPECT_EQ(epoch, phases);
   }

@@ -232,6 +232,78 @@ TEST(multi_msp_property, warm_start_reaches_the_cold_equilibrium) {
   }
 }
 
+// Differential test of the Newton stage (DESIGN.md §12). Warm starts sit
+// ±5% off the cold fixed point, which only the dampened loop computes, over
+// 2–6 sellers, sharpness up to λ = 4, and capacities small enough that
+// rationing kinks bind; every third trial pins one seat (the learned-seat
+// solve) at its cold price, so the rivals' fixed point is the cold one too.
+// Whenever Newton answers, it must land on the cold prices within the
+// solver's accuracy and on the reference oracle's best responses, and it
+// must answer nearly every trial itself rather than pass through the
+// fallback.
+TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
+  vtm::util::rng gen(20261017);
+  int warm_trials = 0;
+  int newton_answered = 0;
+  int pinned_answered = 0;
+  int kinks_bound = 0;
+  int interiors = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto msps = static_cast<std::size_t>(gen.uniform_int(2, 6));
+    const auto params = draw_params(gen, msps);
+    const core::multi_msp_market market(params);
+    const auto cold = core::solve_price_competition(market, 1e-7, 200);
+    if (!cold.converged) continue;
+    EXPECT_EQ(cold.newton_iterations, 0u);  // cold starts stay on the loop
+
+    core::price_competition_options options;
+    options.tol = 1e-7;
+    if (trial % 3 == 0)
+      options.pinned = static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<int>(msps) - 1));
+    std::vector<double> warm(cold.prices);
+    for (std::size_t m = 0; m < msps; ++m)
+      if (m != options.pinned) warm[m] *= gen.uniform(0.95, 1.05);
+    options.warm_start = warm;
+    const auto eq = core::solve_price_competition(market, options);
+    ++warm_trials;
+    if (eq.newton_iterations == 0) continue;  // the dampened loop answered
+    ++newton_answered;
+    if (options.pinned != core::price_competition_options::no_pin)
+      ++pinned_answered;
+
+    EXPECT_TRUE(eq.converged);
+    EXPECT_LE(eq.residual, 1e-7);
+    if (eq.certified) {
+      EXPECT_LT(eq.contraction_ratio, 1.0);
+      EXPECT_TRUE(std::isfinite(eq.error_bound));
+      EXPECT_GE(eq.error_bound, 0.0);
+    }
+    bool kinked = false;
+    bool interior = false;
+    for (std::size_t m = 0; m < msps; ++m) {
+      EXPECT_NEAR(eq.prices[m], cold.prices[m], 1e-5)
+          << "trial " << trial << " seller " << m;
+      if (m == options.pinned) continue;
+      EXPECT_NEAR(market.best_response_price_reference(m, eq.prices),
+                  eq.prices[m], 5e-6)
+          << "trial " << trial << " seller " << m;
+      const bool rationed =
+          eq.sales[m] >= params.msps[m].bandwidth_cap_mhz * (1.0 - 1e-6);
+      kinked = kinked || rationed;
+      interior = interior ||
+                 (!rationed && eq.prices[m] < params.msps[m].price_cap);
+    }
+    if (kinked) ++kinks_bound;
+    if (interior) ++interiors;
+  }
+  EXPECT_GT(warm_trials, 250);
+  EXPECT_GE(newton_answered, 0.9 * warm_trials);
+  EXPECT_GT(pinned_answered, 50);
+  EXPECT_GT(kinks_bound, 50);  // both kinds of rows are exercised
+  EXPECT_GT(interiors, 5);
+}
+
 // Certificate soundness: converged means the measured defect is within tol,
 // certified means the contraction ratio is < 1 with a finite error bound —
 // and the claimed fixed point must sit on the *reference* best responses.
