@@ -82,14 +82,15 @@ competitive_outcome competitive_market::clear(
   for (const double mhz : available_mhz) VTM_EXPECTS(mhz >= 0.0);
 
   if (monopoly_) {
-    clearing_outcome mono = monopoly_->clear(available_mhz.front());
+    // Copied out of the monopoly book's reused outcome.
+    const clearing_outcome& mono = monopoly_->clear(available_mhz.front());
     competitive_outcome outcome;
     outcome.deferred = mono.deferred;
     outcome.markets_cleared = mono.markets_cleared;
     if (mono.markets_cleared > 0) outcome.prices = {mono.price};
-    outcome.priced_out = std::move(mono.priced_out);
+    outcome.priced_out = mono.priced_out;
     outcome.grants.reserve(mono.grants.size());
-    for (auto& grant : mono.grants) {
+    for (const auto& grant : mono.grants) {
       competitive_grant converted;
       converted.bandwidth_mhz = grant.bandwidth_mhz;
       converted.price = grant.price;
@@ -98,7 +99,7 @@ competitive_outcome competitive_market::clear(
       converted.cohort = grant.cohort;
       converted.slices = {
           {0, grant.bandwidth_mhz, grant.price, grant.msp_utility}};
-      converted.request = std::move(grant.request);
+      converted.request = grant.request;
       outcome.grants.push_back(std::move(converted));
     }
     return outcome;

@@ -65,66 +65,82 @@ equilibrium evaluate_at_price(const migration_market& market, double price) {
   return finalize(market, price, regime);
 }
 
-equilibrium solve_equilibrium(const migration_market& market) {
-  const auto& p = market.params();
-  const std::size_t n_vmus = market.vmu_count();
-
-  std::vector<bool> active(n_vmus, true);
-  double price = p.unit_cost;
+priced_regime solve_price(std::span<const follower_terms> followers,
+                          double cap_mhz, double unit_cost,
+                          double price_cap) {
+  double price = unit_cost;
   equilibrium_regime regime = equilibrium_regime::cost_floor;
 
-  // Active-set fixed point: at most one VMU drops per iteration.
-  for (std::size_t iter = 0; iter <= n_vmus + 1; ++iter) {
+  // Active-set fixed point: at most one VMU drops per iteration. The active
+  // set is everyone on the first pass, then the followers buying at the
+  // previous candidate price — re-derived from it, so nothing is stored.
+  bool first = true;
+  double previous = 0.0;
+  const auto active = [&](const follower_terms& follower) {
+    return first || best_response(follower, previous) > 0.0;
+  };
+  for (std::size_t iter = 0; iter <= followers.size() + 1; ++iter) {
     double sum_alpha = 0.0;
     double sum_kappa = 0.0;
     std::size_t active_count = 0;
-    for (std::size_t n = 0; n < n_vmus; ++n) {
-      if (!active[n]) continue;
-      sum_alpha += p.vmus[n].alpha;
-      sum_kappa += market.kappa(n);
+    for (const auto& follower : followers) {
+      if (!active(follower)) continue;
+      sum_alpha += follower.alpha;
+      sum_kappa += follower.kappa;
       ++active_count;
     }
     if (active_count == 0) {
-      price = p.unit_cost;
+      price = unit_cost;
       regime = equilibrium_regime::cost_floor;
       break;
     }
 
     // Interior FOC root: p* = sqrt(C · Σα / Σκ)  (Theorem 2).
-    price = std::sqrt(p.unit_cost * sum_alpha / sum_kappa);
+    price = std::sqrt(unit_cost * sum_alpha / sum_kappa);
     regime = equilibrium_regime::interior;
+    VTM_ASSERT(price > 0.0);
 
     // Capacity: if aggregate demand exceeds B_max, lift the price to the
     // market-clearing level Σ_{active}(α/p − κ) = B_max.
     double total = 0.0;
-    for (std::size_t n = 0; n < n_vmus; ++n)
-      total += market.best_response(n, price);
-    if (total > p.bandwidth_cap_mhz.value() + 1e-12) {
-      price = sum_alpha / (p.bandwidth_cap_mhz.value() + sum_kappa);
+    for (const auto& follower : followers)
+      total += best_response(follower, price);
+    if (total > cap_mhz + 1e-12) {
+      price = sum_alpha / (cap_mhz + sum_kappa);
       regime = equilibrium_regime::capacity_bound;
     }
 
     // Price box.
-    if (price > p.price_cap) {
-      price = p.price_cap;
+    if (price > price_cap) {
+      price = price_cap;
       regime = equilibrium_regime::price_capped;
-    } else if (price < p.unit_cost) {
-      price = p.unit_cost;
+    } else if (price < unit_cost) {
+      price = unit_cost;
       regime = equilibrium_regime::cost_floor;
     }
+    VTM_ASSERT(price > 0.0);
 
     // Recompute the active set at the candidate price.
-    std::vector<bool> next(n_vmus);
     bool changed = false;
-    for (std::size_t n = 0; n < n_vmus; ++n) {
-      next[n] = market.best_response(n, price) > 0.0;
-      changed = changed || (next[n] != active[n]);
+    for (const auto& follower : followers) {
+      if ((best_response(follower, price) > 0.0) != active(follower)) {
+        changed = true;
+        break;
+      }
     }
     if (!changed) break;
-    active = std::move(next);
+    first = false;
+    previous = price;
   }
+  return {price, regime};
+}
 
-  return finalize(market, price, regime);
+equilibrium solve_equilibrium(const migration_market& market) {
+  const auto& p = market.params();
+  const priced_regime solved =
+      solve_price(market.followers(), p.bandwidth_cap_mhz.value(),
+                  p.unit_cost, p.price_cap);
+  return finalize(market, solved.price, solved.regime);
 }
 
 equilibrium solve_equilibrium_numeric(const migration_market& market,

@@ -13,6 +13,7 @@
 // no-profitable-deviation property of Definition 1.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/market.hpp"
@@ -41,6 +42,20 @@ struct equilibrium {
   std::vector<double> aotm;             ///< Per-VMU AoTM at the equilibrium.
   equilibrium_regime regime = equilibrium_regime::interior;
 };
+
+/// Price and regime of a closed-form solve.
+struct priced_regime {
+  double price = 0.0;
+  equilibrium_regime regime = equilibrium_regime::cost_floor;
+};
+
+/// The closed-form active-set price solve over the followers' (α_n, κ_n)
+/// against `cap_mhz` of capacity, with the price box [C, p_max]. Allocation-
+/// free: the spot market prices its book with it in place, and
+/// `solve_equilibrium` runs the same solve over `market.followers()`.
+[[nodiscard]] priced_regime solve_price(
+    std::span<const follower_terms> followers, double cap_mhz,
+    double unit_cost, double price_cap);
 
 /// Closed-form solve with active-set iteration (exact for this model).
 [[nodiscard]] equilibrium solve_equilibrium(const migration_market& market);

@@ -171,19 +171,31 @@ void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.pricing == pricing_backend::oracle ||
               config.pricer != nullptr);
   VTM_EXPECTS(config.vehicle_count >= 1);
-  VTM_EXPECTS(config.duration_s > util::seconds{0.0});
+  // Every bound, capacity and price below must be finite: an infinite α,
+  // speed or pool passes the ordering checks and then poisons the clearing
+  // in the middle of the run (the in-place clearing re-checks no cohort).
+  // A finite upper bound also makes its lower bound finite.
+  VTM_EXPECTS(std::isfinite(config.duration_s.value()) &&
+              config.duration_s > util::seconds{0.0});
   // Speeds must be strictly positive: each pool prices its *upstream* RSU
   // gap, so backward traffic (which `rsu_chain::next_handover` itself can
   // model) would clear over the wrong link. Rejected by design; see the
   // (from, to)-gap handling in `shard_engine::start_migration` for how
   // non-adjacent forward hops are priced.
   VTM_EXPECTS(config.min_speed_mps > util::mps{0.0});
-  VTM_EXPECTS(config.max_speed_mps >= config.min_speed_mps);
+  VTM_EXPECTS(std::isfinite(config.max_speed_mps.value()) &&
+              config.max_speed_mps >= config.min_speed_mps);
   VTM_EXPECTS(config.min_data_mb > util::megabytes{0.0});
-  VTM_EXPECTS(config.max_data_mb >= config.min_data_mb);
+  VTM_EXPECTS(std::isfinite(config.max_data_mb.value()) &&
+              config.max_data_mb >= config.min_data_mb);
   VTM_EXPECTS(config.min_alpha > 0.0);
-  VTM_EXPECTS(config.max_alpha >= config.min_alpha);
-  VTM_EXPECTS(config.bandwidth_per_pool_mhz > util::megahertz{0.0});
+  VTM_EXPECTS(std::isfinite(config.max_alpha) &&
+              config.max_alpha >= config.min_alpha);
+  VTM_EXPECTS(std::isfinite(config.bandwidth_per_pool_mhz.value()) &&
+              config.bandwidth_per_pool_mhz > util::megahertz{0.0});
+  VTM_EXPECTS(config.unit_cost > 0.0);
+  VTM_EXPECTS(std::isfinite(config.price_cap) &&
+              config.price_cap >= config.unit_cost);
   VTM_EXPECTS(config.clearing_epoch_s >= util::seconds{0.0});
   VTM_EXPECTS(config.min_clearable_mhz > util::megahertz{0.0});
   // Both spawn bounds explicit (>= 0, the "< 0 means auto" sentinel) must
@@ -243,8 +255,10 @@ void validate_fleet_config(const fleet_config& config) {
   for (const auto& msp : msps) {
     VTM_EXPECTS(std::isfinite(msp.chain_offset_m.value()));
     VTM_EXPECTS(msp.unit_cost > 0.0);
-    VTM_EXPECTS(msp.price_cap >= msp.unit_cost);
-    VTM_EXPECTS(msp.bandwidth_per_pool_mhz > util::megahertz{0.0});
+    VTM_EXPECTS(std::isfinite(msp.price_cap) &&
+                msp.price_cap >= msp.unit_cost);
+    VTM_EXPECTS(std::isfinite(msp.bandwidth_per_pool_mhz.value()) &&
+                msp.bandwidth_per_pool_mhz > util::megahertz{0.0});
   }
   if (config.learned_msp != no_learned_msp) {
     // The learned seller seat needs rivals to price against and a pricer
@@ -608,7 +622,7 @@ void shard_engine::run_clearing(std::size_t pidx) {
   if (tele_.metrics != nullptr && !book.empty())
     tele_.metrics->observe(tele_.ids->cohort,
                            static_cast<double>(book.size()));
-  auto outcome = markets_[pidx].clear(available);
+  const auto& outcome = markets_[pidx].clear(available);
   counters_.deferred += outcome.deferred;
   if (outcome.markets_cleared > 0) {
     ++counters_.clearings;
@@ -1224,9 +1238,8 @@ void shard_coordinator::spawn_vehicles() {
     auto& slot = vehicles_[v];
     draw_spawn(slot);
     slot.id = v;
-    slot.twin = std::make_unique<sim::vehicular_twin>(
-        sim::vehicular_twin::with_total_mb(v, slot.profile.data_mb,
-                                           config_.page_mb.value()));
+    slot.twin.emplace(sim::vehicular_twin::with_total_mb(
+        v, slot.profile.data_mb, config_.page_mb.value()));
     const std::size_t serving =
         slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
                    : chain_.serving_rsu(slot.kinematics.position_m);
@@ -1390,9 +1403,8 @@ void shard_coordinator::inject_arrivals(double upto) {
       slot.id = arrivals_++;
       slot.position_at = at;
       slot.exited = false;
-      slot.twin = std::make_unique<sim::vehicular_twin>(
-          sim::vehicular_twin::with_total_mb(slot.id, slot.profile.data_mb,
-                                             config_.page_mb.value()));
+      slot.twin.emplace(sim::vehicular_twin::with_total_mb(
+          slot.id, slot.profile.data_mb, config_.page_mb.value()));
       const std::size_t serving =
           slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
                      : chain_.serving_rsu(slot.kinematics.position_m);

@@ -46,9 +46,12 @@
 // dispatches. A completion event carries only an index into the shard's
 // in-flight slab, which holds the migration's grants, seller slices, and
 // record until it lands; slab slots recycle through a free list. The heap,
-// the slab, and the pools' grant slots grow on first use and are then reused,
-// so a steady-state window schedules and completes migrations without
-// allocating. A completion is scheduled at exactly `now() + total_time_s`.
+// the slab, the pools' grant slots and the spot books' clearing scratch grow
+// on first use and are then reused, and twins live in their vehicle slots,
+// so a steady-state window admits, clears, migrates and completes without
+// allocating; only flushes and the oligopoly and learned clearings do
+// (tests/alloc_guard_test.cpp). A completion is scheduled at exactly
+// `now() + total_time_s`.
 //
 // `shard_engine` is an engine-internal component driven by the coordinator;
 // it is exposed here (rather than hidden in a TU) so white-box tests and
@@ -58,6 +61,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -112,7 +116,9 @@ void validate_streaming_config(const streaming_config& config);
 struct vehicle_slot {
   sim::vehicle_state kinematics;
   vmu_profile profile;
-  std::unique_ptr<sim::vehicular_twin> twin;
+  /// The vehicle's twin, held in the slot (empty once retired), so a
+  /// recycled slot admits an arrival without allocating.
+  std::optional<sim::vehicular_twin> twin;
   double position_at = 0.0;  ///< Simulation time of `kinematics.position_m`.
   /// Route the vehicle travels in graph mode (coordinator-owned; null on the
   /// legacy chain path). Positions are the route's arc coordinate.

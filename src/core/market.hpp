@@ -26,6 +26,37 @@ struct vmu_profile {
   double data_mb = 100.0; ///< D_n — migrated twin footprint in MB.
 };
 
+/// One follower's terms in the closed-form solve: α_n and κ_n = D_n / R, the
+/// transfer time per unit bandwidth over the market's link.
+struct follower_terms {
+  double alpha = 0.0;
+  double kappa = 0.0;
+};
+
+/// Terms of `vmu` over a link of spectral efficiency R.
+[[nodiscard]] inline follower_terms make_follower(
+    const vmu_profile& vmu, double spectral_efficiency) noexcept {
+  return {vmu.alpha, vmu.data_mb / spectral_efficiency};
+}
+
+/// Interior best response b*_n(p) = α_n/p − κ_n clamped at 0 (eq. 8).
+[[nodiscard]] inline double best_response(const follower_terms& follower,
+                                          double price) noexcept {
+  const double interior = follower.alpha / price - follower.kappa;
+  return interior > 0.0 ? interior : 0.0;
+}
+
+/// Demands at price p after proportional rationing to `cap_mhz`, written to
+/// `out` (one entry per follower). Allocation-free. Requires p > 0.
+void ration_demands(std::span<const follower_terms> followers, double price,
+                    double cap_mhz, std::span<double> out);
+
+/// U_n(b; p) = α ln(1 + b·R / D) − p·b of `vmu` over a link of spectral
+/// efficiency R; zero bandwidth gives 0. Requires b >= 0.
+[[nodiscard]] double vmu_utility(const vmu_profile& vmu,
+                                 double spectral_efficiency,
+                                 double bandwidth_mhz, double price);
+
 /// Complete market description.
 struct market_params {
   std::vector<vmu_profile> vmus;       ///< The N followers.
@@ -52,6 +83,11 @@ class migration_market {
   /// R = log2(1 + SNR) of the inter-RSU link.
   [[nodiscard]] double spectral_efficiency() const noexcept {
     return link_.spectral_efficiency();
+  }
+
+  /// Every follower's (α_n, κ_n), in VMU order.
+  [[nodiscard]] std::span<const follower_terms> followers() const noexcept {
+    return followers_;
   }
 
   /// κ_n = D_n / R — VMU n's transfer-time per unit bandwidth.
@@ -90,6 +126,7 @@ class migration_market {
  private:
   market_params params_;
   wireless::link_budget link_;
+  std::vector<follower_terms> followers_;
 };
 
 }  // namespace vtm::core

@@ -87,11 +87,6 @@ std::vector<double> competitive_features(const cohort_observation& obs) {
   return f;
 }
 
-equilibrium oracle_policy::price_cohort(const migration_market& market,
-                                        const cohort_observation& /*obs*/) {
-  return solve_equilibrium(market);
-}
-
 double squashed_price(double raw_action, double unit_cost, double price_cap) {
   constexpr double headroom = 1.15;
   const double squashed = std::tanh(raw_action);

@@ -3,11 +3,11 @@
 // Every clearing of `core::spot_market` needs one number — the unit price
 // posted to the cohort — and the rest of the outcome (rationed demands,
 // utilities) follows from the followers' best responses through the market.
-// This module abstracts where that price comes from:
+// The default is the analytic Stackelberg oracle over the full follower
+// profiles, which the spot market runs in place when no policy is attached
+// (the null policy; bitwise `solve_equilibrium`). This module is the
+// interface for the alternatives:
 //
-//   - `oracle_policy`  — the analytic Stackelberg solve over the full
-//     follower profiles (`solve_equilibrium`); the default, and bitwise
-//     identical to the pre-backend engine.
 //   - `learned_policy` — a trained `rl::actor_critic` pricing the cohort
 //     from a *partial-information* observation (cohort size, remaining pool
 //     MHz, α/κ summary statistics) without ever seeing individual profiles;
@@ -99,9 +99,9 @@ inline constexpr std::size_t competitive_feature_dim = cohort_feature_dim + 3;
 [[nodiscard]] double squashed_price(double raw_action, double unit_cost,
                                     double price_cap);
 
-/// Interface every clearing backend implements: given the cohort market and
-/// its partial-information summary, produce the full clearing equilibrium
-/// (price plus the followers' market response at that price).
+/// Interface every non-oracle clearing backend implements: given the cohort
+/// market and its partial-information summary, produce the full clearing
+/// equilibrium (price plus the followers' market response at that price).
 class pricing_policy {
  public:
   virtual ~pricing_policy() = default;
@@ -112,14 +112,6 @@ class pricing_policy {
   /// Price one clearing cohort.
   [[nodiscard]] virtual equilibrium price_cohort(
       const migration_market& market, const cohort_observation& obs) = 0;
-};
-
-/// The analytic Stackelberg oracle — full-information `solve_equilibrium`.
-class oracle_policy final : public pricing_policy {
- public:
-  [[nodiscard]] const char* name() const noexcept override { return "oracle"; }
-  [[nodiscard]] equilibrium price_cohort(
-      const migration_market& market, const cohort_observation& obs) override;
 };
 
 /// Architecture and price box of a learned pricer (must match training).

@@ -9,11 +9,10 @@
 namespace vtm::core {
 
 spot_market::spot_market(spot_market_config config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), budget_(config_.link) {
   VTM_EXPECTS(config_.unit_cost > 0.0);
   VTM_EXPECTS(config_.price_cap >= config_.unit_cost);
   VTM_EXPECTS(config_.min_clearable_mhz > util::megahertz{0.0});
-  if (!config_.policy) config_.policy = std::make_shared<oracle_policy>();
 }
 
 void spot_market::submit(clearing_request request) {
@@ -22,33 +21,72 @@ void spot_market::submit(clearing_request request) {
   pending_.push_back(std::move(request));
 }
 
-clearing_outcome spot_market::clear(double available_mhz) {
+const clearing_outcome& spot_market::clear(double available_mhz) {
   VTM_EXPECTS(available_mhz >= 0.0);
-  if (pending_.empty()) return {};
+  outcome_.grants.clear();
+  outcome_.priced_out.clear();
+  outcome_.deferred = 0;
+  outcome_.markets_cleared = 0;
+  outcome_.price = 0.0;
+  if (pending_.empty()) return outcome_;
   util::trace_span span(config_.trace, "market.clear");
   span.arg("cohort", static_cast<double>(pending_.size()));
   span.arg("available_mhz", available_mhz);
-  clearing_outcome outcome;
   if (available_mhz < config_.min_clearable_mhz.value()) {
-    outcome.deferred = pending_.size();
-    span.arg("deferred", static_cast<double>(outcome.deferred));
-    return outcome;
+    outcome_.deferred = pending_.size();
+    span.arg("deferred", static_cast<double>(outcome_.deferred));
+    return outcome_;
   }
 
-  market_params params;
-  params.vmus.reserve(pending_.size());
-  for (const auto& request : pending_) params.vmus.push_back(request.profile);
-  params.link = config_.link;
-  params.bandwidth_cap_mhz = util::megahertz{available_mhz};
-  params.unit_cost = config_.unit_cost;
-  params.price_cap = config_.price_cap;
+  if (config_.policy) {
+    // An attached policy prices the cohort market from its observation.
+    market_params params;
+    params.vmus.reserve(pending_.size());
+    for (const auto& request : pending_) params.vmus.push_back(request.profile);
+    params.link = config_.link;
+    params.bandwidth_cap_mhz = util::megahertz{available_mhz};
+    params.unit_cost = config_.unit_cost;
+    params.price_cap = config_.price_cap;
+    const migration_market market(std::move(params));
+    const equilibrium eq = config_.policy->price_cohort(
+        market, make_cohort_observation(market, available_mhz,
+                                         config_.pool_capacity_mhz.value()));
+    partition(eq.price, eq.regime, eq.demands, eq.vmu_utilities,
+              available_mhz);
+  } else {
+    // The oracle prices the book in place: `solve_equilibrium`'s solve,
+    // rationing and utilities over the pending profiles, without building
+    // the market. Its preconditions (capacity and R positive) still hold.
+    const double efficiency = budget_.spectral_efficiency();
+    VTM_EXPECTS(available_mhz > 0.0);
+    VTM_EXPECTS(efficiency > 0.0);
+    const std::size_t cohort = pending_.size();
+    followers_.clear();
+    for (const auto& request : pending_)
+      followers_.push_back(make_follower(request.profile, efficiency));
+    const priced_regime solved = solve_price(
+        followers_, available_mhz, config_.unit_cost, config_.price_cap);
+    demands_.resize(cohort);
+    ration_demands(followers_, solved.price, available_mhz, demands_);
+    utilities_.resize(cohort);
+    for (std::size_t n = 0; n < cohort; ++n)
+      utilities_[n] = vmu_utility(pending_[n].profile, efficiency,
+                                  demands_[n], solved.price);
+    partition(solved.price, solved.regime, demands_, utilities_,
+              available_mhz);
+  }
+  span.arg("granted", static_cast<double>(outcome_.grants.size()));
+  span.arg("deferred", static_cast<double>(outcome_.deferred));
+  span.arg("priced_out", static_cast<double>(outcome_.priced_out.size()));
+  return outcome_;
+}
 
-  const migration_market market(std::move(params));
-  const equilibrium eq = config_.policy->price_cohort(
-      market, make_cohort_observation(market, available_mhz,
-                                      config_.pool_capacity_mhz.value()));
-  outcome.price = eq.price;
-  outcome.markets_cleared = 1;
+void spot_market::partition(double price, equilibrium_regime regime,
+                            std::span<const double> demands,
+                            std::span<const double> utilities,
+                            double available_mhz) {
+  outcome_.price = price;
+  outcome_.markets_cleared = 1;
 
   // Proportional rationing guarantees Σ b*_n <= cap up to rounding; clamp the
   // running remainder so grants never oversubscribe the pool. A follower with
@@ -57,34 +95,30 @@ clearing_outcome spot_market::clear(double available_mhz) {
   // clearing instead of losing its migration.
   double remaining = available_mhz;
   const std::size_t cohort = pending_.size();
-  std::vector<clearing_request> still_pending;
+  std::size_t keep = 0;  // FIFO-preserving compaction of deferred requests
   for (std::size_t n = 0; n < cohort; ++n) {
-    if (eq.demands[n] <= 0.0) {
-      outcome.priced_out.push_back(pending_[n]);
+    if (demands[n] <= 0.0) {
+      outcome_.priced_out.push_back(pending_[n]);
       continue;
     }
-    const double bandwidth = std::min(eq.demands[n], remaining);
+    const double bandwidth = std::min(demands[n], remaining);
     if (bandwidth <= 1e-9) {
-      still_pending.push_back(pending_[n]);
-      ++outcome.deferred;
+      if (keep != n) pending_[keep] = pending_[n];
+      ++keep;
+      ++outcome_.deferred;
       continue;
     }
     remaining -= bandwidth;
-    clearing_grant grant;
+    clearing_grant& grant = outcome_.grants.emplace_back();
     grant.request = pending_[n];
-    grant.price = eq.price;
+    grant.price = price;
     grant.bandwidth_mhz = bandwidth;
-    grant.vmu_utility = eq.vmu_utilities[n];
-    grant.msp_utility = (eq.price - config_.unit_cost) * bandwidth;
+    grant.vmu_utility = utilities[n];
+    grant.msp_utility = (price - config_.unit_cost) * bandwidth;
     grant.cohort = cohort;
-    grant.regime = eq.regime;
-    outcome.grants.push_back(std::move(grant));
+    grant.regime = regime;
   }
-  pending_ = std::move(still_pending);
-  span.arg("granted", static_cast<double>(outcome.grants.size()));
-  span.arg("deferred", static_cast<double>(outcome.deferred));
-  span.arg("priced_out", static_cast<double>(outcome.priced_out.size()));
-  return outcome;
+  pending_.resize(keep);
 }
 
 std::vector<clearing_request> spot_market::abandon_pending() {

@@ -7,19 +7,25 @@
 // N-follower market over the destination pool's *remaining* capacity, using
 // `solve_equilibrium` (so rationing is the market's proportional rule).
 //
-// *Where the price comes from* is pluggable (`core::pricing_policy`): the
-// default analytic oracle solves the Stackelberg equilibrium over the full
-// follower profiles (bitwise-identical to the pre-backend engine), while a
-// learned backend prices the cohort from a partial-information observation.
-// Either way the followers best-respond through the market, so the grant
-// invariants (Σ b <= remainder, price in the box) hold for every backend.
+// *Where the price comes from* is pluggable (`core::pricing_policy`). With
+// no policy attached the book is priced by the analytic oracle, in place:
+// the pending profiles feed `solve_price` — the solve behind
+// `solve_equilibrium`, bitwise — over a link budget built once per pool, and
+// the rationed demands and utilities land in per-market scratch. A learned
+// backend instead gets the cohort market and its partial-information
+// observation. Either way the followers best-respond through the market, so
+// the grant invariants (Σ b <= remainder, price in the box) hold for every
+// backend.
 //
 // The engine that owns the pool decides *when* to clear (epoch boundaries,
 // migration completions); this class only prices and partitions the book.
+// After warm-up an oracle clearing allocates nothing: the book, the scratch
+// and the returned outcome keep their capacity from call to call.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/equilibrium.hpp"
@@ -69,8 +75,8 @@ struct spot_market_config {
   double unit_cost = 5.0;        ///< C — MSP's unit transmission cost.
   double price_cap = 50.0;       ///< p_max.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this, defer instead.
-  /// Pricing backend; null selects the analytic oracle. Shared so one
-  /// learned pricer can serve every pool of a fleet run.
+  /// Pricing backend; null selects the analytic oracle, priced in place.
+  /// Shared so one learned pricer can serve every pool of a fleet run.
   std::shared_ptr<pricing_policy> policy;
   /// Nominal pool capacity anchoring observation normalization (<= 0 falls
   /// back to the clearing's available bandwidth).
@@ -107,16 +113,30 @@ class spot_market {
   /// Price the whole book as one N-follower market against `available_mhz`
   /// of remaining pool capacity. Granted and priced-out requests are
   /// removed; deferred ones remain. Grant bandwidths always sum to
-  /// <= available_mhz.
-  [[nodiscard]] clearing_outcome clear(double available_mhz);
+  /// <= available_mhz. The outcome lives in the market and is reused: the
+  /// reference is valid until the next `clear()` or `abandon_pending()`.
+  [[nodiscard]] const clearing_outcome& clear(double available_mhz);
 
   /// Drop every pending request (end of run, nothing can serve them).
   /// Returns the dropped requests.
   [[nodiscard]] std::vector<clearing_request> abandon_pending();
 
  private:
+  /// Split the book at the cleared price: priced-out, granted (FIFO clamp
+  /// to the remainder), or kept pending. `demands` and `utilities` hold one
+  /// entry per pending request.
+  void partition(double price, equilibrium_regime regime,
+                 std::span<const double> demands,
+                 std::span<const double> utilities, double available_mhz);
+
   spot_market_config config_;
+  wireless::link_budget budget_;  ///< R of `config_.link`, built once.
   std::vector<clearing_request> pending_;
+  clearing_outcome outcome_;  ///< Returned by `clear`, reused every call.
+  // Oracle scratch, one entry per pending request.
+  std::vector<follower_terms> followers_;
+  std::vector<double> demands_;
+  std::vector<double> utilities_;
 };
 
 }  // namespace vtm::core

@@ -20,13 +20,10 @@ migration_report run_precopy(const vehicular_twin& twin, double rate_mb_s,
   // Dirtying during this phase counts against the memory image, but the image
   // is already fully pending, so it does not grow beyond memory_mb.
   if (twin.config().system_config_mb > util::megabytes{0.0}) {
-    migration_round config_round;
-    config_round.index = report.rounds.size();
-    config_round.sent_mb = twin.config().system_config_mb.value();
-    config_round.duration_s = config_round.sent_mb / rate_mb_s;
-    report.rounds.push_back(config_round);
-    report.total_sent_mb += config_round.sent_mb;
-    report.total_time_s += config_round.duration_s;
+    const double sent_mb = twin.config().system_config_mb.value();
+    ++report.rounds;
+    report.total_sent_mb += sent_mb;
+    report.total_time_s += sent_mb / rate_mb_s;
   }
 
   // Iterative pre-copy over the memory image (fluid model).
@@ -37,37 +34,29 @@ migration_report run_precopy(const vehicular_twin& twin, double rate_mb_s,
       report.converged = false;  // round budget forced the pause
       break;
     }
-    migration_round r;
-    r.index = report.rounds.size();
-    r.sent_mb = pending_mb;
-    r.duration_s = pending_mb / rate_mb_s;
+    const double sent_mb = pending_mb;
+    const double duration_s = pending_mb / rate_mb_s;
     // Dirt produced while this round streams; cannot exceed the image size.
-    r.dirtied_mb =
-        std::min(memory_mb, params.dirty_rate_mb_s.value() * r.duration_s);
-    report.rounds.push_back(r);
-    report.total_sent_mb += r.sent_mb;
-    report.total_time_s += r.duration_s;
+    const double dirtied_mb =
+        std::min(memory_mb, params.dirty_rate_mb_s.value() * duration_s);
+    ++report.rounds;
+    report.total_sent_mb += sent_mb;
+    report.total_time_s += duration_s;
+    pending_mb = dirtied_mb;
     // Non-convergent link (dirty rate >= link rate): residue not shrinking.
-    if (r.dirtied_mb >= r.sent_mb) {
-      pending_mb = r.dirtied_mb;
+    if (dirtied_mb >= sent_mb) {
       report.converged = false;
       break;
     }
-    pending_mb = r.dirtied_mb;
   }
 
   // Final stop-and-copy: remaining dirty pages + runtime state, twin paused.
   const double final_mb = pending_mb + twin.config().runtime_state_mb.value();
   if (final_mb > 0.0) {
-    migration_round final_round;
-    final_round.index = report.rounds.size();
-    final_round.sent_mb = final_mb;
-    final_round.duration_s = final_mb / rate_mb_s;
-    final_round.stop_and_copy = true;
-    report.rounds.push_back(final_round);
+    ++report.rounds;
     report.total_sent_mb += final_mb;
-    report.total_time_s += final_round.duration_s;
-    report.downtime_s = final_round.duration_s;
+    report.downtime_s = final_mb / rate_mb_s;
+    report.total_time_s += report.downtime_s;
   }
 
   VTM_ENSURES(report.total_sent_mb >= twin.total_mb() - 1e-9);

@@ -8,14 +8,14 @@
 // sent in a final stop-and-copy phase. The system-configuration block is sent
 // up front.
 //
-// The engine produces the full block-transfer timeline, from which the Age of
-// Twin Migration is measured (time from first block generation to last block
-// reception) — the simulated counterpart of the paper's closed form
-// A_n = D_n / γ_n, which it reproduces exactly when the dirty rate is zero.
+// The engine sums the block-transfer timeline phase by phase (it keeps no
+// per-round log), and the Age of Twin Migration is measured from it (time
+// from first block generation to last block reception) — the simulated
+// counterpart of the paper's closed form A_n = D_n / γ_n, which it
+// reproduces exactly when the dirty rate is zero.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "sim/vt.hpp"
 #include "util/quantity.hpp"
@@ -32,18 +32,9 @@ struct precopy_params {
   std::size_t max_rounds = 30;  ///< Iterative round budget (>= 1).
 };
 
-/// One iterative copy round (or the stop-and-copy phase).
-struct migration_round {
-  std::size_t index = 0;        ///< 0 = full image, 1.. = dirty rounds.
-  double sent_mb = 0.0;         ///< Data pushed this round.
-  double duration_s = 0.0;      ///< Wall-clock duration of the round.
-  double dirtied_mb = 0.0;      ///< New dirt produced while sending.
-  bool stop_and_copy = false;   ///< True for the final paused phase.
-};
-
-/// Complete migration timeline and its derived metrics.
+/// Summed migration timeline and its derived metrics.
 struct migration_report {
-  std::vector<migration_round> rounds;  ///< Config + iterative + final phases.
+  std::size_t rounds = 0;       ///< Config + iterative + final phases run.
   double total_sent_mb = 0.0;   ///< All bytes moved (>= twin footprint).
   double total_time_s = 0.0;    ///< First-block-to-last-block — the AoTM.
   double downtime_s = 0.0;      ///< Stop-and-copy pause (service dark time).

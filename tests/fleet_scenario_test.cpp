@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <limits>
 
 #include "core/fleet_scenario.hpp"
+#include "core/fleet_shard.hpp"
 #include "util/contracts.hpp"
 
 namespace core = vtm::core;
@@ -278,4 +280,58 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   negative_epoch.clearing_epoch_s = vtm::util::seconds{-1.0};
   EXPECT_THROW((void)core::run_fleet_scenario(negative_epoch),
                vtm::util::contract_error);
+
+  // Non-finite bounds, capacities, prices and horizons are rejected at the
+  // entry point, one field at a time (the oligopoly roster included).
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejects = [](const char* field, auto&& spoil) {
+    core::fleet_config config;
+    spoil(config);
+    EXPECT_THROW(core::validate_fleet_config(config),
+                 vtm::util::contract_error)
+        << field;
+  };
+  rejects("min_alpha", [&](core::fleet_config& c) { c.min_alpha = nan; });
+  rejects("max_alpha", [&](core::fleet_config& c) { c.max_alpha = inf; });
+  rejects("min_data_mb", [&](core::fleet_config& c) {
+    c.min_data_mb = vtm::util::megabytes{nan};
+  });
+  rejects("max_data_mb", [&](core::fleet_config& c) {
+    c.max_data_mb = vtm::util::megabytes{inf};
+  });
+  rejects("min_speed_mps", [&](core::fleet_config& c) {
+    c.min_speed_mps = vtm::util::mps{nan};
+  });
+  rejects("max_speed_mps", [&](core::fleet_config& c) {
+    c.max_speed_mps = vtm::util::mps{inf};
+  });
+  rejects("bandwidth_per_pool_mhz", [&](core::fleet_config& c) {
+    c.bandwidth_per_pool_mhz = vtm::util::megahertz{inf};
+  });
+  rejects("price_cap", [&](core::fleet_config& c) { c.price_cap = inf; });
+  rejects("unit_cost", [&](core::fleet_config& c) { c.unit_cost = nan; });
+  rejects("duration_s", [&](core::fleet_config& c) {
+    c.duration_s = vtm::util::seconds{inf};
+  });
+  const auto roster = [](core::fleet_config& c) {
+    c.mode = core::market_mode::oligopoly;
+    c.msps.resize(2);
+  };
+  rejects("msps.unit_cost", [&](core::fleet_config& c) {
+    roster(c);
+    c.msps[1].unit_cost = nan;
+  });
+  rejects("msps.price_cap", [&](core::fleet_config& c) {
+    roster(c);
+    c.msps[1].price_cap = inf;
+  });
+  rejects("msps.bandwidth_per_pool_mhz", [&](core::fleet_config& c) {
+    roster(c);
+    c.msps[1].bandwidth_per_pool_mhz = vtm::util::megahertz{inf};
+  });
+  // The same two-seller roster with finite fields validates.
+  core::fleet_config duopoly;
+  roster(duopoly);
+  EXPECT_NO_THROW(core::validate_fleet_config(duopoly));
 }

@@ -344,7 +344,7 @@ TEST(fleet_shard, drain_sweep_rehomes_abandoned_twins) {
   std::vector<core::vehicle_slot> vehicles(1);
   vehicles[0].kinematics = {2600.0, 25.0};
   vehicles[0].profile = {1000.0, 200.0};
-  vehicles[0].twin = std::make_unique<sim::vehicular_twin>(
+  vehicles[0].twin.emplace(
       sim::vehicular_twin::with_total_mb(0, 200.0, config.page_mb.value()));
   vehicles[0].twin->set_host_rsu(1);
 

@@ -260,8 +260,8 @@ TEST(precopy, transfer_time_matches_geometric_series) {
   EXPECT_NEAR(report.total_sent_mb, 124.8, 1e-9);
   EXPECT_NEAR(report.total_time_s, 124.8 / 50.0, 1e-9);
   EXPECT_NEAR(report.downtime_s, 0.8 / 50.0, 1e-9);
-  ASSERT_EQ(report.rounds.size(), 4u);  // 3 iterative + stop-and-copy
-  EXPECT_TRUE(report.rounds.back().stop_and_copy);
+  ASSERT_EQ(report.rounds, 4u);  // 3 iterative + stop-and-copy
+  EXPECT_GT(report.downtime_s, 0.0);  // the last phase paused the twin
 }
 
 TEST(precopy, downtime_bounded_by_threshold_plus_state) {

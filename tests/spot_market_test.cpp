@@ -1,13 +1,19 @@
 // Joint spot-market clearing: cohort pricing equals the N-follower
-// equilibrium, deferral/retry around an exhausted pool, and oversubscription
-// safety.
+// equilibrium (also across repeated in-place clearings of one market),
+// deferral/retry around an exhausted pool, and oversubscription safety.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/equilibrium.hpp"
 #include "core/spot_market.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace core = vtm::core;
 
@@ -34,6 +40,8 @@ core::market_params combined_params(const core::spot_market_config& config,
   params.price_cap = config.price_cap;
   return params;
 }
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 }  // namespace
 
@@ -141,4 +149,129 @@ TEST(spot_market, rejects_invalid_configuration) {
   core::spot_market_config inverted;
   inverted.price_cap = inverted.unit_cost / 2.0;
   EXPECT_THROW((void)core::spot_market(inverted), vtm::util::contract_error);
+}
+
+// One market cleared over and over prices in place through scratch that
+// outlives each clearing. Every clearing must still be bitwise the combined
+// market handed to solve_equilibrium, partitioned by the FIFO clamp —
+// across cohorts of 1–64 that grow and shrink, books carried over from
+// below-minimum clearings, and every regime.
+TEST(spot_market, reused_scratch_matches_fresh_equilibrium) {
+  const core::spot_market_config config;
+  core::spot_market market(config);
+  vtm::util::rng gen(5150);
+  std::array<std::size_t, 4> regimes{};  // indexed by equilibrium_regime
+  std::size_t starved = 0;
+  std::size_t carried = 0;
+  std::size_t grew = 0;
+  std::size_t shrank = 0;
+  std::size_t previous = 0;
+  std::size_t next_vehicle = 0;
+  std::size_t largest = 0;
+  std::size_t smallest = 64;
+
+  for (int trial = 0; trial < 1500; ++trial) {
+    // Modes in rotation: starved (book carried to the next clearing),
+    // interior, capacity-bound, price-capped, cost floor (all priced out).
+    const int mode = trial % 5;
+    const std::size_t carried_in = market.pending();
+    const auto target =
+        static_cast<std::size_t>(gen.uniform_int(1, 64));
+    while (market.pending() < target) {
+      double alpha = gen.uniform(200.0, 600.0);
+      double data = gen.uniform(50.0, 300.0);
+      if (mode == 3) alpha = gen.uniform(3000.0, 9000.0);
+      if (mode == 4) {
+        alpha = gen.uniform(1.0, 10.0);
+        data = gen.uniform(200.0, 400.0);
+      }
+      market.submit(request_for(next_vehicle++, alpha, data));
+    }
+    const std::vector<core::clearing_request> book =
+        market.pending_requests();
+    const auto cohort = static_cast<double>(book.size());
+    double available = 0.0;
+    switch (mode) {
+      case 0: available = gen.uniform(0.0, 0.49); break;
+      case 1: available = cohort * gen.uniform(15.0, 30.0); break;
+      case 2: available = cohort * gen.uniform(5.0, 12.0); break;
+      default: available = cohort * gen.uniform(1.0, 20.0); break;
+    }
+    if (carried_in > 0) ++carried;
+    if (book.size() > previous) ++grew;
+    if (book.size() < previous) ++shrank;
+    previous = book.size();
+    largest = std::max(largest, book.size());
+    smallest = std::min(smallest, book.size());
+
+    const core::clearing_outcome& outcome = market.clear(available);
+    if (available < config.min_clearable_mhz.value()) {
+      ++starved;
+      EXPECT_EQ(outcome.markets_cleared, 0u);
+      EXPECT_EQ(outcome.deferred, book.size());
+      EXPECT_TRUE(outcome.grants.empty());
+      EXPECT_TRUE(outcome.priced_out.empty());
+      ASSERT_EQ(market.pending(), book.size());
+      continue;
+    }
+
+    // Reference: a fresh combined market, then the FIFO clamp.
+    std::vector<core::vmu_profile> profiles;
+    for (const auto& request : book) profiles.push_back(request.profile);
+    const core::migration_market reference(
+        combined_params(config, profiles, available));
+    const core::equilibrium eq = core::solve_equilibrium(reference);
+    ++regimes[static_cast<std::size_t>(eq.regime)];
+    ASSERT_EQ(outcome.markets_cleared, 1u);
+    EXPECT_EQ(bits(outcome.price), bits(eq.price));
+
+    double remaining = available;
+    std::size_t grant = 0;
+    std::size_t priced_out = 0;
+    std::vector<std::size_t> deferred;
+    for (std::size_t n = 0; n < book.size(); ++n) {
+      if (eq.demands[n] <= 0.0) {
+        ASSERT_LT(priced_out, outcome.priced_out.size());
+        EXPECT_EQ(outcome.priced_out[priced_out++].vehicle, book[n].vehicle);
+        continue;
+      }
+      const double bandwidth = std::min(eq.demands[n], remaining);
+      if (bandwidth <= 1e-9) {
+        deferred.push_back(book[n].vehicle);
+        continue;
+      }
+      remaining -= bandwidth;
+      ASSERT_LT(grant, outcome.grants.size());
+      const core::clearing_grant& g = outcome.grants[grant++];
+      EXPECT_EQ(g.request.vehicle, book[n].vehicle);
+      EXPECT_EQ(g.request.to_rsu, book[n].to_rsu);
+      EXPECT_EQ(bits(g.price), bits(eq.price));
+      EXPECT_EQ(bits(g.bandwidth_mhz), bits(bandwidth));
+      EXPECT_EQ(bits(g.vmu_utility), bits(eq.vmu_utilities[n]));
+      EXPECT_EQ(bits(g.msp_utility),
+                bits((eq.price - config.unit_cost) * bandwidth));
+      EXPECT_EQ(g.cohort, book.size());
+      EXPECT_EQ(g.regime, eq.regime);
+    }
+    EXPECT_EQ(grant, outcome.grants.size());
+    EXPECT_EQ(priced_out, outcome.priced_out.size());
+    EXPECT_EQ(outcome.deferred, deferred.size());
+    ASSERT_EQ(market.pending(), deferred.size());
+    for (std::size_t k = 0; k < deferred.size(); ++k)
+      EXPECT_EQ(market.pending_requests()[k].vehicle, deferred[k]);
+  }
+
+  EXPECT_GE(starved, 10u);
+  EXPECT_GE(carried, 10u);
+  EXPECT_GE(grew, 10u);
+  EXPECT_GE(shrank, 10u);
+  EXPECT_EQ(smallest, 1u);
+  EXPECT_EQ(largest, 64u);
+  for (const auto regime :
+       {core::equilibrium_regime::interior,
+        core::equilibrium_regime::capacity_bound,
+        core::equilibrium_regime::price_capped,
+        core::equilibrium_regime::cost_floor})
+    EXPECT_GE(regimes[static_cast<std::size_t>(regime)], 10u)
+        << core::to_string(regime);
 }
