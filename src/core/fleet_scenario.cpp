@@ -1,9 +1,6 @@
 #include "core/fleet_scenario.hpp"
 
-#include <cstdint>
-
 #include "core/fleet_shard.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vtm::core {
 
@@ -30,22 +27,6 @@ streaming_result run_streaming_fleet(const streaming_config& config) {
   span.arg("shards", static_cast<double>(coordinator.shard_count()));
   span.arg("horizon_s", config.horizon_s.value());
   return coordinator.run_stream();
-}
-
-std::vector<fleet_result> run_fleet_sweep(
-    const fleet_config& base, std::span<const std::uint64_t> seeds,
-    std::size_t threads) {
-  // Validate once before fanning out: a bad base config should throw here,
-  // not as an exception ferried back from a worker thread per seed.
-  validate_fleet_config(base);
-  std::vector<fleet_result> results(seeds.size());
-  util::thread_pool pool(threads);
-  pool.parallel_for(seeds.size(), [&](std::size_t i) {
-    fleet_config config = base;
-    config.seed = seeds[i];
-    results[i] = run_fleet_scenario(config);
-  });
-  return results;
 }
 
 }  // namespace vtm::core

@@ -17,15 +17,10 @@
 // advance in conservative time windows and exchange boundary handoffs at
 // barriers (core/fleet_shard.hpp, DESIGN.md §10). `shard_count = 1` (the
 // default) is bitwise identical to the pre-shard serial engine.
-//
-// `run_fleet_sweep` evaluates independent seeds in parallel through
-// `util::thread_pool`; each run owns its RNG, queues, and pools, so the
-// sweep is bitwise identical to running the seeds serially.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/competitive_market.hpp"
@@ -80,7 +75,7 @@ struct migration_record {
 /// predictable branch per site; attached sinks never influence results —
 /// telemetry on vs off is bitwise-identical on `fleet_result`
 /// (tests/telemetry_test.cpp). Sinks must outlive the run and must not be
-/// shared across concurrently-executing runs (e.g. `run_fleet_sweep` seeds).
+/// shared across concurrently-executing runs.
 struct fleet_telemetry {
   /// Deterministic counters/gauges/histograms; the coordinator registers
   /// the fleet schema, binds one lane per shard (plus one for itself), and
@@ -272,12 +267,6 @@ struct fleet_result {
 
 /// Run one fleet scenario to completion (deterministic given the seed).
 [[nodiscard]] fleet_result run_fleet_scenario(const fleet_config& config);
-
-/// Run `base` once per seed (overriding `base.seed`), sharded across
-/// `threads` workers (0 = serial). Results are indexed like `seeds`.
-[[nodiscard]] std::vector<fleet_result> run_fleet_sweep(
-    const fleet_config& base, std::span<const std::uint64_t> seeds,
-    std::size_t threads);
 
 /// Sentinel: never reseed a streaming run.
 inline constexpr std::size_t no_reseed = static_cast<std::size_t>(-1);

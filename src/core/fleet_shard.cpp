@@ -1549,11 +1549,7 @@ fleet_result shard_coordinator::flush_window(bool final) {
       if (window_retired > 0)
         coord_metrics_->add(ids_.retired, window_retired);
     }
-    // Streams only: `tools/trace_summary.py --validate` requires this marker
-    // on a lane named "coordinator", and a session shared by runs of
-    // different shard counts keeps whichever name a run set last, so a
-    // closed k-shard run's coordinator lane k can be named "shard k".
-    if (coord_trace_ != nullptr && streaming_)
+    if (coord_trace_ != nullptr)
       coord_trace_->instant(
           "stream.flush",
           {{"live", static_cast<double>(live_)},

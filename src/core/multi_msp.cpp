@@ -1012,13 +1012,5 @@ multi_msp_equilibrium solve_price_competition(
   }
   return result;
 }
-multi_msp_equilibrium solve_price_competition(const multi_msp_market& market,
-                                              double tol,
-                                              std::size_t max_sweeps) {
-  price_competition_options options;
-  options.tol = tol;
-  options.max_sweeps = max_sweeps;
-  return solve_price_competition(market, options);
-}
 
 }  // namespace vtm::core

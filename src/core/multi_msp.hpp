@@ -245,13 +245,10 @@ struct price_competition_options {
 /// first-order conditions and accepts it only if one best-response sweep
 /// around its prices measures a defect <= tol; otherwise the dampened loop
 /// runs from the warm start as if Newton had not been tried (DESIGN.md
-/// §12). Requires tol > 0.
+/// §12). Requires tol > 0. The default options are a cold start with no
+/// pin and a full step.
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
-    const multi_msp_market& market, const price_competition_options& options);
-
-/// Legacy entry point: cold start, no pin, full step.
-[[nodiscard]] multi_msp_equilibrium solve_price_competition(
-    const multi_msp_market& market, double tol = 1e-7,
-    std::size_t max_sweeps = 200);
+    const multi_msp_market& market,
+    const price_competition_options& options = {});
 
 }  // namespace vtm::core

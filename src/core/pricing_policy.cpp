@@ -10,16 +10,6 @@
 
 namespace vtm::core {
 
-const char* to_string(pricing_backend backend) noexcept {
-  switch (backend) {
-    case pricing_backend::oracle:
-      return "oracle";
-    case pricing_backend::learned:
-      return "learned";
-  }
-  return "?";
-}
-
 cohort_observation make_cohort_observation(const migration_market& market,
                                            double available_mhz,
                                            double capacity_mhz) {

@@ -37,9 +37,6 @@ enum class pricing_backend {
   learned,  ///< Trained policy over the partial-information observation.
 };
 
-/// Human-readable backend name.
-[[nodiscard]] const char* to_string(pricing_backend backend) noexcept;
-
 /// What a pricing policy is allowed to see about one clearing cohort:
 /// aggregate statistics only, never the individual (α_n, D_n) profiles.
 /// κ_n = D_n / R is the per-VMU transfer time per unit bandwidth — the AoI

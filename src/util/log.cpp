@@ -23,18 +23,6 @@ const char* to_string(log_level level) noexcept {
   return "?";
 }
 
-bool parse_log_level(const std::string& name, log_level& out) noexcept {
-  for (const log_level level :
-       {log_level::debug, log_level::info, log_level::warn, log_level::error,
-        log_level::off}) {
-    if (name == to_string(level)) {
-      out = level;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 /// Shared state of a stream sink: one mutex serializes all writers that

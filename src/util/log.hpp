@@ -18,12 +18,6 @@ enum class log_level { debug, info, warn, error, off };
 /// Human-readable name of a level ("debug", "info", ...).
 [[nodiscard]] const char* to_string(log_level level) noexcept;
 
-/// Parse a level name produced by `to_string` (exact match). Returns false
-/// and leaves `out` untouched on unknown input — the CLI/env hook rejects
-/// typos instead of silently logging at the wrong level.
-[[nodiscard]] bool parse_log_level(const std::string& name,
-                                   log_level& out) noexcept;
-
 /// Lightweight logger handle: a level threshold plus a sink callback.
 ///
 /// Copies share the sink; a default-constructed logger discards everything,

@@ -160,6 +160,8 @@ void expect_fleet_conserved(const core::fleet_config& config,
                                        r.msp_utilities.end(), 0.0);
   EXPECT_NEAR(split, r.msp_total_utility,
               1e-9 * std::max(1.0, std::abs(r.msp_total_utility)));
+  // Every clearing carries a convergence certificate.
+  EXPECT_EQ(r.unconverged_clearings, 0u);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // fleet engine's pricing backend, and require it to earn >= 90% of the
 // oracle's MSP utility on an uncongested 100-vehicle fleet and >= 95% on the
 // congested 5000-vehicle regime (cohorts > 60, price cap saturated).
-// Deterministic given the seeds; the same ratios land in BENCH_fleet.json
-// through bench/fleet_throughput --compare.
+// Deterministic given the seeds. This is the one gate on the
+// learned-vs-oracle ratios; CI runs it in the tier2 job.
 #include <gtest/gtest.h>
 
 #include <cstdint>

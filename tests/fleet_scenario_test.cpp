@@ -1,8 +1,7 @@
 // Fleet engine edge cases on the short highway and on larger chains: pool
 // exhaustion -> deferral -> successful retry, drain completeness (totals ==
 // sum over records, every handover accounted for), bitwise seed determinism,
-// joint-epoch and per-handover cohort pricing, and thread-parallel seed
-// sweeps.
+// and joint-epoch and per-handover cohort pricing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,7 +206,7 @@ TEST(fleet_scenario, continuous_clearing_always_prices_solo_markets) {
   for (const auto& record : result.migrations) EXPECT_EQ(record.cohort, 1u);
 }
 
-// ---- fleet engine: per-RSU pools, scale, sweeps -----------------------------
+// ---- fleet engine: per-RSU pools, scale -----------------------------------
 
 TEST(fleet_scenario, fleet_run_spreads_load_over_rsu_pools) {
   core::fleet_config config;
@@ -249,26 +248,6 @@ TEST(fleet_scenario, record_toggle_preserves_aggregates) {
   EXPECT_EQ(with_records.handovers, without.handovers);
   EXPECT_EQ(with_records.msp_total_utility, without.msp_total_utility);
   EXPECT_EQ(with_records.mean_aotm, without.mean_aotm);
-}
-
-TEST(fleet_scenario, parallel_sweep_is_bitwise_equal_to_serial) {
-  core::fleet_config base;
-  base.vehicle_count = 20;
-  base.duration_s = vtm::util::seconds{40.0};
-  const std::array<std::uint64_t, 4> seeds{1, 2, 3, 4};
-  const auto serial = core::run_fleet_sweep(base, seeds, 0);
-  const auto threaded = core::run_fleet_sweep(base, seeds, 2);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].handovers, threaded[i].handovers);
-    EXPECT_EQ(serial[i].completed, threaded[i].completed);
-    EXPECT_EQ(serial[i].msp_total_utility, threaded[i].msp_total_utility);
-    EXPECT_EQ(serial[i].vmu_total_utility, threaded[i].vmu_total_utility);
-    EXPECT_EQ(serial[i].mean_aotm, threaded[i].mean_aotm);
-    EXPECT_EQ(serial[i].mean_price, threaded[i].mean_price);
-  }
-  // Different seeds genuinely vary.
-  EXPECT_NE(serial[0].msp_total_utility, serial[1].msp_total_utility);
 }
 
 TEST(fleet_scenario, rejects_invalid_configs) {

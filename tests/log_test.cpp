@@ -1,7 +1,6 @@
-// util::logger: threshold gating, the discarding default, level-name
-// round-trips, the stream sink's line format, and whole-line integrity when
-// shard lanes log concurrently through one shared sink under
-// thread_pool::run_phased.
+// util::logger: threshold gating, the discarding default, level names, the
+// stream sink's line format, and whole-line integrity when shard lanes log
+// concurrently through one shared sink under thread_pool::run_phased.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,22 +16,12 @@ namespace util = vtm::util;
 
 namespace {
 
-TEST(LogLevel, ToStringParseRoundTrip) {
-  for (const util::log_level level :
-       {util::log_level::debug, util::log_level::info, util::log_level::warn,
-        util::log_level::error, util::log_level::off}) {
-    util::log_level parsed = util::log_level::debug;
-    ASSERT_TRUE(util::parse_log_level(util::to_string(level), parsed));
-    EXPECT_EQ(parsed, level);
-  }
-}
-
-TEST(LogLevel, ParseRejectsUnknownNamesAndLeavesOutputUntouched) {
-  util::log_level parsed = util::log_level::warn;
-  EXPECT_FALSE(util::parse_log_level("verbose", parsed));
-  EXPECT_FALSE(util::parse_log_level("INFO", parsed));  // exact match only
-  EXPECT_FALSE(util::parse_log_level("", parsed));
-  EXPECT_EQ(parsed, util::log_level::warn);
+TEST(LogLevel, ToStringNamesEveryLevel) {
+  EXPECT_STREQ(util::to_string(util::log_level::debug), "debug");
+  EXPECT_STREQ(util::to_string(util::log_level::info), "info");
+  EXPECT_STREQ(util::to_string(util::log_level::warn), "warn");
+  EXPECT_STREQ(util::to_string(util::log_level::error), "error");
+  EXPECT_STREQ(util::to_string(util::log_level::off), "off");
 }
 
 TEST(Logger, DefaultConstructedDiscardsEverything) {

@@ -213,10 +213,10 @@ TEST(multi_msp_property, warm_start_reaches_the_cold_equilibrium) {
     params.share_sharpness = gen.uniform(0.05, 1.0);
     const core::multi_msp_market market(params);
 
-    const auto cold = core::solve_price_competition(market, 1e-7, 200);
+    const auto cold = core::solve_price_competition(market);
     if (!cold.converged) continue;
     EXPECT_FALSE(cold.warm_started);
-    const auto again = core::solve_price_competition(market, 1e-7, 200);
+    const auto again = core::solve_price_competition(market);
     EXPECT_EQ(cold.prices, again.prices);  // no hidden state, bitwise rerun
 
     std::vector<double> warm(cold.prices);
@@ -252,7 +252,7 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
     const auto msps = static_cast<std::size_t>(gen.uniform_int(2, 6));
     const auto params = draw_params(gen, msps);
     const core::multi_msp_market market(params);
-    const auto cold = core::solve_price_competition(market, 1e-7, 200);
+    const auto cold = core::solve_price_competition(market);
     if (!cold.converged) continue;
     EXPECT_EQ(cold.newton_iterations, 0u);  // cold starts stay on the loop
 
@@ -315,7 +315,7 @@ TEST(multi_msp_property, convergence_certificate_is_sound) {
     auto params = draw_params(gen, msps);
     params.share_sharpness = gen.uniform(0.05, 1.0);
     const core::multi_msp_market market(params);
-    const auto eq = core::solve_price_competition(market, 1e-7, 200);
+    const auto eq = core::solve_price_competition(market);
     if (!eq.converged) continue;
     EXPECT_LE(eq.residual, 1e-7);
     if (eq.certified) {
@@ -369,7 +369,7 @@ TEST(multi_msp_property, edgeworth_cycle_converges_certified_under_dampening) {
   }
   EXPECT_FALSE(gauss_seidel_converged);
 
-  const auto eq = core::solve_price_competition(market, 1e-7, 200);
+  const auto eq = core::solve_price_competition(market);
   ASSERT_TRUE(eq.converged);
   EXPECT_TRUE(eq.certified);
   EXPECT_LT(eq.damping, 1.0);  // the θ-bisection engaged

@@ -1,15 +1,19 @@
 // Telemetry layer (DESIGN.md §16): metrics-registry unit behaviour, the
 // bitwise on-vs-off contract (attaching sinks must not perturb a single bit
-// of the fleet results, sharded / oligopoly / streaming alike), metric-merge
-// determinism across repeated multi-lane runs, the metrics-vs-result
-// cross-check, and the Chrome trace export.
+// of the fleet results, sharded / oligopoly / streaming alike, with a live
+// logger on the streams), metric-merge determinism across repeated
+// multi-lane runs, the metrics-vs-result cross-check, and the Chrome trace
+// export.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/fleet_scenario.hpp"
+#include "sim/road_graph.hpp"
+#include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/sync.hpp"
 #include "util/trace.hpp"
@@ -195,23 +199,41 @@ TEST(TelemetryBitwise, OligopolyRunIsIdenticalWithAndWithoutSinks) {
   expect_identical(bare, traced);
 }
 
+// Two inputs, each with a debug-level logger next to the trace and metrics
+// sinks: the 8-RSU chain stream, and a 4-shard λ = 40/s stream on the 4x4
+// road grid (graph-tile mailbox traffic on real threads).
 TEST(TelemetryBitwise, StreamingRunIsIdenticalWithAndWithoutSinks) {
-  const auto config = stream_config();
-  const auto bare = core::run_streaming_fleet(config);
+  auto grid = stream_config();
+  grid.base.graph = std::make_shared<const vtm::sim::road_graph>(
+      vtm::sim::road_graph::grid(4, 4, 1000.0, 600.0));
+  grid.arrival_rate_per_s = util::per_second{40.0};
+  grid.horizon_s = util::seconds{40.0};
+  grid.flush_period_s = util::seconds{5.0};
 
-  util::metrics_registry registry;
-  util::trace_session session;
-  auto instrumented = config;
-  instrumented.base.telemetry.metrics = &registry;
-  instrumented.base.telemetry.trace = &session;
-  const auto traced = core::run_streaming_fleet(instrumented);
+  for (const auto& config : {stream_config(), grid}) {
+    SCOPED_TRACE(config.base.graph ? "grid stream" : "chain stream");
+    const auto bare = core::run_streaming_fleet(config);
 
-  EXPECT_EQ(bare.arrivals, traced.arrivals);
-  EXPECT_EQ(bare.retired, traced.retired);
-  EXPECT_EQ(bare.peak_live, traced.peak_live);
-  EXPECT_EQ(bare.slot_high_water, traced.slot_high_water);
-  EXPECT_EQ(bare.flushes.size(), traced.flushes.size());
-  expect_identical(bare.totals, traced.totals);
+    util::metrics_registry registry;
+    util::trace_session session;
+    std::ostringstream log_lines;
+    auto instrumented = config;
+    instrumented.base.telemetry.metrics = &registry;
+    instrumented.base.telemetry.trace = &session;
+    instrumented.base.log = util::logger::to_stream(log_lines, "fleet",
+                                                    util::log_level::debug);
+    const auto traced = core::run_streaming_fleet(instrumented);
+
+    EXPECT_EQ(bare.arrivals, traced.arrivals);
+    EXPECT_EQ(bare.retired, traced.retired);
+    EXPECT_EQ(bare.peak_live, traced.peak_live);
+    EXPECT_EQ(bare.slot_high_water, traced.slot_high_water);
+    EXPECT_EQ(bare.flushes.size(), traced.flushes.size());
+    expect_identical(bare.totals, traced.totals);
+    EXPECT_GT(traced.totals.cross_shard_transfers, 0u);
+    EXPECT_NE(log_lines.str().find("debug [fleet] window advance"),
+              std::string::npos);
+  }
 }
 
 // --- metric determinism and the result cross-check ---------------------------
@@ -288,6 +310,10 @@ TEST(TraceSession, ExportsChromeTraceEvents) {
   EXPECT_NE(json.find("\"fleet.run\""), std::string::npos);
   EXPECT_NE(json.find("\"shard.window\""), std::string::npos);
   EXPECT_NE(json.find("\"coordinator\""), std::string::npos);
+  // A closed run is a single-flush stream: it emits one flush instant.
+  const auto flush = json.find("\"stream.flush\"");
+  EXPECT_NE(flush, std::string::npos);
+  EXPECT_EQ(flush, json.rfind("\"stream.flush\""));
 }
 
 TEST(TraceSpan, NullLaneIsANoOp) {

@@ -17,8 +17,10 @@ without opening Perfetto:
       with well-formed events (known phases, named, non-negative durations,
       per-lane spans properly nested), contain at least one span, and keep
       the engine's structural invariants (every "stream.flush" instant sits
-      on the coordinator lane; a lane with market.clear spans also ran
-      shard windows). Exit 0 when clean, 1 with a reason per violation.
+      on a lane named "coordinator"; a lane with market.clear or
+      comarket.clear spans also ran shard.window spans). Exit 0 when clean,
+      1 with a reason per violation. tools/trace_fixtures/ holds one valid
+      trace and one trace per structural violation.
 
 Usage:
   trace_summary.py TRACE.json [--top N] [--validate]
@@ -150,7 +152,8 @@ def validate(events: list[dict]) -> list[str]:
 
     # Per-lane spans must nest: recording is single-threaded per lane and
     # spans are RAII scopes, so overlap without containment is a writer bug.
-    for tid, lane in sorted(spans_by_lane(events).items()):
+    lanes = spans_by_lane(events)
+    for tid, lane in sorted(lanes.items()):
         open_ends: list[float] = []
         for ev in lane:
             ts, end = ev["ts"], ev["ts"] + ev.get("dur", 0)
@@ -163,13 +166,23 @@ def validate(events: list[dict]) -> list[str]:
                 break
             open_ends.append(end)
 
-    # Structural invariants of the fleet engine's instrumentation.
+    # Structural invariants of the fleet engine's instrumentation. Markets
+    # clear only inside a shard's window (or drain round, which follows its
+    # windows), so a lane that cleared must also have run windows.
+    for tid, lane in sorted(lanes.items()):
+        span_names = {ev.get("name") for ev in lane}
+        if (span_names & {"market.clear", "comarket.clear"}
+                and "shard.window" not in span_names):
+            errors.append(f"lane {tid}: market clearing spans but no "
+                          "shard.window span — clearings run inside shard "
+                          "windows")
     coord_tids = {tid for tid, n in names.items() if n == "coordinator"}
     for idx, ev in enumerate(events):
         if ev.get("ph") == "i" and ev.get("name") == "stream.flush":
-            if coord_tids and ev.get("tid") not in coord_tids:
+            if ev.get("tid") not in coord_tids:
                 errors.append(f"event {idx}: stream.flush instant on lane "
-                              f"{ev.get('tid')} — flushes are coordinator-"
+                              f"{ev.get('tid')}, which is not named "
+                              "\"coordinator\" — flushes are coordinator-"
                               "only")
     return errors
 
