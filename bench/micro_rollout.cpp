@@ -3,9 +3,9 @@
 // Measures env-steps/sec of pure rollout collection (policy sampling +
 // environment stepping + buffer writes, no PPO updates) on the Fig. 2
 // pricing POMDP:
-//   * sequential    — the seed's per-step scalar hot path: one 1-row
-//     autograd forward (graph construction included) and one env.step per
-//     transition, exactly what rl::trainer did before the batched engine;
+//   * sequential    — the scalar per-step hot path the batched engine
+//     replaced: one 1-row autograd forward (graph construction included)
+//     and one env.step per transition, kept here as the baseline;
 //   * batched exact — vector_env + act_batch with the graph-free inference
 //     forward, bitwise-identical outputs to the sequential path;
 //   * batched fast  — same engine with nn::math_mode::fast activations

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/evaluation.hpp"
 #include "core/fleet_scenario.hpp"
 #include "core/mechanism.hpp"
 #include "util/csv.hpp"
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
   for (const auto& base : {fleet, congested}) {
     const auto oracle_run = vtm::core::run_fleet_scenario(base);
     auto learned_run_config = base;
-    learned_run_config.pricing = vtm::core::pricing_backend::learned;
     learned_run_config.pricer = fleet_pricer.pricer;
     const auto learned_run = vtm::core::run_fleet_scenario(learned_run_config);
     fleet_table.add_row(std::vector<double>{
@@ -129,7 +127,7 @@ int main(int argc, char** argv) {
         learned_run.msp_total_utility / oracle_run.msp_total_utility});
   }
   std::printf("\n%s", fleet_table.render().c_str());
-  std::printf("\nThe learned backend is the first end-to-end path where the "
+  std::printf("\nThe learned pricer is the first end-to-end path where the "
               "mechanism, not the closed form, prices the fleet simulation.\n");
   return 0;
 }

@@ -20,7 +20,7 @@ spot_market_config monopoly_config(const competitive_market_config& config) {
   mono.unit_cost = config.msps.front().unit_cost;
   mono.price_cap = config.msps.front().price_cap;
   mono.min_clearable_mhz = config.min_clearable_mhz;
-  mono.policy = config.policy;
+  mono.pricer = config.pricer;
   mono.pool_capacity_mhz = config.msps.front().bandwidth_per_pool_mhz;
   mono.trace = config.trace;
   return mono;
@@ -44,6 +44,8 @@ competitive_market::competitive_market(competitive_market_config config)
     VTM_EXPECTS(config_.learned_msp < config_.msps.size());
     VTM_EXPECTS(config_.pricer != nullptr);
     VTM_EXPECTS(config_.pricer->config().competitor_aware);
+  } else if (config_.msps.size() >= 2) {
+    VTM_EXPECTS(config_.pricer == nullptr);
   }
   if (config_.msps.size() == 1) monopoly_.emplace(monopoly_config(config_));
   warm_prices_.assign(config_.msps.size(), 0.0);

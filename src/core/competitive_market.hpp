@@ -17,8 +17,9 @@
 // that MSP posts a competitor-aware `learned_pricer` price — the observation
 // extends the monopoly cohort summary with rival count and rival-price
 // features (`competitive_features`) — and the scripted rivals best-respond
-// to it. With M = 1 the class delegates verbatim to `core::spot_market`, so
-// a single-MSP oligopoly run is bitwise identical to `market_mode::joint`.
+// to it. With M = 1 the class delegates verbatim to `core::spot_market`
+// (handing it the config's pricer), so a single-MSP oligopoly run is bitwise
+// identical to `market_mode::joint` with the same pricer.
 //
 // DESIGN.md §11 documents the clearing discipline, the seller-split
 // semantics, and the shard interaction.
@@ -102,14 +103,14 @@ struct competitive_market_config {
   double share_sharpness = 0.25;  ///< λ of the softmin share rule.
   wireless::link_params link{};   ///< Demand-side migration channel.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this an MSP sits out.
-  /// Monopoly-path backend for the M = 1 delegation (null = oracle); unused
-  /// for M >= 2, where the price vector comes from the best-response solve.
-  /// The delegation's observation normalization anchors on the roster MSP's
-  /// own `bandwidth_per_pool_mhz`.
-  std::shared_ptr<pricing_policy> policy;
-  /// Learned seller seat: MSP `learned_msp` posts `pricer`'s price from the
-  /// competitor-aware observation instead of best-responding; the scripted
-  /// rivals best-respond to it. Requires a competitor_aware pricer.
+  /// The learned price source (null = every price from the oracle or the
+  /// best-response solve). With M = 1 it prices the delegated monopoly book,
+  /// whose observation normalization anchors on the roster MSP's own
+  /// `bandwidth_per_pool_mhz`. With M >= 2 it fills the learned seller seat:
+  /// MSP `learned_msp` posts its price from the competitor-aware observation
+  /// instead of best-responding, and the scripted rivals best-respond to it.
+  /// The seat requires a competitor_aware pricer, and with M >= 2 a pricer
+  /// requires the seat.
   std::shared_ptr<const learned_pricer> pricer;
   std::size_t learned_msp = no_learned_msp;
   /// Best-response iteration budget (passed to solve_price_competition).

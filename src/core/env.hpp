@@ -142,7 +142,7 @@ struct fleet_pricing_env_config {
 /// posts a price, and the reward is the MSP utility ratio U_s(p)/U_s(oracle)
 /// on that cohort. Rounds are independent draws (the fleet's clearing
 /// sequence is not replayed), which matches the per-clearing decision the
-/// deployed `learned_policy` faces.
+/// deployed `learned_pricer` faces.
 class fleet_pricing_env final : public rl::environment {
  public:
   /// The bank must be non-null and non-empty; shared (const) across replicas.

@@ -64,8 +64,8 @@ struct priced_regime {
 /// demands, both sides' utilities, and per-VMU AoTM, with the regime label
 /// classifying the posted price (rationing active -> capacity_bound; at the
 /// box edges -> price_capped / cost_floor). This is the follower side of
-/// every pricing backend — the oracle optimizes the price first, a learned
-/// policy posts it directly. Requires price in [C, p_max].
+/// every price source — the oracle optimizes the price first, a learned
+/// pricer posts it directly. Requires price in [C, p_max].
 [[nodiscard]] equilibrium evaluate_at_price(const migration_market& market,
                                             double price);
 

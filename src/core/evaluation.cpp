@@ -1,10 +1,7 @@
 #include "core/evaluation.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
-#include "nn/serialize.hpp"
 #include "util/contracts.hpp"
 #include "util/stats.hpp"
 
@@ -60,84 +57,6 @@ robustness_report evaluate_robustness(const market_params& params,
   report.std_optimality = optimality_stats.stddev();
   report.mean_convergence_episode = convergence_stats.mean();
   return report;
-}
-
-checkpointed_result train_with_checkpoint(const market_params& params,
-                                          const mechanism_config& config) {
-  checkpointed_result out;
-
-  migration_market market(params);
-  pricing_env_config env_config = config.env;
-  env_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  pricing_env env(market, env_config);
-
-  util::rng net_gen(config.seed);
-  rl::actor_critic_config net_config;
-  net_config.obs_dim = env.observation_dim();
-  net_config.act_dim = env.action_dim();
-  net_config.hidden = config.hidden;
-  net_config.initial_log_std = config.initial_log_std;
-  rl::actor_critic policy(net_config, net_gen);
-
-  util::rng ppo_gen(config.seed + 1);
-  rl::ppo learner(policy, config.ppo, ppo_gen);
-
-  rl::trainer_config trainer_config = config.trainer;
-  trainer_config.rounds_per_episode = env_config.rounds_per_episode;
-  trainer_config.seed = config.seed + 2;
-  rl::trainer driver(env, policy, learner, trainer_config);
-
-  out.result.oracle = solve_equilibrium(market);
-  out.result.history = driver.train();
-  out.result.final_eval = driver.evaluate();
-  out.result.learned_utility = out.result.final_eval.mean_utility;
-  out.result.learned_price =
-      env.price_from_action(out.result.final_eval.mean_action);
-  out.result.learned_total_demand =
-      market.total_demand(out.result.learned_price);
-  out.result.learned_vmu_utility =
-      market.total_vmu_utility(out.result.learned_price);
-
-  std::ostringstream blob;
-  auto parameters = policy.parameters();
-  nn::save_parameters(blob, parameters);
-  out.checkpoint = blob.str();
-  return out;
-}
-
-double evaluate_checkpoint(const market_params& params,
-                           const mechanism_config& config,
-                           const std::string& checkpoint) {
-  migration_market market(params);
-  pricing_env_config env_config = config.env;
-  env_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  pricing_env env(market, env_config);
-
-  util::rng net_gen(config.seed);
-  rl::actor_critic_config net_config;
-  net_config.obs_dim = env.observation_dim();
-  net_config.act_dim = env.action_dim();
-  net_config.hidden = config.hidden;
-  net_config.initial_log_std = config.initial_log_std;
-  rl::actor_critic policy(net_config, net_gen);
-
-  auto parameters = policy.parameters();
-  std::istringstream blob(checkpoint);
-  nn::load_parameters(blob, parameters);
-
-  // One deterministic episode.
-  nn::tensor observation = env.reset();
-  double total_utility = 0.0;
-  std::size_t rounds = 0;
-  for (std::size_t k = 0; k < env_config.rounds_per_episode; ++k) {
-    const auto sample = policy.act_deterministic(observation);
-    const auto result = env.step(sample.action);
-    total_utility += result.info.at("leader_utility");
-    observation = result.observation;
-    ++rounds;
-    if (result.done) break;
-  }
-  return total_utility / static_cast<double>(rounds);
 }
 
 }  // namespace vtm::core

@@ -1,5 +1,4 @@
-// Statistical evaluation of the learning mechanism across seeds, and policy
-// checkpointing for deployment without retraining.
+// Statistical evaluation of the learning mechanism across seeds.
 //
 // The paper reports single training runs; a downstream user needs to know the
 // variance. `evaluate_robustness` trains across independent seeds and reports
@@ -8,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/equilibrium.hpp"
@@ -42,22 +40,5 @@ struct robustness_report {
 [[nodiscard]] robustness_report evaluate_robustness(
     const market_params& params, const mechanism_config& base,
     std::size_t n_seeds);
-
-/// Train once and additionally return the serialized policy (the
-/// `policy_checkpoint` field of the result is filled).
-struct checkpointed_result {
-  mechanism_result result;
-  std::string checkpoint;  ///< nn::save_parameters text blob.
-};
-[[nodiscard]] checkpointed_result train_with_checkpoint(
-    const market_params& params, const mechanism_config& config);
-
-/// Rebuild the policy from a checkpoint and evaluate it deterministically on
-/// a (possibly different) market without any training. The architecture in
-/// `config` must match the checkpoint's. Returns the mean MSP utility of one
-/// deterministic episode.
-[[nodiscard]] double evaluate_checkpoint(const market_params& params,
-                                         const mechanism_config& config,
-                                         const std::string& checkpoint);
 
 }  // namespace vtm::core

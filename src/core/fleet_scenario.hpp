@@ -165,11 +165,11 @@ struct fleet_config {
   /// scripted). Requires `pricer` with `competitor_aware` set.
   std::size_t learned_msp = no_learned_msp;
 
-  /// Pricing backend for every clearing. `oracle` is the analytic
-  /// `solve_equilibrium` (bitwise-identical to the pre-backend engine);
-  /// `learned` posts the trained pricer's price from the partial-information
-  /// cohort observation and requires `pricer` to be set.
-  pricing_backend pricing = pricing_backend::oracle;
+  /// Learned price source. Null (the default) prices every clearing with
+  /// the analytic `solve_equilibrium` oracle. Otherwise the pricer posts
+  /// each monopoly clearing's price from the partial-information cohort
+  /// observation (joint mode, and the M = 1 oligopoly), or fills the
+  /// `learned_msp` seat; with two or more MSPs it requires that seat.
   std::shared_ptr<const learned_pricer> pricer;
 
   /// Capture one `cohort_snapshot` per priced clearing into
@@ -190,16 +190,11 @@ struct fleet_config {
   /// Contiguous RSU shards a single run is partitioned into. Each shard owns
   /// its RSUs' pools, spot-market books, and its own event queue; shards run
   /// on `util::thread_pool` workers and exchange boundary handoffs at
-  /// conservative window barriers. 1 = the serial engine (bitwise identical
-  /// to the pre-shard code); requires shard_count <= RSU count.
+  /// conservative window barriers, the window derived from the chain's
+  /// minimum boundary travel time at `max_speed_mps`. 1 = the serial engine
+  /// (bitwise identical to the pre-shard code); requires shard_count <= RSU
+  /// count.
   std::size_t shard_count = 1;
-  /// Synchronization window length in seconds; <= 0 derives it from the
-  /// chain's minimum boundary travel time at `max_speed_mps` (snapped to a
-  /// clearing-epoch multiple so grid clearings land on barriers). Any
-  /// positive value is *safe* — late boundary crossings are clamped to the
-  /// next barrier and counted in `fleet_result::late_handoffs` — but windows
-  /// longer than the lookahead trade fidelity for fewer barriers.
-  util::seconds window_s{0.0};
 
   // Observability (DESIGN.md §16). Results are invariant to both: metrics
   // merge deterministically at barriers, spans only read, and the logger's

@@ -168,8 +168,6 @@ std::vector<fleet_msp> resolved_fleet_msps(const fleet_config& config) {
 void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.graph != nullptr || config.rsu_count >= 1 ||
               !config.rsu_positions_m.empty());
-  VTM_EXPECTS(config.pricing == pricing_backend::oracle ||
-              config.pricer != nullptr);
   VTM_EXPECTS(config.vehicle_count >= 1);
   // Every bound, capacity and price below must be finite: an infinite α,
   // speed or pool passes the ordering checks and then poisons the clearing
@@ -268,10 +266,11 @@ void validate_fleet_config(const fleet_config& config) {
     VTM_EXPECTS(config.pricer != nullptr);
     VTM_EXPECTS(config.pricer->config().competitor_aware);
   }
-  // The monopoly pricing backend drives M = 1 delegation only; with real
-  // competition the price vector comes from the best-response solve (plus
-  // the learned seat), so a learned monopoly backend would be dead config.
-  if (msps.size() >= 2) VTM_EXPECTS(config.pricing == pricing_backend::oracle);
+  // The pricer prices the M = 1 delegation's monopoly book; with real
+  // competition the price vector comes from the best-response solve, so a
+  // pricer outside the learned seat would be dead config.
+  if (msps.size() >= 2 && config.learned_msp == no_learned_msp)
+    VTM_EXPECTS(config.pricer == nullptr);
 }
 
 void validate_streaming_config(const streaming_config& config) {
@@ -297,7 +296,6 @@ shard_engine::shard_engine(const fleet_config& config,
                            std::span<const std::uint32_t> rsu_shard,
                            std::vector<vehicle_slot>& vehicles,
                            sim::shard_mailbox<shard_message>& mailbox,
-                           std::shared_ptr<pricing_policy> policy,
                            shard_telemetry telemetry)
     : config_(config),
       chain_(chain),
@@ -332,7 +330,6 @@ shard_engine::shard_engine(const fleet_config& config,
     book_config.msps = msps_;
     book_config.share_sharpness = config.share_sharpness;
     book_config.min_clearable_mhz = config.min_clearable_mhz;
-    book_config.policy = std::move(policy);
     book_config.pricer = config.pricer;
     book_config.learned_msp = config.learned_msp;
     book_config.trace = tele_.trace;
@@ -367,7 +364,7 @@ shard_engine::shard_engine(const fleet_config& config,
   market_config.pool_capacity_mhz = config.bandwidth_per_pool_mhz;
   // Copied into every pool's book below (one learned pricer serves the
   // whole chain; null selects the analytic oracle per book).
-  market_config.policy = std::move(policy);
+  market_config.pricer = config.pricer;
   market_config.trace = tele_.trace;
 
   pools_.reserve(rsu_count);
@@ -1010,18 +1007,13 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
       gen_(config_.seed),
       mailbox_(config_.shard_count),
       pool_(config_.shard_count > 1 ? config_.shard_count - 1 : 0) {
-  window_s_ = config_.window_s > util::seconds{0.0}
-                  ? config_.window_s.value()
-                  : auto_window_s(config_, chain_);
+  window_s_ = auto_window_s(config_, chain_);
 
   // Contiguous balanced partition of the chain into shards.
   const std::size_t shard_count = config_.shard_count;
   rsu_shard_.resize(chain_.count());
   const std::size_t base = chain_.count() / shard_count;
   const std::size_t extra = chain_.count() % shard_count;
-
-  if (config_.pricing == pricing_backend::learned)
-    policy_ = std::make_shared<learned_policy>(config_.pricer);
 
   std::size_t lo = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -1059,7 +1051,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     tele.log = config_.log;
     shards_.push_back(std::make_unique<shard_engine>(
         config_, chain_, msp_chains_, s, lo, count, rsu_shard_, vehicles_,
-        mailbox_, policy_, std::move(tele)));
+        mailbox_, std::move(tele)));
     lo += count;
   }
   flushed_.resize(shard_count);

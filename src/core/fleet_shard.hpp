@@ -234,7 +234,6 @@ class shard_engine {
                std::span<const std::uint32_t> rsu_shard,
                std::vector<vehicle_slot>& vehicles,
                sim::shard_mailbox<shard_message>& mailbox,
-               std::shared_ptr<pricing_policy> policy,
                shard_telemetry telemetry = {});
 
   /// Take ownership of a spawned vehicle and schedule its next handover
@@ -523,7 +522,6 @@ class shard_coordinator {
   /// delivery to barrier scopes (DESIGN.md §13).
   util::barrier_phase barrier_;
   sim::shard_mailbox<shard_message> mailbox_;
-  std::shared_ptr<pricing_policy> policy_;
   // Telemetry sinks resolved from `config_.telemetry` (null when off) plus
   // the registered metric schema; `coord_trace_`/`coord_metrics_` are the
   // coordinator's own lanes (index == shard count).

@@ -21,23 +21,40 @@ mechanism_config mechanism_config::paper() {
   return config;
 }
 
-mechanism_result run_learning_mechanism(
-    const market_params& params, const mechanism_config& config,
-    const rl::trainer::episode_callback& on_episode) {
-  VTM_EXPECTS(config.rollout.num_envs >= 1);
-  migration_market market(params);
+namespace {
 
+/// Replica 0's environment config: the mechanism config's environment with
+/// its seed derived from the master seed.
+pricing_env_config seeded_env_config(const mechanism_config& config) {
   pricing_env_config env_config = config.env;
   env_config.seed = config.seed ^ 0x9e3779b97f4a7c15ULL;
-  pricing_env probe(market, env_config);  // dims + price mapping
+  return env_config;
+}
 
+/// The policy network, shaped by the pricing environment; its weights come
+/// from the master seed.
+rl::actor_critic make_policy(const pricing_env& env,
+                             const mechanism_config& config) {
   util::rng net_gen(config.seed);
   rl::actor_critic_config net_config;
-  net_config.obs_dim = probe.observation_dim();
-  net_config.act_dim = probe.action_dim();
+  net_config.obs_dim = env.observation_dim();
+  net_config.act_dim = env.action_dim();
   net_config.hidden = config.hidden;
   net_config.initial_log_std = config.initial_log_std;
-  rl::actor_critic policy(net_config, net_gen);
+  return rl::actor_critic(net_config, net_gen);
+}
+
+/// Algorithm 1 on `rollout.num_envs` lockstep replicas, then one
+/// deterministic episode on replica 0. A non-null `checkpoint` receives the
+/// trained policy.
+mechanism_result train_mechanism(const market_params& params,
+                                 const mechanism_config& config,
+                                 const rl::episode_callback& on_episode,
+                                 std::string* checkpoint) {
+  migration_market market(params);
+  const pricing_env_config env_config = seeded_env_config(config);
+  const pricing_env probe(market, env_config);  // dims + price mapping
+  rl::actor_critic policy = make_policy(probe, config);
 
   util::rng ppo_gen(config.seed + 1);
   rl::ppo learner(policy, config.ppo, ppo_gen);
@@ -47,31 +64,49 @@ mechanism_result run_learning_mechanism(
   trainer_config.seed = config.seed + 2;
   trainer_config.fast_rollout = config.rollout.fast_rollout;
 
+  rl::vector_env envs(make_pricing_env_factory(params, env_config),
+                      config.rollout.num_envs, config.rollout.threads);
+  rl::vector_trainer driver(envs, policy, learner, trainer_config);
+
   mechanism_result result;
   result.oracle = solve_equilibrium(market);
-
-  if (config.rollout.num_envs == 1) {
-    // Single-env path: the legacy Algorithm-1 trainer. The B=1 vectorized
-    // path matches it bitwise (tests/seed_determinism_test.cpp); it is kept
-    // distinct so the env is reset exactly as often as the original loop.
-    pricing_env env(market, env_config);
-    rl::trainer driver(env, policy, learner, trainer_config);
-    result.history = driver.train(on_episode);
-    result.final_eval = driver.evaluate();
-  } else {
-    rl::vector_env envs(make_pricing_env_factory(params, env_config),
-                        config.rollout.num_envs, config.rollout.threads);
-    rl::vector_trainer driver(envs, policy, learner, trainer_config);
-    result.history = driver.train(on_episode);
-    result.final_eval = driver.evaluate();
-  }
-
+  result.history = driver.train(on_episode);
+  result.final_eval = rl::evaluate_episode(envs.env(0), policy,
+                                           trainer_config.rounds_per_episode);
   result.learned_utility = result.final_eval.mean_utility;
   result.learned_price =
       probe.price_from_action(result.final_eval.mean_action);
   result.learned_total_demand = market.total_demand(result.learned_price);
   result.learned_vmu_utility = market.total_vmu_utility(result.learned_price);
+  if (checkpoint != nullptr) *checkpoint = rl::to_checkpoint(policy);
   return result;
+}
+
+}  // namespace
+
+mechanism_result run_learning_mechanism(
+    const market_params& params, const mechanism_config& config,
+    const rl::episode_callback& on_episode) {
+  VTM_EXPECTS(config.rollout.num_envs >= 1);
+  return train_mechanism(params, config, on_episode, nullptr);
+}
+
+checkpointed_result train_with_checkpoint(const market_params& params,
+                                          const mechanism_config& config) {
+  VTM_EXPECTS(config.rollout.num_envs >= 1);
+  checkpointed_result out;
+  out.result = train_mechanism(params, config, {}, &out.checkpoint);
+  return out;
+}
+
+double evaluate_checkpoint(const market_params& params,
+                           const mechanism_config& config,
+                           const std::string& checkpoint) {
+  pricing_env env(migration_market(params), seeded_env_config(config));
+  rl::actor_critic policy = make_policy(env, config);
+  rl::load_checkpoint(policy, checkpoint);
+  return rl::evaluate_episode(env, policy, config.env.rounds_per_episode)
+      .mean_utility;
 }
 
 baseline_result run_baseline(const market_params& params,
@@ -135,15 +170,15 @@ baseline_result run_baseline(const market_params& params,
 
 fleet_pricer_result train_fleet_pricer(
     const fleet_pricer_config& config,
-    const rl::trainer::episode_callback& on_episode) {
+    const rl::episode_callback& on_episode) {
   VTM_EXPECTS(!config.harvest.empty());
   VTM_EXPECTS(config.rollout.num_envs >= 1);
   VTM_EXPECTS(config.episodes >= 1);
   VTM_EXPECTS(config.rounds_per_episode >= 1);
 
-  // Harvest clearing cohorts by replaying the scenarios under the oracle
-  // backend. All harvests must share one price box — it is baked into the
-  // pricer's action map.
+  // Harvest clearing cohorts by replaying the scenarios under the oracle.
+  // All harvests must share one price box — it is baked into the pricer's
+  // action map.
   const double unit_cost = config.harvest.front().unit_cost;
   const double price_cap = config.harvest.front().price_cap;
   std::vector<cohort_snapshot> snapshots;
@@ -151,7 +186,6 @@ fleet_pricer_result train_fleet_pricer(
     VTM_EXPECTS(fleet.unit_cost == unit_cost &&
                 fleet.price_cap == price_cap);
     VTM_EXPECTS(fleet.mode == market_mode::joint);
-    fleet.pricing = pricing_backend::oracle;
     fleet.pricer = nullptr;
     fleet.record_cohorts = true;
     fleet.record_migrations = false;

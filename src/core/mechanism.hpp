@@ -1,10 +1,11 @@
 // The learning-based incentive mechanism — the paper's headline system.
 //
 // Wires the migration market into the pricing POMDP, trains the MSP's PPO
-// agent (Algorithm 1), evaluates the learned policy deterministically, and
-// runs the paper's baseline schemes (random / greedy) plus the analytic
-// Stackelberg oracle for comparison. One call produces everything a figure
-// needs.
+// agent (Algorithm 1, through rl::vector_trainer), evaluates the learned
+// policy deterministically, and runs the paper's baseline schemes (random /
+// greedy) plus the analytic Stackelberg oracle for comparison. One call
+// produces everything a figure needs; the checkpointing entry points train
+// and evaluate the same way.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +25,10 @@
 
 namespace vtm::core {
 
-/// Batched-rollout knobs for the vectorized training path.
+/// Batched-rollout knobs of the training driver.
 struct rollout_config {
-  /// Parallel environment replicas B. 1 uses the single-env trainer (the
-  /// seed-exact legacy path); > 1 collects lockstep B-row rollouts through
-  /// rl::vector_env + rl::vector_trainer.
+  /// Environment replicas B stepped in lockstep by rl::vector_trainer. 1 is
+  /// Algorithm 1 on a single environment; > 1 collects B-row rollouts.
   std::size_t num_envs = 1;
   /// Worker threads sharding environment steps (0 = serial stepping).
   std::size_t threads = 0;
@@ -84,7 +84,25 @@ struct mechanism_result {
 /// Train the PPO-based mechanism on a market and evaluate it.
 [[nodiscard]] mechanism_result run_learning_mechanism(
     const market_params& params, const mechanism_config& config = {},
-    const rl::trainer::episode_callback& on_episode = {});
+    const rl::episode_callback& on_episode = {});
+
+/// A mechanism run plus its trained policy, serialized.
+struct checkpointed_result {
+  mechanism_result result;
+  std::string checkpoint;  ///< rl::to_checkpoint text blob.
+};
+
+/// `run_learning_mechanism`, also returning the trained policy's checkpoint.
+[[nodiscard]] checkpointed_result train_with_checkpoint(
+    const market_params& params, const mechanism_config& config);
+
+/// Rebuild the policy from a checkpoint and evaluate it deterministically on
+/// a (possibly different) market without any training. The architecture in
+/// `config` must match the checkpoint's (std::runtime_error otherwise).
+/// Returns the mean MSP utility of one deterministic episode.
+[[nodiscard]] double evaluate_checkpoint(const market_params& params,
+                                         const mechanism_config& config,
+                                         const std::string& checkpoint);
 
 /// Run a baseline scheme for `episodes` episodes of `rounds` rounds each.
 [[nodiscard]] baseline_result run_baseline(const market_params& params,
@@ -101,9 +119,9 @@ struct mechanism_result {
 // --- fleet pricer training (RL-priced spot markets) -------------------------
 
 /// Everything configurable about one fleet-pricer training run. Cohorts are
-/// harvested by replaying the `harvest` fleet scenarios with the oracle
-/// backend and `record_cohorts` on; mixing regimes (e.g. a 100-vehicle and a
-/// 5000-vehicle fleet) trains one policy covering both.
+/// harvested by replaying the `harvest` fleet scenarios priced by the oracle
+/// (no pricer) with `record_cohorts` on; mixing regimes (e.g. a 100-vehicle
+/// and a 5000-vehicle fleet) trains one policy covering both.
 struct fleet_pricer_config {
   std::vector<fleet_config> harvest;     ///< Scenarios to harvest from.
   std::size_t episodes = 300;            ///< Training episodes.
@@ -128,7 +146,7 @@ struct fleet_pricer_config {
 
 /// Outcome of train_fleet_pricer.
 struct fleet_pricer_result {
-  /// The trained pricer, ready to plug into fleet_config::{pricing, pricer}.
+  /// The trained pricer, ready to plug into fleet_config::pricer.
   std::shared_ptr<const learned_pricer> pricer;
   std::string checkpoint;             ///< nn::serialize blob of the policy.
   std::size_t cohorts = 0;            ///< Usable cohorts after preparation.
@@ -144,6 +162,6 @@ struct fleet_pricer_result {
 /// non-degenerate cohorts.
 [[nodiscard]] fleet_pricer_result train_fleet_pricer(
     const fleet_pricer_config& config,
-    const rl::trainer::episode_callback& on_episode = {});
+    const rl::episode_callback& on_episode = {});
 
 }  // namespace vtm::core

@@ -138,22 +138,6 @@ std::string learned_pricer::checkpoint() const {
   return rl::to_checkpoint(policy_);
 }
 
-learned_policy::learned_policy(std::shared_ptr<const learned_pricer> pricer)
-    : pricer_(std::move(pricer)) {
-  VTM_EXPECTS(pricer_ != nullptr);
-}
-
-equilibrium learned_policy::price_cohort(const migration_market& market,
-                                         const cohort_observation& obs) {
-  // The policy posts the price; the followers best-respond through the
-  // market, so the outcome respects capacity and participation exactly as
-  // under the oracle — only the price selection is learned.
-  const auto& p = market.params();
-  const double price =
-      std::clamp(pricer_->price(obs), p.unit_cost, p.price_cap);
-  return evaluate_at_price(market, price);
-}
-
 market_params cohort_snapshot::to_market_params() const {
   market_params params;
   params.vmus = profiles;

@@ -1,43 +1,33 @@
-// Pluggable pricing backends for the spot-market clearing engine.
+// The learned price source for the spot-market clearing engine.
 //
 // Every clearing of `core::spot_market` needs one number — the unit price
 // posted to the cohort — and the rest of the outcome (rationed demands,
 // utilities) follows from the followers' best responses through the market.
-// The default is the analytic Stackelberg oracle over the full follower
-// profiles, which the spot market runs in place when no policy is attached
-// (the null policy; bitwise `solve_equilibrium`). This module is the
-// interface for the alternatives:
-//
-//   - `learned_policy` — a trained `rl::actor_critic` pricing the cohort
-//     from a *partial-information* observation (cohort size, remaining pool
-//     MHz, α/κ summary statistics) without ever seeing individual profiles;
-//     the paper's learning-based mechanism running inside the fleet engine.
+// By default the analytic Stackelberg oracle posts it, in place (bitwise
+// `solve_equilibrium`). A `learned_pricer` attached as
+// `spot_market_config::pricer` posts it instead: a trained
+// `rl::actor_critic` pricing the cohort from a *partial-information*
+// observation (cohort size, remaining pool MHz, α/κ summary statistics)
+// without ever seeing individual profiles — the paper's learning-based
+// mechanism running inside the fleet engine.
 //
 // The observation layout (`cohort_features`) and the price action map are
 // shared between training (`core::train_fleet_pricer`) and deployment
 // (`learned_pricer::price`), so a checkpoint trained on harvested cohort
-// snapshots plugs straight into `fleet_config::pricing`. DESIGN.md §9.
+// snapshots plugs straight into `fleet_config::pricer`. DESIGN.md §9.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/equilibrium.hpp"
 #include "core/market.hpp"
 #include "rl/policy.hpp"
 #include "wireless/link.hpp"
 
 namespace vtm::core {
 
-/// Which backend prices a fleet run's clearings.
-enum class pricing_backend {
-  oracle,   ///< Analytic `solve_equilibrium` over full profiles (default).
-  learned,  ///< Trained policy over the partial-information observation.
-};
-
-/// What a pricing policy is allowed to see about one clearing cohort:
+/// What a learned pricer is allowed to see about one clearing cohort:
 /// aggregate statistics only, never the individual (α_n, D_n) profiles.
 /// κ_n = D_n / R is the per-VMU transfer time per unit bandwidth — the AoI
 /// kernel of eq. 1 — so the κ summaries are the cohort's freshness pressure.
@@ -96,21 +86,6 @@ inline constexpr std::size_t competitive_feature_dim = cohort_feature_dim + 3;
 [[nodiscard]] double squashed_price(double raw_action, double unit_cost,
                                     double price_cap);
 
-/// Interface every non-oracle clearing backend implements: given the cohort
-/// market and its partial-information summary, produce the full clearing
-/// equilibrium (price plus the followers' market response at that price).
-class pricing_policy {
- public:
-  virtual ~pricing_policy() = default;
-
-  /// Backend name for logs and bench output.
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// Price one clearing cohort.
-  [[nodiscard]] virtual equilibrium price_cohort(
-      const migration_market& market, const cohort_observation& obs) = 0;
-};
-
 /// Architecture and price box of a learned pricer (must match training).
 struct learned_pricer_config {
   std::vector<std::size_t> hidden{64, 64};  ///< Trunk sizes.
@@ -153,28 +128,6 @@ class learned_pricer {
  private:
   learned_pricer_config config_;
   rl::actor_critic policy_;
-};
-
-/// Clearing backend that posts the learned pricer's price; the followers
-/// still best-respond through the market, so capacity and participation
-/// constraints hold exactly as under the oracle.
-class learned_policy final : public pricing_policy {
- public:
-  /// The pricer must be non-null.
-  explicit learned_policy(std::shared_ptr<const learned_pricer> pricer);
-
-  [[nodiscard]] const char* name() const noexcept override {
-    return "learned";
-  }
-  [[nodiscard]] equilibrium price_cohort(
-      const migration_market& market, const cohort_observation& obs) override;
-
-  [[nodiscard]] const learned_pricer& pricer() const noexcept {
-    return *pricer_;
-  }
-
- private:
-  std::shared_ptr<const learned_pricer> pricer_;
 };
 
 /// One clearing cohort captured from a fleet run (training data for the

@@ -38,8 +38,9 @@ const clearing_outcome& spot_market::clear(double available_mhz) {
     return outcome_;
   }
 
-  if (config_.policy) {
-    // An attached policy prices the cohort market from its observation.
+  if (config_.pricer) {
+    // The pricer posts the price from the cohort market's observation; the
+    // followers best-respond at it, so only the price selection is learned.
     market_params params;
     params.vmus.reserve(pending_.size());
     for (const auto& request : pending_) params.vmus.push_back(request.profile);
@@ -48,9 +49,11 @@ const clearing_outcome& spot_market::clear(double available_mhz) {
     params.unit_cost = config_.unit_cost;
     params.price_cap = config_.price_cap;
     const migration_market market(std::move(params));
-    const equilibrium eq = config_.policy->price_cohort(
-        market, make_cohort_observation(market, available_mhz,
-                                         config_.pool_capacity_mhz.value()));
+    const double price = std::clamp(
+        config_.pricer->price(make_cohort_observation(
+            market, available_mhz, config_.pool_capacity_mhz.value())),
+        config_.unit_cost, config_.price_cap);
+    const equilibrium eq = evaluate_at_price(market, price);
     partition(eq.price, eq.regime, eq.demands, eq.vmu_utilities,
               available_mhz);
   } else {

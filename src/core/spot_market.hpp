@@ -7,15 +7,14 @@
 // N-follower market over the destination pool's *remaining* capacity, using
 // `solve_equilibrium` (so rationing is the market's proportional rule).
 //
-// *Where the price comes from* is pluggable (`core::pricing_policy`). With
-// no policy attached the book is priced by the analytic oracle, in place:
-// the pending profiles feed `solve_price` — the solve behind
-// `solve_equilibrium`, bitwise — over a link budget built once per pool, and
-// the rationed demands and utilities land in per-market scratch. A learned
-// backend instead gets the cohort market and its partial-information
-// observation. Either way the followers best-respond through the market, so
-// the grant invariants (Σ b <= remainder, price in the box) hold for every
-// backend.
+// The price comes from one of two sources. With no pricer attached the book
+// is priced by the analytic oracle, in place: the pending profiles feed
+// `solve_price` — the solve behind `solve_equilibrium`, bitwise — over a
+// link budget built once per pool, and the rationed demands and utilities
+// land in per-market scratch. An attached `learned_pricer` instead posts its
+// price from the cohort's partial-information observation. Either way the
+// followers best-respond through the market, so the grant invariants
+// (Σ b <= remainder, price in the box) hold for any pricer.
 //
 // The engine that owns the pool decides *when* to clear (epoch boundaries,
 // migration completions); this class only prices and partitions the book.
@@ -75,9 +74,9 @@ struct spot_market_config {
   double unit_cost = 5.0;        ///< C — MSP's unit transmission cost.
   double price_cap = 50.0;       ///< p_max.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this, defer instead.
-  /// Pricing backend; null selects the analytic oracle, priced in place.
-  /// Shared so one learned pricer can serve every pool of a fleet run.
-  std::shared_ptr<pricing_policy> policy;
+  /// Learned price source; null selects the analytic oracle, priced in
+  /// place. Shared so one pricer can serve every pool of a fleet run.
+  std::shared_ptr<const learned_pricer> pricer;
   /// Nominal pool capacity anchoring observation normalization (<= 0 falls
   /// back to the clearing's available bandwidth).
   util::megahertz pool_capacity_mhz{0.0};

@@ -7,10 +7,6 @@
 
 namespace vtm::rl {
 
-namespace {
-
-/// One greedy (mean-action) episode without learning — shared by both
-/// trainers so the B=1 and batched mechanism paths evaluate identically.
 episode_stats evaluate_episode(environment& env, const actor_critic& policy,
                                std::size_t max_rounds) {
   episode_stats stats;
@@ -38,85 +34,6 @@ episode_stats evaluate_episode(environment& env, const actor_critic& policy,
   return stats;
 }
 
-}  // namespace
-
-trainer::trainer(environment& env, actor_critic& policy, ppo& learner,
-                 const trainer_config& config)
-    : env_(env),
-      policy_(policy),
-      learner_(learner),
-      config_(config),
-      gen_(config.seed) {
-  VTM_EXPECTS(config.episodes >= 1);
-  VTM_EXPECTS(config.rounds_per_episode >= 1);
-  VTM_EXPECTS(config.update_interval >= 1);
-  VTM_EXPECTS(env.observation_dim() == policy.config().obs_dim);
-  VTM_EXPECTS(env.action_dim() == policy.config().act_dim);
-}
-
-std::vector<episode_stats> trainer::train(const episode_callback& on_episode) {
-  std::vector<episode_stats> history;
-  history.reserve(config_.episodes);
-  for (std::size_t e = 0; e < config_.episodes; ++e) {
-    history.push_back(run_episode(e));
-    if (on_episode) on_episode(history.back());
-  }
-  return history;
-}
-
-episode_stats trainer::run_episode(std::size_t episode_index) {
-  episode_stats stats;
-  stats.episode = episode_index;
-  stats.best_utility = -1e300;
-
-  const nn::math_mode mode =
-      config_.fast_rollout ? nn::math_mode::fast : nn::math_mode::exact;
-  rollout_buffer buffer(config_.update_interval, env_.observation_dim(),
-                        env_.action_dim());
-  nn::tensor observation = env_.reset();
-
-  std::size_t executed = 0;
-  for (std::size_t k = 0; k < config_.rounds_per_episode; ++k) {
-    ++executed;
-    const auto sample = policy_.act(observation, gen_, mode);
-    const step_result result = env_.step(sample.action);
-
-    buffer.add(observation, sample.action, result.reward, sample.value,
-               sample.log_prob, result.done);
-
-    const auto it = result.info.find("leader_utility");
-    const double utility =
-        it != result.info.end() ? it->second : result.reward;
-    stats.episode_return += result.reward;
-    stats.mean_utility += utility;
-    stats.best_utility = std::max(stats.best_utility, utility);
-    stats.final_utility = utility;
-    stats.mean_action += sample.action(0, 0);
-    stats.final_action = sample.action(0, 0);
-
-    observation = result.observation;
-
-    const bool buffer_due = buffer.full() ||
-                            k + 1 == config_.rounds_per_episode || result.done;
-    if (buffer_due && buffer.size() > 0) {
-      const double bootstrap =
-          result.done ? 0.0 : policy_.values_batch(observation, mode)[0];
-      buffer.compute_advantages(learner_.config().gamma,
-                                learner_.config().gae_lambda, bootstrap);
-      const auto update = learner_.update(buffer);
-      stats.policy_entropy = update.entropy;
-      stats.value_loss = update.value_loss;
-      buffer.clear();
-    }
-    if (result.done) break;
-  }
-
-  const auto rounds = static_cast<double>(executed);
-  stats.mean_utility /= rounds;
-  stats.mean_action /= rounds;
-  return stats;
-}
-
 vector_trainer::vector_trainer(vector_env& envs, actor_critic& policy,
                                ppo& learner, const trainer_config& config)
     : envs_(envs),
@@ -132,7 +49,7 @@ vector_trainer::vector_trainer(vector_env& envs, actor_critic& policy,
 }
 
 std::vector<episode_stats> vector_trainer::train(
-    const trainer::episode_callback& on_episode) {
+    const episode_callback& on_episode) {
   const std::size_t batch = envs_.size();
 
   // Per-environment accumulators for the episode in flight.
@@ -193,8 +110,8 @@ std::vector<episode_stats> vector_trainer::train(
 
     observations = result.observations;
 
-    // Update on a full buffer or at any episode boundary — the cadence the
-    // single-env trainer uses, applied to all lockstep segments at once.
+    // Update on a full buffer or at any episode boundary (Algorithm 1's
+    // cadence), applied to all lockstep segments at once.
     if (buffer.steps() > 0 && (buffer.full() || boundary)) {
       // One batched critic pass bootstraps every non-terminal segment;
       // auto-reset replaced done rows, but those bootstrap with 0 anyway.
@@ -237,14 +154,6 @@ std::vector<episode_stats> vector_trainer::train(
     }
   }
   return history;
-}
-
-episode_stats vector_trainer::evaluate() {
-  return evaluate_episode(envs_.env(0), policy_, config_.rounds_per_episode);
-}
-
-episode_stats trainer::evaluate() {
-  return evaluate_episode(env_, policy_, config_.rounds_per_episode);
 }
 
 }  // namespace vtm::rl

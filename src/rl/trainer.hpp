@@ -1,16 +1,12 @@
-// Training drivers implementing the paper's Algorithm 1.
+// The training driver implementing the paper's Algorithm 1.
 //
-// `vector_trainer` is the batched rollout engine: it steps B environments in
-// lockstep through a vector_env, samples all B actions with one network
-// forward, stores lockstep rows in a batch-aware rollout_buffer (per-env GAE
-// segments), and runs a PPO update every |I| lockstep steps or at an episode
-// boundary. With B = 1 the control flow — action-RNG consumption, buffer
-// contents, update cadence, bootstrap values — reproduces the legacy
-// single-env `trainer` bitwise: same seeds give identical episode_stats.
-//
-// `trainer` is kept as the thin single-env path (one episode at a time, E
-// episodes of K rounds, update every |I| steps). Per-episode statistics feed
-// the convergence figures (Fig. 2).
+// `vector_trainer` steps B environments in lockstep through a vector_env,
+// samples all B actions with one network forward, stores lockstep rows in a
+// batch-aware rollout_buffer (per-env GAE segments), and runs a PPO update
+// every |I| lockstep steps or at an episode boundary. With B = 1 it is
+// Algorithm 1 itself: E episodes of K rounds on one environment, updating
+// every |I| rounds. Per-episode statistics feed the convergence figures
+// (Fig. 2).
 #pragma once
 
 #include <cstdint>
@@ -34,8 +30,7 @@ struct trainer_config {
   /// Collect rollouts with nn::math_mode::fast activations (sampling and
   /// GAE bootstraps only — PPO's update graph always uses exact math). Off
   /// by default, keeping rollout sampling bitwise-consistent with the
-  /// training graph; both trainers honour the flag identically, so B=1
-  /// trainer/vector_trainer equivalence holds in either mode.
+  /// training graph.
   bool fast_rollout = false;
 };
 
@@ -52,33 +47,15 @@ struct episode_stats {
   double value_loss = 0.0;
 };
 
-/// Orchestrates environment, policy, and learner.
-class trainer {
- public:
-  /// All references must outlive the trainer. Validates the configuration.
-  trainer(environment& env, actor_critic& policy, ppo& learner,
-          const trainer_config& config);
+/// Per-episode callback (progress logging).
+using episode_callback = std::function<void(const episode_stats&)>;
 
-  /// Optional per-episode callback (progress logging).
-  using episode_callback = std::function<void(const episode_stats&)>;
-
-  /// Run the full E-episode schedule; returns one record per episode.
-  [[nodiscard]] std::vector<episode_stats> train(
-      const episode_callback& on_episode = {});
-
-  /// Run a single episode with learning enabled.
-  [[nodiscard]] episode_stats run_episode(std::size_t episode_index);
-
-  /// Run one greedy (mean-action) episode without learning.
-  [[nodiscard]] episode_stats evaluate();
-
- private:
-  environment& env_;
-  actor_critic& policy_;
-  ppo& learner_;
-  trainer_config config_;
-  util::rng gen_;
-};
+/// Run one greedy (mean-action) episode of at most `max_rounds` rounds on
+/// `env` without learning. The utility is the step's "leader_utility" info
+/// entry when present, else its reward.
+[[nodiscard]] episode_stats evaluate_episode(environment& env,
+                                             const actor_critic& policy,
+                                             std::size_t max_rounds);
 
 /// Batched rollout engine over a vector_env.
 ///
@@ -95,10 +72,7 @@ class vector_trainer {
 
   /// Run until `episodes` episodes have completed; returns one record each.
   [[nodiscard]] std::vector<episode_stats> train(
-      const trainer::episode_callback& on_episode = {});
-
-  /// Run one greedy (mean-action) episode on environment 0 without learning.
-  [[nodiscard]] episode_stats evaluate();
+      const episode_callback& on_episode = {});
 
  private:
   vector_env& envs_;

@@ -55,27 +55,6 @@ class rsu_chain {
   [[nodiscard]] double spacing_m() const noexcept { return spacing_; }
   [[nodiscard]] double coverage_radius_m() const noexcept { return radius_; }
 
-  /// Typed siblings of the geometry accessors.
-  [[nodiscard]] util::meters spacing() const noexcept {
-    return util::meters{spacing_};
-  }
-  [[nodiscard]] util::meters coverage_radius() const noexcept {
-    return util::meters{radius_};
-  }
-  [[nodiscard]] util::meters center(std::size_t i) const {
-    return util::meters{center_m(i)};
-  }
-  [[nodiscard]] util::meters handover_position(std::size_t i) const {
-    return util::meters{handover_position_m(i)};
-  }
-  [[nodiscard]] util::meters link_distance(std::size_t i,
-                                           std::size_t j) const {
-    return util::meters{link_distance_m(i, j)};
-  }
-  [[nodiscard]] std::size_t serving_rsu(util::meters position) const noexcept {
-    return serving_rsu(position.value());
-  }
-
   /// Centre position of RSU `i`. Requires i < count().
   [[nodiscard]] double center_m(std::size_t i) const;
 

@@ -112,18 +112,6 @@ class road_graph {
                                        double edge_length_m,
                                        double coverage_radius_m);
 
-  /// Typed siblings of the two factories.
-  [[nodiscard]] static road_graph path(std::size_t rsu_count,
-                                       util::meters spacing,
-                                       util::meters coverage_radius) {
-    return path(rsu_count, spacing.value(), coverage_radius.value());
-  }
-  [[nodiscard]] static road_graph grid(std::size_t rows, std::size_t cols,
-                                       util::meters edge_length,
-                                       util::meters coverage_radius) {
-    return grid(rows, cols, edge_length.value(), coverage_radius.value());
-  }
-
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
@@ -162,18 +150,6 @@ class road_graph {
   /// downstream gap, then to one coverage diameter — mirroring the chain
   /// engine's RSU-0 downstream-gap convention.
   [[nodiscard]] double upstream_gap_m(std::size_t s) const;
-
-  /// Typed siblings of the distance accessors.
-  [[nodiscard]] util::meters coverage_radius() const noexcept {
-    return util::meters{radius_};
-  }
-  [[nodiscard]] util::meters site_distance(std::size_t a,
-                                           std::size_t b) const {
-    return util::meters{site_distance_m(a, b)};
-  }
-  [[nodiscard]] util::meters upstream_gap(std::size_t s) const {
-    return util::meters{upstream_gap_m(s)};
-  }
 
   [[nodiscard]] double min_route_length_m() const noexcept {
     return min_route_length_;

@@ -39,13 +39,6 @@ class vehicular_twin {
                                                     double total_mb,
                                                     double page_mb = 0.25);
 
-  /// Typed sibling of `with_total_mb`.
-  [[nodiscard]] static vehicular_twin with_total(
-      std::uint64_t vmu_id, util::megabytes total,
-      util::megabytes page = util::megabytes{0.25}) {
-    return with_total_mb(vmu_id, total.value(), page.value());
-  }
-
   /// Owning VMU's identifier.
   [[nodiscard]] std::uint64_t vmu_id() const noexcept { return vmu_id_; }
 
@@ -57,14 +50,6 @@ class vehicular_twin {
 
   /// Total migratable data in MB (config + memory + state) — the paper's D_n.
   [[nodiscard]] double total_mb() const noexcept;
-
-  /// Typed siblings of the footprint accessors.
-  [[nodiscard]] util::megabytes memory() const noexcept {
-    return util::megabytes{memory_mb()};
-  }
-  [[nodiscard]] util::megabytes total() const noexcept {
-    return util::megabytes{total_mb()};
-  }
 
   /// RSU currently hosting the twin.
   [[nodiscard]] std::size_t host_rsu() const noexcept { return host_rsu_; }

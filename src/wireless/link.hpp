@@ -34,14 +34,6 @@ class link_budget {
   /// Transmit power in watts.
   [[nodiscard]] double tx_power_watt() const noexcept { return tx_watt_; }
 
-  /// Typed siblings of the linear-power accessors.
-  [[nodiscard]] util::watts tx_power() const noexcept {
-    return util::watts{tx_watt_};
-  }
-  [[nodiscard]] util::watts noise_power() const noexcept {
-    return util::watts{noise_watt_};
-  }
-
   /// Composite channel gain h0·d^−ε (linear, unitless).
   [[nodiscard]] double channel_gain() const noexcept { return gain_; }
 

@@ -51,17 +51,6 @@ class ofdma_pool {
     return capacity_ - allocated_;
   }
 
-  /// Typed siblings of the MHz accessors.
-  [[nodiscard]] util::megahertz capacity() const noexcept {
-    return util::megahertz{capacity_};
-  }
-  [[nodiscard]] util::megahertz allocated() const noexcept {
-    return util::megahertz{allocated_};
-  }
-  [[nodiscard]] util::megahertz available() const noexcept {
-    return util::megahertz{capacity_ - allocated_};
-  }
-
   /// Number of live grants.
   [[nodiscard]] std::size_t active_grants() const noexcept {
     return slots_.size() - free_.size();
@@ -69,11 +58,6 @@ class ofdma_pool {
 
   /// Try to grant `mhz` (> 0) of bandwidth; nullopt when it does not fit.
   [[nodiscard]] std::optional<grant_id> allocate(double mhz);
-
-  /// Typed sibling of `allocate`.
-  [[nodiscard]] std::optional<grant_id> allocate(util::megahertz bandwidth) {
-    return allocate(bandwidth.value());
-  }
 
   /// Bandwidth of a live grant; nullopt for unknown ids.
   [[nodiscard]] std::optional<double> grant_mhz(grant_id id) const;
@@ -83,11 +67,6 @@ class ofdma_pool {
 
   /// Effective size of a request after granularity rounding.
   [[nodiscard]] double rounded(double mhz) const;
-
-  /// Typed sibling of `rounded`.
-  [[nodiscard]] util::megahertz rounded(util::megahertz request) const {
-    return util::megahertz{rounded(request.value())};
-  }
 
  private:
   struct slot {

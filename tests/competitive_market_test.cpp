@@ -35,12 +35,14 @@ core::clearing_request draw_request(vtm::util::rng& gen, std::size_t vehicle) {
   return request;
 }
 
-/// An *untrained* competitor-aware pricing network: the invariants must not
-/// depend on the policy being any good.
-std::shared_ptr<const core::learned_pricer> random_competitor_pricer(
-    std::uint64_t seed, double unit_cost, double price_cap) {
+/// An *untrained* pricing network, competitor-aware unless asked otherwise:
+/// the invariants must not depend on the policy being any good.
+std::shared_ptr<const core::learned_pricer> random_pricer(
+    std::uint64_t seed, double unit_cost, double price_cap,
+    bool competitor_aware = true) {
   rl::actor_critic_config net;
-  net.obs_dim = core::competitive_feature_dim;
+  net.obs_dim = competitor_aware ? core::competitive_feature_dim
+                                 : core::cohort_feature_dim;
   net.act_dim = 1;
   net.hidden = {16, 16};
   vtm::util::rng gen(seed);
@@ -48,7 +50,7 @@ std::shared_ptr<const core::learned_pricer> random_competitor_pricer(
   config.hidden = net.hidden;
   config.unit_cost = unit_cost;
   config.price_cap = price_cap;
-  config.competitor_aware = true;
+  config.competitor_aware = competitor_aware;
   return std::make_shared<const core::learned_pricer>(
       config, rl::actor_critic(net, gen));
 }
@@ -349,7 +351,7 @@ TEST(competitive_market, learned_seat_respects_invariants) {
     core::competitive_market_config config;
     config.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}, {vtm::util::meters{0.0}, 4.0, 40.0, vtm::util::megahertz{30.0}}, {vtm::util::meters{0.0}, 6.0, 60.0, vtm::util::megahertz{40.0}}};
     config.learned_msp = 1;
-    config.pricer = random_competitor_pricer(
+    config.pricer = random_pricer(
         700 + static_cast<std::uint64_t>(trial), config.msps[1].unit_cost,
         config.msps[1].price_cap);
     core::competitive_market market(config);
@@ -399,6 +401,13 @@ TEST(competitive_market, validates_config) {
   wrong_dim.pricer = std::make_shared<const core::learned_pricer>(
       pricer_config, rl::actor_critic(net, gen));
   EXPECT_THROW((void)core::competitive_market{wrong_dim},
+               vtm::util::contract_error);
+
+  // With two sellers a pricer only fills the learned seat.
+  core::competitive_market_config pricer_without_seat = seat_without_pricer;
+  pricer_without_seat.learned_msp = core::no_learned_msp;
+  pricer_without_seat.pricer = random_pricer(2, 5.0, 50.0);
+  EXPECT_THROW((void)core::competitive_market{pricer_without_seat},
                vtm::util::contract_error);
 }
 
@@ -454,6 +463,21 @@ TEST(competitive_market, fleet_m1_is_bitwise_joint) {
     const auto b = core::run_fleet_scenario(oligo);
     expect_fleet_identical(a, b);
   }
+}
+
+// The M = 1 delegation hands the pricer to the monopoly book: a one-seller
+// oligopoly priced by a monopoly pricer is bitwise the joint run with it.
+TEST(competitive_market, fleet_m1_learned_is_bitwise_joint) {
+  core::fleet_config joint;  // defaults
+  const auto oracle = core::run_fleet_scenario(joint);
+  joint.pricer = random_pricer(17, joint.unit_cost, joint.price_cap,
+                               /*competitor_aware=*/false);
+  const auto a = core::run_fleet_scenario(joint);
+  EXPECT_NE(a.mean_price, oracle.mean_price);  // the pricer did price
+  auto oligo = joint;
+  oligo.mode = core::market_mode::oligopoly;
+  const auto b = core::run_fleet_scenario(oligo);
+  expect_fleet_identical(a, b);
 }
 
 // End-to-end economics: duopoly clearing prices sit below the monopoly
@@ -607,7 +631,7 @@ TEST(competitive_market, fleet_cross_shard_retargets_reach_oligopoly_books) {
 TEST(competitive_market, fleet_learned_seat_runs_conserved) {
   auto config = duopoly_fleet(1.0);
   config.learned_msp = 0;
-  config.pricer = random_competitor_pricer(9, config.msps[0].unit_cost,
+  config.pricer = random_pricer(9, config.msps[0].unit_cost,
                                            config.msps[0].price_cap);
   const auto a = core::run_fleet_scenario(config);
   const auto b = core::run_fleet_scenario(config);
@@ -632,11 +656,11 @@ TEST(competitive_market, fleet_rejects_invalid_oligopoly_configs) {
   EXPECT_THROW((void)core::run_fleet_scenario(seat_without_pricer),
                vtm::util::contract_error);
 
-  // A learned monopoly *backend* is dead config under real competition.
-  core::fleet_config learned_backend = duopoly_fleet();
-  learned_backend.pricing = core::pricing_backend::learned;
-  learned_backend.pricer = random_competitor_pricer(1, 5.0, 50.0);
-  EXPECT_THROW((void)core::run_fleet_scenario(learned_backend),
+  // A pricer outside the learned seat is dead config under real
+  // competition.
+  core::fleet_config pricer_without_seat = duopoly_fleet();
+  pricer_without_seat.pricer = random_pricer(1, 5.0, 50.0);
+  EXPECT_THROW((void)core::run_fleet_scenario(pricer_without_seat),
                vtm::util::contract_error);
 
   // An offset pushing a candidate pool across a shard boundary would let

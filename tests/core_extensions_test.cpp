@@ -340,6 +340,29 @@ TEST(evaluation, checkpoint_transfers_to_similar_market) {
   EXPECT_GT(transferred, 0.8 * oracle.leader_utility);
 }
 
+// train_with_checkpoint trains through the same driver as
+// run_learning_mechanism, rollout config included.
+TEST(evaluation, checkpoint_training_honours_rollout_config) {
+  auto config = tiny_config();
+  config.trainer.episodes = 12;
+  config.rollout.num_envs = 4;
+  config.rollout.fast_rollout = true;
+  const auto trained = core::train_with_checkpoint(monopoly_params(), config);
+  const auto direct = core::run_learning_mechanism(monopoly_params(), config);
+  ASSERT_EQ(trained.result.history.size(), direct.history.size());
+  for (std::size_t i = 0; i < direct.history.size(); ++i) {
+    const auto& a = trained.result.history[i];
+    const auto& b = direct.history[i];
+    EXPECT_EQ(a.episode_return, b.episode_return);
+    EXPECT_EQ(a.mean_utility, b.mean_utility);
+    EXPECT_EQ(a.final_utility, b.final_utility);
+    EXPECT_EQ(a.mean_action, b.mean_action);
+    EXPECT_EQ(a.policy_entropy, b.policy_entropy);
+    EXPECT_EQ(a.value_loss, b.value_loss);
+  }
+  EXPECT_EQ(trained.result.learned_price, direct.learned_price);
+}
+
 TEST(evaluation, checkpoint_rejects_architecture_mismatch) {
   const auto trained =
       core::train_with_checkpoint(monopoly_params(), tiny_config());

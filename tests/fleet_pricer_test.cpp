@@ -40,7 +40,6 @@ double learned_over_oracle_ratio(
     const std::shared_ptr<const core::learned_pricer>& pricer) {
   const auto oracle = core::run_fleet_scenario(base);
   auto learned_config = base;
-  learned_config.pricing = core::pricing_backend::learned;
   learned_config.pricer = pricer;
   const auto learned = core::run_fleet_scenario(learned_config);
   EXPECT_GT(oracle.msp_total_utility, 0.0);
@@ -78,7 +77,6 @@ TEST(fleet_pricer, beats_acceptance_thresholds_on_both_regimes) {
   const auto reloaded = std::make_shared<const core::learned_pricer>(
       core::learned_pricer_config{}, trained.checkpoint);
   auto learned_config = uncongested_fleet();
-  learned_config.pricing = core::pricing_backend::learned;
   learned_config.pricer = trained.pricer;
   const auto direct = core::run_fleet_scenario(learned_config);
   learned_config.pricer = reloaded;

@@ -350,7 +350,7 @@ TEST(fleet_shard, drain_sweep_rehomes_abandoned_twins) {
 
   sim::shard_mailbox<core::shard_message> mailbox(1);
   core::shard_engine engine(config, chain, {}, 0, 0, 4, rsu_shard, vehicles,
-                            mailbox, nullptr);
+                            mailbox);
 
   core::clearing_request request;
   request.vehicle = 0;

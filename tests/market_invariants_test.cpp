@@ -104,15 +104,14 @@ TEST(market_invariants, oracle_backend_randomized) {
   }
 }
 
-// Same properties with an untrained learned policy posting the prices: the
-// clearing mechanism, not the policy, enforces them.
+// Same properties with an untrained learned pricer posting the prices: the
+// clearing mechanism, not the pricer, enforces them.
 TEST(market_invariants, learned_backend_randomized) {
   vtm::util::rng gen(887);
   for (int trial = 0; trial < 200; ++trial) {
     core::spot_market_config config;
-    config.policy = std::make_shared<core::learned_policy>(
-        random_pricer(1000 + static_cast<std::uint64_t>(trial),
-                      config.unit_cost, config.price_cap));
+    config.pricer = random_pricer(1000 + static_cast<std::uint64_t>(trial),
+                                  config.unit_cost, config.price_cap);
     config.pool_capacity_mhz = vtm::util::megahertz{50.0};
     core::spot_market market(config);
     const auto book = draw_book(gen);

@@ -1,16 +1,18 @@
-// Seed-determinism regression: the batched rollout engine at B = 1 must be
-// bitwise-identical to the legacy single-env trainer — same seeds, same
-// episode_stats sequence, field for field. This pins the refactor contract:
-// batching may not change the equilibrium/market math or the RNG consumption
-// order of Algorithm 1.
+// Seed-determinism regression: the training driver at B = 1 must be
+// bitwise-identical to the single-env Algorithm 1 loop kept below as the
+// reference — same seeds, same episode_stats sequence, field for field. This
+// pins the batching contract: batching may not change the equilibrium/market
+// math or the RNG consumption order of Algorithm 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/env.hpp"
 #include "core/market.hpp"
 #include "core/mechanism.hpp"
+#include "rl/buffer.hpp"
 #include "rl/policy.hpp"
 #include "rl/ppo.hpp"
 #include "rl/trainer.hpp"
@@ -72,14 +74,59 @@ struct stack {
   }
 };
 
+/// The reference single-env Algorithm 1 loop: reset the environment at
+/// every episode start, run at most K rounds, and update PPO on a full
+/// buffer of |I| rounds or at the episode's end.
 std::vector<rl::episode_stats> run_legacy(std::uint64_t seed, const budget& b,
                                           bool fast_rollout = false) {
   stack s(seed, b);
-  s.trainer_config.fast_rollout = fast_rollout;
+  const rl::trainer_config& config = s.trainer_config;
   core::pricing_env env(core::migration_market(two_vmu_market()),
                         s.env_config);
-  rl::trainer driver(env, s.policy, s.learner, s.trainer_config);
-  return driver.train();
+  const vtm::nn::math_mode mode =
+      fast_rollout ? vtm::nn::math_mode::fast : vtm::nn::math_mode::exact;
+  vtm::util::rng gen(config.seed);
+  std::vector<rl::episode_stats> history;
+  for (std::size_t e = 0; e < config.episodes; ++e) {
+    rl::episode_stats stats;
+    stats.episode = e;
+    stats.best_utility = -1e300;
+    rl::rollout_buffer buffer(config.update_interval, env.observation_dim(),
+                              env.action_dim());
+    vtm::nn::tensor observation = env.reset();
+    std::size_t executed = 0;
+    for (std::size_t k = 0; k < config.rounds_per_episode; ++k) {
+      ++executed;
+      const auto sample = s.policy.act(observation, gen, mode);
+      const rl::step_result result = env.step(sample.action);
+      buffer.add(observation, sample.action, result.reward, sample.value,
+                 sample.log_prob, result.done);
+      const double utility = result.info.at("leader_utility");
+      stats.episode_return += result.reward;
+      stats.mean_utility += utility;
+      stats.best_utility = std::max(stats.best_utility, utility);
+      stats.final_utility = utility;
+      stats.mean_action += sample.action(0, 0);
+      stats.final_action = sample.action(0, 0);
+      observation = result.observation;
+      if (buffer.full() || k + 1 == config.rounds_per_episode ||
+          result.done) {
+        const double bootstrap =
+            result.done ? 0.0 : s.policy.values_batch(observation, mode)[0];
+        buffer.compute_advantages(s.learner.config().gamma,
+                                  s.learner.config().gae_lambda, bootstrap);
+        const auto update = s.learner.update(buffer);
+        stats.policy_entropy = update.entropy;
+        stats.value_loss = update.value_loss;
+        buffer.clear();
+      }
+      if (result.done) break;
+    }
+    stats.mean_utility /= static_cast<double>(executed);
+    stats.mean_action /= static_cast<double>(executed);
+    history.push_back(stats);
+  }
+  return history;
 }
 
 std::vector<rl::episode_stats> run_vectorized(std::uint64_t seed,
@@ -144,8 +191,9 @@ TEST(seed_determinism, b1_match_is_thread_count_invariant) {
 }
 
 TEST(seed_determinism, b1_match_holds_in_fast_rollout_mode) {
-  // Both trainers honour fast_rollout through the same act/value paths, so
-  // the bitwise contract survives the fast-math sampling mode too.
+  // The driver and the reference loop honour fast_rollout through the same
+  // act/value paths, so the bitwise contract survives the fast-math sampling
+  // mode too.
   const budget b{4, 20, 20, 5};
   expect_identical(run_legacy(21, b, /*fast_rollout=*/true),
                    run_vectorized(21, b, 0, /*fast_rollout=*/true));

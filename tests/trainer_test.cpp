@@ -1,12 +1,15 @@
-// Tests for the Algorithm-1 training driver: update cadence, episode
-// accounting, early termination, and evaluation determinism.
+// Tests for the Algorithm-1 training driver on a one-replica vector_env:
+// update cadence, episode accounting, early termination, and evaluation
+// determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "rl/policy.hpp"
 #include "rl/ppo.hpp"
 #include "rl/trainer.hpp"
+#include "rl/vector_env.hpp"
 #include "util/contracts.hpp"
 
 namespace rl = vtm::rl;
@@ -52,14 +55,20 @@ class counting_env final : public rl::environment {
 };
 
 struct harness {
-  counting_env env;
+  rl::vector_env envs;
+  counting_env& env;  ///< The one replica, owned by `envs`.
   vtm::util::rng gen{1};
   rl::actor_critic policy;
   vtm::util::rng ppo_gen{2};
   rl::ppo learner;
 
   harness(std::size_t episode_length, rl::ppo_config ppo_config = {})
-      : env(episode_length),
+      : envs(
+            [episode_length](std::size_t) {
+              return std::make_unique<counting_env>(episode_length);
+            },
+            1),
+        env(static_cast<counting_env&>(envs.env(0))),
         policy(
             [] {
               rl::actor_critic_config config;
@@ -77,7 +86,7 @@ TEST(trainer, validates_configuration) {
   harness h(10);
   rl::trainer_config bad;
   bad.episodes = 0;
-  EXPECT_THROW((void)rl::trainer(h.env, h.policy, h.learner, bad),
+  EXPECT_THROW((void)rl::vector_trainer(h.envs, h.policy, h.learner, bad),
                vtm::util::contract_error);
 }
 
@@ -89,8 +98,9 @@ TEST(trainer, rejects_mismatched_dimensions) {
   wrong.hidden = {8};
   rl::actor_critic mismatched(wrong, gen);
   rl::trainer_config config;
-  EXPECT_THROW((void)rl::trainer(h.env, mismatched, h.learner, config),
-               vtm::util::contract_error);
+  EXPECT_THROW(
+      (void)rl::vector_trainer(h.envs, mismatched, h.learner, config),
+      vtm::util::contract_error);
 }
 
 TEST(trainer, runs_exactly_episodes_times_rounds) {
@@ -99,11 +109,12 @@ TEST(trainer, runs_exactly_episodes_times_rounds) {
   config.episodes = 3;
   config.rounds_per_episode = 25;
   config.update_interval = 5;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
+  rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
   const auto history = driver.train();
   ASSERT_EQ(history.size(), 3u);
   EXPECT_EQ(h.env.steps, 3u * 25u);
-  EXPECT_EQ(h.env.resets, 3u);
+  // The first reset, then one per truncated episode (the last one included).
+  EXPECT_EQ(h.env.resets, 4u);
   for (const auto& episode : history) {
     EXPECT_DOUBLE_EQ(episode.episode_return, 25.0);  // reward 1 per round
     EXPECT_DOUBLE_EQ(episode.mean_utility, 5.0);
@@ -116,7 +127,7 @@ TEST(trainer, stops_episode_on_done) {
   config.episodes = 2;
   config.rounds_per_episode = 50;
   config.update_interval = 4;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
+  rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
   const auto history = driver.train();
   EXPECT_EQ(h.env.steps, 2u * 7u);
   EXPECT_DOUBLE_EQ(history[0].episode_return, 7.0);
@@ -128,7 +139,7 @@ TEST(trainer, ppo_updates_fire_at_the_interval) {
   config.episodes = 1;
   config.rounds_per_episode = 100;
   config.update_interval = 20;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
+  rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
   (void)driver.train();
   // 100 rounds / |I| = 20 -> 5 updates x M epochs each.
   EXPECT_EQ(h.learner.steps(), 5u * h.learner.config().epochs);
@@ -140,7 +151,7 @@ TEST(trainer, partial_final_buffer_still_updates) {
   config.episodes = 1;
   config.rounds_per_episode = 25;  // 20 + partial 5
   config.update_interval = 20;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
+  rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
   (void)driver.train();
   EXPECT_EQ(h.learner.steps(), 2u * h.learner.config().epochs);
 }
@@ -150,7 +161,7 @@ TEST(trainer, callback_ordering_and_count) {
   rl::trainer_config config;
   config.episodes = 4;
   config.rounds_per_episode = 10;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
+  rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
   std::vector<std::size_t> seen;
   (void)driver.train(
       [&](const rl::episode_stats& stats) { seen.push_back(stats.episode); });
@@ -162,10 +173,11 @@ TEST(trainer, evaluate_is_deterministic_and_learning_free) {
   rl::trainer_config config;
   config.episodes = 1;
   config.rounds_per_episode = 10;
-  rl::trainer driver(h.env, h.policy, h.learner, config);
   const std::size_t steps_before = h.learner.steps();
-  const auto eval1 = driver.evaluate();
-  const auto eval2 = driver.evaluate();
+  const auto eval1 =
+      rl::evaluate_episode(h.env, h.policy, config.rounds_per_episode);
+  const auto eval2 =
+      rl::evaluate_episode(h.env, h.policy, config.rounds_per_episode);
   EXPECT_EQ(h.learner.steps(), steps_before);  // no updates during eval
   EXPECT_DOUBLE_EQ(eval1.final_action, eval2.final_action);
   EXPECT_DOUBLE_EQ(eval1.mean_utility, eval2.mean_utility);
@@ -178,7 +190,7 @@ TEST(trainer, same_seed_reproduces_training_run) {
     config.episodes = 3;
     config.rounds_per_episode = 10;
     config.seed = seed;
-    rl::trainer driver(h.env, h.policy, h.learner, config);
+    rl::vector_trainer driver(h.envs, h.policy, h.learner, config);
     double sum = 0.0;
     for (const auto& e : driver.train()) sum += e.mean_action;
     return sum;

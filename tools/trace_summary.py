@@ -126,7 +126,6 @@ def summarize(events: list[dict], top: int) -> None:
 
 def validate(events: list[dict]) -> list[str]:
     errors = []
-    names = lane_names(events)
     span_count = 0
     for idx, ev in enumerate(events):
         if not isinstance(ev, dict):
@@ -148,6 +147,9 @@ def validate(events: list[dict]) -> list[str]:
     if span_count == 0:
         errors.append("no complete ('X') spans — instrumentation recorded "
                       "nothing")
+    # The structural passes below index every event as a well-formed object,
+    # so a malformed one is reported here instead of crashing them.
+    if errors:
         return errors
 
     # Per-lane spans must nest: recording is single-threaded per lane and
@@ -176,6 +178,7 @@ def validate(events: list[dict]) -> list[str]:
             errors.append(f"lane {tid}: market clearing spans but no "
                           "shard.window span — clearings run inside shard "
                           "windows")
+    names = lane_names(events)
     coord_tids = {tid for tid, n in names.items() if n == "coordinator"}
     for idx, ev in enumerate(events):
         if ev.get("ph") == "i" and ev.get("name") == "stream.flush":
