@@ -46,7 +46,7 @@ inline core::mechanism_config sweep_mechanism_config(std::uint64_t seed,
   config.ppo.learning_rate = 3e-4;
   config.seed = seed;
   config.rollout.num_envs = num_envs;
-  config.rollout.fast_rollout = num_envs > 1;
+  config.trainer.fast_rollout = num_envs > 1;
   return config;
 }
 

@@ -34,7 +34,7 @@ curve train(double learning_rate, std::size_t episodes,
   config.ppo.learning_rate = learning_rate;
   config.seed = 42;
   config.rollout.num_envs = num_envs;
-  config.rollout.fast_rollout = num_envs > 1;
+  config.trainer.fast_rollout = num_envs > 1;
   curve out;
   out.result = vtm::core::run_learning_mechanism(
       vtm::bench::two_vmu_market(5.0), config,

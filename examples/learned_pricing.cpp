@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   config.ppo.learning_rate = argc > 2 ? std::strtod(argv[2], nullptr) : 3e-4;
   config.rollout.num_envs =
       argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 4;
-  config.rollout.fast_rollout = config.rollout.num_envs > 1;
+  config.trainer.fast_rollout = config.rollout.num_envs > 1;
   config.seed = 42;
 
   std::printf("Training the MSP agent: %zu episodes x %zu rounds, "

@@ -10,30 +10,12 @@
 
 namespace vtm::core {
 
-namespace {
-
-/// Map the single-MSP roster onto the monopoly clearing engine (the M = 1
-/// delegation must be bitwise the joint path, so it *is* the joint path).
-spot_market_config monopoly_config(const competitive_market_config& config) {
-  spot_market_config mono;
-  mono.link = config.link;
-  mono.unit_cost = config.msps.front().unit_cost;
-  mono.price_cap = config.msps.front().price_cap;
-  mono.min_clearable_mhz = config.min_clearable_mhz;
-  mono.pricer = config.pricer;
-  mono.pool_capacity_mhz = config.msps.front().bandwidth_per_pool_mhz;
-  mono.trace = config.trace;
-  return mono;
-}
-
-}  // namespace
-
 competitive_market::competitive_market(competitive_market_config config)
     : config_(std::move(config)) {
-  VTM_EXPECTS(!config_.msps.empty());
+  // One seller is the monopoly, which `spot_market` clears.
+  VTM_EXPECTS(config_.msps.size() >= 2);
   VTM_EXPECTS(config_.share_sharpness > 0.0);
   VTM_EXPECTS(config_.min_clearable_mhz > util::megahertz{0.0});
-  VTM_EXPECTS(config_.fixed_point_tol > 0.0);
   for (const auto& msp : config_.msps) {
     VTM_EXPECTS(std::isfinite(msp.chain_offset_m.value()));
     VTM_EXPECTS(msp.unit_cost > 0.0);
@@ -44,35 +26,20 @@ competitive_market::competitive_market(competitive_market_config config)
     VTM_EXPECTS(config_.learned_msp < config_.msps.size());
     VTM_EXPECTS(config_.pricer != nullptr);
     VTM_EXPECTS(config_.pricer->config().competitor_aware);
-  } else if (config_.msps.size() >= 2) {
+  } else {
     VTM_EXPECTS(config_.pricer == nullptr);
   }
-  if (config_.msps.size() == 1) monopoly_.emplace(monopoly_config(config_));
   warm_prices_.assign(config_.msps.size(), 0.0);
   warm_valid_.assign(config_.msps.size(), false);
 }
 
 void competitive_market::submit(clearing_request request) {
-  if (monopoly_) {
-    monopoly_->submit(std::move(request));
-    return;
-  }
   VTM_EXPECTS(request.profile.alpha > 0.0);
   VTM_EXPECTS(request.profile.data_mb > 0.0);
   pending_.push_back(std::move(request));
 }
 
-std::size_t competitive_market::pending() const noexcept {
-  return monopoly_ ? monopoly_->pending() : pending_.size();
-}
-
-std::vector<clearing_request>&
-competitive_market::pending_requests() noexcept {
-  return monopoly_ ? monopoly_->pending_requests() : pending_;
-}
-
 std::vector<clearing_request> competitive_market::abandon_pending() {
-  if (monopoly_) return monopoly_->abandon_pending();
   std::vector<clearing_request> dropped = std::move(pending_);
   pending_.clear();
   return dropped;
@@ -83,34 +50,6 @@ competitive_outcome competitive_market::clear(
   VTM_EXPECTS(available_mhz.size() == config_.msps.size());
   for (const double mhz : available_mhz) VTM_EXPECTS(mhz >= 0.0);
 
-  if (monopoly_) {
-    // Copied out of the monopoly book's reused outcome.
-    const clearing_outcome& mono = monopoly_->clear(available_mhz.front());
-    competitive_outcome outcome;
-    outcome.deferred = mono.deferred;
-    outcome.markets_cleared = mono.markets_cleared;
-    if (mono.markets_cleared > 0) outcome.prices = {mono.price};
-    outcome.priced_out = mono.priced_out;
-    outcome.grants.reserve(mono.grants.size());
-    for (const auto& grant : mono.grants) {
-      competitive_grant converted;
-      converted.bandwidth_mhz = grant.bandwidth_mhz;
-      converted.price = grant.price;
-      converted.vmu_utility = grant.vmu_utility;
-      converted.msp_utility = grant.msp_utility;
-      converted.cohort = grant.cohort;
-      converted.slices = {
-          {0, grant.bandwidth_mhz, grant.price, grant.msp_utility}};
-      converted.request = grant.request;
-      outcome.grants.push_back(std::move(converted));
-    }
-    return outcome;
-  }
-  return clear_oligopoly(available_mhz);
-}
-
-competitive_outcome competitive_market::clear_oligopoly(
-    std::span<const double> available_mhz) {
   competitive_outcome outcome;
   if (pending_.empty()) return outcome;
   util::trace_span span(config_.trace, "comarket.clear");
@@ -157,8 +96,6 @@ competitive_outcome competitive_market::clear_oligopoly(
     }
   }
   price_competition_options solve_options;
-  solve_options.tol = config_.fixed_point_tol;
-  solve_options.max_sweeps = config_.max_sweeps;
   if (any_warm) solve_options.warm_start = warm;
   outcome.warm_started = any_warm;
 

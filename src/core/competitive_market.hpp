@@ -17,9 +17,8 @@
 // that MSP posts a competitor-aware `learned_pricer` price — the observation
 // extends the monopoly cohort summary with rival count and rival-price
 // features (`competitive_features`) — and the scripted rivals best-respond
-// to it. With M = 1 the class delegates verbatim to `core::spot_market`
-// (handing it the config's pricer), so a single-MSP oligopoly run is bitwise
-// identical to `market_mode::joint` with the same pricer.
+// to it. A market needs at least two sellers: one seller is the monopoly,
+// which `core::spot_market` clears (`market_mode::joint`).
 //
 // DESIGN.md §11 documents the clearing discipline, the seller-split
 // semantics, and the shard interaction.
@@ -27,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,7 +73,7 @@ struct competitive_grant {
   double vmu_utility = 0.0;    ///< α ln(1 + bR/D) − payment.
   double msp_utility = 0.0;    ///< Σ_m (p_m − C_m)·slice_m.
   std::size_t cohort = 1;      ///< Requests priced together in this clearing.
-  std::vector<seller_slice> slices;  ///< Per-seller split (M = 1: one slice).
+  std::vector<seller_slice> slices;  ///< Per-seller split.
 };
 
 /// Outcome of one oligopoly clearing event. Mirrors `clearing_outcome`:
@@ -92,30 +90,23 @@ struct competitive_outcome {
   bool warm_started = false; ///< Solve started from the previous clearing.
   std::size_t solver_sweeps = 0;    ///< Best-response sweeps spent.
   std::size_t objective_evals = 0;  ///< Objective calls across the solve(s).
-  /// Final best-response residual of the (last) fixed-point solve; 0 for the
-  /// M = 1 delegation, which prices analytically.
+  /// Final best-response residual of the (last) fixed-point solve.
   double residual = 0.0;
 };
 
 /// Economics shared by every clearing of one destination cell's book.
 struct competitive_market_config {
-  std::vector<fleet_msp> msps;    ///< The roster (M >= 1).
+  std::vector<fleet_msp> msps;    ///< The roster (M >= 2).
   double share_sharpness = 0.25;  ///< λ of the softmin share rule.
   wireless::link_params link{};   ///< Demand-side migration channel.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this an MSP sits out.
-  /// The learned price source (null = every price from the oracle or the
-  /// best-response solve). With M = 1 it prices the delegated monopoly book,
-  /// whose observation normalization anchors on the roster MSP's own
-  /// `bandwidth_per_pool_mhz`. With M >= 2 it fills the learned seller seat:
-  /// MSP `learned_msp` posts its price from the competitor-aware observation
-  /// instead of best-responding, and the scripted rivals best-respond to it.
-  /// The seat requires a competitor_aware pricer, and with M >= 2 a pricer
-  /// requires the seat.
+  /// The learned seller seat (null = every price from the best-response
+  /// solve): MSP `learned_msp` posts its price from the competitor-aware
+  /// observation instead of best-responding, and the scripted rivals
+  /// best-respond to it. The seat requires a competitor_aware pricer, and a
+  /// pricer requires the seat.
   std::shared_ptr<const learned_pricer> pricer;
   std::size_t learned_msp = no_learned_msp;
-  /// Best-response iteration budget (passed to solve_price_competition).
-  double fixed_point_tol = 1e-7;
-  std::size_t max_sweeps = 200;
   /// Telemetry lane for per-clearing spans ("comarket.clear" carrying the
   /// convergence certificate: sweeps, objective evals, Newton iterations —
   /// 0 when the dampened loop priced the clearing — residual, warm start).
@@ -138,10 +129,12 @@ class competitive_market {
   /// Add a request to the book (FIFO order is the tie-break everywhere).
   void submit(clearing_request request);
 
-  [[nodiscard]] std::size_t pending() const noexcept;
+  [[nodiscard]] std::size_t pending() const noexcept { return pending_.size(); }
 
   /// Mutable view of the book so the owner can retarget deferred requests.
-  [[nodiscard]] std::vector<clearing_request>& pending_requests() noexcept;
+  [[nodiscard]] std::vector<clearing_request>& pending_requests() noexcept {
+    return pending_;
+  }
 
   /// Price the book against each MSP's remaining pool capacity
   /// (`available_mhz[m]`, one entry per roster MSP). Granted and priced-out
@@ -154,14 +147,8 @@ class competitive_market {
   [[nodiscard]] std::vector<clearing_request> abandon_pending();
 
  private:
-  [[nodiscard]] competitive_outcome clear_oligopoly(
-      std::span<const double> available_mhz);
-
   competitive_market_config config_;
-  /// M = 1 delegation: the monopoly book and clearing engine verbatim, so a
-  /// single-MSP oligopoly is bitwise the joint path.
-  std::optional<spot_market> monopoly_;
-  std::vector<clearing_request> pending_;  ///< Book for M >= 2.
+  std::vector<clearing_request> pending_;
   /// Warm-start memory, keyed per roster MSP for this book: the price each
   /// seller posted in its most recent clearing here. A seller that sat a
   /// clearing out keeps its old memory; a seller with no memory yet is

@@ -114,8 +114,8 @@ struct fleet_config {
   /// 1-D chain: the RSUs are the graph's sites, vehicles route over
   /// entry->exit paths, and pools price graph distance (`upstream_gap_m`) —
   /// the chain geometry fields above are ignored. A degenerate single-path
-  /// graph (`road_graph::as_chain()`) collapses back onto the legacy chain
-  /// engine bitwise. Oligopoly mode stays chain-only. An explicit spawn
+  /// graph (`road_graph::as_chain()`) collapses back onto the chain
+  /// config bitwise. Oligopoly mode stays chain-only. An explicit spawn
   /// window must intersect every route (spawn_min_m < the shortest route
   /// length), else it spans zero edges on some route and is rejected.
   std::shared_ptr<const sim::road_graph> graph;
@@ -155,9 +155,10 @@ struct fleet_config {
   util::megahertz min_clearable_mhz{0.5};  ///< Defer below this remainder.
 
   // Oligopoly competition (market_mode::oligopoly; DESIGN.md §11).
-  /// The competing sellers. Empty means one MSP inheriting the monopoly
-  /// economics above (such a run is bitwise `market_mode::joint`). Each MSP
-  /// owns a chain of pools shifted `chain_offset_m` from the primary chain.
+  /// The competing sellers: at least two in oligopoly mode (one seller is
+  /// the monopoly, which joint mode prices with the economics above), empty
+  /// in joint mode. Each MSP owns a chain of pools shifted `chain_offset_m`
+  /// from the primary chain.
   std::vector<fleet_msp> msps;
   double share_sharpness = 0.25;  ///< λ of the softmin seller-split rule.
   /// Learned seller seat: this MSP posts `pricer`'s competitor-aware price
@@ -166,10 +167,11 @@ struct fleet_config {
   std::size_t learned_msp = no_learned_msp;
 
   /// Learned price source. Null (the default) prices every clearing with
-  /// the analytic `solve_equilibrium` oracle. Otherwise the pricer posts
-  /// each monopoly clearing's price from the partial-information cohort
-  /// observation (joint mode, and the M = 1 oligopoly), or fills the
-  /// `learned_msp` seat; with two or more MSPs it requires that seat.
+  /// the analytic `solve_equilibrium` oracle (joint mode) or the
+  /// best-response solve (oligopoly mode). Otherwise, in joint mode, the
+  /// pricer posts each clearing's price from the partial-information cohort
+  /// observation; in oligopoly mode it fills the `learned_msp` seat, which
+  /// it requires.
   std::shared_ptr<const learned_pricer> pricer;
 
   /// Capture one `cohort_snapshot` per priced clearing into

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -16,7 +17,7 @@ namespace vtm::core {
 namespace {
 
 /// Build the RSU chain: explicit (possibly non-uniform) centres when given,
-/// the legacy uniform layout otherwise. In route mode the chain only sizes
+/// the uniform layout otherwise. In graph mode the chain only sizes
 /// the global RSU index space — per-route geometry lives in the route
 /// profiles and pool links come from `upstream_gap_m` — so its centres are
 /// never read (spacing 2·radius keeps the ctor's contiguity contract).
@@ -32,10 +33,10 @@ sim::rsu_chain make_chain(const fleet_config& config) {
 }
 
 /// Validate, then collapse a degenerate single-path graph back onto the
-/// legacy chain fields (`road_graph::as_chain()`): the engine's chain code
-/// path — bitwise-golden against the pre-graph engine — runs it verbatim.
-/// Real networks keep `graph` set, which selects route mode everywhere
-/// downstream (`config.graph != nullptr` is the single mode switch).
+/// chain fields (`road_graph::as_chain()`), so it runs as a chain run —
+/// bitwise-golden against the pre-graph engine. Real networks keep `graph`
+/// set, which selects graph mode everywhere downstream
+/// (`config.graph != nullptr` is the single mode switch).
 fleet_config normalized(fleet_config config) {
   validate_fleet_config(config);
   if (!config.graph) return config;
@@ -154,17 +155,6 @@ double epoch_grid_snap(double now_s, double epoch_s) {
   return std::max(now_s, epoch_s * std::ceil(r - tolerance));
 }
 
-std::vector<fleet_msp> resolved_fleet_msps(const fleet_config& config) {
-  if (config.mode != market_mode::oligopoly) return {};
-  if (!config.msps.empty()) return config.msps;
-  fleet_msp monopoly;
-  monopoly.chain_offset_m = util::meters{0.0};
-  monopoly.unit_cost = config.unit_cost;
-  monopoly.price_cap = config.price_cap;
-  monopoly.bandwidth_per_pool_mhz = config.bandwidth_per_pool_mhz;
-  return {monopoly};
-}
-
 void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.graph != nullptr || config.rsu_count >= 1 ||
               !config.rsu_positions_m.empty());
@@ -249,8 +239,9 @@ void validate_fleet_config(const fleet_config& config) {
     return;
   }
   VTM_EXPECTS(config.share_sharpness > 0.0);
-  const auto msps = resolved_fleet_msps(config);
-  for (const auto& msp : msps) {
+  // One seller is the monopoly, which joint mode clears.
+  VTM_EXPECTS(config.msps.size() >= 2);
+  for (const auto& msp : config.msps) {
     VTM_EXPECTS(std::isfinite(msp.chain_offset_m.value()));
     VTM_EXPECTS(msp.unit_cost > 0.0);
     VTM_EXPECTS(std::isfinite(msp.price_cap) &&
@@ -259,18 +250,16 @@ void validate_fleet_config(const fleet_config& config) {
                 msp.bandwidth_per_pool_mhz > util::megahertz{0.0});
   }
   if (config.learned_msp != no_learned_msp) {
-    // The learned seller seat needs rivals to price against and a pricer
-    // that reads the competitor-aware observation.
-    VTM_EXPECTS(config.learned_msp < msps.size());
-    VTM_EXPECTS(msps.size() >= 2);
+    // The learned seller seat needs a pricer that reads the
+    // competitor-aware observation.
+    VTM_EXPECTS(config.learned_msp < config.msps.size());
     VTM_EXPECTS(config.pricer != nullptr);
     VTM_EXPECTS(config.pricer->config().competitor_aware);
-  }
-  // The pricer prices the M = 1 delegation's monopoly book; with real
-  // competition the price vector comes from the best-response solve, so a
-  // pricer outside the learned seat would be dead config.
-  if (msps.size() >= 2 && config.learned_msp == no_learned_msp)
+  } else {
+    // The price vector comes from the best-response solve, so a pricer
+    // outside the learned seat would be dead config.
     VTM_EXPECTS(config.pricer == nullptr);
+  }
 }
 
 void validate_streaming_config(const streaming_config& config) {
@@ -306,28 +295,28 @@ shard_engine::shard_engine(const fleet_config& config,
       vehicles_(vehicles),
       mailbox_(mailbox),
       epoch_s_(config.clearing_epoch_s.value()),
-      msps_(resolved_fleet_msps(config)),
       msp_chains_(msp_chains),
       tele_(std::move(telemetry)) {
   VTM_EXPECTS(rsu_count >= 1);
   VTM_EXPECTS(rsu_lo + rsu_count <= chain.count());
-  VTM_EXPECTS(msp_chains_.size() == msps_.size());
+  VTM_EXPECTS(msp_chains_.size() == config.msps.size());
 
   if (oligopoly()) {
     // One pool per (MSP, local RSU) plus one competitive book per cell; the
     // candidate table maps each cell to the pool slot each MSP serves it
     // from (its own chain's serving RSU — validated by the coordinator to
     // stay inside this shard).
-    counters_.msp_utility.assign(msps_.size(), 0.0);
-    counters_.msp_sold_mhz.assign(msps_.size(), 0.0);
-    msp_pools_.resize(msps_.size());
-    for (std::size_t m = 0; m < msps_.size(); ++m) {
+    const auto& msps = config.msps;
+    counters_.msp_utility.assign(msps.size(), 0.0);
+    counters_.msp_sold_mhz.assign(msps.size(), 0.0);
+    msp_pools_.resize(msps.size());
+    for (std::size_t m = 0; m < msps.size(); ++m) {
       msp_pools_[m].reserve(rsu_count);
       for (std::size_t p = 0; p < rsu_count; ++p)
-        msp_pools_[m].emplace_back(msps_[m].bandwidth_per_pool_mhz);
+        msp_pools_[m].emplace_back(msps[m].bandwidth_per_pool_mhz);
     }
     competitive_market_config book_config;
-    book_config.msps = msps_;
+    book_config.msps = msps;
     book_config.share_sharpness = config.share_sharpness;
     book_config.min_clearable_mhz = config.min_clearable_mhz;
     book_config.pricer = config.pricer;
@@ -434,7 +423,7 @@ wireless::link_params shard_engine::link_for(std::size_t rsu,
 /// centre-difference arithmetic would drift from it by ulps for non-dyadic
 /// values, breaking bitwise reproduction of the pre-heterogeneity engine.
 double shard_engine::pool_link_distance_m(std::size_t rsu) const {
-  // Route mode: the pool prices its site's upstream gap along the traffic
+  // Graph mode: the pool prices its site's upstream gap along the traffic
   // flow through the road network.
   if (graph_) return graph_->upstream_gap_m(rsu);
   if (chain_.count() < 2 || config_.rsu_positions_m.empty())
@@ -448,8 +437,7 @@ void shard_engine::sync_position(std::size_t vehicle) {
   auto& slot = vehicles_[vehicle];
   const double dt = queue_.now() - slot.position_at;
   if (dt > 0.0) {
-    slot.kinematics = slot.route ? slot.route->advance(slot.kinematics, dt)
-                                 : sim::advance(slot.kinematics, dt);
+    slot.kinematics = slot.route->advance(slot.kinematics, dt);
     slot.position_at = queue_.now();
   }
 }
@@ -484,8 +472,7 @@ void shard_engine::dispatch(const fleet_event& event) {
 void shard_engine::schedule_next_handover(std::size_t vehicle) {
   sync_position(vehicle);
   auto& slot = vehicles_[vehicle];
-  const auto next = slot.route ? slot.route->next_handover(slot.kinematics)
-                               : chain_.next_handover(slot.kinematics);
+  const auto next = slot.route->next_handover(slot.kinematics);
   // Both decline branches leave the vehicle with no scheduled event, no
   // booked request, and no in-flight migration — nothing will ever touch
   // this twin again, so streaming runs may retire it at the next flush.
@@ -555,9 +542,7 @@ void shard_engine::run_clearing(std::size_t pidx) {
       sync_position(request.vehicle);
       const auto& slot = vehicles_[request.vehicle];
       request.from_rsu = slot.twin->host_rsu();
-      request.to_rsu =
-          slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
-                     : chain_.serving_rsu(slot.kinematics.position_m);
+      request.to_rsu = slot.route->serving_rsu(slot.kinematics.position_m);
       const std::size_t dest = rsu_shard_[request.to_rsu];
       if (dest != index_) {
         // The vehicle drifted out of this shard's RSU range while deferred:
@@ -664,8 +649,8 @@ void shard_engine::run_clearing_oligopoly(std::size_t pidx) {
   // Each MSP's offer is the remainder of the pool *its* chain serves this
   // cell from; pools tolerate epsilon overshoot at the capacity boundary,
   // so a remainder can read a hair below zero.
-  std::vector<double> available(msps_.size());
-  for (std::size_t m = 0; m < msps_.size(); ++m)
+  std::vector<double> available(msp_pools_.size());
+  for (std::size_t m = 0; m < msp_pools_.size(); ++m)
     available[m] =
         std::max(0.0, msp_pools_[m][candidates_[pidx][m]].available_mhz());
 
@@ -704,7 +689,7 @@ void shard_engine::run_clearing_oligopoly(std::size_t pidx) {
     // Deferred requests wait for capacity on any of this cell's candidate
     // pools; if none has a grant in flight, nothing will ever release.
     bool in_flight = false;
-    for (std::size_t m = 0; m < msps_.size() && !in_flight; ++m)
+    for (std::size_t m = 0; m < msp_pools_.size() && !in_flight; ++m)
       in_flight = msp_pools_[m][candidates_[pidx][m]].active_grants() > 0;
     if (in_flight) return;
     for (const auto& request : comarkets_[pidx].abandon_pending()) {
@@ -781,7 +766,7 @@ void shard_engine::launch_migration(std::uint32_t flight,
   const wireless::link_budget* budget = &budgets_[pidx];
   std::optional<wireless::link_budget> actual;
   if (graph_) {
-    // Route mode prices the destination's upstream gap; a hop whose true
+    // Graph mode prices the destination's upstream gap; a hop whose true
     // graph distance (from's site to to's site along the network) differs
     // rebuilds over it. Same-site re-homes keep the pool budget.
     if (request.to_rsu != request.from_rsu) {
@@ -1028,7 +1013,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
   // pushing a candidate across a shard boundary would let two shards race
   // on one pool, so it is rejected up front (reduce the offset or the shard
   // count).
-  for (const auto& msp : resolved_fleet_msps(config_))
+  for (const auto& msp : config_.msps)
     msp_chains_.push_back(chain_.shifted(msp.chain_offset_m));
   const sim::chain_set candidate_chains(msp_chains_);
   for (std::size_t r = 0; r < chain_.count(); ++r)
@@ -1056,8 +1041,9 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
   }
   flushed_.resize(shard_count);
 
-  // Route mode: one mobility profile per graph route (slots point into
-  // this, so it is built once and never resized again).
+  // One mobility profile per route (slots point into this, so it is built
+  // once and never resized again), with its spawn span resolved once
+  // (streaming arrivals draw them too).
   if (config_.graph) {
     // The graph self-measured its shortest-path and route-enumeration
     // phases; export them here, where the run's trace lanes exist.
@@ -1079,11 +1065,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     for (std::size_t r = 0; r < config_.graph->route_count(); ++r)
       routes_.push_back(config_.graph->make_route_profile(r));
     span.arg("routes", static_cast<double>(routes_.size()));
-    route_mode_ = true;
-  }
 
-  // Resolve the spawn spans once (streaming arrivals draw them too).
-  if (route_mode_) {
     route_span_lo_.reserve(routes_.size());
     route_span_hi_.reserve(routes_.size());
     for (std::size_t r = 0; r < routes_.size(); ++r) {
@@ -1099,6 +1081,13 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
       route_span_hi_.push_back(std::max(span_lo, span_hi));
     }
   } else {
+    // The chain is one route: identity RSU indices and no speed segments,
+    // whose unit-factor arithmetic is the chain's own (bitwise).
+    std::vector<std::size_t> rsus(chain_.count());
+    std::iota(rsus.begin(), rsus.end(), std::size_t{0});
+    routes_.emplace_back(chain_, std::move(rsus), std::vector<double>{},
+                         std::vector<double>{});
+
     // Auto spawn span: spread the fleet over the whole chain so every RSU
     // sees load. Uniform chains keep the original spacing arithmetic
     // verbatim (bitwise reproduction); explicit chains derive the span from
@@ -1120,13 +1109,15 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     }
     // Explicit bounds use the "< 0 means auto" sentinel, so a window may
     // legitimately start (or end) at 0 m.
-    span_lo_ = config_.spawn_min_m >= util::meters{0.0}
-                   ? config_.spawn_min_m.value()
-                   : auto_lo;
-    span_hi_ = config_.spawn_max_m >= util::meters{0.0}
-                   ? config_.spawn_max_m.value()
-                   : std::max(span_lo_, auto_hi);
-    VTM_EXPECTS(span_hi_ >= span_lo_);
+    const double span_lo = config_.spawn_min_m >= util::meters{0.0}
+                               ? config_.spawn_min_m.value()
+                               : auto_lo;
+    const double span_hi = config_.spawn_max_m >= util::meters{0.0}
+                               ? config_.spawn_max_m.value()
+                               : std::max(span_lo, auto_hi);
+    VTM_EXPECTS(span_hi >= span_lo);
+    route_span_lo_.push_back(span_lo);
+    route_span_hi_.push_back(span_hi);
   }
 
   if (spawn) spawn_vehicles();
@@ -1178,14 +1169,13 @@ void shard_coordinator::draw_spawn(vehicle_slot& slot) {
     // Platoon leader — every vehicle when platoon_size == 1, where the
     // chain-mode draw sequence (position, speed, α, data) is bitwise the
     // legacy spawn loop.
-    if (route_mode_ && routes_.size() > 1)
+    if (routes_.size() > 1)
       lead_route_ = static_cast<std::size_t>(gen_.uniform_int(
           0, static_cast<std::int64_t>(routes_.size()) - 1));
     else
       lead_route_ = 0;
-    const double lo = route_mode_ ? route_span_lo_[lead_route_] : span_lo_;
-    const double hi = route_mode_ ? route_span_hi_[lead_route_] : span_hi_;
-    position = gen_.uniform(lo, hi);
+    position = gen_.uniform(route_span_lo_[lead_route_],
+                            route_span_hi_[lead_route_]);
     speed = gen_.uniform(config_.min_speed_mps.value(),
                          config_.max_speed_mps.value());
     platoon_left_ = config_.platoon_size - 1;
@@ -1195,20 +1185,18 @@ void shard_coordinator::draw_spawn(vehicle_slot& slot) {
     // Follower: same route, jittered around the leader, clamped back into
     // the spawn window and speed band.
     --platoon_left_;
-    const double lo = route_mode_ ? route_span_lo_[lead_route_] : span_lo_;
-    const double hi = route_mode_ ? route_span_hi_[lead_route_] : span_hi_;
     position = std::clamp(
         lead_pos_ + gen_.uniform(-config_.platoon_spread_m.value(),
                                  config_.platoon_spread_m.value()),
-        lo, hi);
+        route_span_lo_[lead_route_], route_span_hi_[lead_route_]);
     speed = std::clamp(
         lead_speed_ + gen_.uniform(-config_.platoon_speed_jitter_mps.value(),
                                    config_.platoon_speed_jitter_mps.value()),
         config_.min_speed_mps.value(), config_.max_speed_mps.value());
   }
-  slot.route = route_mode_ ? &routes_[lead_route_] : nullptr;
+  slot.route = &routes_[lead_route_];
   slot.kinematics.position_m = position;
-  if (route_mode_ && config_.lane_speed_delta_mps > util::mps{0.0}) {
+  if (config_.graph && config_.lane_speed_delta_mps > util::mps{0.0}) {
     // Lane-change hook: multi-lane spawn edges grant a per-lane speed bonus
     // (the conservative window budgets the maximum).
     const std::size_t lanes = config_.graph->lanes_at(lead_route_, position);
@@ -1233,8 +1221,7 @@ void shard_coordinator::spawn_vehicles() {
     slot.twin.emplace(sim::vehicular_twin::with_total_mb(
         v, slot.profile.data_mb, config_.page_mb.value()));
     const std::size_t serving =
-        slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
-                   : chain_.serving_rsu(slot.kinematics.position_m);
+        slot.route->serving_rsu(slot.kinematics.position_m);
     slot.twin->set_host_rsu(serving);
     owner_[v] = rsu_shard_[serving];
   }
@@ -1398,8 +1385,7 @@ void shard_coordinator::inject_arrivals(double upto) {
       slot.twin.emplace(sim::vehicular_twin::with_total_mb(
           slot.id, slot.profile.data_mb, config_.page_mb.value()));
       const std::size_t serving =
-          slot.route ? slot.route->serving_rsu(slot.kinematics.position_m)
-                     : chain_.serving_rsu(slot.kinematics.position_m);
+          slot.route->serving_rsu(slot.kinematics.position_m);
       slot.twin->set_host_rsu(serving);
       owner_[v] = rsu_shard_[serving];
       shards_[owner_[v]]->inject(v, at);
@@ -1508,7 +1494,6 @@ fleet_result shard_coordinator::flush_window(bool final) {
     summary.shard = owner_[v];
     window.vehicles.push_back(summary);
     slot.twin.reset();
-    slot.route = nullptr;
     slot.exited = false;
     free_slots_.push_back(v);
     ++window_retired;

@@ -103,13 +103,6 @@ void validate_fleet_config(const fleet_config& config);
 /// competitive roster assumes a closed population.
 void validate_streaming_config(const streaming_config& config);
 
-/// The oligopoly seller roster a fleet run competes with: `config.msps`
-/// verbatim, or — when that is empty — one MSP inheriting the monopoly
-/// economics (zero offset), so `market_mode::oligopoly` without a roster is
-/// bitwise the joint path. Empty in joint mode.
-[[nodiscard]] std::vector<fleet_msp> resolved_fleet_msps(
-    const fleet_config& config);
-
 /// Mutable per-vehicle simulation state. Slots live in one coordinator-owned
 /// vector; exactly one shard owns (reads or writes) a slot at any time, and
 /// ownership only moves at window barriers.
@@ -120,8 +113,9 @@ struct vehicle_slot {
   /// recycled slot admits an arrival without allocating.
   std::optional<sim::vehicular_twin> twin;
   double position_at = 0.0;  ///< Simulation time of `kinematics.position_m`.
-  /// Route the vehicle travels in graph mode (coordinator-owned; null on the
-  /// legacy chain path). Positions are the route's arc coordinate.
+  /// Route the vehicle travels (coordinator-owned): a graph route, or the
+  /// chain as the one route of a chain run. Positions are the route's arc
+  /// coordinate. Set at spawn.
   const sim::route_profile* route = nullptr;
   std::size_t id = 0;    ///< Stable vehicle identity (slots are recycled).
   /// The vehicle left coverage (no further handover) with no booked or
@@ -330,7 +324,9 @@ class shard_engine {
   /// link with the per-cell noise/power overrides applied.
   [[nodiscard]] wireless::link_params link_for(std::size_t rsu,
                                                double distance_m) const;
-  [[nodiscard]] bool oligopoly() const noexcept { return !msps_.empty(); }
+  [[nodiscard]] bool oligopoly() const noexcept {
+    return config_.mode == market_mode::oligopoly;
+  }
   /// Pending book of pool `pidx`, whichever engine owns it.
   [[nodiscard]] std::vector<clearing_request>& book_of(std::size_t pidx);
   /// Submit into pool `pidx`'s book, whichever engine owns it.
@@ -363,7 +359,7 @@ class shard_engine {
 
   const fleet_config& config_;
   const sim::rsu_chain& chain_;
-  /// Road network in graph mode (null on the chain path): pools price
+  /// Road network in graph mode (null on a chain): pools price
   /// `upstream_gap_m` and drifted grants rebuild over `site_distance_m`.
   const sim::road_graph* graph_ = nullptr;
   std::size_t index_;
@@ -379,10 +375,9 @@ class shard_engine {
   std::vector<wireless::link_budget> budgets_;      ///< Per-pool rates.
   std::vector<wireless::ofdma_pool> pools_;
   std::vector<spot_market> markets_;
-  // Oligopoly state (empty in joint mode): the resolved roster, each
-  // MSP's pools over this shard's RSU range, the per-cell books, and the
-  // per-(cell, MSP) candidate pool slots resolved from the offset chains.
-  std::vector<fleet_msp> msps_;
+  // Oligopoly state (empty in joint mode): each roster MSP's pools over
+  // this shard's RSU range, the per-cell books, and the per-(cell, MSP)
+  // candidate pool slots resolved from the offset chains.
   sim::chain_set msp_chains_;
   std::vector<std::vector<wireless::ofdma_pool>> msp_pools_;
   std::vector<competitive_market> comarkets_;
@@ -477,15 +472,12 @@ class shard_coordinator {
   /// every cell's per-MSP pool inside the cell's own shard — validated at
   /// construction.
   std::vector<sim::rsu_chain> msp_chains_;
-  /// Graph-mode route profiles, one per graph route (vehicle slots point
-  /// into this); empty on the chain path.
+  /// Route profiles (vehicle slots point into this): one per graph route,
+  /// or the chain itself as one route with identity RSU indices.
   std::vector<sim::route_profile> routes_;
-  bool route_mode_ = false;
   util::rng gen_;
   double window_s_ = 0.0;
-  // Spawn-window spans: the chain span, or one [lo, hi] per route.
-  double span_lo_ = 0.0;
-  double span_hi_ = 0.0;
+  // Spawn-window spans, one [lo, hi] per route.
   std::vector<double> route_span_lo_;
   std::vector<double> route_span_hi_;
   // Platoon state threaded through consecutive spawn draws.

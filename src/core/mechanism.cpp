@@ -62,10 +62,9 @@ mechanism_result train_mechanism(const market_params& params,
   rl::trainer_config trainer_config = config.trainer;
   trainer_config.rounds_per_episode = env_config.rounds_per_episode;
   trainer_config.seed = config.seed + 2;
-  trainer_config.fast_rollout = config.rollout.fast_rollout;
 
   rl::vector_env envs(make_pricing_env_factory(params, env_config),
-                      config.rollout.num_envs, config.rollout.threads);
+                      config.rollout.num_envs);
   rl::vector_trainer driver(envs, policy, learner, trainer_config);
 
   mechanism_result result;
@@ -219,13 +218,12 @@ fleet_pricer_result train_fleet_pricer(
   trainer_config.rounds_per_episode = config.rounds_per_episode;
   trainer_config.update_interval = config.update_interval;
   trainer_config.seed = config.seed + 2;
-  trainer_config.fast_rollout = config.rollout.fast_rollout;
 
   fleet_pricer_result result;
   result.cohorts = bank->size();
 
   rl::vector_env envs(make_fleet_pricing_env_factory(bank, env_config),
-                      config.rollout.num_envs, config.rollout.threads);
+                      config.rollout.num_envs);
   rl::vector_trainer driver(envs, policy, learner, trainer_config);
   result.history = driver.train(on_episode);
 

@@ -25,23 +25,21 @@
 
 namespace vtm::core {
 
-/// Batched-rollout knobs of the training driver.
+/// Batched-rollout knob of the training driver (fast-math sampling is
+/// `rl::trainer_config::fast_rollout`).
 struct rollout_config {
   /// Environment replicas B stepped in lockstep by rl::vector_trainer. 1 is
   /// Algorithm 1 on a single environment; > 1 collects B-row rollouts.
   std::size_t num_envs = 1;
-  /// Worker threads sharding environment steps (0 = serial stepping).
-  std::size_t threads = 0;
-  /// Fast-math rollout sampling (rl::trainer_config::fast_rollout).
-  bool fast_rollout = false;
 };
 
 /// Everything configurable about one mechanism run.
 struct mechanism_config {
   pricing_env_config env{};        ///< L, K, reward mode, tolerance.
-  rl::trainer_config trainer{};    ///< E, K, |I| (K mirrored from env).
+  rl::trainer_config trainer{};    ///< E, K, |I|, fast rollouts (K
+                                   ///< mirrored from env).
   rl::ppo_config ppo{};            ///< Learning hyper-parameters.
-  rollout_config rollout{};        ///< Batched-rollout engine (B, threads).
+  rollout_config rollout{};        ///< Batched-rollout engine (B).
   std::vector<std::size_t> hidden{64, 64};  ///< Trunk sizes (paper: 2x64).
   double initial_log_std = -0.7;   ///< Exploration scale in action units.
   std::uint64_t seed = 42;         ///< Master seed (env/net/trainer derive).
@@ -128,7 +126,7 @@ struct fleet_pricer_config {
   std::size_t rounds_per_episode = 64;   ///< Cohorts priced per episode.
   std::size_t update_interval = 16;      ///< PPO cadence (lockstep rounds).
   rl::ppo_config ppo{};                  ///< lr defaults overridden to 3e-4.
-  rollout_config rollout{4, 0, false};   ///< Batched collection (B=4).
+  rollout_config rollout{4};            ///< Batched collection (B=4).
   std::vector<std::size_t> hidden{64, 64};
   double initial_log_std = -0.7;
   std::uint64_t seed = 42;

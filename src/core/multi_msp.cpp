@@ -398,6 +398,11 @@ double multi_msp_market::best_response_price_reference(
 
 namespace {
 
+// The fixed-point tolerance on max_m |BR_m(p) − p_m|, the dampened loop's
+// sweep budget, and its initial relaxation factor θ (a full step).
+constexpr double solve_tol = 1e-7;
+constexpr std::size_t max_sweeps = 200;
+constexpr double theta_start = 1.0;
 // Accuracy bounds of the inner best-response searches, shared by the Newton
 // verification sweep and the dampened loop's forcing tolerance.
 constexpr double inner_cap = 1e-3;
@@ -652,14 +657,13 @@ struct newton_stats {
 /// cap pins that seller there; one that would cross unit cost is cut to
 /// half the distance to it; every step must lower max|F| by the Armijo rule.
 newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
-                           double tol, std::vector<double>& prices,
-                           newton_workspace& ws) {
+                           std::vector<double>& prices, newton_workspace& ws) {
   constexpr std::size_t max_iterations = 24;
   constexpr std::size_t max_backtracks = 8;
   constexpr double armijo = 1e-4;
   // Newton converges quadratically: a point whose next step is this short
   // sits within ~step² of the root.
-  const double step_tol = 0.1 * tol;
+  constexpr double step_tol = 0.1 * solve_tol;
   const auto& msps = market.params().msps;
   const std::size_t count = msps.size();
   const std::size_t free_sellers = pinned < count ? count - 1 : count;
@@ -779,7 +783,7 @@ void dampened_best_response(const multi_msp_market& market,
   // rule restores the full-range search whenever the bracket goes stale.
   constexpr double stall_ratio = 0.95;
   constexpr double theta_min = 1.0 / 64.0;
-  double theta = options.damping;
+  double theta = theta_start;
   double prev_residual = std::numeric_limits<double>::infinity();
   double ratio = 0.0;
   std::size_t stalled = 0;
@@ -800,7 +804,7 @@ void dampened_best_response(const multi_msp_market& market,
     }
   }
 
-  for (std::size_t sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
     const double inner =
         std::isinf(prev_residual)
             ? inner_cap
@@ -824,7 +828,7 @@ void dampened_best_response(const multi_msp_market& market,
                 ? 0.0
                 : (prev_residual > 0.0 ? residual / prev_residual : 0.0);
     result.residual = residual;
-    if (residual <= options.tol) {
+    if (residual <= solve_tol) {
       // Land exactly on the best responses so the fixed point is exact up
       // to tol regardless of θ.
       result.prices = response;
@@ -860,7 +864,7 @@ void dampened_best_response(const multi_msp_market& market,
       stalled = 0;
     }
     double gamma = 0.0;
-    if (!cycling && have_prev && theta == options.damping && den > 1e-28)
+    if (!cycling && have_prev && theta == theta_start && den > 1e-28)
       gamma = std::clamp(num / den, -2.0, 0.99);
     double max_step = 0.0;
     for (std::size_t m = 0; m < msps; ++m) {
@@ -896,8 +900,6 @@ void dampened_best_response(const multi_msp_market& market,
 
 multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market, const price_competition_options& options) {
-  VTM_EXPECTS(options.tol > 0.0);
-  VTM_EXPECTS(options.damping > 0.0 && options.damping <= 1.0);
   VTM_EXPECTS(options.warm_start.empty() ||
               options.warm_start.size() == market.msp_count());
   VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
@@ -929,7 +931,7 @@ multi_msp_equilibrium solve_price_competition(
     newton_workspace ws(msps);
     std::vector<double> prices(result.prices);
     const auto stats =
-        newton_prices(market, options.pinned, options.tol, prices, ws);
+        newton_prices(market, options.pinned, prices, ws);
     result.objective_evals += stats.evaluations;
     if (stats.converged) {
       // Verification sweep. First the edges of the bracket the dampened
@@ -940,14 +942,14 @@ multi_msp_equilibrium solve_price_competition(
       // every free seller's best response, searched in a tight bracket
       // around its Newton price, must sit within tol of it.
       const double inner =
-          std::clamp(0.01 * options.tol, inner_floor, inner_cap);
+          std::clamp(0.01 * solve_tol, inner_floor, inner_cap);
       const auto slope_at = [&](std::size_t m, double price) {
         ++result.objective_evals;
         return profit_slope(market, prices, m, price, ws);
       };
       std::vector<double> response(prices);
       double defect = 0.0;
-      for (std::size_t m = 0; m < msps && defect <= options.tol; ++m) {
+      for (std::size_t m = 0; m < msps && defect <= solve_tol; ++m) {
         if (m == options.pinned) continue;
         const double lo = params.msps[m].unit_cost;
         const double hi = params.msps[m].price_cap;
@@ -964,11 +966,11 @@ multi_msp_equilibrium solve_price_competition(
         defect = std::max(defect, std::abs(br.price - prices[m]));
       }
       ++result.iterations;
-      if (defect <= options.tol) {
+      if (defect <= solve_tol) {
         result.prices = response;
         result.converged = true;
         result.residual = defect;
-        result.damping = options.damping;
+        result.damping = theta_start;
         result.newton_iterations = stats.iterations;
         certify(result, stats.prev_step > 0.0
                             ? stats.last_step / stats.prev_step

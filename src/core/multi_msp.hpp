@@ -220,21 +220,18 @@ struct multi_msp_equilibrium {
   std::size_t objective_evals = 0;
 };
 
-/// Tuning knobs for `solve_price_competition`.
+/// Starting point and pinned seat of `solve_price_competition` (the
+/// fixed-point tolerance, 1e-7, the sweep budget, 200, and the initial full
+/// step are the solver's constants).
 struct price_competition_options {
   static constexpr std::size_t no_pin = static_cast<std::size_t>(-1);
 
-  double tol = 1e-7;
-  std::size_t max_sweeps = 200;
   /// Previous clearing's prices (size M) to start from; empty = cold start
   /// at each MSP's cap midpoint (first clearing of a run stays bitwise).
   std::span<const double> warm_start{};
   /// Index of a seller whose price is held fixed at its initial value
   /// (learned pricing seat); `no_pin` iterates every seller.
   std::size_t pinned = no_pin;
-  /// Initial relaxation factor θ ∈ (0, 1]; halved (down to 1/64) whenever
-  /// the contraction ratio stalls near 1 (Edgeworth cycling).
-  double damping = 1.0;
 };
 
 /// Dampened simultaneous best-response iteration with a contraction-ratio
@@ -243,10 +240,10 @@ struct price_competition_options {
 /// configs that cycle under pure Gauss–Seidel. A warm-started solve with
 /// M >= 2 first runs an active-set Newton solve of the free sellers'
 /// first-order conditions and accepts it only if one best-response sweep
-/// around its prices measures a defect <= tol; otherwise the dampened loop
-/// runs from the warm start as if Newton had not been tried (DESIGN.md
-/// §12). Requires tol > 0. The default options are a cold start with no
-/// pin and a full step.
+/// around its prices measures a defect <= the fixed-point tolerance;
+/// otherwise the dampened loop runs from the warm start as if Newton had not
+/// been tried (DESIGN.md §12). The default options are a cold start with no
+/// pin.
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market,
     const price_competition_options& options = {});

@@ -6,43 +6,9 @@
 
 namespace vtm::nn {
 
-optimizer::optimizer(std::vector<variable> params)
-    : params_(std::move(params)) {
-  for (const auto& p : params_) {
-    VTM_EXPECTS(p.valid());
-    VTM_EXPECTS(p.requires_grad());
-  }
-}
-
-void optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
-sgd::sgd(std::vector<variable> params, double lr, double momentum)
-    : optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  VTM_EXPECTS(lr > 0.0);
-  VTM_EXPECTS(momentum >= 0.0 && momentum < 1.0);
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) velocity_.emplace_back(p.value().dims());
-}
-
-void sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    tensor value = params_[i].value();
-    const tensor& grad = params_[i].grad();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      double& vel = velocity_[i].flat()[j];
-      vel = momentum_ * vel + grad.flat()[j];
-      value.flat()[j] -= lr_ * vel;
-    }
-    params_[i].set_value(std::move(value));
-  }
-  zero_grad();
-}
-
 adam::adam(std::vector<variable> params, double lr, double beta1, double beta2,
            double eps)
-    : optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -54,6 +20,8 @@ adam::adam(std::vector<variable> params, double lr, double beta1, double beta2,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
+    VTM_EXPECTS(p.valid());
+    VTM_EXPECTS(p.requires_grad());
     m_.emplace_back(p.value().dims());
     v_.emplace_back(p.value().dims());
   }
@@ -79,6 +47,10 @@ void adam::step() {
     params_[i].set_value(std::move(value));
   }
   zero_grad();
+}
+
+void adam::zero_grad() {
+  for (auto& p : params_) p.zero_grad();
 }
 
 double clip_grad_norm(const std::vector<variable>& params, double max_norm) {

@@ -1,7 +1,7 @@
-// First-order optimizers over lists of parameter variables.
+// The first-order optimizer over a list of parameter variables.
 //
-// Optimizers read each parameter's grad() and update its value in place;
-// step() then clears the gradients so the next backward pass starts fresh.
+// Adam reads each parameter's grad() and updates its value in place; step()
+// then clears the gradients so the next backward pass starts fresh.
 #pragma once
 
 #include <vector>
@@ -10,54 +10,25 @@
 
 namespace vtm::nn {
 
-/// Optimizer interface (I.25: abstract base as interface).
-class optimizer {
- public:
-  virtual ~optimizer() = default;
-
-  /// Apply one update using the parameters' current gradients, then zero them.
-  virtual void step() = 0;
-
-  /// Zero all parameter gradients without updating.
-  void zero_grad();
-
-  /// The parameters being optimized.
-  [[nodiscard]] const std::vector<variable>& parameters() const noexcept {
-    return params_;
-  }
-
- protected:
-  explicit optimizer(std::vector<variable> params);
-  std::vector<variable> params_;
-};
-
-/// Plain stochastic gradient descent with optional momentum.
-class sgd final : public optimizer {
- public:
-  /// Requires lr > 0 and momentum in [0, 1).
-  sgd(std::vector<variable> params, double lr, double momentum = 0.0);
-
-  void step() override;
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba 2015) with bias correction.
-class adam final : public optimizer {
+class adam {
  public:
-  /// Requires lr > 0, betas in [0,1), eps > 0.
+  /// Requires trainable parameters, lr > 0, betas in [0,1), eps > 0.
   adam(std::vector<variable> params, double lr, double beta1 = 0.9,
        double beta2 = 0.999, double eps = 1e-8);
 
-  void step() override;
+  /// Apply one update using the parameters' current gradients, then zero
+  /// them.
+  void step();
+
+  /// Zero all parameter gradients without updating.
+  void zero_grad();
 
   /// Number of steps taken (bias-correction exponent).
   [[nodiscard]] std::size_t steps() const noexcept { return t_; }
 
  private:
+  std::vector<variable> params_;
   double lr_;
   double beta1_;
   double beta2_;

@@ -8,7 +8,7 @@
 //
 // The queue is written once, as a 4-ary min-heap over a payload type:
 //   - `event_queue` stores `std::function<void()>` closures and runs them
-//     (block transfers, tests, benches);
+//     (tests, benches);
 //   - the fleet engine stores a closed, trivially copyable event record and
 //     passes a dispatch function to `step` / `run_until` / `run_all`, so its
 //     hot loop schedules without allocating (core/fleet_shard.hpp).

@@ -10,8 +10,8 @@
 //
 // Degeneracy contract (DESIGN.md §14): a graph that is a single path whose
 // sites cover every edge in order, with unit speed factors and single lanes,
-// reports itself via `as_chain()`; the fleet engine then runs the legacy
-// chain code path verbatim, so `road_graph::path(n, spacing, radius)` is
+// reports itself via `as_chain()`; the fleet engine then runs it as the
+// equivalent chain config, so `road_graph::path(n, spacing, radius)` is
 // bitwise-golden against `rsu_chain(n, spacing, radius)` configs.
 #pragma once
 

@@ -1,6 +1,6 @@
 // Competitive multi-MSP fleet market (market_mode::oligopoly, DESIGN.md
-// §11): the static clearing engine's invariants, the M = 1 bitwise
-// delegation onto the monopoly path, and the fleet-level economics —
+// §11): the static clearing engine's invariants, the two-seller minimum
+// (one seller is the monopoly), and the fleet-level economics —
 // equilibrium prices below the monopoly price, falling toward cost as the
 // share sharpness λ grows, deterministic and conservation-checked at every
 // shard count.
@@ -35,14 +35,12 @@ core::clearing_request draw_request(vtm::util::rng& gen, std::size_t vehicle) {
   return request;
 }
 
-/// An *untrained* pricing network, competitor-aware unless asked otherwise:
-/// the invariants must not depend on the policy being any good.
+/// An *untrained* competitor-aware pricing network: the invariants must not
+/// depend on the policy being any good.
 std::shared_ptr<const core::learned_pricer> random_pricer(
-    std::uint64_t seed, double unit_cost, double price_cap,
-    bool competitor_aware = true) {
+    std::uint64_t seed, double unit_cost, double price_cap) {
   rl::actor_critic_config net;
-  net.obs_dim = competitor_aware ? core::competitive_feature_dim
-                                 : core::cohort_feature_dim;
+  net.obs_dim = core::competitive_feature_dim;
   net.act_dim = 1;
   net.hidden = {16, 16};
   vtm::util::rng gen(seed);
@@ -50,7 +48,7 @@ std::shared_ptr<const core::learned_pricer> random_pricer(
   config.hidden = net.hidden;
   config.unit_cost = unit_cost;
   config.price_cap = price_cap;
-  config.competitor_aware = competitor_aware;
+  config.competitor_aware = true;
   return std::make_shared<const core::learned_pricer>(
       config, rl::actor_critic(net, gen));
 }
@@ -153,9 +151,8 @@ void expect_fleet_conserved(const core::fleet_config& config,
   std::size_t twin_migrations = 0;
   for (const auto& v : r.vehicles) twin_migrations += v.migrations;
   EXPECT_EQ(twin_migrations, r.completed);
-  const auto msps = core::resolved_fleet_msps(config);
-  ASSERT_EQ(r.msp_utilities.size(), msps.size());
-  ASSERT_EQ(r.msp_sold_mhz.size(), msps.size());
+  ASSERT_EQ(r.msp_utilities.size(), config.msps.size());
+  ASSERT_EQ(r.msp_sold_mhz.size(), config.msps.size());
   // Per-seller realized profit decomposes the total (summation order may
   // differ across shards, hence near, not bitwise).
   const double split = std::accumulate(r.msp_utilities.begin(),
@@ -169,47 +166,6 @@ void expect_fleet_conserved(const core::fleet_config& config,
 }  // namespace
 
 // ---- static clearing engine -------------------------------------------------
-
-// A single-MSP oligopoly book clears through the monopoly engine verbatim:
-// every grant, price, and utility is bitwise the spot_market joint clearing.
-TEST(competitive_market, m1_delegates_bitwise_to_spot_market) {
-  vtm::util::rng gen(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    core::competitive_market_config config;
-    config.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}};
-    core::competitive_market oligo(config);
-
-    core::spot_market_config mono_config;
-    mono_config.link = config.link;
-    core::spot_market mono(mono_config);
-
-    const auto cohort = static_cast<std::size_t>(gen.uniform_int(1, 10));
-    for (std::size_t v = 0; v < cohort; ++v) {
-      const auto request = draw_request(gen, v);
-      oligo.submit(request);
-      mono.submit(request);
-    }
-    const double available = gen.uniform(0.05, 80.0);
-    const std::vector<double> offers{available};
-    const auto competitive = oligo.clear(offers);
-    const auto monopoly = mono.clear(available);
-
-    EXPECT_EQ(competitive.deferred, monopoly.deferred);
-    EXPECT_EQ(competitive.priced_out.size(), monopoly.priced_out.size());
-    ASSERT_EQ(competitive.grants.size(), monopoly.grants.size());
-    for (std::size_t g = 0; g < monopoly.grants.size(); ++g) {
-      EXPECT_EQ(competitive.grants[g].price, monopoly.grants[g].price);
-      EXPECT_EQ(competitive.grants[g].bandwidth_mhz,
-                monopoly.grants[g].bandwidth_mhz);
-      EXPECT_EQ(competitive.grants[g].vmu_utility,
-                monopoly.grants[g].vmu_utility);
-      EXPECT_EQ(competitive.grants[g].msp_utility,
-                monopoly.grants[g].msp_utility);
-      ASSERT_EQ(competitive.grants[g].slices.size(), 1u);
-      EXPECT_EQ(competitive.grants[g].slices[0].msp, 0u);
-    }
-  }
-}
 
 // Randomized rosters x cohorts x availabilities: whatever the price vector,
 // the clearing preserves exactly-once resolution, per-seller conservation,
@@ -336,8 +292,9 @@ TEST(competitive_market, scarce_duopoly_clears_at_rationing_price) {
     for (std::size_t m = 0; m < sold.size(); ++m)
       EXPECT_NEAR(sold[m], 50.0, 1e-6) << "seller " << m;
   }
-  // The rationing price does not move with λ (fixed_point_tol = 1e-7; the
-  // two solves land within a few ULP-scale multiples of it).
+  // The rationing price does not move with λ (the solver's fixed-point
+  // tolerance is 1e-7; the two solves land within a few ULP-scale multiples
+  // of it).
   EXPECT_NEAR(sharp_price, soft_price, 1e-3);
   EXPECT_GT(soft_price, 5.0);
 }
@@ -373,13 +330,23 @@ TEST(competitive_market, learned_seat_respects_invariants) {
 }
 
 TEST(competitive_market, validates_config) {
+  // One seller is the monopoly (spot_market), so a market needs two.
+  const core::fleet_msp seller{vtm::util::meters{0.0}, 5.0, 50.0,
+                               vtm::util::megahertz{50.0}};
   core::competitive_market_config no_msps;
   no_msps.msps.clear();
   EXPECT_THROW((void)core::competitive_market{no_msps},
                vtm::util::contract_error);
+  core::competitive_market_config one_msp;
+  one_msp.msps = {seller};
+  EXPECT_THROW((void)core::competitive_market{one_msp},
+               vtm::util::contract_error);
+  core::competitive_market_config two_msps;
+  two_msps.msps = {seller, seller};
+  EXPECT_NO_THROW((void)core::competitive_market{two_msps});
 
-  core::competitive_market_config bad_cost;
-  bad_cost.msps = {{vtm::util::meters{0.0}, -1.0, 50.0, vtm::util::megahertz{50.0}}};
+  core::competitive_market_config bad_cost = two_msps;
+  bad_cost.msps[1].unit_cost = -1.0;
   EXPECT_THROW((void)core::competitive_market{bad_cost},
                vtm::util::contract_error);
 
@@ -433,52 +400,6 @@ TEST(competitive_market, chain_set_resolves_per_operator_candidates) {
 }
 
 // ---- fleet engine integration ----------------------------------------------
-
-// market_mode::oligopoly with one MSP (empty roster) is bitwise
-// market_mode::joint: same clearings, same prices, same aggregates.
-TEST(competitive_market, fleet_m1_is_bitwise_joint) {
-  {
-    core::fleet_config joint;  // defaults
-    const auto a = core::run_fleet_scenario(joint);
-    auto oligo = joint;
-    oligo.mode = core::market_mode::oligopoly;
-    const auto b = core::run_fleet_scenario(oligo);
-    expect_fleet_identical(a, b);
-    ASSERT_EQ(b.msp_utilities.size(), 1u);
-    // One shard accrues per-MSP utility in completion order — the same
-    // order the merge reduces the scalar total in, so even the sum is
-    // bitwise.
-    EXPECT_EQ(b.msp_utilities[0], b.msp_total_utility);
-  }
-  {
-    core::fleet_config joint;
-    joint.rsu_positions_m = {vtm::util::meters{800.0}, vtm::util::meters{2000.0}, vtm::util::meters{2900.0}, vtm::util::meters{4400.0}, vtm::util::meters{5200.0}, vtm::util::meters{6800.0}};
-    joint.coverage_radius_m = vtm::util::meters{900.0};
-    joint.vehicle_count = 80;
-    joint.duration_s = vtm::util::seconds{90.0};
-    joint.seed = 99;
-    const auto a = core::run_fleet_scenario(joint);
-    auto oligo = joint;
-    oligo.mode = core::market_mode::oligopoly;
-    const auto b = core::run_fleet_scenario(oligo);
-    expect_fleet_identical(a, b);
-  }
-}
-
-// The M = 1 delegation hands the pricer to the monopoly book: a one-seller
-// oligopoly priced by a monopoly pricer is bitwise the joint run with it.
-TEST(competitive_market, fleet_m1_learned_is_bitwise_joint) {
-  core::fleet_config joint;  // defaults
-  const auto oracle = core::run_fleet_scenario(joint);
-  joint.pricer = random_pricer(17, joint.unit_cost, joint.price_cap,
-                               /*competitor_aware=*/false);
-  const auto a = core::run_fleet_scenario(joint);
-  EXPECT_NE(a.mean_price, oracle.mean_price);  // the pricer did price
-  auto oligo = joint;
-  oligo.mode = core::market_mode::oligopoly;
-  const auto b = core::run_fleet_scenario(oligo);
-  expect_fleet_identical(a, b);
-}
 
 // End-to-end economics: duopoly clearing prices sit below the monopoly
 // price, fall as λ grows, and stay above cost.
@@ -645,6 +566,18 @@ TEST(competitive_market, fleet_learned_seat_runs_conserved) {
 }
 
 TEST(competitive_market, fleet_rejects_invalid_oligopoly_configs) {
+  // An oligopoly needs two sellers: one seller is the monopoly, which joint
+  // mode clears.
+  core::fleet_config no_sellers;
+  no_sellers.mode = core::market_mode::oligopoly;
+  EXPECT_THROW(core::validate_fleet_config(no_sellers),
+               vtm::util::contract_error);
+  core::fleet_config one_seller = duopoly_fleet();
+  one_seller.msps.pop_back();
+  EXPECT_THROW(core::validate_fleet_config(one_seller),
+               vtm::util::contract_error);
+  EXPECT_NO_THROW(core::validate_fleet_config(duopoly_fleet()));
+
   // A roster outside oligopoly mode is a misconfiguration, not ignorable.
   core::fleet_config roster_in_joint;
   roster_in_joint.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}};

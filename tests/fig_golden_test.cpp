@@ -149,40 +149,6 @@ TEST(fig_golden, fleet_joint_aggregates) {
   EXPECT_DOUBLE_EQ(r1000.mean_price, 44.035863523444235);
 }
 
-// market_mode::oligopoly with a single MSP (empty roster) must clear
-// through the monopoly path verbatim: the tier2-pinned joint aggregates,
-// reproduced bitwise by the competitive engine's M = 1 delegation.
-TEST(fig_golden, fleet_oligopoly_m1_matches_joint_pins) {
-  core::fleet_config config;
-  config.rsu_count = 8;
-  config.vehicle_count = 100;
-  config.duration_s = vtm::util::seconds{60.0};
-  config.record_migrations = false;
-  config.mode = core::market_mode::oligopoly;
-  const auto r100 = core::run_fleet_scenario(config);
-  EXPECT_EQ(r100.handovers, 156u);
-  EXPECT_EQ(r100.completed, 156u);
-  EXPECT_EQ(r100.clearings, 142u);
-  EXPECT_EQ(r100.max_cohort, 3u);
-  EXPECT_DOUBLE_EQ(r100.msp_total_utility, 132813.78736519371);
-  EXPECT_DOUBLE_EQ(r100.vmu_total_utility, 194336.87203640776);
-  EXPECT_DOUBLE_EQ(r100.mean_aotm, 0.21641351796966005);
-  EXPECT_DOUBLE_EQ(r100.mean_amplification, 1.0530720013953168);
-  EXPECT_DOUBLE_EQ(r100.mean_price, 34.602495973050651);
-  ASSERT_EQ(r100.msp_utilities.size(), 1u);
-  EXPECT_DOUBLE_EQ(r100.msp_utilities[0], 132813.78736519371);
-
-  config.vehicle_count = 1000;
-  const auto r1000 = core::run_fleet_scenario(config);
-  EXPECT_EQ(r1000.handovers, 1550u);
-  EXPECT_EQ(r1000.completed, 1550u);
-  EXPECT_EQ(r1000.deferred, 15u);
-  EXPECT_EQ(r1000.max_cohort, 8u);
-  EXPECT_DOUBLE_EQ(r1000.msp_total_utility, 890911.36889007816);
-  EXPECT_DOUBLE_EQ(r1000.vmu_total_utility, 1552240.8084397218);
-  EXPECT_DOUBLE_EQ(r1000.mean_price, 44.035863523444235);
-}
-
 // Continuous clearing (epoch 0: each handover clears at its own instant),
 // also pinned. These numbers were captured from the retired one-VMU-at-a-time
 // market, which this regime reproduces while no two requests share a

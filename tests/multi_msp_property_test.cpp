@@ -222,7 +222,6 @@ TEST(multi_msp_property, warm_start_reaches_the_cold_equilibrium) {
     std::vector<double> warm(cold.prices);
     for (double& p : warm) p *= gen.uniform(0.95, 1.05);
     core::price_competition_options options;
-    options.tol = 1e-7;
     options.warm_start = warm;
     const auto warmed = core::solve_price_competition(market, options);
     EXPECT_TRUE(warmed.warm_started);
@@ -257,7 +256,6 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
     EXPECT_EQ(cold.newton_iterations, 0u);  // cold starts stay on the loop
 
     core::price_competition_options options;
-    options.tol = 1e-7;
     if (trial % 3 == 0)
       options.pinned = static_cast<std::size_t>(
           gen.uniform_int(0, static_cast<int>(msps) - 1));

@@ -1,4 +1,5 @@
-// Tests for layers, initializers, optimizers, Gaussian head, serialization.
+// Tests for layers, initializers, the Adam optimizer, the Gaussian head and
+// serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -144,7 +145,7 @@ TEST(activation, all_variants_apply) {
               1.0 / (1.0 + std::exp(-2.0)), 1e-12);
 }
 
-// ---- optimizers ------------------------------------------------------------------
+// ---- optimizer ------------------------------------------------------------------
 
 namespace {
 
@@ -155,42 +156,6 @@ nn::variable quadratic_loss(const nn::variable& theta,
 }
 
 }  // namespace
-
-TEST(sgd, converges_on_quadratic) {
-  auto theta = nn::variable::parameter(nn::tensor({1, 3}, 0.0));
-  const nn::tensor target({1, 3}, {1.0, -2.0, 3.0});
-  nn::sgd opt({theta}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    auto loss = quadratic_loss(theta, target);
-    nn::backward(loss);
-    opt.step();
-  }
-  EXPECT_TRUE(theta.value().allclose(target, 1e-6));
-}
-
-TEST(sgd, momentum_accelerates) {
-  auto plain = nn::variable::parameter(nn::tensor({1, 1}, 0.0));
-  auto fast = nn::variable::parameter(nn::tensor({1, 1}, 0.0));
-  const nn::tensor target({1, 1}, {10.0});
-  nn::sgd opt_plain({plain}, 0.01);
-  nn::sgd opt_fast({fast}, 0.01, 0.9);
-  for (int i = 0; i < 30; ++i) {
-    auto l1 = quadratic_loss(plain, target);
-    nn::backward(l1);
-    opt_plain.step();
-    auto l2 = quadratic_loss(fast, target);
-    nn::backward(l2);
-    opt_fast.step();
-  }
-  EXPECT_LT(std::abs(fast.value().item() - 10.0),
-            std::abs(plain.value().item() - 10.0));
-}
-
-TEST(sgd, rejects_bad_hyperparameters) {
-  auto theta = nn::variable::parameter(nn::tensor({1, 1}));
-  EXPECT_THROW((void)nn::sgd({theta}, 0.0), vtm::util::contract_error);
-  EXPECT_THROW((void)nn::sgd({theta}, 0.1, 1.0), vtm::util::contract_error);
-}
 
 TEST(adam, converges_on_quadratic) {
   auto theta = nn::variable::parameter(nn::tensor({1, 4}, 5.0));
@@ -232,7 +197,17 @@ TEST(adam, step_zeroes_gradients) {
   EXPECT_DOUBLE_EQ(theta.grad().item(), 0.0);
 }
 
-TEST(optimizer, rejects_non_trainable_parameters) {
+TEST(adam, rejects_bad_hyperparameters) {
+  auto theta = nn::variable::parameter(nn::tensor({1, 1}));
+  EXPECT_THROW((void)nn::adam({theta}, 0.0), vtm::util::contract_error);
+  EXPECT_THROW((void)nn::adam({theta}, 0.1, 1.0), vtm::util::contract_error);
+  EXPECT_THROW((void)nn::adam({theta}, 0.1, 0.9, 1.0),
+               vtm::util::contract_error);
+  EXPECT_THROW((void)nn::adam({theta}, 0.1, 0.9, 0.999, 0.0),
+               vtm::util::contract_error);
+}
+
+TEST(adam, rejects_non_trainable_parameters) {
   auto c = nn::variable::constant(nn::tensor({1, 1}));
   EXPECT_THROW((void)nn::adam({c}, 0.01), vtm::util::contract_error);
 }

@@ -307,9 +307,11 @@ TEST(road_graph, rejects_invalid_graph_configs) {
   EXPECT_THROW((void)core::run_fleet_scenario(zero_span),
                vtm::util::contract_error);
 
+  // A valid two-seller roster: the graph alone rejects the oligopoly.
   core::fleet_config oligopoly;
   oligopoly.graph = grid;
   oligopoly.mode = core::market_mode::oligopoly;
+  oligopoly.msps.resize(2);
   EXPECT_THROW((void)core::run_fleet_scenario(oligopoly),
                vtm::util::contract_error);
 

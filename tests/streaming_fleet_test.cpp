@@ -375,8 +375,10 @@ TEST(streaming_fleet, rejects_invalid_streaming_configs) {
   EXPECT_THROW((void)core::run_streaming_fleet(bad_horizon),
                vtm::util::contract_error);
 
+  // A valid two-seller roster: streaming alone rejects the oligopoly.
   auto oligopoly = stream_config(60.0);
   oligopoly.base.mode = core::market_mode::oligopoly;
+  oligopoly.base.msps.resize(2);
   EXPECT_THROW((void)core::run_streaming_fleet(oligopoly),
                vtm::util::contract_error);
 }

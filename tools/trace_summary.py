@@ -20,7 +20,12 @@ without opening Perfetto:
       on a lane named "coordinator"; a lane with market.clear or
       comarket.clear spans also ran shard.window spans). Exit 0 when clean,
       1 with a reason per violation. tools/trace_fixtures/ holds one valid
-      trace and one trace per structural violation.
+      trace and one trace per violation.
+
+Both modes check every event first: a malformed one (not an object, an
+unknown phase, no string name, a non-integer tid, non-object args, a span
+without a numeric ts or with a negative or non-numeric dur) is reported as
+"trace_summary: INVALID: ..." with exit 1.
 
 Usage:
   trace_summary.py TRACE.json [--top N] [--validate]
@@ -124,9 +129,19 @@ def summarize(events: list[dict], top: int) -> None:
             print(f"  {name:<24} {instants[name]}")
 
 
-def validate(events: list[dict]) -> list[str]:
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def event_errors(events: list) -> list[str]:
+    """One reason per malformed event. Every other pass, the summary's
+    included, indexes events as well-formed objects, so both modes run this
+    first and stop when it finds anything."""
     errors = []
-    span_count = 0
     for idx, ev in enumerate(events):
         if not isinstance(ev, dict):
             errors.append(f"event {idx}: not an object")
@@ -135,20 +150,36 @@ def validate(events: list[dict]) -> list[str]:
         if ph not in KNOWN_PHASES:
             errors.append(f"event {idx}: unknown phase {ph!r}")
             continue
-        if not ev.get("name"):
+        name = ev.get("name")
+        if not name:
             errors.append(f"event {idx}: missing name")
+        elif not isinstance(name, str):
+            errors.append(f"event {idx}: non-string name {name!r}")
+        if "tid" in ev and not is_integer(ev["tid"]):
+            errors.append(f"event {idx}: non-integer tid {ev['tid']!r}")
+        if "args" in ev and not isinstance(ev["args"], dict):
+            errors.append(f"event {idx}: args is not an object")
         if ph == "X":
-            span_count += 1
             if "ts" not in ev:
                 errors.append(f"event {idx}: span without ts")
-            if ev.get("dur", -1) < 0:
+            elif not is_number(ev["ts"]):
+                errors.append(f"event {idx}: span {ev.get('name')!r} has a "
+                              "non-numeric ts")
+            dur = ev.get("dur", -1)
+            if not is_number(dur):
+                errors.append(f"event {idx}: span {ev.get('name')!r} has a "
+                              "non-numeric dur")
+            elif dur < 0:
                 errors.append(f"event {idx}: span {ev.get('name')!r} has "
                               "negative or missing dur")
-    if span_count == 0:
+    return errors
+
+
+def validate(events: list[dict]) -> list[str]:
+    errors = event_errors(events)
+    if not any(isinstance(ev, dict) and ev.get("ph") == "X" for ev in events):
         errors.append("no complete ('X') spans — instrumentation recorded "
                       "nothing")
-    # The structural passes below index every event as a well-formed object,
-    # so a malformed one is reported here instead of crashing them.
     if errors:
         return errors
 
@@ -208,12 +239,12 @@ def main() -> int:
         print(f"trace_summary: {args.trace}: {err}", file=sys.stderr)
         return 1
 
+    errors = validate(events) if args.validate else event_errors(events)
+    for err in errors:
+        print(f"trace_summary: INVALID: {err}")
+    if errors:
+        return 1
     if args.validate:
-        errors = validate(events)
-        for err in errors:
-            print(f"trace_summary: INVALID: {err}")
-        if errors:
-            return 1
         spans = sum(1 for e in events if e.get("ph") == "X")
         instants = sum(1 for e in events if e.get("ph") == "i")
         print(f"trace_summary: OK ({spans} spans, {instants} instants, "
