@@ -14,7 +14,8 @@ competitive_market::competitive_market(competitive_market_config config)
     : config_(std::move(config)) {
   // One seller is the monopoly, which `spot_market` clears.
   VTM_EXPECTS(config_.msps.size() >= 2);
-  VTM_EXPECTS(config_.share_sharpness > 0.0);
+  VTM_EXPECTS(std::isfinite(config_.share_sharpness) &&
+              config_.share_sharpness > 0.0);
   VTM_EXPECTS(config_.min_clearable_mhz > util::megahertz{0.0});
   for (const auto& msp : config_.msps) {
     VTM_EXPECTS(std::isfinite(msp.chain_offset_m.value()));
@@ -45,38 +46,55 @@ std::vector<clearing_request> competitive_market::abandon_pending() {
   return dropped;
 }
 
-competitive_outcome competitive_market::clear(
+const competitive_outcome& competitive_market::clear(
     std::span<const double> available_mhz) {
   VTM_EXPECTS(available_mhz.size() == config_.msps.size());
   for (const double mhz : available_mhz) VTM_EXPECTS(mhz >= 0.0);
 
-  competitive_outcome outcome;
-  if (pending_.empty()) return outcome;
+  // Reset the reused outcome. Each grant's slice vector goes to the spares,
+  // so this clearing's grants reuse its capacity.
+  for (auto& grant : outcome_.grants)
+    spare_slices_.push_back(std::move(grant.slices));
+  outcome_.grants.clear();
+  outcome_.priced_out.clear();
+  outcome_.deferred = 0;
+  outcome_.markets_cleared = 0;
+  outcome_.prices.clear();
+  outcome_.converged = true;
+  outcome_.certified = true;
+  outcome_.warm_started = false;
+  outcome_.solver_sweeps = 0;
+  outcome_.objective_evals = 0;
+  outcome_.residual = 0.0;
+  if (pending_.empty()) return outcome_;
   util::trace_span span(config_.trace, "comarket.clear");
   span.arg("cohort", static_cast<double>(pending_.size()));
 
   // Sellers with less than the clearable minimum left sit this clearing out
   // (the monopoly engine's defer-below-minimum rule, applied per MSP).
-  std::vector<std::size_t> active;  // participating -> roster index
+  active_.clear();
   for (std::size_t m = 0; m < config_.msps.size(); ++m)
     if (available_mhz[m] >= config_.min_clearable_mhz.value())
-      active.push_back(m);
-  if (active.empty()) {
-    outcome.deferred = pending_.size();
-    return outcome;
+      active_.push_back(m);
+  if (active_.empty()) {
+    outcome_.deferred = pending_.size();
+    return outcome_;
   }
 
-  // The cohort as one oligopoly market over each seller's remainder.
-  multi_msp_params params;
-  params.msps.reserve(active.size());
-  for (const std::size_t m : active)
-    params.msps.push_back({config_.msps[m].unit_cost, available_mhz[m],
-                           config_.msps[m].price_cap});
-  params.vmus.reserve(pending_.size());
-  for (const auto& request : pending_) params.vmus.push_back(request.profile);
-  params.link = config_.link;
-  params.share_sharpness = config_.share_sharpness;
-  const multi_msp_market market(std::move(params));
+  // The cohort as one oligopoly market over each seller's remainder,
+  // rebuilt in place after the first clearing.
+  roster_.clear();
+  for (const std::size_t m : active_)
+    roster_.push_back({config_.msps[m].unit_cost, available_mhz[m],
+                       config_.msps[m].price_cap});
+  cohort_.clear();
+  for (const auto& request : pending_) cohort_.push_back(request.profile);
+  if (market_)
+    market_->assign(roster_, cohort_);
+  else
+    market_.emplace(multi_msp_params{roster_, cohort_, config_.link,
+                                     config_.share_sharpness});
+  const multi_msp_market& market = *market_;
 
   // Warm start: seed the solve from the prices this book's sellers posted
   // in their most recent clearing; the solver's Newton stage converges from
@@ -84,41 +102,44 @@ competitive_outcome competitive_market::clear(
   // with no memory yet get their cap midpoint; when *no* active seller has
   // memory — the first clearing of a run — the solve cold-starts and is
   // bitwise-identical to the memoryless solver.
-  std::vector<double> warm(active.size(), 0.0);
+  warm_.resize(active_.size());
   bool any_warm = false;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const std::size_t m = active[i];
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const std::size_t m = active_[i];
     if (warm_valid_[m]) {
-      warm[i] = warm_prices_[m];
+      warm_[i] = warm_prices_[m];
       any_warm = true;
     } else {
-      warm[i] = 0.5 * (config_.msps[m].unit_cost + config_.msps[m].price_cap);
+      warm_[i] = 0.5 * (config_.msps[m].unit_cost + config_.msps[m].price_cap);
     }
   }
   price_competition_options solve_options;
-  if (any_warm) solve_options.warm_start = warm;
-  outcome.warm_started = any_warm;
+  if (any_warm) solve_options.warm_start = warm_;
+  outcome_.warm_started = any_warm;
 
   // Price vector: all-scripted best-response fixed point, or the learned
   // seat's posted price with the scripted rivals best-responding to it. The
   // scripted equilibrium doubles as the rival-price summary the learned
   // observation reads — the seat sees where competition *would* settle.
-  std::vector<double> prices;
+  // Every solve runs on this book's scratch into `solved_`.
   std::size_t newton_iterations = 0;  // 0 when the dampened loop answered
+  const auto add_solve = [&] {
+    outcome_.solver_sweeps += solved_.iterations;
+    outcome_.objective_evals += solved_.objective_evals;
+    outcome_.residual = solved_.residual;
+    newton_iterations += solved_.newton_iterations;
+  };
   const auto learned_it = config_.learned_msp == no_learned_msp
-                              ? active.end()
-                              : std::find(active.begin(), active.end(),
+                              ? active_.end()
+                              : std::find(active_.begin(), active_.end(),
                                           config_.learned_msp);
-  if (learned_it != active.end()) {
+  if (learned_it != active_.end()) {
     const std::size_t seat = static_cast<std::size_t>(
-        learned_it - active.begin());
-    const auto scripted = solve_price_competition(market, solve_options);
-    outcome.converged = scripted.converged;
-    outcome.certified = scripted.certified;
-    outcome.solver_sweeps += scripted.iterations;
-    outcome.objective_evals += scripted.objective_evals;
-    outcome.residual = scripted.residual;
-    newton_iterations += scripted.newton_iterations;
+        learned_it - active_.begin());
+    solve_price_competition(market, solve_options, solved_, scratch_);
+    outcome_.converged = solved_.converged;
+    outcome_.certified = solved_.certified;
+    add_solve();
 
     const auto& own = config_.msps[config_.learned_msp];
     market_params own_view;
@@ -132,85 +153,82 @@ competitive_outcome competitive_market::clear(
     cohort_observation obs = make_cohort_observation(
         own_market, available_mhz[config_.learned_msp],
         own.bandwidth_per_pool_mhz.value());
-    obs.competitors = active.size() - 1;
+    obs.competitors = active_.size() - 1;
     if (obs.competitors > 0) {
       double min_price = std::numeric_limits<double>::infinity();
       double sum_price = 0.0;
-      for (std::size_t i = 0; i < active.size(); ++i) {
+      for (std::size_t i = 0; i < active_.size(); ++i) {
         if (i == seat) continue;
-        min_price = std::min(min_price, scripted.prices[i]);
-        sum_price += scripted.prices[i];
+        min_price = std::min(min_price, solved_.prices[i]);
+        sum_price += solved_.prices[i];
       }
       obs.competitor_min_price = min_price;
       obs.competitor_mean_price =
           sum_price / static_cast<double>(obs.competitors);
     }
 
-    prices = scripted.prices;
-    prices[seat] = std::clamp(config_.pricer->price(obs), own.unit_cost,
-                              own.price_cap);
-    if (active.size() > 1) {
+    prices_ = solved_.prices;
+    prices_[seat] = std::clamp(config_.pricer->price(obs), own.unit_cost,
+                               own.price_cap);
+    if (active_.size() > 1) {
       // Rivals best-respond to the posted price: the same solver with the
       // learned coordinate pinned, warm-started from the scripted
       // equilibrium.
       price_competition_options rival_options = solve_options;
-      rival_options.warm_start = prices;
+      rival_options.warm_start = prices_;
       rival_options.pinned = seat;
-      const auto rivals = solve_price_competition(market, rival_options);
-      prices = rivals.prices;
-      outcome.converged = outcome.converged && rivals.converged;
-      outcome.certified = outcome.certified && rivals.certified;
-      outcome.solver_sweeps += rivals.iterations;
-      outcome.objective_evals += rivals.objective_evals;
-      outcome.residual = rivals.residual;
-      newton_iterations += rivals.newton_iterations;
+      solve_price_competition(market, rival_options, solved_, scratch_);
+      prices_ = solved_.prices;
+      outcome_.converged = outcome_.converged && solved_.converged;
+      outcome_.certified = outcome_.certified && solved_.certified;
+      add_solve();
     }
   } else {
-    const auto equilibrium = solve_price_competition(market, solve_options);
-    prices = equilibrium.prices;
-    outcome.converged = equilibrium.converged;
-    outcome.certified = equilibrium.certified;
-    outcome.solver_sweeps += equilibrium.iterations;
-    outcome.objective_evals += equilibrium.objective_evals;
-    outcome.residual = equilibrium.residual;
-    newton_iterations += equilibrium.newton_iterations;
+    solve_price_competition(market, solve_options, solved_, scratch_);
+    prices_ = solved_.prices;
+    outcome_.converged = solved_.converged;
+    outcome_.certified = solved_.certified;
+    add_solve();
   }
-  outcome.markets_cleared = 1;
-  outcome.prices.assign(config_.msps.size(), 0.0);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    outcome.prices[active[i]] = prices[i];
-    warm_prices_[active[i]] = prices[i];
-    warm_valid_[active[i]] = true;
+  outcome_.markets_cleared = 1;
+  outcome_.prices.assign(config_.msps.size(), 0.0);
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    outcome_.prices[active_[i]] = prices_[i];
+    warm_prices_[active_[i]] = prices_[i];
+    warm_valid_[active_[i]] = true;
   }
 
   // Seller split at the posted prices: softmin shares set each VMU's split,
   // and each seller's sales are rationed *proportionally* to its own
   // remainder (every buyer keeps the same fraction of its slice — the
-  // monopoly market's rationing rule, per seller). The effective price is
-  // computed once; `vmu_demand_at` is bitwise the per-VMU `vmu_demand`.
-  const auto shares = market.shares(prices);
-  const double p_eff = market.effective_price(prices);
-  std::vector<double> demand(active.size(), 0.0);
-  std::vector<double> interior(pending_.size(), 0.0);
-  for (std::size_t n = 0; n < pending_.size(); ++n) {
-    interior[n] = market.vmu_demand_at(n, p_eff);
-    for (std::size_t m = 0; m < active.size(); ++m)
-      demand[m] += interior[n] * shares[m];
+  // monopoly market's rationing rule, per seller). The softmin runs once:
+  // the effective price is `effective_price`'s sum over these shares, and
+  // `vmu_demand_at` is bitwise the per-VMU `vmu_demand`.
+  market.shares_into(prices_, shares_);
+  double p_eff = 0.0;
+  for (std::size_t m = 0; m < active_.size(); ++m)
+    p_eff += shares_[m] * prices_[m];
+  const std::size_t cohort = pending_.size();
+  demand_.assign(active_.size(), 0.0);
+  interior_.resize(cohort);
+  for (std::size_t n = 0; n < cohort; ++n) {
+    interior_[n] = market.vmu_demand_at(n, p_eff);
+    for (std::size_t m = 0; m < active_.size(); ++m)
+      demand_[m] += interior_[n] * shares_[m];
   }
-  std::vector<double> scale(active.size(), 1.0);
-  std::vector<double> remaining(active.size(), 0.0);
-  for (std::size_t m = 0; m < active.size(); ++m) {
-    if (demand[m] > available_mhz[active[m]])
-      scale[m] = available_mhz[active[m]] / demand[m];
-    remaining[m] = available_mhz[active[m]];
+  scale_.assign(active_.size(), 1.0);
+  remaining_.resize(active_.size());
+  for (std::size_t m = 0; m < active_.size(); ++m) {
+    if (demand_[m] > available_mhz[active_[m]])
+      scale_[m] = available_mhz[active_[m]] / demand_[m];
+    remaining_[m] = available_mhz[active_[m]];
   }
 
   const double rate = market.spectral_efficiency();
-  const std::size_t cohort = pending_.size();
-  std::vector<clearing_request> still_pending;
+  std::size_t keep = 0;  // FIFO-preserving compaction of deferred requests
   for (std::size_t n = 0; n < cohort; ++n) {
-    if (interior[n] <= 0.0) {
-      outcome.priced_out.push_back(pending_[n]);
+    if (interior_[n] <= 0.0) {
+      outcome_.priced_out.push_back(pending_[n]);
       continue;
     }
     // FIFO clamp against each seller's running remainder keeps the slice
@@ -218,34 +236,43 @@ competitive_outcome competitive_market::clear(
     // scale leaves behind. Remainders are debited only once the grant is
     // known to survive, so a fully-rationed request defers without eating
     // capacity.
-    competitive_grant grant;
-    grant.slices.reserve(active.size());
-    std::vector<std::size_t> slice_seats;  // participating index per slice
+    competitive_grant& grant = outcome_.grants.emplace_back();
+    if (spare_slices_.empty()) {
+      grant.slices.reserve(config_.msps.size());
+    } else {
+      grant.slices = std::move(spare_slices_.back());
+      spare_slices_.pop_back();
+      grant.slices.clear();
+    }
+    slice_seats_.clear();
     double payment = 0.0;
-    for (std::size_t m = 0; m < active.size(); ++m) {
+    for (std::size_t m = 0; m < active_.size(); ++m) {
       const double slice =
-          std::min(interior[n] * shares[m] * scale[m], remaining[m]);
+          std::min(interior_[n] * shares_[m] * scale_[m], remaining_[m]);
       if (slice <= 0.0) continue;
       grant.bandwidth_mhz += slice;
-      payment += prices[m] * slice;
+      payment += prices_[m] * slice;
       // Round the per-seller profit exactly once and accumulate the rounded
       // value: the completion-time per-MSP accounting replays these terms,
       // so the decomposition Σ slice.utility == msp_utility holds bitwise.
       const double utility =
-          (prices[m] - config_.msps[active[m]].unit_cost) * slice;
+          (prices_[m] - config_.msps[active_[m]].unit_cost) * slice;
       grant.msp_utility += utility;
-      grant.slices.push_back({active[m], slice, prices[m], utility});
-      slice_seats.push_back(m);
+      grant.slices.push_back({active_[m], slice, prices_[m], utility});
+      slice_seats_.push_back(m);
     }
     if (grant.bandwidth_mhz <= 1e-9) {
       // Rationing ate the whole purchase: defer, don't price out — capacity
       // in flight will re-clear this request.
-      still_pending.push_back(pending_[n]);
-      ++outcome.deferred;
+      spare_slices_.push_back(std::move(grant.slices));
+      outcome_.grants.pop_back();
+      if (keep != n) pending_[keep] = pending_[n];
+      ++keep;
+      ++outcome_.deferred;
       continue;
     }
     for (std::size_t s = 0; s < grant.slices.size(); ++s)
-      remaining[slice_seats[s]] -= grant.slices[s].bandwidth_mhz;
+      remaining_[slice_seats_[s]] -= grant.slices[s].bandwidth_mhz;
     grant.request = pending_[n];
     grant.price = payment / grant.bandwidth_mhz;
     const auto& profile = pending_[n].profile;
@@ -254,18 +281,17 @@ competitive_outcome competitive_market::clear(
             std::log(1.0 + grant.bandwidth_mhz * rate / profile.data_mb) -
         payment;
     grant.cohort = cohort;
-    outcome.grants.push_back(std::move(grant));
   }
-  pending_ = std::move(still_pending);
-  span.arg("sweeps", static_cast<double>(outcome.solver_sweeps));
-  span.arg("objective_evals", static_cast<double>(outcome.objective_evals));
+  pending_.resize(keep);
+  span.arg("sweeps", static_cast<double>(outcome_.solver_sweeps));
+  span.arg("objective_evals", static_cast<double>(outcome_.objective_evals));
   span.arg("newton_iterations", static_cast<double>(newton_iterations));
-  span.arg("residual", outcome.residual);
-  span.arg("warm_started", outcome.warm_started ? 1.0 : 0.0);
-  span.arg("converged", outcome.converged ? 1.0 : 0.0);
-  span.arg("granted", static_cast<double>(outcome.grants.size()));
-  span.arg("deferred", static_cast<double>(outcome.deferred));
-  return outcome;
+  span.arg("residual", outcome_.residual);
+  span.arg("warm_started", outcome_.warm_started ? 1.0 : 0.0);
+  span.arg("converged", outcome_.converged ? 1.0 : 0.0);
+  span.arg("granted", static_cast<double>(outcome_.grants.size()));
+  span.arg("deferred", static_cast<double>(outcome_.deferred));
+  return outcome_;
 }
 
 }  // namespace vtm::core

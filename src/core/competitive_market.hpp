@@ -20,12 +20,18 @@
 // to it. A market needs at least two sellers: one seller is the monopoly,
 // which `core::spot_market` clears (`market_mode::joint`).
 //
+// Each book keeps one `multi_msp_market`, rebuilt in place over every
+// clearing's cohort, and solves on reused solver scratch; the book compacts
+// in place and the outcome is reused. After warm-up a scripted clearing
+// allocates nothing (the learned seat's observation still does).
+//
 // DESIGN.md §11 documents the clearing discipline, the seller-split
 // semantics, and the shard interaction.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -97,7 +103,7 @@ struct competitive_outcome {
 /// Economics shared by every clearing of one destination cell's book.
 struct competitive_market_config {
   std::vector<fleet_msp> msps;    ///< The roster (M >= 2).
-  double share_sharpness = 0.25;  ///< λ of the softmin share rule.
+  double share_sharpness = 0.25;  ///< λ of the softmin share rule (finite).
   wireless::link_params link{};   ///< Demand-side migration channel.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this an MSP sits out.
   /// The learned seller seat (null = every price from the best-response
@@ -139,8 +145,10 @@ class competitive_market {
   /// Price the book against each MSP's remaining pool capacity
   /// (`available_mhz[m]`, one entry per roster MSP). Granted and priced-out
   /// requests are removed; deferred ones remain. Per-seller slice sums never
-  /// exceed that seller's availability.
-  [[nodiscard]] competitive_outcome clear(
+  /// exceed that seller's availability. The outcome lives in the market and
+  /// is reused: the reference is valid until the next `clear()` or
+  /// `abandon_pending()`.
+  [[nodiscard]] const competitive_outcome& clear(
       std::span<const double> available_mhz);
 
   /// Drop every pending request (end of run). Returns the dropped requests.
@@ -149,6 +157,30 @@ class competitive_market {
  private:
   competitive_market_config config_;
   std::vector<clearing_request> pending_;
+  competitive_outcome outcome_;  ///< Returned by `clear`, reused every call.
+  /// Grant slice vectors recycled from the previous outcome, so the next
+  /// grants reuse their capacity.
+  std::vector<std::vector<seller_slice>> spare_slices_;
+  /// The cohort market: built at the first clearing that prices, then
+  /// re-targeted in place (`multi_msp_market::assign`).
+  std::optional<multi_msp_market> market_;
+  price_competition_scratch scratch_;
+  multi_msp_equilibrium solved_;  ///< The solves' reused result.
+  // Clearing scratch. Per participating seller: its roster index, its offer,
+  // warm-start and posted price, softmin share, cohort demand, rationing
+  // scale and running remainder. Per request: its profile and interior
+  // demand. Per grant: the participating index of each slice.
+  std::vector<std::size_t> active_;
+  std::vector<msp_profile> roster_;
+  std::vector<double> warm_;
+  std::vector<double> prices_;
+  std::vector<double> shares_;
+  std::vector<double> demand_;
+  std::vector<double> scale_;
+  std::vector<double> remaining_;
+  std::vector<vmu_profile> cohort_;
+  std::vector<double> interior_;
+  std::vector<std::size_t> slice_seats_;
   /// Warm-start memory, keyed per roster MSP for this book: the price each
   /// seller posted in its most recent clearing here. A seller that sat a
   /// clearing out keeps its old memory; a seller with no memory yet is

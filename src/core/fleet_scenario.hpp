@@ -151,7 +151,7 @@ struct fleet_config {
 
   // Spot-market clearing.
   market_mode mode = market_mode::joint;
-  util::seconds clearing_epoch_s{0.5};  ///< 0 clears at each handover.
+  util::seconds clearing_epoch_s{0.5};  ///< Finite; 0 clears at each handover.
   util::megahertz min_clearable_mhz{0.5};  ///< Defer below this remainder.
 
   // Oligopoly competition (market_mode::oligopoly; DESIGN.md §11).
@@ -160,7 +160,7 @@ struct fleet_config {
   /// in joint mode. Each MSP owns a chain of pools shifted `chain_offset_m`
   /// from the primary chain.
   std::vector<fleet_msp> msps;
-  double share_sharpness = 0.25;  ///< λ of the softmin seller-split rule.
+  double share_sharpness = 0.25;  ///< λ of the softmin split (finite, > 0).
   /// Learned seller seat: this MSP posts `pricer`'s competitor-aware price
   /// while the scripted rivals best-respond (`no_learned_msp` = all
   /// scripted). Requires `pricer` with `competitor_aware` set.

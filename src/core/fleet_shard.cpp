@@ -184,7 +184,10 @@ void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.unit_cost > 0.0);
   VTM_EXPECTS(std::isfinite(config.price_cap) &&
               config.price_cap >= config.unit_cost);
-  VTM_EXPECTS(config.clearing_epoch_s >= util::seconds{0.0});
+  // An infinite epoch snaps every clearing to the handover instant, which
+  // is epoch 0 under another name.
+  VTM_EXPECTS(std::isfinite(config.clearing_epoch_s.value()) &&
+              config.clearing_epoch_s >= util::seconds{0.0});
   VTM_EXPECTS(config.min_clearable_mhz > util::megahertz{0.0});
   // Both spawn bounds explicit (>= 0, the "< 0 means auto" sentinel) must
   // form a window; mixed explicit/auto is resolved at spawn time.
@@ -238,7 +241,8 @@ void validate_fleet_config(const fleet_config& config) {
     VTM_EXPECTS(config.learned_msp == no_learned_msp);
     return;
   }
-  VTM_EXPECTS(config.share_sharpness > 0.0);
+  VTM_EXPECTS(std::isfinite(config.share_sharpness) &&
+              config.share_sharpness > 0.0);
   // One seller is the monopoly, which joint mode clears.
   VTM_EXPECTS(config.msps.size() >= 2);
   for (const auto& msp : config.msps) {
@@ -310,6 +314,7 @@ shard_engine::shard_engine(const fleet_config& config,
     counters_.msp_utility.assign(msps.size(), 0.0);
     counters_.msp_sold_mhz.assign(msps.size(), 0.0);
     msp_pools_.resize(msps.size());
+    msp_available_.resize(msps.size());
     for (std::size_t m = 0; m < msps.size(); ++m) {
       msp_pools_[m].reserve(rsu_count);
       for (std::size_t p = 0; p < rsu_count; ++p)
@@ -649,15 +654,14 @@ void shard_engine::run_clearing_oligopoly(std::size_t pidx) {
   // Each MSP's offer is the remainder of the pool *its* chain serves this
   // cell from; pools tolerate epsilon overshoot at the capacity boundary,
   // so a remainder can read a hair below zero.
-  std::vector<double> available(msp_pools_.size());
   for (std::size_t m = 0; m < msp_pools_.size(); ++m)
-    available[m] =
+    msp_available_[m] =
         std::max(0.0, msp_pools_[m][candidates_[pidx][m]].available_mhz());
 
   if (tele_.metrics != nullptr && comarkets_[pidx].pending() > 0)
     tele_.metrics->observe(tele_.ids->cohort,
                            static_cast<double>(comarkets_[pidx].pending()));
-  auto outcome = comarkets_[pidx].clear(available);
+  const auto& outcome = comarkets_[pidx].clear(msp_available_);
   counters_.deferred += outcome.deferred;
   if (outcome.markets_cleared > 0) {
     ++counters_.clearings;

@@ -46,10 +46,10 @@
 // dispatches. A completion event carries only an index into the shard's
 // in-flight slab, which holds the migration's grants, seller slices, and
 // record until it lands; slab slots recycle through a free list. The heap,
-// the slab, the pools' grant slots and the spot books' clearing scratch grow
-// on first use and are then reused, and twins live in their vehicle slots,
-// so a steady-state window admits, clears, migrates and completes without
-// allocating; only flushes and the oligopoly and learned clearings do
+// the slab, the pools' grant slots and the spot and oligopoly books'
+// clearing scratch grow on first use and are then reused, and twins live in
+// their vehicle slots, so a steady-state window admits, clears, migrates and
+// completes without allocating; only flushes and the learned clearings do
 // (tests/alloc_guard_test.cpp). A completion is scheduled at exactly
 // `now() + total_time_s`.
 //
@@ -376,10 +376,12 @@ class shard_engine {
   std::vector<wireless::ofdma_pool> pools_;
   std::vector<spot_market> markets_;
   // Oligopoly state (empty in joint mode): each roster MSP's pools over
-  // this shard's RSU range, the per-cell books, and the per-(cell, MSP)
-  // candidate pool slots resolved from the offset chains.
+  // this shard's RSU range, the per-cell books, the per-(cell, MSP)
+  // candidate pool slots resolved from the offset chains, and the clearing's
+  // per-MSP availability scratch.
   sim::chain_set msp_chains_;
   std::vector<std::vector<wireless::ofdma_pool>> msp_pools_;
+  std::vector<double> msp_available_;
   std::vector<competitive_market> comarkets_;
   std::vector<std::vector<std::size_t>> candidates_;
   std::vector<bool> clearing_scheduled_;

@@ -12,44 +12,64 @@ namespace vtm::core {
 
 multi_msp_market::multi_msp_market(multi_msp_params params)
     : params_(std::move(params)), link_(params_.link) {
-  VTM_EXPECTS(!params_.msps.empty());
-  VTM_EXPECTS(!params_.vmus.empty());
-  VTM_EXPECTS(params_.share_sharpness > 0.0);
-  for (const auto& msp : params_.msps) {
+  validate(params_.msps, params_.vmus, params_.share_sharpness);
+  build_curve();
+}
+
+void multi_msp_market::assign(std::span<const msp_profile> msps,
+                              std::span<const vmu_profile> vmus) {
+  validate(msps, vmus, params_.share_sharpness);
+  params_.msps.assign(msps.begin(), msps.end());
+  params_.vmus.assign(vmus.begin(), vmus.end());
+  build_curve();
+}
+
+void multi_msp_market::validate(std::span<const msp_profile> msps,
+                                std::span<const vmu_profile> vmus,
+                                double sharpness) {
+  VTM_EXPECTS(!msps.empty());
+  VTM_EXPECTS(!vmus.empty());
+  // An infinite λ makes the cheapest seller's softmin exponent −∞·0, a NaN.
+  VTM_EXPECTS(std::isfinite(sharpness) && sharpness > 0.0);
+  for (const auto& msp : msps) {
     VTM_EXPECTS(msp.unit_cost > 0.0);
     VTM_EXPECTS(msp.bandwidth_cap_mhz > 0.0);
     VTM_EXPECTS(msp.price_cap >= msp.unit_cost);
   }
-  for (const auto& vmu : params_.vmus) {
-    VTM_EXPECTS(vmu.alpha > 0.0);
-    VTM_EXPECTS(vmu.data_mb > 0.0);
+  // Finite α and D keep every activation threshold a number, which the
+  // threshold sort's strict order needs.
+  for (const auto& vmu : vmus) {
+    VTM_EXPECTS(std::isfinite(vmu.alpha) && vmu.alpha > 0.0);
+    VTM_EXPECTS(std::isfinite(vmu.data_mb) && vmu.data_mb > 0.0);
   }
+}
 
+void multi_msp_market::build_curve() {
   // Demand curve: VMU n is active iff α_n/p_eff − κ_n > 0, i.e. iff its
   // activation threshold t_n = α_n/κ_n exceeds p_eff. Sorting by t_n makes
   // the active set a suffix of the order; suffix sums of α and κ turn the
   // aggregate demand into (Σα)/p_eff − Σκ over that suffix.
   const std::size_t n_vmus = params_.vmus.size();
   const double r = link_.spectral_efficiency();
-  std::vector<std::size_t> order(n_vmus);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> kappa(n_vmus);
-  std::vector<double> threshold(n_vmus);
-  for (std::size_t n = 0; n < n_vmus; ++n) {
-    kappa[n] = params_.vmus[n].data_mb / r;
-    threshold[n] = params_.vmus[n].alpha / kappa[n];
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return threshold[a] < threshold[b];
-                   });
+  order_.resize(n_vmus);
+  std::iota(order_.begin(), order_.end(), 0);
+  threshold_.resize(n_vmus);
+  for (std::size_t n = 0; n < n_vmus; ++n)
+    threshold_[n] = params_.vmus[n].alpha / (params_.vmus[n].data_mb / r);
+  // Ties keep roster order: (threshold, roster index) is a strict total
+  // order, so the unstable sort yields the stable permutation without the
+  // buffer `std::stable_sort` allocates.
+  std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+    return threshold_[a] < threshold_[b] ||
+           (threshold_[a] == threshold_[b] && a < b);
+  });
   sorted_alpha_.resize(n_vmus);
   sorted_kappa_.resize(n_vmus);
   sorted_threshold_.resize(n_vmus);
   for (std::size_t i = 0; i < n_vmus; ++i) {
-    sorted_alpha_[i] = params_.vmus[order[i]].alpha;
-    sorted_kappa_[i] = kappa[order[i]];
-    sorted_threshold_[i] = threshold[order[i]];
+    sorted_alpha_[i] = params_.vmus[order_[i]].alpha;
+    sorted_kappa_[i] = params_.vmus[order_[i]].data_mb / r;
+    sorted_threshold_[i] = threshold_[order_[i]];
   }
   // Accumulate descending so the O(N) reference walk (highest threshold
   // first) performs the identical sequence of FP additions.
@@ -63,18 +83,24 @@ multi_msp_market::multi_msp_market(multi_msp_params params)
 
 std::vector<double> multi_msp_market::shares(
     std::span<const double> prices) const {
+  std::vector<double> weights;
+  shares_into(prices, weights);
+  return weights;
+}
+
+void multi_msp_market::shares_into(std::span<const double> prices,
+                                   std::vector<double>& out) const {
   VTM_EXPECTS(prices.size() == msp_count());
   // Numerically-stable softmin: subtract the minimum price.
   const double p_min = *std::min_element(prices.begin(), prices.end());
-  std::vector<double> weights(prices.size());
+  out.resize(prices.size());
   double total = 0.0;
   for (std::size_t m = 0; m < prices.size(); ++m) {
     VTM_EXPECTS(prices[m] > 0.0);
-    weights[m] = std::exp(-params_.share_sharpness * (prices[m] - p_min));
-    total += weights[m];
+    out[m] = std::exp(-params_.share_sharpness * (prices[m] - p_min));
+    total += out[m];
   }
-  for (double& w : weights) w /= total;
-  return weights;
+  for (double& w : out) w /= total;
 }
 
 double multi_msp_market::effective_price(
@@ -426,42 +452,8 @@ void certify(multi_msp_equilibrium& result, double ratio) {
 
 // ---- Active-set Newton stage (DESIGN.md §12) -------------------------------
 
-/// Which equation fixes a seller's price in the Newton system.
-enum class seller_class : unsigned char {
-  pinned,    ///< Learned seat: price held, no equation.
-  interior,  ///< First-order row: the profit derivative is 0.
-  kink,      ///< Rationing row: w_m·D(p̄) = the seller's capacity.
-  capped,    ///< Held at its price cap p_max,m.
-};
-
-/// Working storage of one Newton solve, sized once so that no iteration
-/// allocates.
-struct newton_workspace {
-  explicit newton_workspace(std::size_t msps)
-      : cls(msps), w(msps), dp_eff(msps), sales(msps), foc(msps),
-        unknown(msps), residual(msps), jacobian(msps * msps), step(msps),
-        move(msps), trial(msps) {}
-
-  std::vector<seller_class> cls;
-  // The evaluated point: effective price, demand curve, and per seller the
-  // share w_m, ∂p̄/∂p_m, uncapped sales w_m·D, and the first-order value
-  // u_m = g_m/w_m (g_m is the uncapped profit derivative).
-  double p_eff = 0.0;
-  multi_msp_market::demand_point demand;
-  std::vector<double> w;
-  std::vector<double> dp_eff;
-  std::vector<double> sales;
-  std::vector<double> foc;
-  // The active system over its k unknown (interior and kink) sellers:
-  // residual F, row-major Jacobian J, and the Newton step.
-  std::size_t k = 0;
-  std::vector<std::size_t> unknown;
-  std::vector<double> residual;
-  std::vector<double> jacobian;
-  std::vector<double> step;
-  std::vector<double> move;   ///< The step per seller (0 off the system).
-  std::vector<double> trial;  ///< Line-search candidate prices.
-};
+using seller_class = price_competition_scratch::seller_class;
+using newton_workspace = price_competition_scratch::newton_workspace;
 
 /// Shares, demand curve, and every seller's uncapped sales and first-order
 /// value at `prices`. With ∂w/∂p = −λ·w·(1−w), ∂p̄/∂p = w·b and
@@ -760,7 +752,8 @@ newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
 /// adds its sweeps and objective calls to the counters already in `result`.
 void dampened_best_response(const multi_msp_market& market,
                             const price_competition_options& options,
-                            multi_msp_equilibrium& result) {
+                            multi_msp_equilibrium& result,
+                            price_competition_scratch& scratch) {
   const auto& params = market.params();
   const std::size_t msps = market.msp_count();
   // Dampened simultaneous best response: every sweep computes all BR_m at
@@ -787,12 +780,17 @@ void dampened_best_response(const multi_msp_market& market,
   double prev_residual = std::numeric_limits<double>::infinity();
   double ratio = 0.0;
   std::size_t stalled = 0;
-  std::vector<double> response(msps);
-  std::vector<double> prev_prices(msps, 0.0);
-  std::vector<double> prev_response(msps, 0.0);
+  auto& response = scratch.response;
+  auto& prev_prices = scratch.prev_prices;
+  auto& prev_response = scratch.prev_response;
+  auto& center = scratch.center;
+  auto& halfwidth = scratch.halfwidth;
+  response.assign(msps, 0.0);
+  prev_prices.assign(msps, 0.0);
+  prev_response.assign(msps, 0.0);
   bool have_prev = false;
-  std::vector<double> center(msps, 0.0);
-  std::vector<double> halfwidth(msps, 0.0);
+  center.assign(msps, 0.0);
+  halfwidth.assign(msps, 0.0);
   bool local = result.warm_started;
   if (local) {
     // The warm prices sit near the previous fixed point, where they *are*
@@ -898,8 +896,35 @@ void dampened_best_response(const multi_msp_market& market,
 
 }  // namespace
 
+void price_competition_scratch::newton_workspace::reset(std::size_t msps) {
+  cls.assign(msps, seller_class::pinned);
+  p_eff = 0.0;
+  demand = {};
+  w.assign(msps, 0.0);
+  dp_eff.assign(msps, 0.0);
+  sales.assign(msps, 0.0);
+  foc.assign(msps, 0.0);
+  k = 0;
+  unknown.assign(msps, 0);
+  residual.assign(msps, 0.0);
+  jacobian.assign(msps * msps, 0.0);
+  step.assign(msps, 0.0);
+  move.assign(msps, 0.0);
+  trial.assign(msps, 0.0);
+}
+
 multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market, const price_competition_options& options) {
+  multi_msp_equilibrium result;
+  price_competition_scratch scratch;
+  solve_price_competition(market, options, result, scratch);
+  return result;
+}
+
+void solve_price_competition(const multi_msp_market& market,
+                             const price_competition_options& options,
+                             multi_msp_equilibrium& result,
+                             price_competition_scratch& scratch) {
   VTM_EXPECTS(options.warm_start.empty() ||
               options.warm_start.size() == market.msp_count());
   VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
@@ -907,7 +932,15 @@ multi_msp_equilibrium solve_price_competition(
   const auto& params = market.params();
   const std::size_t msps = market.msp_count();
 
-  multi_msp_equilibrium result;
+  // Every field back to its default, the vectors' buffers kept.
+  std::vector<double> prices_buffer = std::move(result.prices);
+  std::vector<double> sales_buffer = std::move(result.sales);
+  std::vector<double> utilities_buffer = std::move(result.utilities);
+  result = multi_msp_equilibrium{};
+  result.prices = std::move(prices_buffer);
+  result.sales = std::move(sales_buffer);
+  result.utilities = std::move(utilities_buffer);
+
   result.prices.resize(msps);
   if (options.warm_start.empty()) {
     // Cold start from each MSP's cap midpoint (any interior point works);
@@ -928,8 +961,10 @@ multi_msp_equilibrium solve_price_competition(
   // dampened loop, and so does a warm start that already holds every free
   // seller at its price cap; so these solves stay bitwise the loop's.
   if (result.warm_started && msps >= 2) {
-    newton_workspace ws(msps);
-    std::vector<double> prices(result.prices);
+    newton_workspace& ws = scratch.newton;
+    ws.reset(msps);
+    std::vector<double>& prices = scratch.iterate;
+    prices = result.prices;
     const auto stats =
         newton_prices(market, options.pinned, prices, ws);
     result.objective_evals += stats.evaluations;
@@ -947,7 +982,8 @@ multi_msp_equilibrium solve_price_competition(
         ++result.objective_evals;
         return profit_slope(market, prices, m, price, ws);
       };
-      std::vector<double> response(prices);
+      std::vector<double>& response = scratch.response;
+      response = prices;
       double defect = 0.0;
       for (std::size_t m = 0; m < msps && defect <= solve_tol; ++m) {
         if (m == options.pinned) continue;
@@ -980,12 +1016,14 @@ multi_msp_equilibrium solve_price_competition(
   }
   // Fallback (and the only path for cold starts): the dampened loop from
   // the original warm start, as if Newton had not been tried.
-  if (!result.converged) dampened_best_response(market, options, result);
+  if (!result.converged)
+    dampened_best_response(market, options, result, scratch);
 
   // Equilibrium summary: one softmin pass, then the per-VMU demand loop at
   // the effective price — the same arithmetic `msp_sales`/`msp_utilities`/
   // `effective_price` perform, without recomputing the shares per call.
-  const auto w = market.shares(result.prices);
+  auto& w = scratch.shares;
+  market.shares_into(result.prices, w);
   double p_eff = 0.0;
   for (std::size_t m = 0; m < msps; ++m) p_eff += w[m] * result.prices[m];
   result.effective_price = p_eff;
@@ -1012,7 +1050,6 @@ multi_msp_equilibrium solve_price_competition(
     result.total_vmu_utility +=
         vmu.alpha * std::log(1.0 + 1.0 / aotm) - p_eff * b;
   }
-  return result;
 }
 
 }  // namespace vtm::core

@@ -52,9 +52,18 @@ struct multi_msp_params {
 /// Stateless evaluator of the oligopoly market.
 class multi_msp_market {
  public:
-  /// Validates: at least one MSP and VMU, positive α/D/caps, λ > 0,
-  /// 0 < C_m <= p_max,m. Precomputes the sorted demand curve.
+  /// Validates: at least one MSP and VMU, finite positive α/D, positive
+  /// caps, finite λ > 0, 0 < C_m <= p_max,m. Precomputes the sorted demand
+  /// curve.
   explicit multi_msp_market(multi_msp_params params);
+
+  /// Re-targets the market at a new roster and cohort, keeping its link and
+  /// λ: the constructor's validation and demand-curve build over reused
+  /// storage, so once the buffers have grown a rebuild allocates nothing.
+  /// The spans must not alias this market's own `params()`. A rejected
+  /// roster or cohort leaves the market unchanged.
+  void assign(std::span<const msp_profile> msps,
+              std::span<const vmu_profile> vmus);
 
   [[nodiscard]] const multi_msp_params& params() const noexcept {
     return params_;
@@ -72,6 +81,10 @@ class multi_msp_market {
   /// Softmin market shares at a price vector (sums to 1).
   [[nodiscard]] std::vector<double> shares(
       std::span<const double> prices) const;
+
+  /// `shares` into caller storage (resized to M), bitwise the same values.
+  void shares_into(std::span<const double> prices,
+                   std::vector<double>& out) const;
 
   /// Effective (share-weighted) price faced by every VMU.
   [[nodiscard]] double effective_price(std::span<const double> prices) const;
@@ -177,12 +190,23 @@ class multi_msp_market {
   [[nodiscard]] rival_cache cache_rivals(std::size_t m,
                                          std::span<const double> prices) const;
 
+  /// The constructor's and `assign`'s parameter checks.
+  static void validate(std::span<const msp_profile> msps,
+                       std::span<const vmu_profile> vmus, double sharpness);
+  /// Rebuilds the demand curve from `params_` into the members below.
+  void build_curve();
+
   multi_msp_params params_;
   wireless::link_budget link_;
-  // Demand curve: VMUs sorted ascending by activation threshold α_n/κ_n,
-  // with suffix sums (index i = Σ over sorted positions i..N−1) built by
-  // descending accumulation so the O(N) reference walk adds in the same
-  // order. Sizes: N for the sorted arrays, N+1 for the suffix sums.
+  // The curve build's sort permutation and keys t_n = α_n/κ_n (roster
+  // order), kept so a rebuild reuses their storage.
+  std::vector<std::size_t> order_;
+  std::vector<double> threshold_;
+  // Demand curve: VMUs sorted ascending by activation threshold α_n/κ_n
+  // (ties in roster order), with suffix sums (index i = Σ over sorted
+  // positions i..N−1) built by descending accumulation so the O(N)
+  // reference walk adds in the same order. Sizes: N for the sorted arrays,
+  // N+1 for the suffix sums.
   std::vector<double> sorted_alpha_;
   std::vector<double> sorted_kappa_;
   std::vector<double> sorted_threshold_;
@@ -234,6 +258,59 @@ struct price_competition_options {
   std::size_t pinned = no_pin;
 };
 
+/// Working storage of `solve_price_competition` (DESIGN.md §12): the
+/// Newton stage's workspace, the verification sweep's and the dampened
+/// loop's vectors, and the summary's shares. A solve sizes every buffer it
+/// uses and writes each entry before reading it, so nothing carries from
+/// one solve into the next; the buffers keep their capacity, so a solve on
+/// warm scratch allocates nothing. The fields are the solver's own.
+struct price_competition_scratch {
+  /// Which equation fixes a seller's price in the Newton system.
+  enum class seller_class : unsigned char {
+    pinned,    ///< Learned seat: price held, no equation.
+    interior,  ///< First-order row: the profit derivative is 0.
+    kink,      ///< Rationing row: w_m·D(p̄) = the seller's capacity.
+    capped,    ///< Held at its price cap p_max,m.
+  };
+
+  /// The Newton stage's evaluated point and active system.
+  struct newton_workspace {
+    /// Sizes every buffer for M sellers and zeroes it.
+    void reset(std::size_t msps);
+
+    std::vector<seller_class> cls;
+    // The evaluated point: effective price, demand curve, and per seller
+    // the share w_m, ∂p̄/∂p_m, uncapped sales w_m·D, and the first-order
+    // value u_m = g_m/w_m (g_m is the uncapped profit derivative).
+    double p_eff = 0.0;
+    multi_msp_market::demand_point demand;
+    std::vector<double> w;
+    std::vector<double> dp_eff;
+    std::vector<double> sales;
+    std::vector<double> foc;
+    // The active system over its k unknown (interior and kink) sellers:
+    // residual F, row-major Jacobian J, and the Newton step.
+    std::size_t k = 0;
+    std::vector<std::size_t> unknown;
+    std::vector<double> residual;
+    std::vector<double> jacobian;
+    std::vector<double> step;
+    std::vector<double> move;   ///< The step per seller (0 off the system).
+    std::vector<double> trial;  ///< Line-search candidate prices.
+  };
+
+  newton_workspace newton;
+  std::vector<double> iterate;   ///< Newton's prices.
+  std::vector<double> response;  ///< Best responses of a sweep.
+  // The dampened loop's previous iterate and responses, and its search
+  // brackets.
+  std::vector<double> prev_prices;
+  std::vector<double> prev_response;
+  std::vector<double> center;
+  std::vector<double> halfwidth;
+  std::vector<double> shares;  ///< The summary's softmin pass.
+};
+
 /// Dampened simultaneous best-response iteration with a contraction-ratio
 /// certificate: p ← p + θ(BR(p) − p), θ bisected on stall. Converges
 /// deterministically for smoothed shares, including sharp-λ/binding-cap
@@ -247,5 +324,14 @@ struct price_competition_options {
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market,
     const price_competition_options& options = {});
+
+/// The same solve into reused storage: every field of `result` is
+/// overwritten and its vectors keep their capacity, so with warm `result`
+/// and `scratch` a solve allocates nothing. Bitwise the by-value solve,
+/// which runs this on fresh storage.
+void solve_price_competition(const multi_msp_market& market,
+                             const price_competition_options& options,
+                             multi_msp_equilibrium& result,
+                             price_competition_scratch& scratch);
 
 }  // namespace vtm::core

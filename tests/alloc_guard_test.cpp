@@ -1,12 +1,14 @@
-// Allocation guard for the spot-market handover path.
+// Allocation guard for the spot-market and oligopoly handover paths.
 //
 // The global operator new/delete forms are replaced with counting versions,
 // so the tests can count every heap allocation the engine makes. After
 // warm-up a stream's handovers — clearing, pre-copy migration, arrival into
 // a recycled slot — allocate nothing; what remains is per-flush work
 // (summaries and ledgers), which stays far below one allocation per
-// handover. Spawning a closed fleet keeps its twins inside the vehicle slots
-// instead of allocating one per vehicle.
+// handover. A closed oligopoly run's clearings — each book's market rebuilt
+// in place, the price solve on reused scratch, the reused outcome — allocate
+// nothing either once the books have grown. Spawning a closed fleet keeps
+// its twins inside the vehicle slots instead of allocating one per vehicle.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,6 +129,22 @@ core::streaming_config open_loop(bool grid, std::size_t shards) {
   return config;
 }
 
+/// The closed_oligopoly benchmark's sellers (costs 5 / 5.5 / 6, 50 MHz
+/// pools) over 5000 vehicles on a 32-RSU chain, records off.
+core::fleet_config three_seller_fleet(double duration_s, std::size_t shards) {
+  core::fleet_config config;
+  config.rsu_count = 32;
+  config.vehicle_count = 5000;
+  config.duration_s = vu::seconds{duration_s};
+  config.shard_count = shards;
+  config.record_migrations = false;
+  config.mode = core::market_mode::oligopoly;
+  for (const double cost : {5.0, 5.5, 6.0})
+    config.msps.push_back({vu::meters{0.0}, cost, 50.0, vu::megahertz{50.0}});
+  core::validate_fleet_config(config);
+  return config;
+}
+
 }  // namespace
 
 // The counters must see the engine's allocations, or every guard below
@@ -162,19 +180,29 @@ TEST(alloc_guard, stream_handovers_do_not_allocate) {
   }
 }
 
+// Oligopoly clearings allocate nothing per handover once each book's
+// market, solver scratch and outcome have grown: a closed three-seller run
+// stays well under one allocation per four handovers, serial and sharded.
+TEST(alloc_guard, oligopoly_handovers_do_not_allocate) {
+  for (const std::size_t shards : {1u, 4u}) {
+    core::shard_coordinator coordinator(three_seller_fleet(300.0, shards));
+    const std::size_t before = allocations.load();
+    const core::fleet_result result = coordinator.run();
+    const std::size_t counted = allocations.load() - before;
+    const std::size_t handovers = result.handovers;
+    std::printf("oligopoly, %zu shard(s): %zu allocations over %zu "
+                "handovers\n",
+                shards, counted, handovers);
+    ASSERT_GT(handovers, 10000u);
+    EXPECT_LT(counted, handovers / 4) << "oligopoly at " << shards
+                                      << " shard(s)";
+  }
+}
+
 // Spawning the 5000-vehicle closed oligopoly fleet allocates no twin per
 // vehicle: the twins live in their slots.
 TEST(alloc_guard, closed_fleet_spawn_keeps_twins_in_slots) {
-  core::fleet_config config;
-  config.rsu_count = 32;
-  config.vehicle_count = 5000;
-  config.duration_s = vu::seconds{1200.0};
-  config.record_migrations = false;
-  config.mode = core::market_mode::oligopoly;
-  for (const double cost : {5.0, 5.5, 6.0})
-    config.msps.push_back({vu::meters{0.0}, cost, 50.0, vu::megahertz{50.0}});
-  core::validate_fleet_config(config);
-
+  const core::fleet_config config = three_seller_fleet(1200.0, 1);
   std::optional<core::shard_coordinator> coordinator;
   const std::size_t before = allocations.load();
   coordinator.emplace(config);

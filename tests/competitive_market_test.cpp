@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -225,6 +226,149 @@ TEST(competitive_market, starved_sellers_defer_the_cohort) {
     for (const auto& slice : grant.slices) EXPECT_EQ(slice.msp, 1u);
 }
 
+// One book cleared in sequence reuses its outcome, cohort market and solver
+// scratch. Grant and slice counts shrink from one clearing to the next, a
+// starved clearing follows a full one, and the book compacts in place:
+// nothing of an earlier clearing may show in a later outcome.
+TEST(competitive_market, reused_outcome_never_leaks_between_clearings) {
+  core::competitive_market_config config;
+  for (const double cost : {5.0, 5.5, 6.0})
+    config.msps.push_back(
+        {vtm::util::meters{0.0}, cost, 50.0, vtm::util::megahertz{50.0}});
+  core::competitive_market market(config);
+  vtm::util::rng gen(20261019);
+  std::size_t vehicle = 0;
+  const auto submit = [&](std::size_t count) {
+    for (std::size_t v = 0; v < count; ++v)
+      market.submit(draw_request(gen, vehicle++));
+  };
+  const auto submit_priced_out = [&] {
+    // α this small activates no demand at any price above unit cost.
+    auto request = draw_request(gen, vehicle++);
+    request.profile.alpha = 1e-3;
+    market.submit(request);
+  };
+  const auto clear = [&](const std::vector<double>& available)
+      -> const core::competitive_outcome& {
+    const std::size_t book = market.pending();
+    const auto& outcome = market.clear(available);
+    check_outcome_invariants(config, book, available, outcome,
+                             market.pending());
+    return outcome;
+  };
+  const std::vector<double> ample{50.0, 50.0, 50.0};
+  const std::vector<double> one_seller{0.1, 0.2, 50.0};
+  const std::vector<double> starved{0.1, 0.1, 0.1};
+
+  // Full: every seller active, one buyer priced out.
+  submit(8);
+  submit_priced_out();
+  std::size_t full_slices = 0;
+  {
+    const auto& outcome = clear(ample);
+    EXPECT_EQ(outcome.grants.size(), 8u);
+    EXPECT_EQ(outcome.priced_out.size(), 1u);
+    EXPECT_EQ(outcome.deferred, 0u);
+    for (const auto& grant : outcome.grants)
+      full_slices += grant.slices.size();
+    EXPECT_GT(full_slices, 8u);
+  }
+  // Fewer grants, one slice each, through the one seller left.
+  submit(2);
+  {
+    const auto& outcome = clear(one_seller);
+    ASSERT_EQ(outcome.grants.size(), 2u);
+    EXPECT_TRUE(outcome.priced_out.empty());
+    for (const auto& grant : outcome.grants) {
+      ASSERT_EQ(grant.slices.size(), 1u);
+      EXPECT_EQ(grant.slices[0].msp, 2u);
+    }
+    EXPECT_EQ(outcome.prices[0], 0.0);
+    EXPECT_EQ(outcome.prices[1], 0.0);
+    EXPECT_GT(outcome.prices[2], 0.0);
+  }
+  // Starved after a full clearing: the whole book defers, nothing is priced.
+  submit(3);
+  {
+    const auto& outcome = clear(starved);
+    EXPECT_TRUE(outcome.grants.empty());
+    EXPECT_TRUE(outcome.priced_out.empty());
+    EXPECT_EQ(outcome.deferred, 3u);
+    EXPECT_EQ(outcome.markets_cleared, 0u);
+    EXPECT_TRUE(outcome.prices.empty());
+    EXPECT_EQ(outcome.solver_sweeps, 0u);
+    EXPECT_EQ(outcome.objective_evals, 0u);
+    EXPECT_FALSE(outcome.warm_started);
+    EXPECT_TRUE(outcome.converged);
+    EXPECT_EQ(market.pending(), 3u);
+  }
+  // The deferred book clears in full on the recycled slice vectors.
+  submit_priced_out();
+  {
+    const auto& outcome = clear(ample);
+    EXPECT_EQ(outcome.grants.size(), 3u);
+    EXPECT_EQ(outcome.priced_out.size(), 1u);
+    EXPECT_EQ(outcome.deferred, 0u);
+    EXPECT_TRUE(outcome.warm_started);
+    EXPECT_EQ(market.pending(), 0u);
+  }
+  // An empty book resets the outcome and prices nothing.
+  {
+    const auto& outcome = clear(ample);
+    EXPECT_TRUE(outcome.grants.empty());
+    EXPECT_TRUE(outcome.priced_out.empty());
+    EXPECT_EQ(outcome.markets_cleared, 0u);
+    EXPECT_TRUE(outcome.prices.empty());
+  }
+}
+
+// A request whose rationed purchase rounds below the grant floor defers,
+// also behind a request the same clearing granted: the in-place compaction
+// must keep that request in the book. Both sellers sell their whole
+// remainder at every price, so the posted prices, and the effective price,
+// do not depend on the sliver buyer, whose activation threshold sits a hair
+// above that price.
+TEST(competitive_market, sliver_demand_defers_behind_a_granted_request) {
+  core::competitive_market_config config;
+  config.msps = {
+      {vtm::util::meters{0.0}, 5.0, 12.0, vtm::util::megahertz{1.0}},
+      {vtm::util::meters{0.0}, 5.5, 12.0, vtm::util::megahertz{1.0}}};
+  const std::vector<double> available{1.0, 1.0};
+  core::clearing_request anchor;
+  anchor.vehicle = 0;
+  anchor.profile = {3000.0, 50.0};
+  core::competitive_market alone(config);
+  alone.submit(anchor);
+  const auto& priced = alone.clear(available);
+  ASSERT_EQ(priced.grants.size(), 1u);
+
+  // The clearing's effective price, by the market's own arithmetic.
+  core::multi_msp_params params;
+  params.msps = {{5.0, 1.0, 12.0}, {5.5, 1.0, 12.0}};
+  params.vmus = {anchor.profile};
+  params.link = config.link;
+  params.share_sharpness = config.share_sharpness;
+  const core::multi_msp_market market(params);
+  const double p_eff = market.effective_price(priced.prices);
+  const double kappa = 100.0 / market.spectral_efficiency();
+
+  core::clearing_request sliver;
+  sliver.vehicle = 1;
+  sliver.profile = {(kappa + 5e-10) * p_eff, 100.0};
+  core::competitive_market book(config);
+  book.submit(anchor);
+  book.submit(sliver);
+  const auto& outcome = book.clear(available);
+  check_outcome_invariants(config, 2, available, outcome, book.pending());
+  EXPECT_EQ(outcome.prices, priced.prices);
+  ASSERT_EQ(outcome.grants.size(), 1u);
+  EXPECT_EQ(outcome.grants[0].request.vehicle, 0u);
+  EXPECT_TRUE(outcome.priced_out.empty());
+  EXPECT_EQ(outcome.deferred, 1u);
+  ASSERT_EQ(book.pending(), 1u);
+  EXPECT_EQ(book.pending_requests()[0].vehicle, 1u);
+}
+
 // Symmetric duopoly on one cohort, ample capacity: competition prices
 // strictly below the monopoly equilibrium, and sharper λ pushes prices
 // toward cost. Capacity must not bind here — undercutting only pays while
@@ -348,6 +492,11 @@ TEST(competitive_market, validates_config) {
   core::competitive_market_config bad_cost = two_msps;
   bad_cost.msps[1].unit_cost = -1.0;
   EXPECT_THROW((void)core::competitive_market{bad_cost},
+               vtm::util::contract_error);
+  core::competitive_market_config infinite_sharpness = two_msps;
+  infinite_sharpness.share_sharpness =
+      std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)core::competitive_market{infinite_sharpness},
                vtm::util::contract_error);
 
   core::competitive_market_config seat_without_pricer;

@@ -3,13 +3,19 @@
 // and its checkpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "core/immersion_models.hpp"
 #include "core/mechanism.hpp"
 #include "core/multi_msp.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace core = vtm::core;
 
@@ -34,6 +40,7 @@ core::market_params monopoly_params() {
 // ---- multi-MSP market mechanics -----------------------------------------------------
 
 TEST(multi_msp, validates_parameters) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
   auto no_msps = duopoly();
   no_msps.msps.clear();
   EXPECT_THROW((void)core::multi_msp_market{no_msps}, vtm::util::contract_error);
@@ -41,6 +48,138 @@ TEST(multi_msp, validates_parameters) {
   bad_lambda.share_sharpness = 0.0;
   EXPECT_THROW((void)core::multi_msp_market{bad_lambda},
                vtm::util::contract_error);
+  auto infinite_lambda = duopoly();
+  infinite_lambda.share_sharpness = inf;
+  EXPECT_THROW((void)core::multi_msp_market{infinite_lambda},
+               vtm::util::contract_error);
+  auto infinite_alpha = duopoly();
+  infinite_alpha.vmus[1].alpha = inf;
+  EXPECT_THROW((void)core::multi_msp_market{infinite_alpha},
+               vtm::util::contract_error);
+
+  // `assign` applies the same checks and leaves a rejected market as it was.
+  const auto params = duopoly();
+  core::multi_msp_market market(params);
+  const double before = market.total_demand(10.0);
+  std::vector<core::vmu_profile> bad_vmus = params.vmus;
+  bad_vmus[0].data_mb = inf;
+  EXPECT_THROW(market.assign({}, params.vmus), vtm::util::contract_error);
+  EXPECT_THROW(market.assign(params.msps, {}), vtm::util::contract_error);
+  EXPECT_THROW(market.assign(params.msps, bad_vmus),
+               vtm::util::contract_error);
+  EXPECT_EQ(market.msp_count(), 2u);
+  EXPECT_EQ(market.vmu_count(), 2u);
+  EXPECT_EQ(market.total_demand(10.0), before);
+}
+
+// One market re-targeted at random rosters and cohorts in sequence must
+// evaluate exactly like a market built fresh from the same parameters: the
+// demand curve at and beside every activation threshold, its slope, the
+// shares, and a solve, bit for bit. Cohorts repeat profiles, some scaled by
+// powers of two, so thresholds tie between profiles with different α and D;
+// the curve must still add tied buyers in roster order, as a stable sort
+// of the thresholds does.
+TEST(multi_msp, assign_matches_fresh_market) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  vtm::util::rng gen(20261019);
+  core::multi_msp_market reused(duopoly());
+  std::size_t tied = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    core::multi_msp_params params = duopoly();
+    params.msps.clear();
+    params.vmus.clear();
+    const auto msps = static_cast<std::size_t>(gen.uniform_int(1, 6));
+    for (std::size_t m = 0; m < msps; ++m) {
+      const double cost = gen.uniform(1.0, 10.0);
+      params.msps.push_back({cost, gen.uniform(0.5, 60.0),
+                             cost + gen.uniform(5.0, 60.0)});
+    }
+    const auto vmus = static_cast<std::size_t>(gen.uniform_int(1, 64));
+    for (std::size_t n = 0; n < vmus; ++n) {
+      core::vmu_profile vmu{gen.uniform(50.0, 3000.0),
+                            gen.uniform(50.0, 400.0)};
+      if (n > 0 && gen.uniform(0.0, 1.0) < 0.4) {
+        // A repeat of an earlier buyer, scaled by a power of two: α/κ is
+        // unchanged exactly, so the thresholds tie.
+        const double scale =
+            std::ldexp(1.0, static_cast<int>(gen.uniform_int(-1, 2)));
+        const auto& earlier = params.vmus[static_cast<std::size_t>(
+            gen.uniform_int(0, static_cast<int>(n) - 1))];
+        vmu = {earlier.alpha * scale, earlier.data_mb * scale};
+      }
+      params.vmus.push_back(vmu);
+    }
+    reused.assign(params.msps, params.vmus);
+    const core::multi_msp_market fresh(params);
+    ASSERT_EQ(reused.msp_count(), msps);
+    ASSERT_EQ(reused.vmu_count(), vmus);
+
+    // The expected curve: thresholds stable-sorted in roster order, suffix
+    // sums accumulated from the top as the market builds them.
+    const double r = fresh.spectral_efficiency();
+    std::vector<double> threshold(vmus);
+    for (std::size_t n = 0; n < vmus; ++n)
+      threshold[n] = params.vmus[n].alpha / (params.vmus[n].data_mb / r);
+    std::vector<std::size_t> order(vmus);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return threshold[a] < threshold[b];
+                     });
+    std::vector<double> suffix_alpha(vmus + 1, 0.0);
+    std::vector<double> suffix_kappa(vmus + 1, 0.0);
+    for (std::size_t i = vmus; i-- > 0;) {
+      const auto& vmu = params.vmus[order[i]];
+      suffix_alpha[i] = vmu.alpha + suffix_alpha[i + 1];
+      suffix_kappa[i] = vmu.data_mb / r + suffix_kappa[i + 1];
+    }
+    const auto expected_demand = [&](double p_eff) {
+      std::size_t i = 0;
+      while (i < vmus && !(threshold[order[i]] > p_eff)) ++i;
+      if (i == vmus) return 0.0;
+      const double demand = suffix_alpha[i] / p_eff - suffix_kappa[i];
+      return demand > 0.0 ? demand : 0.0;
+    };
+    for (std::size_t i = 0; i + 1 < vmus; ++i)
+      if (threshold[order[i]] == threshold[order[i + 1]]) ++tied;
+
+    for (const double t : threshold) {
+      for (const double p_eff : {t, std::nextafter(t, 0.0),
+                                 std::nextafter(t, 1e300), 0.5 * t}) {
+        EXPECT_EQ(bits(reused.total_demand(p_eff)),
+                  bits(fresh.total_demand(p_eff)));
+        EXPECT_EQ(bits(reused.total_demand(p_eff)),
+                  bits(expected_demand(p_eff)))
+            << "trial " << trial << " p_eff " << p_eff;
+        EXPECT_EQ(bits(reused.total_demand_reference(p_eff)),
+                  bits(fresh.total_demand_reference(p_eff)));
+        const auto a = reused.demand_at(p_eff);
+        const auto b = fresh.demand_at(p_eff);
+        EXPECT_EQ(bits(a.demand), bits(b.demand));
+        EXPECT_EQ(bits(a.slope), bits(b.slope));
+      }
+    }
+    std::vector<double> prices;
+    for (const auto& msp : params.msps)
+      prices.push_back(gen.uniform(msp.unit_cost, msp.price_cap));
+    const auto reused_shares = reused.shares(prices);
+    const auto fresh_shares = fresh.shares(prices);
+    for (std::size_t m = 0; m < msps; ++m)
+      EXPECT_EQ(bits(reused_shares[m]), bits(fresh_shares[m]));
+
+    const auto a = core::solve_price_competition(reused);
+    const auto b = core::solve_price_competition(fresh);
+    for (std::size_t m = 0; m < msps; ++m) {
+      EXPECT_EQ(bits(a.prices[m]), bits(b.prices[m]));
+      EXPECT_EQ(bits(a.sales[m]), bits(b.sales[m]));
+      EXPECT_EQ(bits(a.utilities[m]), bits(b.utilities[m]));
+    }
+    EXPECT_EQ(bits(a.effective_price), bits(b.effective_price));
+    EXPECT_EQ(bits(a.total_vmu_utility), bits(b.total_vmu_utility));
+    EXPECT_EQ(a.objective_evals, b.objective_evals);
+    EXPECT_EQ(a.iterations, b.iterations);
+  }
+  EXPECT_GT(tied, 500u);  // tied thresholds are actually exercised
 }
 
 TEST(multi_msp, shares_sum_to_one_and_favor_cheaper) {

@@ -293,6 +293,10 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   rejects("duration_s", [&](core::fleet_config& c) {
     c.duration_s = vtm::util::seconds{inf};
   });
+  // An infinite epoch would run as epoch 0.
+  rejects("clearing_epoch_s", [&](core::fleet_config& c) {
+    c.clearing_epoch_s = vtm::util::seconds{inf};
+  });
   const auto roster = [](core::fleet_config& c) {
     c.mode = core::market_mode::oligopoly;
     c.msps.resize(2);
@@ -308,6 +312,11 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   rejects("msps.bandwidth_per_pool_mhz", [&](core::fleet_config& c) {
     roster(c);
     c.msps[1].bandwidth_per_pool_mhz = vtm::util::megahertz{inf};
+  });
+  // An infinite softmin sharpness would fail a clearing mid-run.
+  rejects("share_sharpness", [&](core::fleet_config& c) {
+    roster(c);
+    c.share_sharpness = inf;
   });
   // The same two-seller roster with finite fields validates.
   core::fleet_config duopoly;

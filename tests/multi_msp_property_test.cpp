@@ -7,11 +7,15 @@
 //   3. per-MSP utilities are exactly (p_m − C_m)·sales_m;
 //   4. with M = 1, shares/effective price/demands are *bitwise* the monopoly
 //      `core::market` path (same formulas, same arithmetic), so plugging
-//      the oligopoly evaluator into a single-seller market changes nothing.
+//      the oligopoly evaluator into a single-seller market changes nothing;
+//   5. a solve on reused scratch and result is bitwise the by-value solve.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -300,6 +304,87 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
   EXPECT_GT(pinned_answered, 50);
   EXPECT_GT(kinks_bound, 50);  // both kinds of rows are exercised
   EXPECT_GT(interiors, 5);
+}
+
+// One scratch and one result reused across random solves — every roster
+// size, cold and warm starts, pinned seats, and warm starts far enough off
+// the fixed point that the dampened loop answers — must reproduce the
+// by-value solve, which runs on fresh storage, in every field bit for bit.
+TEST(multi_msp_property, reused_scratch_matches_fresh_solve) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto same = [&](const std::vector<double>& a,
+                        const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (bits(a[i]) != bits(b[i])) return false;
+    return true;
+  };
+  vtm::util::rng gen(20261019);
+  core::multi_msp_equilibrium reused;
+  core::price_competition_scratch scratch;
+  int cold = 0;
+  int newton = 0;
+  int fallback = 0;
+  int pinned = 0;
+  for (int trial = 0; trial < 1200; ++trial) {
+    const auto msps = static_cast<std::size_t>(gen.uniform_int(1, 6));
+    const auto params = draw_params(gen, msps);
+    const core::multi_msp_market market(params);
+    core::price_competition_options options;
+    std::vector<double> warm;
+    const auto start = gen.uniform_int(0, 3);
+    if (start == 1) {
+      // Near the fixed point: Newton's regime.
+      warm = core::solve_price_competition(market).prices;
+      for (double& p : warm) p *= gen.uniform(0.98, 1.02);
+    } else if (start == 2) {
+      // Anywhere in the box.
+      warm = draw_prices(gen, params);
+    } else if (start == 3) {
+      // Box corners: mostly the dampened loop's after Newton fails.
+      for (const auto& msp : params.msps)
+        warm.push_back(gen.uniform_int(0, 1) == 0 ? msp.unit_cost
+                                                  : msp.price_cap);
+    }
+    options.warm_start = warm;
+    if (msps >= 2 && gen.uniform_int(0, 2) == 0)
+      options.pinned = static_cast<std::size_t>(
+          gen.uniform_int(0, static_cast<int>(msps) - 1));
+
+    const auto fresh = core::solve_price_competition(market, options);
+    core::solve_price_competition(market, options, reused, scratch);
+    EXPECT_TRUE(same(reused.prices, fresh.prices)) << "trial " << trial;
+    EXPECT_TRUE(same(reused.sales, fresh.sales)) << "trial " << trial;
+    EXPECT_TRUE(same(reused.utilities, fresh.utilities)) << "trial " << trial;
+    EXPECT_EQ(bits(reused.effective_price), bits(fresh.effective_price));
+    EXPECT_EQ(bits(reused.total_demand), bits(fresh.total_demand));
+    EXPECT_EQ(bits(reused.total_vmu_utility), bits(fresh.total_vmu_utility));
+    EXPECT_EQ(reused.iterations, fresh.iterations);
+    EXPECT_EQ(reused.newton_iterations, fresh.newton_iterations);
+    EXPECT_EQ(reused.converged, fresh.converged);
+    EXPECT_EQ(bits(reused.residual), bits(fresh.residual));
+    EXPECT_EQ(bits(reused.contraction_ratio), bits(fresh.contraction_ratio));
+    EXPECT_EQ(bits(reused.error_bound), bits(fresh.error_bound));
+    EXPECT_EQ(bits(reused.damping), bits(fresh.damping));
+    EXPECT_EQ(reused.certified, fresh.certified);
+    EXPECT_EQ(reused.warm_started, fresh.warm_started);
+    EXPECT_EQ(reused.objective_evals, fresh.objective_evals);
+
+    if (!fresh.warm_started)
+      ++cold;
+    else if (fresh.newton_iterations > 0)
+      ++newton;
+    else if (msps >= 2)
+      ++fallback;
+    if (options.pinned != core::price_competition_options::no_pin) ++pinned;
+  }
+  // Every path through the solver is exercised.
+  std::printf("cold %d, newton %d, fallback %d, pinned %d\n", cold, newton,
+              fallback, pinned);
+  EXPECT_GT(cold, 200);
+  EXPECT_GT(newton, 200);
+  EXPECT_GT(fallback, 100);
+  EXPECT_GT(pinned, 200);
 }
 
 // Certificate soundness: converged means the measured defect is within tol,
