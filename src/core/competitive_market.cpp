@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -22,13 +21,6 @@ competitive_market::competitive_market(competitive_market_config config)
     VTM_EXPECTS(msp.unit_cost > 0.0);
     VTM_EXPECTS(msp.price_cap >= msp.unit_cost);
     VTM_EXPECTS(msp.bandwidth_per_pool_mhz > util::megahertz{0.0});
-  }
-  if (config_.learned_msp != no_learned_msp) {
-    VTM_EXPECTS(config_.learned_msp < config_.msps.size());
-    VTM_EXPECTS(config_.pricer != nullptr);
-    VTM_EXPECTS(config_.pricer->config().competitor_aware);
-  } else {
-    VTM_EXPECTS(config_.pricer == nullptr);
   }
   warm_prices_.assign(config_.msps.size(), 0.0);
   warm_valid_.assign(config_.msps.size(), false);
@@ -117,84 +109,20 @@ const competitive_outcome& competitive_market::clear(
   if (any_warm) solve_options.warm_start = warm_;
   outcome_.warm_started = any_warm;
 
-  // Price vector: all-scripted best-response fixed point, or the learned
-  // seat's posted price with the scripted rivals best-responding to it. The
-  // scripted equilibrium doubles as the rival-price summary the learned
-  // observation reads — the seat sees where competition *would* settle.
-  // Every solve runs on this book's scratch into `solved_`.
-  std::size_t newton_iterations = 0;  // 0 when the dampened loop answered
-  const auto add_solve = [&] {
-    outcome_.solver_sweeps += solved_.iterations;
-    outcome_.objective_evals += solved_.objective_evals;
-    outcome_.residual = solved_.residual;
-    newton_iterations += solved_.newton_iterations;
-  };
-  const auto learned_it = config_.learned_msp == no_learned_msp
-                              ? active_.end()
-                              : std::find(active_.begin(), active_.end(),
-                                          config_.learned_msp);
-  if (learned_it != active_.end()) {
-    const std::size_t seat = static_cast<std::size_t>(
-        learned_it - active_.begin());
-    solve_price_competition(market, solve_options, solved_, scratch_);
-    outcome_.converged = solved_.converged;
-    outcome_.certified = solved_.certified;
-    add_solve();
-
-    const auto& own = config_.msps[config_.learned_msp];
-    market_params own_view;
-    own_view.vmus = market.params().vmus;
-    own_view.link = config_.link;
-    own_view.bandwidth_cap_mhz =
-        util::megahertz{available_mhz[config_.learned_msp]};
-    own_view.unit_cost = own.unit_cost;
-    own_view.price_cap = own.price_cap;
-    const migration_market own_market(std::move(own_view));
-    cohort_observation obs = make_cohort_observation(
-        own_market, available_mhz[config_.learned_msp],
-        own.bandwidth_per_pool_mhz.value());
-    obs.competitors = active_.size() - 1;
-    if (obs.competitors > 0) {
-      double min_price = std::numeric_limits<double>::infinity();
-      double sum_price = 0.0;
-      for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (i == seat) continue;
-        min_price = std::min(min_price, solved_.prices[i]);
-        sum_price += solved_.prices[i];
-      }
-      obs.competitor_min_price = min_price;
-      obs.competitor_mean_price =
-          sum_price / static_cast<double>(obs.competitors);
-    }
-
-    prices_ = solved_.prices;
-    prices_[seat] = std::clamp(config_.pricer->price(obs), own.unit_cost,
-                               own.price_cap);
-    if (active_.size() > 1) {
-      // Rivals best-respond to the posted price: the same solver with the
-      // learned coordinate pinned, warm-started from the scripted
-      // equilibrium.
-      price_competition_options rival_options = solve_options;
-      rival_options.warm_start = prices_;
-      rival_options.pinned = seat;
-      solve_price_competition(market, rival_options, solved_, scratch_);
-      prices_ = solved_.prices;
-      outcome_.converged = outcome_.converged && solved_.converged;
-      outcome_.certified = outcome_.certified && solved_.certified;
-      add_solve();
-    }
-  } else {
-    solve_price_competition(market, solve_options, solved_, scratch_);
-    prices_ = solved_.prices;
-    outcome_.converged = solved_.converged;
-    outcome_.certified = solved_.certified;
-    add_solve();
-  }
+  // The best-response solve runs on this book's scratch into `solved_`,
+  // whose prices are the posted ones.
+  solve_price_competition(market, solve_options, solved_, scratch_);
+  const std::vector<double>& prices = solved_.prices;
+  outcome_.converged = solved_.converged;
+  outcome_.certified = solved_.certified;
+  outcome_.solver_sweeps = solved_.iterations;
+  outcome_.objective_evals = solved_.objective_evals;
+  outcome_.residual = solved_.residual;
   outcome_.markets_cleared = 1;
   outcome_.prices.assign(config_.msps.size(), 0.0);
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    outcome_.prices[active_[i]] = prices_[i];
-    warm_prices_[active_[i]] = prices_[i];
+    outcome_.prices[active_[i]] = prices[i];
+    warm_prices_[active_[i]] = prices[i];
     warm_valid_[active_[i]] = true;
   }
 
@@ -204,10 +132,10 @@ const competitive_outcome& competitive_market::clear(
   // monopoly market's rationing rule, per seller). The softmin runs once:
   // the effective price is `effective_price`'s sum over these shares, and
   // `vmu_demand_at` is bitwise the per-VMU `vmu_demand`.
-  market.shares_into(prices_, shares_);
+  market.shares_into(prices, shares_);
   double p_eff = 0.0;
   for (std::size_t m = 0; m < active_.size(); ++m)
-    p_eff += shares_[m] * prices_[m];
+    p_eff += shares_[m] * prices[m];
   const std::size_t cohort = pending_.size();
   demand_.assign(active_.size(), 0.0);
   interior_.resize(cohort);
@@ -251,14 +179,14 @@ const competitive_outcome& competitive_market::clear(
           std::min(interior_[n] * shares_[m] * scale_[m], remaining_[m]);
       if (slice <= 0.0) continue;
       grant.bandwidth_mhz += slice;
-      payment += prices_[m] * slice;
+      payment += prices[m] * slice;
       // Round the per-seller profit exactly once and accumulate the rounded
       // value: the completion-time per-MSP accounting replays these terms,
       // so the decomposition Σ slice.utility == msp_utility holds bitwise.
       const double utility =
-          (prices_[m] - config_.msps[active_[m]].unit_cost) * slice;
+          (prices[m] - config_.msps[active_[m]].unit_cost) * slice;
       grant.msp_utility += utility;
-      grant.slices.push_back({active_[m], slice, prices_[m], utility});
+      grant.slices.push_back({active_[m], slice, prices[m], utility});
       slice_seats_.push_back(m);
     }
     if (grant.bandwidth_mhz <= 1e-9) {
@@ -285,7 +213,8 @@ const competitive_outcome& competitive_market::clear(
   pending_.resize(keep);
   span.arg("sweeps", static_cast<double>(outcome_.solver_sweeps));
   span.arg("objective_evals", static_cast<double>(outcome_.objective_evals));
-  span.arg("newton_iterations", static_cast<double>(newton_iterations));
+  span.arg("newton_iterations",
+           static_cast<double>(solved_.newton_iterations));
   span.arg("residual", outcome_.residual);
   span.arg("warm_started", outcome_.warm_started ? 1.0 : 0.0);
   span.arg("converged", outcome_.converged ? 1.0 : 0.0);

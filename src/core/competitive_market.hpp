@@ -13,24 +13,19 @@
 // like the monopoly deferral discipline, so the two engines share accounting
 // semantics.
 //
-// One seller seat can be learned (`competitive_market_config::learned_msp`):
-// that MSP posts a competitor-aware `learned_pricer` price — the observation
-// extends the monopoly cohort summary with rival count and rival-price
-// features (`competitive_features`) — and the scripted rivals best-respond
-// to it. A market needs at least two sellers: one seller is the monopoly,
-// which `core::spot_market` clears (`market_mode::joint`).
+// A market needs at least two sellers: one seller is the monopoly, which
+// `core::spot_market` clears (`market_mode::joint`).
 //
 // Each book keeps one `multi_msp_market`, rebuilt in place over every
 // clearing's cohort, and solves on reused solver scratch; the book compacts
-// in place and the outcome is reused. After warm-up a scripted clearing
-// allocates nothing (the learned seat's observation still does).
+// in place and the outcome is reused. After warm-up a clearing allocates
+// nothing.
 //
 // DESIGN.md §11 documents the clearing discipline, the seller-split
 // semantics, and the shard interaction.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -39,9 +34,6 @@
 #include "core/spot_market.hpp"
 
 namespace vtm::core {
-
-/// "No learned seller seat" sentinel for `learned_msp`.
-inline constexpr std::size_t no_learned_msp = static_cast<std::size_t>(-1);
 
 /// One competing MSP of a fleet-scale oligopoly: its economics plus the
 /// placement of its RSU chain relative to the primary (geometry-defining)
@@ -95,8 +87,8 @@ struct competitive_outcome {
   bool certified = true;     ///< Convergence certificate valid (q < 1).
   bool warm_started = false; ///< Solve started from the previous clearing.
   std::size_t solver_sweeps = 0;    ///< Best-response sweeps spent.
-  std::size_t objective_evals = 0;  ///< Objective calls across the solve(s).
-  /// Final best-response residual of the (last) fixed-point solve.
+  std::size_t objective_evals = 0;  ///< Objective calls of the solve.
+  /// Final best-response residual of the fixed-point solve.
   double residual = 0.0;
 };
 
@@ -106,13 +98,6 @@ struct competitive_market_config {
   double share_sharpness = 0.25;  ///< λ of the softmin share rule (finite).
   wireless::link_params link{};   ///< Demand-side migration channel.
   util::megahertz min_clearable_mhz{0.5};  ///< Below this an MSP sits out.
-  /// The learned seller seat (null = every price from the best-response
-  /// solve): MSP `learned_msp` posts its price from the competitor-aware
-  /// observation instead of best-responding, and the scripted rivals
-  /// best-respond to it. The seat requires a competitor_aware pricer, and a
-  /// pricer requires the seat.
-  std::shared_ptr<const learned_pricer> pricer;
-  std::size_t learned_msp = no_learned_msp;
   /// Telemetry lane for per-clearing spans ("comarket.clear" carrying the
   /// convergence certificate: sweeps, objective evals, Newton iterations —
   /// 0 when the dampened loop priced the clearing — residual, warm start).
@@ -165,15 +150,15 @@ class competitive_market {
   /// re-targeted in place (`multi_msp_market::assign`).
   std::optional<multi_msp_market> market_;
   price_competition_scratch scratch_;
-  multi_msp_equilibrium solved_;  ///< The solves' reused result.
+  /// The solve's reused result; its prices are the posted ones.
+  multi_msp_equilibrium solved_;
   // Clearing scratch. Per participating seller: its roster index, its offer,
-  // warm-start and posted price, softmin share, cohort demand, rationing
-  // scale and running remainder. Per request: its profile and interior
-  // demand. Per grant: the participating index of each slice.
+  // warm-start price, softmin share, cohort demand, rationing scale and
+  // running remainder. Per request: its profile and interior demand. Per
+  // grant: the participating index of each slice.
   std::vector<std::size_t> active_;
   std::vector<msp_profile> roster_;
   std::vector<double> warm_;
-  std::vector<double> prices_;
   std::vector<double> shares_;
   std::vector<double> demand_;
   std::vector<double> scale_;

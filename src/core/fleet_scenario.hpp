@@ -13,10 +13,11 @@
 // always equal the sum over `migrations` and no in-flight work is lost.
 //
 // A single run parallelizes across `shard_count` contiguous RSU shards, each
-// owning its RSUs' pools, books, and its own `sim::event_queue`; shards
-// advance in conservative time windows and exchange boundary handoffs at
-// barriers (core/fleet_shard.hpp, DESIGN.md §10). `shard_count = 1` (the
-// default) is bitwise identical to the pre-shard serial engine.
+// owning its RSUs' pools, books, and its own
+// `sim::basic_event_queue<fleet_event>`; shards advance in conservative time
+// windows and exchange boundary handoffs at barriers (core/fleet_shard.hpp,
+// DESIGN.md §10). `shard_count = 1` (the default) is bitwise identical to
+// the pre-shard serial engine.
 #pragma once
 
 #include <cstdint>
@@ -120,19 +121,6 @@ struct fleet_config {
   /// length), else it spans zero edges on some route and is rejected.
   std::shared_ptr<const sim::road_graph> graph;
 
-  /// Spawn-cohort correlation: vehicles arrive in platoons of
-  /// `platoon_size` (1 = independent draws, the legacy sequence).
-  /// Followers share their leader's route and spawn within
-  /// ±platoon_spread_m / ±platoon_speed_jitter_mps of it, clamped to the
-  /// spawn window and speed band.
-  std::size_t platoon_size = 1;
-  util::meters platoon_spread_m{50.0};
-  util::mps platoon_speed_jitter_mps{0.0};
-  /// Lane-change hook (graph mode): on spawn edges with more than one lane
-  /// each vehicle draws a lane and gains lane x delta speed (0 disables;
-  /// the conservative shard window accounts for the maximum bonus).
-  util::mps lane_speed_delta_mps{0.0};
-
   // Economics (paper ranges; α enters ×100 per the unit calibration).
   double min_alpha = 500.0;
   double max_alpha = 2000.0;
@@ -142,12 +130,6 @@ struct fleet_config {
   double unit_cost = 5.0;
   double price_cap = 50.0;
   wireless::link_params link{};  ///< d is overridden by the RSU spacing.
-  /// Per-RSU channel overrides: when non-empty, entry r replaces
-  /// `link.noise_power_dbm` / `link.tx_power_dbm` for RSU r's pool (and for
-  /// drifted-grant link rebuilds landing at r). Size must equal the RSU
-  /// count; empty keeps the chain-wide values (bitwise-unchanged default).
-  std::vector<util::dbm> rsu_noise_dbm;
-  std::vector<util::dbm> rsu_tx_power_dbm;
 
   // Spot-market clearing.
   market_mode mode = market_mode::joint;
@@ -161,17 +143,12 @@ struct fleet_config {
   /// from the primary chain.
   std::vector<fleet_msp> msps;
   double share_sharpness = 0.25;  ///< λ of the softmin split (finite, > 0).
-  /// Learned seller seat: this MSP posts `pricer`'s competitor-aware price
-  /// while the scripted rivals best-respond (`no_learned_msp` = all
-  /// scripted). Requires `pricer` with `competitor_aware` set.
-  std::size_t learned_msp = no_learned_msp;
 
-  /// Learned price source. Null (the default) prices every clearing with
-  /// the analytic `solve_equilibrium` oracle (joint mode) or the
-  /// best-response solve (oligopoly mode). Otherwise, in joint mode, the
-  /// pricer posts each clearing's price from the partial-information cohort
-  /// observation; in oligopoly mode it fills the `learned_msp` seat, which
-  /// it requires.
+  /// Learned price source (joint mode only; the best-response solve prices
+  /// every oligopoly clearing). Null (the default) prices every clearing
+  /// with the analytic `solve_equilibrium` oracle; otherwise the pricer
+  /// posts each clearing's price from the partial-information cohort
+  /// observation.
   std::shared_ptr<const learned_pricer> pricer;
 
   /// Capture one `cohort_snapshot` per priced clearing into

@@ -62,7 +62,7 @@ fleet_config normalized(fleet_config config) {
 /// and the requests they re-home across shards — land exactly on barriers.
 /// Graph mode bounds the same quantity over every route: the narrowest
 /// inter-boundary gap at the worst-case speed (max base speed × max edge
-/// factor + the full lane-change bonus).
+/// factor).
 double auto_window_s(const fleet_config& config,
                      const sim::rsu_chain& chain) {
   double min_cell_m = std::numeric_limits<double>::infinity();
@@ -70,9 +70,7 @@ double auto_window_s(const fleet_config& config,
   if (config.graph) {
     min_cell_m = config.graph->min_boundary_gap_m();
     top_speed =
-        config.max_speed_mps.value() * config.graph->max_speed_factor() +
-        config.lane_speed_delta_mps.value() *
-            static_cast<double>(config.graph->max_lanes() - 1);
+        config.max_speed_mps.value() * config.graph->max_speed_factor();
   } else {
     for (std::size_t i = 0; i + 2 < chain.count(); ++i)
       min_cell_m = std::min(min_cell_m, chain.handover_position_m(i + 1) -
@@ -159,12 +157,18 @@ void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.graph != nullptr || config.rsu_count >= 1 ||
               !config.rsu_positions_m.empty());
   VTM_EXPECTS(config.vehicle_count >= 1);
-  // Every bound, capacity and price below must be finite: an infinite α,
-  // speed or pool passes the ordering checks and then poisons the clearing
-  // in the middle of the run (the in-place clearing re-checks no cohort).
-  // A finite upper bound also makes its lower bound finite.
+  // Every bound, capacity, price and migration or channel parameter below
+  // must be finite: an infinite α, speed or pool passes the ordering checks
+  // and then poisons the clearing in the middle of the run (the in-place
+  // clearing re-checks no cohort), and a NaN fails a precondition deep in
+  // the first migration. A finite upper bound also makes its lower bound
+  // finite.
   VTM_EXPECTS(std::isfinite(config.duration_s.value()) &&
               config.duration_s > util::seconds{0.0});
+  VTM_EXPECTS(std::isfinite(config.rsu_spacing_m.value()) &&
+              config.rsu_spacing_m > util::meters{0.0});
+  VTM_EXPECTS(std::isfinite(config.coverage_radius_m.value()) &&
+              config.coverage_radius_m > util::meters{0.0});
   // Speeds must be strictly positive: each pool prices its *upstream* RSU
   // gap, so backward traffic (which `rsu_chain::next_handover` itself can
   // model) would clear over the wrong link. Rejected by design; see the
@@ -188,20 +192,28 @@ void validate_fleet_config(const fleet_config& config) {
   // is epoch 0 under another name.
   VTM_EXPECTS(std::isfinite(config.clearing_epoch_s.value()) &&
               config.clearing_epoch_s >= util::seconds{0.0});
-  VTM_EXPECTS(config.min_clearable_mhz > util::megahertz{0.0});
+  // An infinite clearable minimum abandons every handover.
+  VTM_EXPECTS(std::isfinite(config.min_clearable_mhz.value()) &&
+              config.min_clearable_mhz > util::megahertz{0.0});
+  // Pre-copy: a twin dirties at a finite, non-negative rate in pages of a
+  // positive size, and stops copying below a positive remainder.
+  VTM_EXPECTS(std::isfinite(config.dirty_rate_mb_s.value()) &&
+              config.dirty_rate_mb_s >= util::mb_per_s{0.0});
+  VTM_EXPECTS(std::isfinite(config.page_mb.value()) &&
+              config.page_mb > util::megabytes{0.0});
+  VTM_EXPECTS(std::isfinite(config.stop_copy_threshold_mb.value()) &&
+              config.stop_copy_threshold_mb > util::megabytes{0.0});
+  // The migration channel; every pool overrides its distance.
+  VTM_EXPECTS(std::isfinite(config.link.tx_power_dbm.value()));
+  VTM_EXPECTS(std::isfinite(config.link.unit_gain_db.value()));
+  VTM_EXPECTS(std::isfinite(config.link.path_loss_exponent) &&
+              config.link.path_loss_exponent >= 0.0);
+  VTM_EXPECTS(std::isfinite(config.link.noise_power_dbm.value()));
   // Both spawn bounds explicit (>= 0, the "< 0 means auto" sentinel) must
   // form a window; mixed explicit/auto is resolved at spawn time.
   if (config.spawn_min_m >= util::meters{0.0} &&
       config.spawn_max_m >= util::meters{0.0})
     VTM_EXPECTS(config.spawn_max_m >= config.spawn_min_m);
-  // Platoon-correlated spawning (size 1 = independent draws).
-  VTM_EXPECTS(config.platoon_size >= 1);
-  VTM_EXPECTS(std::isfinite(config.platoon_spread_m.value()) &&
-              config.platoon_spread_m >= util::meters{0.0});
-  VTM_EXPECTS(std::isfinite(config.platoon_speed_jitter_mps.value()) &&
-              config.platoon_speed_jitter_mps >= util::mps{0.0});
-  VTM_EXPECTS(std::isfinite(config.lane_speed_delta_mps.value()) &&
-              config.lane_speed_delta_mps >= util::mps{0.0});
   const std::size_t rsu_count =
       config.graph ? config.graph->rsu_count()
                    : (config.rsu_positions_m.empty()
@@ -225,20 +237,10 @@ void validate_fleet_config(const fleet_config& config) {
   VTM_EXPECTS(config.shard_count >= 1);
   VTM_EXPECTS(config.shard_count <= rsu_count);
 
-  // Per-cell channel overrides: one finite entry per RSU.
-  for (const auto* overrides : {&config.rsu_noise_dbm,
-                                &config.rsu_tx_power_dbm}) {
-    if (overrides->empty()) continue;
-    VTM_EXPECTS(overrides->size() == rsu_count);
-    for (const util::dbm level : *overrides)
-      VTM_EXPECTS(std::isfinite(level.value()));
-  }
-
   // Oligopoly roster (market_mode::oligopoly only; a roster in any other
   // mode is a misconfiguration, not something to silently ignore).
   if (config.mode != market_mode::oligopoly) {
     VTM_EXPECTS(config.msps.empty());
-    VTM_EXPECTS(config.learned_msp == no_learned_msp);
     return;
   }
   VTM_EXPECTS(std::isfinite(config.share_sharpness) &&
@@ -253,17 +255,9 @@ void validate_fleet_config(const fleet_config& config) {
     VTM_EXPECTS(std::isfinite(msp.bandwidth_per_pool_mhz.value()) &&
                 msp.bandwidth_per_pool_mhz > util::megahertz{0.0});
   }
-  if (config.learned_msp != no_learned_msp) {
-    // The learned seller seat needs a pricer that reads the
-    // competitor-aware observation.
-    VTM_EXPECTS(config.learned_msp < config.msps.size());
-    VTM_EXPECTS(config.pricer != nullptr);
-    VTM_EXPECTS(config.pricer->config().competitor_aware);
-  } else {
-    // The price vector comes from the best-response solve, so a pricer
-    // outside the learned seat would be dead config.
-    VTM_EXPECTS(config.pricer == nullptr);
-  }
+  // The best-response solve prices every oligopoly clearing, so a pricer
+  // would be dead config.
+  VTM_EXPECTS(config.pricer == nullptr);
 }
 
 void validate_streaming_config(const streaming_config& config) {
@@ -324,8 +318,6 @@ shard_engine::shard_engine(const fleet_config& config,
     book_config.msps = msps;
     book_config.share_sharpness = config.share_sharpness;
     book_config.min_clearable_mhz = config.min_clearable_mhz;
-    book_config.pricer = config.pricer;
-    book_config.learned_msp = config.learned_msp;
     book_config.trace = tele_.trace;
     comarkets_.reserve(rsu_count);
     candidates_.reserve(rsu_count);
@@ -333,8 +325,7 @@ shard_engine::shard_engine(const fleet_config& config,
     budgets_.reserve(rsu_count);
     for (std::size_t p = 0; p < rsu_count; ++p) {
       const std::size_t rsu = rsu_lo + p;
-      const wireless::link_params link =
-          link_for(rsu, pool_link_distance_m(rsu));
+      const wireless::link_params link = link_for(pool_link_distance_m(rsu));
       pool_links_.push_back(link);
       budgets_.emplace_back(link);
       book_config.link = link;
@@ -367,7 +358,7 @@ shard_engine::shard_engine(const fleet_config& config,
   budgets_.reserve(rsu_count);
   for (std::size_t p = 0; p < rsu_count; ++p) {
     const wireless::link_params link =
-        link_for(rsu_lo + p, pool_link_distance_m(rsu_lo + p));
+        link_for(pool_link_distance_m(rsu_lo + p));
     pool_links_.push_back(link);
     budgets_.emplace_back(link);
     market_config.link = link;
@@ -409,14 +400,9 @@ void shard_engine::submit_request(std::size_t pidx,
   }
 }
 
-wireless::link_params shard_engine::link_for(std::size_t rsu,
-                                             double distance_m) const {
+wireless::link_params shard_engine::link_for(double distance_m) const {
   wireless::link_params link = config_.link;
   link.distance_m = util::meters{distance_m};
-  if (!config_.rsu_noise_dbm.empty())
-    link.noise_power_dbm = config_.rsu_noise_dbm[rsu];
-  if (!config_.rsu_tx_power_dbm.empty())
-    link.tx_power_dbm = config_.rsu_tx_power_dbm[rsu];
   return link;
 }
 
@@ -764,9 +750,8 @@ void shard_engine::launch_migration(std::uint32_t flight,
   // forward handover actually migrates over. A request that drifted while
   // deferred can arrive from further back (from + 1 != to): its twin moves
   // over the true (from, to) distance, so the transfer rate and closed-form
-  // AoTM are rebuilt over that gap (with the destination cell's channel
-  // overrides). The *price* stays the posted cohort price — the market
-  // clears one link per cell.
+  // AoTM are rebuilt over that gap. The *price* stays the posted cohort
+  // price — the market clears one link per cell.
   const wireless::link_budget* budget = &budgets_[pidx];
   std::optional<wireless::link_budget> actual;
   if (graph_) {
@@ -778,13 +763,12 @@ void shard_engine::launch_migration(std::uint32_t flight,
                                                  request.to_rsu);
       if (gap != pool_link_distance_m(request.to_rsu)) {
         VTM_ASSERT(std::isfinite(gap));
-        actual.emplace(link_for(request.to_rsu, gap));
+        actual.emplace(link_for(gap));
         budget = &*actual;
       }
     }
   } else if (request.to_rsu != request.from_rsu + 1) {
     actual.emplace(link_for(
-        request.to_rsu,
         chain_.link_distance_m(request.from_rsu, request.to_rsu)));
     budget = &*actual;
   }
@@ -1167,49 +1151,17 @@ void shard_coordinator::merge_metrics() {
 }
 
 void shard_coordinator::draw_spawn(vehicle_slot& slot) {
-  double position;
-  double speed;
-  if (platoon_left_ == 0) {
-    // Platoon leader — every vehicle when platoon_size == 1, where the
-    // chain-mode draw sequence (position, speed, α, data) is bitwise the
-    // legacy spawn loop.
-    if (routes_.size() > 1)
-      lead_route_ = static_cast<std::size_t>(gen_.uniform_int(
-          0, static_cast<std::int64_t>(routes_.size()) - 1));
-    else
-      lead_route_ = 0;
-    position = gen_.uniform(route_span_lo_[lead_route_],
-                            route_span_hi_[lead_route_]);
-    speed = gen_.uniform(config_.min_speed_mps.value(),
-                         config_.max_speed_mps.value());
-    platoon_left_ = config_.platoon_size - 1;
-    lead_pos_ = position;
-    lead_speed_ = speed;
-  } else {
-    // Follower: same route, jittered around the leader, clamped back into
-    // the spawn window and speed band.
-    --platoon_left_;
-    position = std::clamp(
-        lead_pos_ + gen_.uniform(-config_.platoon_spread_m.value(),
-                                 config_.platoon_spread_m.value()),
-        route_span_lo_[lead_route_], route_span_hi_[lead_route_]);
-    speed = std::clamp(
-        lead_speed_ + gen_.uniform(-config_.platoon_speed_jitter_mps.value(),
-                                   config_.platoon_speed_jitter_mps.value()),
-        config_.min_speed_mps.value(), config_.max_speed_mps.value());
-  }
-  slot.route = &routes_[lead_route_];
-  slot.kinematics.position_m = position;
-  if (config_.graph && config_.lane_speed_delta_mps > util::mps{0.0}) {
-    // Lane-change hook: multi-lane spawn edges grant a per-lane speed bonus
-    // (the conservative window budgets the maximum).
-    const std::size_t lanes = config_.graph->lanes_at(lead_route_, position);
-    if (lanes > 1)
-      speed += config_.lane_speed_delta_mps.value() *
-               static_cast<double>(gen_.uniform_int(
-                   0, static_cast<std::int64_t>(lanes) - 1));
-  }
-  slot.kinematics.speed_mps = speed;
+  // On the chain the draw sequence (position, speed, α, data) is bitwise
+  // the legacy spawn loop; a graph run draws the route first.
+  std::size_t route = 0;
+  if (routes_.size() > 1)
+    route = static_cast<std::size_t>(gen_.uniform_int(
+        0, static_cast<std::int64_t>(routes_.size()) - 1));
+  slot.route = &routes_[route];
+  slot.kinematics.position_m =
+      gen_.uniform(route_span_lo_[route], route_span_hi_[route]);
+  slot.kinematics.speed_mps = gen_.uniform(config_.min_speed_mps.value(),
+                                           config_.max_speed_mps.value());
   slot.profile.alpha = gen_.uniform(config_.min_alpha, config_.max_alpha);
   slot.profile.data_mb =
       gen_.uniform(config_.min_data_mb.value(), config_.max_data_mb.value());
@@ -1314,7 +1266,6 @@ void shard_coordinator::run_windows() {
             gen_ = util::rng(stream_.reseed_seed);
             arrival_pending_ = false;
             next_arrival_s_ = t_end;
-            platoon_left_ = 0;
           }
           ++flush_index;
           next_flush += stream_.flush_period_s.value();

@@ -2,11 +2,11 @@
 //
 // A fleet run partitions the RSU chain into `shard_count` contiguous shards.
 // Each `shard_engine` owns its RSUs' OFDMA pools and `core::spot_market`
-// books, and advances its *own* `sim::event_queue`; the `shard_coordinator`
-// drives all shards in conservative time windows on `util::thread_pool`
-// (lookahead: the minimum boundary travel time at `max_speed_mps`). Anything
-// one shard does to another crosses a `sim::shard_mailbox` and is applied at
-// the next window barrier:
+// books, and advances its *own* `sim::basic_event_queue<fleet_event>`; the
+// `shard_coordinator` drives all shards in conservative time windows on
+// `util::thread_pool` (lookahead: the minimum boundary travel time at
+// `max_speed_mps`). Anything one shard does to another crosses a
+// `sim::shard_mailbox` and is applied at the next window barrier:
 //
 //   - `boundary_handoff` — a vehicle whose next coverage handover lands in a
 //     neighbouring shard's RSU; ownership of the vehicle slot moves with it.
@@ -49,9 +49,9 @@
 // the slab, the pools' grant slots and the spot and oligopoly books'
 // clearing scratch grow on first use and are then reused, and twins live in
 // their vehicle slots, so a steady-state window admits, clears, migrates and
-// completes without allocating; only flushes and the learned clearings do
-// (tests/alloc_guard_test.cpp). A completion is scheduled at exactly
-// `now() + total_time_s`.
+// completes without allocating; only flushes and the learned pricer's
+// clearings do (tests/alloc_guard_test.cpp). A completion is scheduled at
+// exactly `now() + total_time_s`.
 //
 // `shard_engine` is an engine-internal component driven by the coordinator;
 // it is exposed here (rather than hidden in a TU) so white-box tests and
@@ -320,10 +320,8 @@ class shard_engine {
   void dispatch(const fleet_event& event);
   [[nodiscard]] std::size_t pool_index(std::size_t rsu) const noexcept;
   [[nodiscard]] double pool_link_distance_m(std::size_t rsu) const;
-  /// Channel of the cell at global RSU `rsu` over `distance_m`: the chain
-  /// link with the per-cell noise/power overrides applied.
-  [[nodiscard]] wireless::link_params link_for(std::size_t rsu,
-                                               double distance_m) const;
+  /// The chain's channel over a migration link of `distance_m`.
+  [[nodiscard]] wireless::link_params link_for(double distance_m) const;
   [[nodiscard]] bool oligopoly() const noexcept {
     return config_.mode == market_mode::oligopoly;
   }
@@ -440,9 +438,8 @@ class shard_coordinator {
   void merge_metrics() VTM_REQUIRES(barrier_);
 
   void spawn_vehicles();
-  /// Draw one vehicle's spawn state (route, position, speed, α, data) —
-  /// the platoon leader/follower machinery. With `platoon_size = 1` on the
-  /// chain the draw sequence is bitwise the legacy spawn loop.
+  /// Draw one vehicle's spawn state, in draw order: route (graphs only),
+  /// position, speed, α, data.
   void draw_spawn(vehicle_slot& slot);
   /// Admit every arrival with time <= `upto` (and <= the horizon) into its
   /// owning shard. A closed run's arrivals are its spawn cohort, adopted at
@@ -482,11 +479,6 @@ class shard_coordinator {
   // Spawn-window spans, one [lo, hi] per route.
   std::vector<double> route_span_lo_;
   std::vector<double> route_span_hi_;
-  // Platoon state threaded through consecutive spawn draws.
-  std::size_t platoon_left_ = 0;   ///< Followers still owed to the leader.
-  std::size_t lead_route_ = 0;
-  double lead_pos_ = 0.0;
-  double lead_speed_ = 0.0;
   // Stream state. `stream_` is set by the streaming ctor only; a closed run
   // admits one t = 0 cohort and emits one final flush.
   streaming_config stream_;

@@ -362,11 +362,6 @@ multi_msp_market::best_response multi_msp_market::best_response_local(
   }
 }
 
-double multi_msp_market::best_response_price(
-    std::size_t m, std::span<const double> prices) const {
-  return best_response_to(m, prices).price;
-}
-
 double multi_msp_market::best_response_price_reference(
     std::size_t m, std::span<const double> prices) const {
   VTM_EXPECTS(m < msp_count());
@@ -502,21 +497,19 @@ void list_unknowns(newton_workspace& ws) {
       ws.unknown[ws.k++] = m;
 }
 
-/// KKT class of every free seller at the evaluated point, read from the
+/// KKT class of every seller at the evaluated point, read from the
 /// signs of its best-response conditions: at its price cap while profit does
 /// not fall there (rationed, or u >= 0); otherwise the larger of u_m and
 /// w_m·D − cap_m picks the binding condition — the first-order row while the
 /// seller does not sell past its capacity, the kink row while its profit
 /// would still rise past the kink.
 void classify(const multi_msp_market& market, std::span<const double> prices,
-              std::size_t pinned, newton_workspace& ws) {
+              newton_workspace& ws) {
   const auto& msps = market.params().msps;
   for (std::size_t m = 0; m < prices.size(); ++m) {
     const double over = ws.sales[m] - msps[m].bandwidth_cap_mhz;
-    if (m == pinned)
-      ws.cls[m] = seller_class::pinned;
-    else if (prices[m] >= msps[m].price_cap &&
-             (over >= 0.0 || ws.foc[m] >= 0.0))
+    if (prices[m] >= msps[m].price_cap &&
+        (over >= 0.0 || ws.foc[m] >= 0.0))
       ws.cls[m] = seller_class::capped;
     else
       ws.cls[m] =
@@ -635,20 +628,20 @@ double profit_slope(const multi_msp_market& market,
 struct newton_stats {
   bool converged = false;
   std::size_t iterations = 0;   ///< Accepted Newton steps.
-  std::size_t evaluations = 0;  ///< One per free seller per evaluation.
+  std::size_t evaluations = 0;  ///< One per seller per evaluation.
   /// Norms ‖J⁻¹F‖∞ of the last two Newton steps.
   double last_step = 0.0;
   double prev_step = 0.0;
 };
 
-/// Active-set Newton on the free sellers' best-response conditions, from
+/// Active-set Newton on the sellers' best-response conditions, from
 /// `prices` (updated in place). Every evaluated point reclassifies each
 /// seller as interior, at its rationing kink, or at its price cap from the
 /// KKT signs there (`classify`), so the step is semismooth Newton on
 /// min(p_max − p, max(u, w·D − cap)) = 0. A step that would cross a price
 /// cap pins that seller there; one that would cross unit cost is cut to
 /// half the distance to it; every step must lower max|F| by the Armijo rule.
-newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
+newton_stats newton_prices(const multi_msp_market& market,
                            std::vector<double>& prices, newton_workspace& ws) {
   constexpr std::size_t max_iterations = 24;
   constexpr std::size_t max_backtracks = 8;
@@ -658,23 +651,22 @@ newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
   constexpr double step_tol = 0.1 * solve_tol;
   const auto& msps = market.params().msps;
   const std::size_t count = msps.size();
-  const std::size_t free_sellers = pinned < count ? count - 1 : count;
   newton_stats stats;
   const auto evaluate = [&](std::span<const double> at) {
-    stats.evaluations += free_sellers;
+    stats.evaluations += count;
     if (!evaluate_point(market, at, ws)) return false;
-    classify(market, at, pinned, ws);
+    classify(market, at, ws);
     assemble(market, at, ws);
     return true;
   };
 
-  // A warm start whose every free seller is held at its price cap by its
+  // A warm start whose every seller is held at its price cap by its
   // KKT signs leaves no rows to solve: the stage stops before counting an
   // evaluation, and the dampened loop's first sweep verifies the caps.
   if (!evaluate_point(market, prices, ws)) return stats;
-  classify(market, prices, pinned, ws);
+  classify(market, prices, ws);
   if (ws.k == 0) return stats;
-  stats.evaluations += free_sellers;
+  stats.evaluations += count;
   assemble(market, prices, ws);
   std::size_t measured = 0;
   bool holding = false;  // a seller sits on its cap against its KKT signs
@@ -751,7 +743,6 @@ newton_stats newton_prices(const multi_msp_market& market, std::size_t pinned,
 /// Dampened simultaneous best response from `result.prices` (DESIGN.md §12);
 /// adds its sweeps and objective calls to the counters already in `result`.
 void dampened_best_response(const multi_msp_market& market,
-                            const price_competition_options& options,
                             multi_msp_equilibrium& result,
                             price_competition_scratch& scratch) {
   const auto& params = market.params();
@@ -809,10 +800,6 @@ void dampened_best_response(const multi_msp_market& market,
             : std::clamp(0.01 * prev_residual, inner_floor, inner_cap);
     double residual = 0.0;
     for (std::size_t m = 0; m < msps; ++m) {
-      if (m == options.pinned) {
-        response[m] = result.prices[m];
-        continue;
-      }
       const auto br =
           local ? market.best_response_local(m, result.prices, center[m],
                                              halfwidth[m], inner)
@@ -897,7 +884,7 @@ void dampened_best_response(const multi_msp_market& market,
 }  // namespace
 
 void price_competition_scratch::newton_workspace::reset(std::size_t msps) {
-  cls.assign(msps, seller_class::pinned);
+  cls.assign(msps, seller_class::interior);
   p_eff = 0.0;
   demand = {};
   w.assign(msps, 0.0);
@@ -927,8 +914,6 @@ void solve_price_competition(const multi_msp_market& market,
                              price_competition_scratch& scratch) {
   VTM_EXPECTS(options.warm_start.empty() ||
               options.warm_start.size() == market.msp_count());
-  VTM_EXPECTS(options.pinned == price_competition_options::no_pin ||
-              options.pinned < market.msp_count());
   const auto& params = market.params();
   const std::size_t msps = market.msp_count();
 
@@ -965,8 +950,7 @@ void solve_price_competition(const multi_msp_market& market,
     ws.reset(msps);
     std::vector<double>& prices = scratch.iterate;
     prices = result.prices;
-    const auto stats =
-        newton_prices(market, options.pinned, prices, ws);
+    const auto stats = newton_prices(market, prices, ws);
     result.objective_evals += stats.evaluations;
     if (stats.converged) {
       // Verification sweep. First the edges of the bracket the dampened
@@ -974,7 +958,7 @@ void solve_price_competition(const multi_msp_market& market,
       // price: a profit still rising past the right edge, or already falling
       // at the left one, means another local maximum lies beyond, which that
       // sweep would chase, so Newton's local answer is not trusted. Then
-      // every free seller's best response, searched in a tight bracket
+      // every seller's best response, searched in a tight bracket
       // around its Newton price, must sit within tol of it.
       const double inner =
           std::clamp(0.01 * solve_tol, inner_floor, inner_cap);
@@ -986,7 +970,6 @@ void solve_price_competition(const multi_msp_market& market,
       response = prices;
       double defect = 0.0;
       for (std::size_t m = 0; m < msps && defect <= solve_tol; ++m) {
-        if (m == options.pinned) continue;
         const double lo = params.msps[m].unit_cost;
         const double hi = params.msps[m].price_cap;
         const double reach = (hi - lo) / warm_bracket_cells;
@@ -1017,7 +1000,7 @@ void solve_price_competition(const multi_msp_market& market,
   // Fallback (and the only path for cold starts): the dampened loop from
   // the original warm start, as if Newton had not been tried.
   if (!result.converged)
-    dampened_best_response(market, options, result, scratch);
+    dampened_best_response(market, result, scratch);
 
   // Equilibrium summary: one softmin pass, then the per-VMU demand loop at
   // the effective price — the same arithmetic `msp_sales`/`msp_utilities`/

@@ -142,10 +142,6 @@ class multi_msp_market {
       std::size_t m, std::span<const double> prices, double center,
       double halfwidth, double tol) const;
 
-  /// Convenience wrapper around `best_response_to` returning only the price.
-  [[nodiscard]] double best_response_price(
-      std::size_t m, std::span<const double> prices) const;
-
   /// Demand curve value and slope at an effective price: D = A_i/p̄ − K_i
   /// and D' = −A_i/p̄² over the active suffix i (one shared lookup); both
   /// zero where no buyer is active. The value is bitwise `total_demand`;
@@ -239,23 +235,18 @@ struct multi_msp_equilibrium {
   bool certified = false;          ///< converged && q < 1.
   bool warm_started = false;       ///< Initialized from a warm-start vector.
   /// Best-response objective calls (the verification sweep's bracket-edge
-  /// probes included), plus one per free seller for every
+  /// probes included), plus one per seller for every
   /// residual-and-Jacobian evaluation of the Newton stage.
   std::size_t objective_evals = 0;
 };
 
-/// Starting point and pinned seat of `solve_price_competition` (the
-/// fixed-point tolerance, 1e-7, the sweep budget, 200, and the initial full
-/// step are the solver's constants).
+/// Starting point of `solve_price_competition` (the fixed-point tolerance,
+/// 1e-7, the sweep budget, 200, and the initial full step are the solver's
+/// constants).
 struct price_competition_options {
-  static constexpr std::size_t no_pin = static_cast<std::size_t>(-1);
-
   /// Previous clearing's prices (size M) to start from; empty = cold start
   /// at each MSP's cap midpoint (first clearing of a run stays bitwise).
   std::span<const double> warm_start{};
-  /// Index of a seller whose price is held fixed at its initial value
-  /// (learned pricing seat); `no_pin` iterates every seller.
-  std::size_t pinned = no_pin;
 };
 
 /// Working storage of `solve_price_competition` (DESIGN.md §12): the
@@ -267,7 +258,6 @@ struct price_competition_options {
 struct price_competition_scratch {
   /// Which equation fixes a seller's price in the Newton system.
   enum class seller_class : unsigned char {
-    pinned,    ///< Learned seat: price held, no equation.
     interior,  ///< First-order row: the profit derivative is 0.
     kink,      ///< Rationing row: w_m·D(p̄) = the seller's capacity.
     capped,    ///< Held at its price cap p_max,m.
@@ -315,12 +305,11 @@ struct price_competition_scratch {
 /// certificate: p ← p + θ(BR(p) − p), θ bisected on stall. Converges
 /// deterministically for smoothed shares, including sharp-λ/binding-cap
 /// configs that cycle under pure Gauss–Seidel. A warm-started solve with
-/// M >= 2 first runs an active-set Newton solve of the free sellers'
+/// M >= 2 first runs an active-set Newton solve of the sellers'
 /// first-order conditions and accepts it only if one best-response sweep
 /// around its prices measures a defect <= the fixed-point tolerance;
 /// otherwise the dampened loop runs from the warm start as if Newton had not
-/// been tried (DESIGN.md §12). The default options are a cold start with no
-/// pin.
+/// been tried (DESIGN.md §12). The default options are a cold start.
 [[nodiscard]] multi_msp_equilibrium solve_price_competition(
     const multi_msp_market& market,
     const price_competition_options& options = {});

@@ -62,21 +62,6 @@ std::vector<double> cohort_features(const cohort_observation& obs) {
   return f;
 }
 
-std::vector<double> competitive_features(const cohort_observation& obs) {
-  std::vector<double> f = cohort_features(obs);
-  // Rival context: how many sellers compete and how aggressively they are
-  // priced relative to this seat's own box. An empty rival set (monopoly
-  // clearing observed through the competitive map) reads as zeros.
-  const double cap = std::max(obs.price_cap, 1e-9);
-  f.push_back(std::log1p(static_cast<double>(obs.competitors)) /
-              std::log1p(8.0));
-  f.push_back(obs.competitor_min_price / cap);
-  f.push_back(obs.competitor_mean_price / cap);
-  VTM_ASSERT(f.size() == competitive_feature_dim);
-  for (double& x : f) x = std::clamp(x, 0.0, 8.0);
-  return f;
-}
-
 double squashed_price(double raw_action, double unit_cost, double price_cap) {
   constexpr double headroom = 1.15;
   const double squashed = std::tanh(raw_action);
@@ -87,17 +72,11 @@ double squashed_price(double raw_action, double unit_cost, double price_cap) {
 
 namespace {
 
-/// Feature width the pricer's network must consume.
-std::size_t pricer_obs_dim(const learned_pricer_config& config) {
-  return config.competitor_aware ? competitive_feature_dim
-                                 : cohort_feature_dim;
-}
-
 /// Rebuild the fixed-architecture pricing network (weights are then either
 /// trained in place or overwritten by a checkpoint load).
 rl::actor_critic make_pricer_network(const learned_pricer_config& config) {
   rl::actor_critic_config net;
-  net.obs_dim = pricer_obs_dim(config);
+  net.obs_dim = cohort_feature_dim;
   net.act_dim = 1;
   net.hidden = config.hidden;
   net.initial_log_std = config.initial_log_std;
@@ -112,7 +91,7 @@ learned_pricer::learned_pricer(learned_pricer_config config,
     : config_(std::move(config)), policy_(std::move(policy)) {
   VTM_EXPECTS(config_.unit_cost > 0.0);
   VTM_EXPECTS(config_.price_cap >= config_.unit_cost);
-  VTM_EXPECTS(policy_.config().obs_dim == pricer_obs_dim(config_));
+  VTM_EXPECTS(policy_.config().obs_dim == cohort_feature_dim);
   VTM_EXPECTS(policy_.config().act_dim == 1);
 }
 
@@ -127,8 +106,7 @@ double learned_pricer::price_from_action(double raw_action) const {
 }
 
 double learned_pricer::price(const cohort_observation& obs) const {
-  const auto features = config_.competitor_aware ? competitive_features(obs)
-                                                 : cohort_features(obs);
+  const auto features = cohort_features(obs);
   const nn::tensor observation({1, features.size()}, features);
   const auto sample = policy_.act_deterministic(observation);
   return price_from_action(sample.action.item());

@@ -44,21 +44,10 @@ struct cohort_observation {
   double spectral_efficiency = 0.0;  ///< R of the pool's migration link.
   double unit_cost = 0.0;       ///< C — price box floor.
   double price_cap = 0.0;       ///< p_max — price box ceiling.
-  /// Oligopoly context (market_mode::oligopoly): how many rival sellers
-  /// compete for this cohort and where their posted prices sit. All zero in
-  /// monopoly clearings, and ignored by the monopoly feature map, so the
-  /// 8-feature pricers are bitwise-unaffected by these fields.
-  std::size_t competitors = 0;         ///< Rival MSPs in the clearing.
-  double competitor_min_price = 0.0;   ///< Cheapest rival posted price.
-  double competitor_mean_price = 0.0;  ///< Mean rival posted price.
 };
 
 /// Width of the normalized feature vector fed to the learned pricer.
 inline constexpr std::size_t cohort_feature_dim = 8;
-
-/// Width of the competitor-aware feature vector (monopoly features plus the
-/// rival-count and rival-price summaries) fed to an oligopoly seller seat.
-inline constexpr std::size_t competitive_feature_dim = cohort_feature_dim + 3;
 
 /// Summarize a clearing cohort. `capacity_mhz` <= 0 falls back to
 /// `available_mhz` as the normalization anchor.
@@ -68,12 +57,6 @@ inline constexpr std::size_t competitive_feature_dim = cohort_feature_dim + 3;
 
 /// Normalized O(1)-range features (layout documented in DESIGN.md §9).
 [[nodiscard]] std::vector<double> cohort_features(
-    const cohort_observation& obs);
-
-/// Competitor-aware features: `cohort_features` plus the rival count and
-/// rival-price summaries (DESIGN.md §11) — what a seller seat in the
-/// oligopoly clearing observes about the competition.
-[[nodiscard]] std::vector<double> competitive_features(
     const cohort_observation& obs);
 
 /// The shared action→price map of the learned pricer and its training
@@ -92,10 +75,6 @@ struct learned_pricer_config {
   double initial_log_std = -0.7;  ///< Only used to rebuild the net shape.
   double unit_cost = 5.0;         ///< C — floor of the price action map.
   double price_cap = 50.0;        ///< p_max — ceiling of the map.
-  /// Observe the competition: the network reads the 11-feature
-  /// `competitive_features` vector instead of the monopoly 8-feature one.
-  /// Required for the oligopoly seller seat (`fleet_config::learned_msp`).
-  bool competitor_aware = false;
 };
 
 /// Immutable trained pricing network: observation features in, price out.

@@ -45,7 +45,6 @@ void apply_activation_values(tensor& x, activation act, math_mode mode) {
 
 linear::linear(std::size_t in, std::size_t out, util::rng& gen, double gain)
     : in_(in),
-      out_(out),
       weight_(variable::parameter(orthogonal({in, out}, gen, gain))),
       bias_(variable::parameter(zeros({1, out}))) {
   VTM_EXPECTS(in > 0 && out > 0);

@@ -44,16 +44,12 @@ class linear {
   /// Trainable leaves: {W, b}.
   [[nodiscard]] std::vector<variable> parameters() const;
 
-  [[nodiscard]] std::size_t in_features() const noexcept { return in_; }
-  [[nodiscard]] std::size_t out_features() const noexcept { return out_; }
-
   /// Direct access for serialization.
   [[nodiscard]] const variable& weight() const noexcept { return weight_; }
   [[nodiscard]] const variable& bias() const noexcept { return bias_; }
 
  private:
   std::size_t in_;
-  std::size_t out_;
   variable weight_;
   variable bias_;
 };

@@ -52,11 +52,9 @@ road_graph::road_graph(std::vector<road_node> nodes,
     VTM_EXPECTS(edge.from != edge.to);
     VTM_EXPECTS(std::isfinite(edge.length_m) && edge.length_m > 0.0);
     VTM_EXPECTS(std::isfinite(edge.speed_factor) && edge.speed_factor > 0.0);
-    VTM_EXPECTS(edge.lanes >= 1);
     in_edges_[edge.to].push_back(e);
     out_edges_[edge.from].push_back(e);
     max_speed_factor_ = std::max(max_speed_factor_, edge.speed_factor);
-    max_lanes_ = std::max(max_lanes_, edge.lanes);
   }
 
   // Sites sorted strictly by (edge, offset): the sorted order *is* the
@@ -232,26 +230,12 @@ double road_graph::upstream_gap_m(std::size_t s) const {
   return std::isfinite(best) ? best : 2.0 * radius_;
 }
 
-std::size_t road_graph::lanes_at(std::size_t r, double pos_m) const {
-  VTM_EXPECTS(r < routes_.size());
-  const auto& route = routes_[r];
-  const auto it = std::upper_bound(route.seg_end_m.begin(),
-                                   route.seg_end_m.end(), pos_m);
-  const std::size_t k =
-      it == route.seg_end_m.end()
-          ? route.edges.size() - 1
-          : static_cast<std::size_t>(it - route.seg_end_m.begin());
-  return edges_[route.edges[k]].lanes;
-}
-
 std::optional<chain_view> road_graph::as_chain() const {
   if (routes_.size() != 1) return std::nullopt;
   const auto& route = routes_[0];
   if (route.sites.size() != sites_.size()) return std::nullopt;
   for (const double factor : route.seg_factor)
     if (factor != 1.0) return std::nullopt;
-  for (const std::size_t e : route.edges)
-    if (edges_[e].lanes != 1) return std::nullopt;
   double max_gap = 0.0;
   for (std::size_t i = 1; i < route.site_pos_m.size(); ++i)
     max_gap = std::max(max_gap,
@@ -304,7 +288,7 @@ road_graph road_graph::path(std::size_t rsu_count, double spacing_m,
   std::vector<road_edge> edges(rsu_count);
   std::vector<rsu_site> sites(rsu_count);
   for (std::size_t i = 0; i < rsu_count; ++i) {
-    edges[i] = road_edge{i, i + 1, spacing_m, 1.0, 1};
+    edges[i] = road_edge{i, i + 1, spacing_m, 1.0};
     sites[i] = rsu_site{i, spacing_m};  // centre at spacing x (i + 1)
   }
   return road_graph(std::move(nodes), std::move(edges), std::move(sites),
@@ -327,15 +311,15 @@ road_graph road_graph::grid(std::size_t rows, std::size_t cols,
   std::vector<rsu_site> sites;
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) {  // rightward arterial: 2 lanes, free flow
+      if (c + 1 < cols) {  // rightward arterial: free flow
         sites.push_back(rsu_site{edges.size(), 0.5 * edge_length_m});
         edges.push_back(
-            road_edge{node(r, c), node(r, c + 1), edge_length_m, 1.0, 2});
+            road_edge{node(r, c), node(r, c + 1), edge_length_m, 1.0});
       }
-      if (r + 1 < rows) {  // downward street: single lane, slower
+      if (r + 1 < rows) {  // downward street: slower
         sites.push_back(rsu_site{edges.size(), 0.5 * edge_length_m});
         edges.push_back(
-            road_edge{node(r, c), node(r + 1, c), edge_length_m, 0.85, 1});
+            road_edge{node(r, c), node(r + 1, c), edge_length_m, 0.85});
       }
     }
   // Entries on the top/left boundary, exits on the bottom/right; the shared

@@ -3,16 +3,16 @@
 //
 // Generalizes the 1-D `rsu_chain` highway to a city-scale graph: nodes are
 // intersections and on/off-ramps, edges carry a speed factor (congestion /
-// road class) and a lane count (the lane-change spawn hook), and RSUs sit at
-// arc offsets along edges. Vehicles travel entry->exit shortest paths; each
-// route is a 1-D arc-length coordinate, so the per-route serving/handover
-// geometry reuses `rsu_chain` through `route_profile` (sim/mobility.hpp).
+// road class), and RSUs sit at arc offsets along edges. Vehicles travel
+// entry->exit shortest paths; each route is a 1-D arc-length coordinate, so
+// the per-route serving/handover geometry reuses `rsu_chain` through
+// `route_profile` (sim/mobility.hpp).
 //
 // Degeneracy contract (DESIGN.md §14): a graph that is a single path whose
-// sites cover every edge in order, with unit speed factors and single lanes,
-// reports itself via `as_chain()`; the fleet engine then runs it as the
-// equivalent chain config, so `road_graph::path(n, spacing, radius)` is
-// bitwise-golden against `rsu_chain(n, spacing, radius)` configs.
+// sites cover every edge in order, with unit speed factors, reports itself
+// via `as_chain()`; the fleet engine then runs it as the equivalent chain
+// config, so `road_graph::path(n, spacing, radius)` is bitwise-golden
+// against `rsu_chain(n, spacing, radius)` configs.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +39,6 @@ struct road_edge {
   /// Speed multiplier applied to a vehicle's base speed on this edge
   /// (road class / congestion; 1.0 = free-flow highway).
   double speed_factor = 1.0;
-  /// Lane count: spawn cohorts on multi-lane edges may draw a lane-change
-  /// speed bonus (`fleet_config::lane_speed_delta_mps`).
-  std::size_t lanes = 1;
 };
 
 /// RSU placed on an edge at an arc offset from the edge's `from` node.
@@ -104,10 +101,10 @@ class road_graph {
                                        double coverage_radius_m);
 
   /// rows x cols Manhattan grid DAG (edges point right and down) with one
-  /// mid-edge RSU per edge. Horizontal edges are 2-lane free-flow arterials
-  /// (factor 1.0); vertical edges are single-lane at factor 0.85, so grid
-  /// routes exercise the heterogeneous-speed and lane-change paths. Entries
-  /// are the top/left boundary nodes, exits the bottom/right.
+  /// mid-edge RSU per edge. Horizontal edges are free-flow arterials
+  /// (factor 1.0); vertical edges are streets at factor 0.85, so grid routes
+  /// exercise the heterogeneous-speed path. Entries are the top/left
+  /// boundary nodes, exits the bottom/right.
   [[nodiscard]] static road_graph grid(std::size_t rows, std::size_t cols,
                                        double edge_length_m,
                                        double coverage_radius_m);
@@ -166,19 +163,13 @@ class road_graph {
   [[nodiscard]] double max_speed_factor() const noexcept {
     return max_speed_factor_;
   }
-  [[nodiscard]] std::size_t max_lanes() const noexcept { return max_lanes_; }
 
   /// Constructor timing (see `build_stats`).
   [[nodiscard]] const build_stats& stats() const noexcept { return stats_; }
 
-  /// Lane count of the edge under arc position `pos_m` on route `r`
-  /// (positions past the route end report the last edge).
-  [[nodiscard]] std::size_t lanes_at(std::size_t r, double pos_m) const;
-
   /// Degenerate single-path collapse (see the header comment); nullopt when
   /// the graph is a real network (multiple routes, partial site coverage,
-  /// non-unit factors, multi-lane edges, or coverage too small for the
-  /// site gaps).
+  /// non-unit factors, or coverage too small for the site gaps).
   [[nodiscard]] std::optional<chain_view> as_chain() const;
 
   /// Build route `r`'s mobility profile: a `rsu_chain` over the route's site
@@ -218,7 +209,6 @@ class road_graph {
   double max_route_length_ = 0.0;
   double min_boundary_gap_ = 0.0;
   double max_speed_factor_ = 1.0;
-  std::size_t max_lanes_ = 1;
   build_stats stats_;
 };
 

@@ -37,11 +37,6 @@ class link_budget {
   /// Composite channel gain h0·d^−ε (linear, unitless).
   [[nodiscard]] double channel_gain() const noexcept { return gain_; }
 
-  /// Received signal power in watts.
-  [[nodiscard]] double received_power_watt() const noexcept {
-    return tx_watt_ * gain_;
-  }
-
   /// Noise power in watts.
   [[nodiscard]] double noise_power_watt() const noexcept { return noise_watt_; }
 

@@ -36,24 +36,6 @@ core::clearing_request draw_request(vtm::util::rng& gen, std::size_t vehicle) {
   return request;
 }
 
-/// An *untrained* competitor-aware pricing network: the invariants must not
-/// depend on the policy being any good.
-std::shared_ptr<const core::learned_pricer> random_pricer(
-    std::uint64_t seed, double unit_cost, double price_cap) {
-  rl::actor_critic_config net;
-  net.obs_dim = core::competitive_feature_dim;
-  net.act_dim = 1;
-  net.hidden = {16, 16};
-  vtm::util::rng gen(seed);
-  core::learned_pricer_config config;
-  config.hidden = net.hidden;
-  config.unit_cost = unit_cost;
-  config.price_cap = price_cap;
-  config.competitor_aware = true;
-  return std::make_shared<const core::learned_pricer>(
-      config, rl::actor_critic(net, gen));
-}
-
 void check_outcome_invariants(const core::competitive_market_config& config,
                               std::size_t submitted,
                               std::span<const double> available,
@@ -443,36 +425,6 @@ TEST(competitive_market, scarce_duopoly_clears_at_rationing_price) {
   EXPECT_GT(soft_price, 5.0);
 }
 
-// The learned seller seat: an untrained competitor-aware pricer posts a
-// price inside its own box, rivals best-respond, and every clearing
-// invariant still holds (the mechanism enforces them, not the policy).
-TEST(competitive_market, learned_seat_respects_invariants) {
-  vtm::util::rng gen(55);
-  for (int trial = 0; trial < 40; ++trial) {
-    core::competitive_market_config config;
-    config.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}, {vtm::util::meters{0.0}, 4.0, 40.0, vtm::util::megahertz{30.0}}, {vtm::util::meters{0.0}, 6.0, 60.0, vtm::util::megahertz{40.0}}};
-    config.learned_msp = 1;
-    config.pricer = random_pricer(
-        700 + static_cast<std::uint64_t>(trial), config.msps[1].unit_cost,
-        config.msps[1].price_cap);
-    core::competitive_market market(config);
-
-    const auto cohort = static_cast<std::size_t>(gen.uniform_int(1, 8));
-    for (std::size_t v = 0; v < cohort; ++v)
-      market.submit(draw_request(gen, v));
-    std::vector<double> available{gen.uniform(1.0, 50.0),
-                                  gen.uniform(1.0, 30.0),
-                                  gen.uniform(1.0, 40.0)};
-    const auto outcome = market.clear(available);
-    check_outcome_invariants(config, cohort, available, outcome,
-                             market.pending());
-    if (outcome.markets_cleared > 0) {
-      EXPECT_GE(outcome.prices[1], config.msps[1].unit_cost);
-      EXPECT_LE(outcome.prices[1], config.msps[1].price_cap);
-    }
-  }
-}
-
 TEST(competitive_market, validates_config) {
   // One seller is the monopoly (spot_market), so a market needs two.
   const core::fleet_msp seller{vtm::util::meters{0.0}, 5.0, 50.0,
@@ -497,33 +449,6 @@ TEST(competitive_market, validates_config) {
   infinite_sharpness.share_sharpness =
       std::numeric_limits<double>::infinity();
   EXPECT_THROW((void)core::competitive_market{infinite_sharpness},
-               vtm::util::contract_error);
-
-  core::competitive_market_config seat_without_pricer;
-  seat_without_pricer.msps = {{vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}, {vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}}};
-  seat_without_pricer.learned_msp = 0;
-  EXPECT_THROW((void)core::competitive_market{seat_without_pricer},
-               vtm::util::contract_error);
-
-  // A monopoly-dim pricer cannot fill a competitor-aware seat.
-  core::competitive_market_config wrong_dim = seat_without_pricer;
-  rl::actor_critic_config net;
-  net.obs_dim = core::cohort_feature_dim;
-  net.act_dim = 1;
-  net.hidden = {8};
-  vtm::util::rng gen(1);
-  core::learned_pricer_config pricer_config;
-  pricer_config.hidden = net.hidden;
-  wrong_dim.pricer = std::make_shared<const core::learned_pricer>(
-      pricer_config, rl::actor_critic(net, gen));
-  EXPECT_THROW((void)core::competitive_market{wrong_dim},
-               vtm::util::contract_error);
-
-  // With two sellers a pricer only fills the learned seat.
-  core::competitive_market_config pricer_without_seat = seat_without_pricer;
-  pricer_without_seat.learned_msp = core::no_learned_msp;
-  pricer_without_seat.pricer = random_pricer(2, 5.0, 50.0);
-  EXPECT_THROW((void)core::competitive_market{pricer_without_seat},
                vtm::util::contract_error);
 }
 
@@ -696,24 +621,6 @@ TEST(competitive_market, fleet_cross_shard_retargets_reach_oligopoly_books) {
   EXPECT_TRUE(drifted_granted);
 }
 
-// The learned seller seat inside a fleet run: deterministic, conserved, and
-// the seat's clearing prices stay inside its box.
-TEST(competitive_market, fleet_learned_seat_runs_conserved) {
-  auto config = duopoly_fleet(1.0);
-  config.learned_msp = 0;
-  config.pricer = random_pricer(9, config.msps[0].unit_cost,
-                                           config.msps[0].price_cap);
-  const auto a = core::run_fleet_scenario(config);
-  const auto b = core::run_fleet_scenario(config);
-  expect_fleet_identical(a, b);
-  expect_fleet_conserved(config, a);
-  EXPECT_GT(a.completed, 0u);
-  for (const auto& record : a.migrations) {
-    EXPECT_GE(record.price, 4.0 - 1e-12);  // min over both sellers' costs
-    EXPECT_LE(record.price, 50.0 + 1e-12);
-  }
-}
-
 TEST(competitive_market, fleet_rejects_invalid_oligopoly_configs) {
   // An oligopoly needs two sellers: one seller is the monopoly, which joint
   // mode clears.
@@ -733,16 +640,19 @@ TEST(competitive_market, fleet_rejects_invalid_oligopoly_configs) {
   EXPECT_THROW((void)core::run_fleet_scenario(roster_in_joint),
                vtm::util::contract_error);
 
-  core::fleet_config seat_without_pricer = duopoly_fleet();
-  seat_without_pricer.learned_msp = 0;
-  EXPECT_THROW((void)core::run_fleet_scenario(seat_without_pricer),
-               vtm::util::contract_error);
-
-  // A pricer outside the learned seat is dead config under real
-  // competition.
-  core::fleet_config pricer_without_seat = duopoly_fleet();
-  pricer_without_seat.pricer = random_pricer(1, 5.0, 50.0);
-  EXPECT_THROW((void)core::run_fleet_scenario(pricer_without_seat),
+  // A pricer is joint-mode only: the best-response solve prices every
+  // oligopoly clearing, so a pricer there is dead config.
+  rl::actor_critic_config net;
+  net.obs_dim = core::cohort_feature_dim;
+  net.act_dim = 1;
+  net.hidden = {8};
+  vtm::util::rng gen(1);
+  core::learned_pricer_config pricer_config;
+  pricer_config.hidden = net.hidden;
+  core::fleet_config pricer_in_oligopoly = duopoly_fleet();
+  pricer_in_oligopoly.pricer = std::make_shared<const core::learned_pricer>(
+      pricer_config, rl::actor_critic(net, gen));
+  EXPECT_THROW((void)core::run_fleet_scenario(pricer_in_oligopoly),
                vtm::util::contract_error);
 
   // An offset pushing a candidate pool across a shard boundary would let

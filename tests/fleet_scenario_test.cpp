@@ -297,6 +297,56 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   rejects("clearing_epoch_s", [&](core::fleet_config& c) {
     c.clearing_epoch_s = vtm::util::seconds{inf};
   });
+  // Migration, geometry and channel parameters out of range: most of these
+  // would otherwise fail a precondition in the middle of the run.
+  rejects("dirty_rate_mb_s < 0", [&](core::fleet_config& c) {
+    c.dirty_rate_mb_s = vtm::util::mb_per_s{-1.0};
+  });
+  rejects("dirty_rate_mb_s NaN", [&](core::fleet_config& c) {
+    c.dirty_rate_mb_s = vtm::util::mb_per_s{nan};
+  });
+  rejects("dirty_rate_mb_s inf", [&](core::fleet_config& c) {
+    c.dirty_rate_mb_s = vtm::util::mb_per_s{inf};
+  });
+  rejects("stop_copy_threshold_mb 0", [&](core::fleet_config& c) {
+    c.stop_copy_threshold_mb = vtm::util::megabytes{0.0};
+  });
+  rejects("stop_copy_threshold_mb NaN", [&](core::fleet_config& c) {
+    c.stop_copy_threshold_mb = vtm::util::megabytes{nan};
+  });
+  rejects("page_mb 0", [&](core::fleet_config& c) {
+    c.page_mb = vtm::util::megabytes{0.0};
+  });
+  rejects("page_mb NaN", [&](core::fleet_config& c) {
+    c.page_mb = vtm::util::megabytes{nan};
+  });
+  rejects("page_mb inf", [&](core::fleet_config& c) {
+    c.page_mb = vtm::util::megabytes{inf};
+  });
+  rejects("min_clearable_mhz", [&](core::fleet_config& c) {
+    c.min_clearable_mhz = vtm::util::megahertz{inf};
+  });
+  rejects("rsu_spacing_m", [&](core::fleet_config& c) {
+    c.rsu_spacing_m = vtm::util::meters{inf};
+  });
+  rejects("coverage_radius_m", [&](core::fleet_config& c) {
+    c.coverage_radius_m = vtm::util::meters{inf};
+  });
+  rejects("link.tx_power_dbm", [&](core::fleet_config& c) {
+    c.link.tx_power_dbm = vtm::util::dbm{inf};
+  });
+  rejects("link.unit_gain_db", [&](core::fleet_config& c) {
+    c.link.unit_gain_db = vtm::util::db{nan};
+  });
+  rejects("link.path_loss_exponent NaN", [&](core::fleet_config& c) {
+    c.link.path_loss_exponent = nan;
+  });
+  rejects("link.path_loss_exponent < 0", [&](core::fleet_config& c) {
+    c.link.path_loss_exponent = -1.0;
+  });
+  rejects("link.noise_power_dbm", [&](core::fleet_config& c) {
+    c.link.noise_power_dbm = vtm::util::dbm{nan};
+  });
   const auto roster = [](core::fleet_config& c) {
     c.mode = core::market_mode::oligopoly;
     c.msps.resize(2);

@@ -456,76 +456,6 @@ TEST(fleet_shard, backward_traffic_is_rejected_by_design) {
                vtm::util::contract_error);
 }
 
-// ---- satellite: per-cell noise/power overrides -----------------------------
-
-// Overrides that merely restate the chain-wide channel are bitwise inert:
-// the per-cell vectors change *which* numbers each pool link carries, never
-// the arithmetic downstream of them.
-TEST(fleet_shard, identity_channel_overrides_are_bitwise_inert) {
-  core::fleet_config config;
-  config.vehicle_count = 60;
-  config.duration_s = vtm::util::seconds{60.0};
-  const auto baseline = core::run_fleet_scenario(config);
-
-  auto overridden = config;
-  overridden.rsu_noise_dbm.assign(config.rsu_count,
-                                  config.link.noise_power_dbm);
-  overridden.rsu_tx_power_dbm.assign(config.rsu_count,
-                                     config.link.tx_power_dbm);
-  const auto r = core::run_fleet_scenario(overridden);
-  expect_identical(baseline, r);
-}
-
-// A noisier destination cell slows its migrations: with one vehicle and one
-// boundary, the interior equilibrium's closed-form AoTM D/(b*R) strictly
-// grows as the cell's R drops (b* = sqrt(ακ/C) − κ, κ = D/R), and only the
-// overridden cell is affected.
-TEST(fleet_shard, noisier_cell_slows_its_own_migrations) {
-  core::fleet_config config;
-  config.rsu_count = 4;
-  config.vehicle_count = 1;
-  config.spawn_min_m = vtm::util::meters{1200.0};  // one boundary (1500 m) within the horizon
-  config.spawn_max_m = vtm::util::meters{1400.0};
-  config.duration_s = vtm::util::seconds{30.0};
-  const auto baseline = core::run_fleet_scenario(config);
-  ASSERT_EQ(baseline.completed, 1u);
-  EXPECT_EQ(baseline.migrations[0].to_rsu, 1u);
-
-  auto noisy = config;
-  noisy.rsu_noise_dbm.assign(config.rsu_count, config.link.noise_power_dbm);
-  noisy.rsu_noise_dbm[1] = vtm::util::dbm{config.link.noise_power_dbm.value() + 12.0};
-  const auto r = core::run_fleet_scenario(noisy);
-  ASSERT_EQ(r.completed, 1u);
-  EXPECT_GT(r.migrations[0].aotm_closed_form,
-            baseline.migrations[0].aotm_closed_form);
-  EXPECT_GT(r.migrations[0].aotm_simulated,
-            baseline.migrations[0].aotm_simulated);
-
-  // A hotter transmitter pushes the other way.
-  auto boosted = config;
-  boosted.rsu_tx_power_dbm.assign(config.rsu_count, config.link.tx_power_dbm);
-  boosted.rsu_tx_power_dbm[1] = vtm::util::dbm{config.link.tx_power_dbm.value() + 6.0};
-  const auto b = core::run_fleet_scenario(boosted);
-  ASSERT_EQ(b.completed, 1u);
-  EXPECT_LT(b.migrations[0].aotm_closed_form,
-            baseline.migrations[0].aotm_closed_form);
-}
-
-TEST(fleet_shard, rejects_malformed_channel_overrides) {
-  core::fleet_config wrong_size;
-  wrong_size.rsu_noise_dbm = {vtm::util::dbm{-150.0}, vtm::util::dbm{-150.0}};  // 8-RSU chain
-  EXPECT_THROW((void)core::run_fleet_scenario(wrong_size),
-               vtm::util::contract_error);
-
-  core::fleet_config not_finite;
-  not_finite.rsu_tx_power_dbm.assign(not_finite.rsu_count,
-                                     vtm::util::dbm{40.0});
-  not_finite.rsu_tx_power_dbm[3] =
-      vtm::util::dbm{std::numeric_limits<double>::quiet_NaN()};
-  EXPECT_THROW((void)core::run_fleet_scenario(not_finite),
-               vtm::util::contract_error);
-}
-
 // ---- satellite: same-instant cross-shard retargets serialize --------------
 
 // PR 4's documented open follow-up: retargets landing at the same grid
@@ -661,8 +591,8 @@ TEST(fleet_shard, graph_tiles_match_serial_engine_bitwise) {
     // carry real traffic in both runs.
     EXPECT_GT(tiled.cross_shard_transfers, 0u) << tiles;
     // The auto window is conservative for the graph's narrowest cell at the
-    // fastest factor x lane bonus: nothing arrives late, so the barrier
-    // schedule reproduces the serial event order exactly.
+    // fastest factor: nothing arrives late, so the barrier schedule
+    // reproduces the serial event order exactly.
     EXPECT_EQ(tiled.late_handoffs, 0u) << tiles;
     EXPECT_EQ(tiled.cross_shard_retargets, 0u) << tiles;
     expect_identical(serial, tiled);

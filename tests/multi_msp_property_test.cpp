@@ -238,9 +238,7 @@ TEST(multi_msp_property, warm_start_reaches_the_cold_equilibrium) {
 // Differential test of the Newton stage (DESIGN.md §12). Warm starts sit
 // ±5% off the cold fixed point, which only the dampened loop computes, over
 // 2–6 sellers, sharpness up to λ = 4, and capacities small enough that
-// rationing kinks bind; every third trial pins one seat (the learned-seat
-// solve) at its cold price, so the rivals' fixed point is the cold one too.
-// Whenever Newton answers, it must land on the cold prices within the
+// rationing kinks bind. Whenever Newton answers, it must land on the cold prices within the
 // solver's accuracy and on the reference oracle's best responses, and it
 // must answer nearly every trial itself rather than pass through the
 // fallback.
@@ -248,7 +246,6 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
   vtm::util::rng gen(20261017);
   int warm_trials = 0;
   int newton_answered = 0;
-  int pinned_answered = 0;
   int kinks_bound = 0;
   int interiors = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -259,20 +256,14 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
     if (!cold.converged) continue;
     EXPECT_EQ(cold.newton_iterations, 0u);  // cold starts stay on the loop
 
-    core::price_competition_options options;
-    if (trial % 3 == 0)
-      options.pinned = static_cast<std::size_t>(
-          gen.uniform_int(0, static_cast<int>(msps) - 1));
     std::vector<double> warm(cold.prices);
-    for (std::size_t m = 0; m < msps; ++m)
-      if (m != options.pinned) warm[m] *= gen.uniform(0.95, 1.05);
+    for (double& p : warm) p *= gen.uniform(0.95, 1.05);
+    core::price_competition_options options;
     options.warm_start = warm;
     const auto eq = core::solve_price_competition(market, options);
     ++warm_trials;
     if (eq.newton_iterations == 0) continue;  // the dampened loop answered
     ++newton_answered;
-    if (options.pinned != core::price_competition_options::no_pin)
-      ++pinned_answered;
 
     EXPECT_TRUE(eq.converged);
     EXPECT_LE(eq.residual, 1e-7);
@@ -286,7 +277,6 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
     for (std::size_t m = 0; m < msps; ++m) {
       EXPECT_NEAR(eq.prices[m], cold.prices[m], 1e-5)
           << "trial " << trial << " seller " << m;
-      if (m == options.pinned) continue;
       EXPECT_NEAR(market.best_response_price_reference(m, eq.prices),
                   eq.prices[m], 5e-6)
           << "trial " << trial << " seller " << m;
@@ -301,13 +291,12 @@ TEST(multi_msp_property, newton_warm_start_matches_the_dampened_solve) {
   }
   EXPECT_GT(warm_trials, 250);
   EXPECT_GE(newton_answered, 0.9 * warm_trials);
-  EXPECT_GT(pinned_answered, 50);
   EXPECT_GT(kinks_bound, 50);  // both kinds of rows are exercised
   EXPECT_GT(interiors, 5);
 }
 
 // One scratch and one result reused across random solves — every roster
-// size, cold and warm starts, pinned seats, and warm starts far enough off
+// size, cold and warm starts, and warm starts far enough off
 // the fixed point that the dampened loop answers — must reproduce the
 // by-value solve, which runs on fresh storage, in every field bit for bit.
 TEST(multi_msp_property, reused_scratch_matches_fresh_solve) {
@@ -325,7 +314,6 @@ TEST(multi_msp_property, reused_scratch_matches_fresh_solve) {
   int cold = 0;
   int newton = 0;
   int fallback = 0;
-  int pinned = 0;
   for (int trial = 0; trial < 1200; ++trial) {
     const auto msps = static_cast<std::size_t>(gen.uniform_int(1, 6));
     const auto params = draw_params(gen, msps);
@@ -347,9 +335,6 @@ TEST(multi_msp_property, reused_scratch_matches_fresh_solve) {
                                                   : msp.price_cap);
     }
     options.warm_start = warm;
-    if (msps >= 2 && gen.uniform_int(0, 2) == 0)
-      options.pinned = static_cast<std::size_t>(
-          gen.uniform_int(0, static_cast<int>(msps) - 1));
 
     const auto fresh = core::solve_price_competition(market, options);
     core::solve_price_competition(market, options, reused, scratch);
@@ -376,15 +361,12 @@ TEST(multi_msp_property, reused_scratch_matches_fresh_solve) {
       ++newton;
     else if (msps >= 2)
       ++fallback;
-    if (options.pinned != core::price_competition_options::no_pin) ++pinned;
   }
   // Every path through the solver is exercised.
-  std::printf("cold %d, newton %d, fallback %d, pinned %d\n", cold, newton,
-              fallback, pinned);
+  std::printf("cold %d, newton %d, fallback %d\n", cold, newton, fallback);
   EXPECT_GT(cold, 200);
   EXPECT_GT(newton, 200);
   EXPECT_GT(fallback, 100);
-  EXPECT_GT(pinned, 200);
 }
 
 // Certificate soundness: converged means the measured defect is within tol,

@@ -1,10 +1,9 @@
 // Road-network topology: path-graph degeneracy bitwise against the 1-D
 // chain (serving cells, handover boundaries, RSU gaps, and the full fleet
 // engine), routing validity over the grid network, piecewise speed-profile
-// arithmetic, platoon-correlated spawn cohorts, and graph-config validation.
+// arithmetic, and graph-config validation.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -52,25 +51,6 @@ void expect_identical(const core::fleet_result& a,
     EXPECT_EQ(a.vehicles[v].migrations, b.vehicles[v].migrations);
     EXPECT_EQ(a.vehicles[v].position_m, b.vehicles[v].position_m);
   }
-}
-
-/// Lag-1 Pearson correlation of a series.
-double lag1_correlation(const std::vector<double>& x) {
-  const std::size_t n = x.size() - 1;
-  double mean_a = 0.0, mean_b = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mean_a += x[i];
-    mean_b += x[i + 1];
-  }
-  mean_a /= static_cast<double>(n);
-  mean_b /= static_cast<double>(n);
-  double cov = 0.0, var_a = 0.0, var_b = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cov += (x[i] - mean_a) * (x[i + 1] - mean_b);
-    var_a += (x[i] - mean_a) * (x[i] - mean_a);
-    var_b += (x[i + 1] - mean_b) * (x[i + 1] - mean_b);
-  }
-  return cov / std::sqrt(var_a * var_b);
 }
 
 }  // namespace
@@ -193,7 +173,6 @@ TEST(road_graph, grid_routes_traverse_only_real_connected_edges) {
       }
     }
   }
-  EXPECT_GT(graph.max_lanes(), 1u);         // 2-lane arterials
   EXPECT_LT(graph.min_route_length_m(), graph.max_route_length_m());
 }
 
@@ -243,57 +222,6 @@ TEST(road_graph, heterogeneous_factors_integrate_piecewise) {
   EXPECT_EQ(event->to_rsu, 1u);
 }
 
-// ---- platoon-correlated spawn cohorts --------------------------------------
-
-TEST(road_graph, platoon_spawns_carry_configured_cohort_autocorrelation) {
-  core::fleet_config config;
-  config.vehicle_count = 400;
-  config.duration_s = vtm::util::seconds{0.001};  // freeze the fleet at its spawn positions
-  config.seed = 33;
-
-  auto platooned = config;
-  platooned.platoon_size = 4;
-  platooned.platoon_spread_m = vtm::util::meters{40.0};
-  const auto cohort = core::run_fleet_scenario(platooned);
-  const auto independent = core::run_fleet_scenario(config);
-
-  std::vector<double> cohort_pos, indep_pos;
-  for (const auto& v : cohort.vehicles) cohort_pos.push_back(v.position_m);
-  for (const auto& v : independent.vehicles)
-    indep_pos.push_back(v.position_m);
-  // Consecutive spawns share a platoon 3 times out of 4 and sit within
-  // ±40 m of a leader drawn over a ~7000 m window: strong lag-1
-  // correlation. Independent draws: none.
-  EXPECT_GT(lag1_correlation(cohort_pos), 0.5);
-  EXPECT_LT(std::abs(lag1_correlation(indep_pos)), 0.2);
-
-  // platoon_size = 1 (the default) is bitwise the legacy draw sequence —
-  // guarded stronger by the tier2 goldens; pinned here for locality.
-  auto explicit_one = config;
-  explicit_one.platoon_size = 1;
-  expect_identical(independent, core::run_fleet_scenario(explicit_one));
-}
-
-// The lane-change hook on multi-lane grid arterials adds per-lane speed
-// bonuses: with a large delta, some vehicles must outrun the base band.
-TEST(road_graph, lane_change_hook_draws_multi_lane_speed_bonus) {
-  core::fleet_config config;
-  config.graph = std::make_shared<const sim::road_graph>(
-      sim::road_graph::grid(3, 3, 1000.0, 600.0));
-  config.vehicle_count = 150;
-  config.duration_s = vtm::util::seconds{60.0};
-  config.lane_speed_delta_mps = vtm::util::mps{10.0};
-  config.seed = 5;
-  const auto r = core::run_fleet_scenario(config);
-  EXPECT_EQ(r.handovers, r.completed + r.priced_out + r.abandoned);
-
-  auto flat = config;
-  flat.lane_speed_delta_mps = vtm::util::mps{0.0};
-  const auto base = core::run_fleet_scenario(flat);
-  // The bonus changes the draw stream and the kinematics: outcomes differ.
-  EXPECT_NE(r.msp_total_utility, base.msp_total_utility);
-}
-
 // ---- graph-config validation -----------------------------------------------
 
 TEST(road_graph, rejects_invalid_graph_configs) {
@@ -321,11 +249,6 @@ TEST(road_graph, rejects_invalid_graph_configs) {
   EXPECT_THROW((void)core::run_fleet_scenario(dead_centres),
                vtm::util::contract_error);
 
-  core::fleet_config no_platoon;
-  no_platoon.platoon_size = 0;
-  EXPECT_THROW((void)core::run_fleet_scenario(no_platoon),
-               vtm::util::contract_error);
-
   // Graph shards must not exceed the graph's site count.
   core::fleet_config too_many;
   too_many.graph = grid;
@@ -341,20 +264,20 @@ TEST(road_graph, rejects_malformed_topologies) {
   using sim::rsu_site;
   const std::vector<road_node> nodes(3);
   // Self-loop edge.
-  EXPECT_THROW(sim::road_graph(nodes, {road_edge{1, 1, 100.0, 1.0, 1}},
+  EXPECT_THROW(sim::road_graph(nodes, {road_edge{1, 1, 100.0, 1.0}},
                                {rsu_site{0, 50.0}}, {1}, {1}, 100.0),
                vtm::util::contract_error);
   // Site offset beyond its edge.
-  EXPECT_THROW(sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0, 1}},
+  EXPECT_THROW(sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0}},
                                {rsu_site{0, 150.0}}, {0}, {1}, 100.0),
                vtm::util::contract_error);
   // Sites not strictly (edge, offset)-sorted.
   EXPECT_THROW(
-      sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0, 1}},
+      sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0}},
                       {rsu_site{0, 80.0}, rsu_site{0, 40.0}}, {0}, {1}, 100.0),
       vtm::util::contract_error);
   // No surviving route (exit unreachable from entry).
-  EXPECT_THROW(sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0, 1}},
+  EXPECT_THROW(sim::road_graph(nodes, {road_edge{0, 1, 100.0, 1.0}},
                                {rsu_site{0, 50.0}}, {1}, {0}, 100.0),
                vtm::util::contract_error);
 }

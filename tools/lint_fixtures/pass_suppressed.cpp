@@ -25,6 +25,15 @@ struct boundary_probe_params {
   double scratch_window_s = 0.0;
 };
 
+// A config member that is valid at every value: the allow marker must
+// silence the config-coverage rule.
+struct streaming_config {
+  // vtm-lint: allow(config-coverage)  (any offset is valid)
+  double phase_offset = 0.0;
+};
+
+void validate_streaming_config(const streaming_config&) {}
+
 // One-off diagnostic a maintainer left in on purpose: the marker must
 // silence the raw-io rule.
 void debug_dump(double value) {

@@ -35,6 +35,16 @@ sanitizers) cannot express:
       validate call elsewhere in the file does not protect an entry point a
       caller reaches directly.
 
+  config-coverage
+      Every `double` or `util::` quantity member of `fleet_config` and
+      `streaming_config` must be read in `validate_fleet_config` or
+      `validate_streaming_config`. A parameter the validators never look at
+      passes any value, and a NaN or out-of-range one then fails a
+      precondition deep inside the run, or silently empties it. The
+      validators are taken from the scanned file when it defines them, else
+      from the tree's src/. A member that is valid at every value carries
+      `// vtm-lint: allow(config-coverage)` with the reason.
+
   raw-io
       No direct console output (`std::cout`/`std::cerr`/`std::clog`, the
       printf family, `puts`/`putchar`) inside `src/` — library code reports
@@ -59,6 +69,7 @@ Modes:
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from pathlib import Path
@@ -69,6 +80,7 @@ RULES = (
     "mutex-guarded-by",
     "config-validate",
     "unit-suffix",
+    "config-coverage",
     "raw-io",
 )
 
@@ -339,6 +351,75 @@ def check_unit_suffix(path: Path, raw: list[str],
     return findings
 
 
+# ---- rule: config-coverage ---------------------------------------------------
+
+COVERED_STRUCT_RE = re.compile(
+    r"\bstruct\s+(fleet_config|streaming_config)\b[^;{]*{")
+VALIDATOR_RE = re.compile(
+    r"\bvalidate_(?:fleet|streaming)_config\s*\([^()]*\)\s*\{")
+QUANTITY_ALIAS_RE = re.compile(r"^using\s+(\w+)\s*=\s*quantity<", re.MULTILINE)
+
+
+@functools.lru_cache(maxsize=None)
+def quantity_aliases(root: Path) -> frozenset[str]:
+    """The `util::` quantity type names declared in src/util/quantity.hpp."""
+    header = root / "src" / "util" / "quantity.hpp"
+    try:
+        return frozenset(QUANTITY_ALIAS_RE.findall(header.read_text()))
+    except OSError:
+        return frozenset()
+
+
+def validator_bodies(text: str) -> str:
+    """The bodies of every validate_{fleet,streaming}_config definition in
+    `text` (comments and strings already blanked)."""
+    return "\n".join(brace_body(text, m.end() - 1)
+                     for m in VALIDATOR_RE.finditer(text))
+
+
+@functools.lru_cache(maxsize=None)
+def tree_validator_bodies(root: Path) -> str:
+    bodies = []
+    for path in sorted((root / "src").rglob("*.cpp")):
+        text = strip_comments_and_strings(
+            path.read_text(encoding="utf-8", errors="replace"))
+        bodies.append(validator_bodies(text))
+    return "\n".join(bodies)
+
+
+def check_config_coverage(path: Path, root: Path, raw: list[str],
+                          clean: list[str]) -> list[Finding]:
+    text = "\n".join(clean)
+    structs = list(COVERED_STRUCT_RE.finditer(text))
+    if not structs:
+        return []
+    validated = validator_bodies(text) or tree_validator_bodies(root.resolve())
+    types = "|".join(sorted(quantity_aliases(root.resolve())))
+    member_re = re.compile(
+        rf"^\s*(?:double|(?:vtm::)?util::(?:{types}))\s+(\w+)\s*[;={{]")
+    findings = []
+    for m in structs:
+        body = brace_body(text, m.end() - 1)
+        body_start_line = text.count("\n", 0, m.end() - 1)
+        for offset, line in enumerate(body.splitlines()):
+            member = member_re.match(line)
+            if not member:
+                continue
+            name = member.group(1)
+            if re.search(rf"\b{re.escape(name)}\b", validated):
+                continue
+            line_no = body_start_line + offset + 1
+            if suppressed(raw, line_no, "config-coverage"):
+                continue
+            findings.append(Finding(
+                path, line_no, "config-coverage",
+                f"`{m.group(1)}::{name}` is never read by "
+                "validate_fleet_config or validate_streaming_config — "
+                "reject its out-of-range values there, or mark it "
+                "`vtm-lint: allow(config-coverage)` with the reason"))
+    return findings
+
+
 def check_config_validate(path: Path, raw: list[str],
                           clean: list[str]) -> list[Finding]:
     if path.suffix not in (".cpp", ".cc"):
@@ -396,6 +477,7 @@ def scan_file(path: Path, root: Path) -> list[Finding]:
     findings += check_mutex_guarded_by(path, raw, clean)
     findings += check_config_validate(path, raw, clean)
     findings += check_unit_suffix(path, raw, clean)
+    findings += check_config_coverage(path, root, raw, clean)
     findings += check_raw_io(path, rel, raw, clean)
     return findings
 
