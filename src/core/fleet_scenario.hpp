@@ -26,7 +26,6 @@
 
 #include "core/competitive_market.hpp"
 #include "core/pricing_policy.hpp"
-#include "util/log.hpp"
 #include "util/quantity.hpp"
 
 namespace vtm::sim {
@@ -78,9 +77,9 @@ struct migration_record {
 /// (tests/telemetry_test.cpp). Sinks must outlive the run and must not be
 /// shared across concurrently-executing runs.
 struct fleet_telemetry {
-  /// Deterministic counters/gauges/histograms; the coordinator registers
-  /// the fleet schema, binds one lane per shard (plus one for itself), and
-  /// merges at the window barriers.
+  /// Deterministic histograms (`market.cohort`, `market.grant_mhz`), one
+  /// observation per completed migration, filled by the coordinator at each
+  /// flush in finish-time order.
   util::metrics_registry* metrics = nullptr;
   /// Chrome-trace spans and instants, one lane per shard plus the
   /// coordinator lane.
@@ -175,11 +174,9 @@ struct fleet_config {
   /// count.
   std::size_t shard_count = 1;
 
-  // Observability (DESIGN.md §16). Results are invariant to both: metrics
-  // merge deterministically at barriers, spans only read, and the logger's
-  // default-constructed state discards everything.
+  // Observability (DESIGN.md §16). Results are invariant to it: metrics
+  // are filled from the flush's ledger and spans only read.
   fleet_telemetry telemetry;
-  util::logger log;
 
   std::uint64_t seed = 2023;
 };
@@ -242,9 +239,6 @@ struct fleet_result {
 /// Run one fleet scenario to completion (deterministic given the seed).
 [[nodiscard]] fleet_result run_fleet_scenario(const fleet_config& config);
 
-/// Sentinel: never reseed a streaming run.
-inline constexpr std::size_t no_reseed = static_cast<std::size_t>(-1);
-
 /// Streaming (open-system) fleet run: vehicles arrive as a Poisson process
 /// over an unbounded horizon instead of all spawning at t = 0, completed
 /// twins retire and their slots are recycled, and results flush in periodic
@@ -258,13 +252,6 @@ struct streaming_config {
   util::per_second arrival_rate_per_s{5.0};  ///< Poisson arrival λ.
   util::seconds horizon_s{600.0};      ///< Arrival-admission horizon.
   util::seconds flush_period_s{60.0};  ///< Window length between flushes.
-  /// Mid-stream reseed check: after emitting flush `reseed_flush`, replace
-  /// the RNG with a fresh `reseed_seed` stream. Flushes 0..reseed_flush are
-  /// bitwise-unaffected (all pre-reseed draws land in earlier windows), and
-  /// two runs with the same reseed are bitwise-identical throughout —
-  /// tests/streaming_fleet_test.cpp pins both.
-  std::size_t reseed_flush = no_reseed;
-  std::uint64_t reseed_seed = 0;
 };
 
 /// Outcome of a streaming run. `flushes[k]` covers window k only (counters

@@ -11,6 +11,7 @@
 #include "sim/precopy.hpp"
 #include "sim/road_graph.hpp"
 #include "util/contracts.hpp"
+#include "util/units.hpp"
 
 namespace vtm::core {
 
@@ -203,14 +204,22 @@ void validate_fleet_config(const fleet_config& config) {
               config.page_mb > util::megabytes{0.0});
   VTM_EXPECTS(std::isfinite(config.stop_copy_threshold_mb.value()) &&
               config.stop_copy_threshold_mb > util::megabytes{0.0});
-  // The migration channel; every pool overrides its distance.
-  VTM_EXPECTS(std::isfinite(config.link.tx_power_dbm.value()));
-  VTM_EXPECTS(std::isfinite(config.link.unit_gain_db.value()));
+  // The migration channel; every pool overrides its distance. Its linear
+  // form must not overflow or underflow: an infinite transmit power makes
+  // the SNR infinite (AoTM 0), and a noise power that rounds to 0 W divides
+  // by zero, both at the first migration.
+  VTM_EXPECTS(std::isfinite(util::to_watts(config.link.tx_power_dbm).value()));
+  const double unit_gain = util::to_linear(config.link.unit_gain_db);
+  VTM_EXPECTS(std::isfinite(unit_gain) && unit_gain > 0.0);
   VTM_EXPECTS(std::isfinite(config.link.path_loss_exponent) &&
               config.link.path_loss_exponent >= 0.0);
-  VTM_EXPECTS(std::isfinite(config.link.noise_power_dbm.value()));
-  // Both spawn bounds explicit (>= 0, the "< 0 means auto" sentinel) must
-  // form a window; mixed explicit/auto is resolved at spawn time.
+  const double noise_w = util::to_watts(config.link.noise_power_dbm).value();
+  VTM_EXPECTS(std::isfinite(noise_w) && noise_w > 0.0);
+  // A NaN spawn bound would silently read as the "< 0 means auto"
+  // sentinel. Both bounds explicit (>= 0) must form a window; mixed
+  // explicit/auto is resolved at spawn time.
+  VTM_EXPECTS(!std::isnan(config.spawn_min_m.value()) &&
+              !std::isnan(config.spawn_max_m.value()));
   if (config.spawn_min_m >= util::meters{0.0} &&
       config.spawn_max_m >= util::meters{0.0})
     VTM_EXPECTS(config.spawn_max_m >= config.spawn_min_m);
@@ -219,7 +228,38 @@ void validate_fleet_config(const fleet_config& config) {
                    : (config.rsu_positions_m.empty()
                           ? config.rsu_count
                           : config.rsu_positions_m.size());
-  if (config.graph) {
+  if (!config.graph) {
+    // The chain's own construction contract (`sim::rsu_chain`): cells cover
+    // the road without gaps, and explicit centres run strictly forward.
+    double last_centre_m = 0.0;
+    if (config.rsu_positions_m.empty()) {
+      VTM_EXPECTS(config.coverage_radius_m.value() >=
+                  config.rsu_spacing_m.value() / 2.0);
+      last_centre_m = config.rsu_spacing_m.value() *
+                      static_cast<double>(config.rsu_count);
+    } else {
+      double widest_gap_m = 0.0;
+      for (std::size_t i = 0; i < config.rsu_positions_m.size(); ++i) {
+        const double centre = config.rsu_positions_m[i].value();
+        VTM_EXPECTS(std::isfinite(centre));
+        if (i > 0) {
+          const double gap = centre - config.rsu_positions_m[i - 1].value();
+          VTM_EXPECTS(gap > 0.0);
+          widest_gap_m = std::max(widest_gap_m, gap);
+        }
+      }
+      VTM_EXPECTS(config.coverage_radius_m.value() >= widest_gap_m / 2.0);
+      last_centre_m = config.rsu_positions_m.back().value();
+    }
+    // An explicit spawn window is finite, and its floor lies before the
+    // last centre: a vehicle spawned past it never hands over (the graph's
+    // shortest-route rule below, on the chain).
+    if (config.spawn_min_m >= util::meters{0.0})
+      VTM_EXPECTS(std::isfinite(config.spawn_min_m.value()) &&
+                  config.spawn_min_m.value() < last_centre_m);
+    if (config.spawn_max_m >= util::meters{0.0})
+      VTM_EXPECTS(std::isfinite(config.spawn_max_m.value()));
+  } else {
     // Graph topology: the RSUs are the graph's sites, so explicit chain
     // centres would be dead config, and the oligopoly roster's offset
     // chains have no graph analogue yet.
@@ -283,7 +323,7 @@ shard_engine::shard_engine(const fleet_config& config,
                            std::span<const std::uint32_t> rsu_shard,
                            std::vector<vehicle_slot>& vehicles,
                            sim::shard_mailbox<shard_message>& mailbox,
-                           shard_telemetry telemetry)
+                           util::trace_lane* trace)
     : config_(config),
       chain_(chain),
       graph_(config.graph.get()),
@@ -294,7 +334,7 @@ shard_engine::shard_engine(const fleet_config& config,
       mailbox_(mailbox),
       epoch_s_(config.clearing_epoch_s.value()),
       msp_chains_(msp_chains),
-      tele_(std::move(telemetry)) {
+      trace_(trace) {
   VTM_EXPECTS(rsu_count >= 1);
   VTM_EXPECTS(rsu_lo + rsu_count <= chain.count());
   VTM_EXPECTS(msp_chains_.size() == config.msps.size());
@@ -318,7 +358,7 @@ shard_engine::shard_engine(const fleet_config& config,
     book_config.msps = msps;
     book_config.share_sharpness = config.share_sharpness;
     book_config.min_clearable_mhz = config.min_clearable_mhz;
-    book_config.trace = tele_.trace;
+    book_config.trace = trace_;
     comarkets_.reserve(rsu_count);
     candidates_.reserve(rsu_count);
     pool_links_.reserve(rsu_count);
@@ -350,7 +390,7 @@ shard_engine::shard_engine(const fleet_config& config,
   // Copied into every pool's book below (one learned pricer serves the
   // whole chain; null selects the analytic oracle per book).
   market_config.pricer = config.pricer;
-  market_config.trace = tele_.trace;
+  market_config.trace = trace_;
 
   pools_.reserve(rsu_count);
   markets_.reserve(rsu_count);
@@ -376,12 +416,6 @@ spot_market& shard_engine::market_at(std::size_t rsu) {
   const std::size_t pidx = pool_index(rsu);
   VTM_EXPECTS(pidx < markets_.size());
   return markets_[pidx];
-}
-
-competitive_market& shard_engine::comarket_at(std::size_t rsu) {
-  const std::size_t pidx = pool_index(rsu);
-  VTM_EXPECTS(pidx < comarkets_.size());
-  return comarkets_[pidx];
 }
 
 std::vector<clearing_request>& shard_engine::book_of(std::size_t pidx) {
@@ -482,7 +516,6 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
     // scheduling time, so the destination (which owns the target pool) can
     // execute the handover at the exact kinematic crossing time.
     ++counters_.cross_shard_transfers;
-    if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->boundary_posted);
     mailbox_.post(index_, dest,
                   boundary_handoff{vehicle, next->from_rsu, next->to_rsu,
                                    when});
@@ -496,7 +529,6 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
 void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
                                std::size_t to) {
   ++counters_.handovers;
-  if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->handovers);
   clearing_request request;
   request.vehicle = vehicle;
   request.profile = vehicles_[vehicle].profile;
@@ -540,13 +572,6 @@ void shard_engine::run_clearing(std::size_t pidx) {
         // the request (and the vehicle with it) re-homes at the next
         // barrier, at this clearing's grid time.
         ++counters_.cross_shard_retargets;
-        if (tele_.metrics != nullptr)
-          tele_.metrics->add(tele_.ids->retarget_posted);
-        if (tele_.log.enabled(util::log_level::debug))
-          tele_.log.debug("re-home: vehicle " +
-                          std::to_string(request.vehicle) + " shard " +
-                          std::to_string(index_) + " -> " +
-                          std::to_string(dest));
         mailbox_.post(index_, dest,
                       retarget_handoff{std::move(request),
                                        epoch_grid_snap(queue_.now(),
@@ -592,18 +617,9 @@ void shard_engine::run_clearing(std::size_t pidx) {
     snapshot.price_cap = config_.price_cap;
     cohorts_.push_back(std::move(snapshot));
   }
-  if (tele_.metrics != nullptr && !book.empty())
-    tele_.metrics->observe(tele_.ids->cohort,
-                           static_cast<double>(book.size()));
   const auto& outcome = markets_[pidx].clear(available);
   counters_.deferred += outcome.deferred;
-  if (outcome.markets_cleared > 0) {
-    ++counters_.clearings;
-    if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->clearings);
-  }
-  if (tele_.metrics != nullptr)
-    for (const auto& grant : outcome.grants)
-      tele_.metrics->observe(tele_.ids->grant_mhz, grant.bandwidth_mhz);
+  if (outcome.markets_cleared > 0) ++counters_.clearings;
 
   for (const auto& request : outcome.priced_out) {
     // Price too high for this VMU: the twin stays behind (service
@@ -644,29 +660,13 @@ void shard_engine::run_clearing_oligopoly(std::size_t pidx) {
     msp_available_[m] =
         std::max(0.0, msp_pools_[m][candidates_[pidx][m]].available_mhz());
 
-  if (tele_.metrics != nullptr && comarkets_[pidx].pending() > 0)
-    tele_.metrics->observe(tele_.ids->cohort,
-                           static_cast<double>(comarkets_[pidx].pending()));
   const auto& outcome = comarkets_[pidx].clear(msp_available_);
   counters_.deferred += outcome.deferred;
-  if (outcome.markets_cleared > 0) {
-    ++counters_.clearings;
-    if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->clearings);
-  }
-  if (!outcome.converged) {
-    ++counters_.unconverged_clearings;
-    if (tele_.log.enabled(util::log_level::warn))
-      tele_.log.warn("unconverged clearing: shard " + std::to_string(index_) +
-                     " pool " + std::to_string(pidx) + ", sweeps " +
-                     std::to_string(outcome.solver_sweeps) + ", residual " +
-                     std::to_string(outcome.residual));
-  }
+  if (outcome.markets_cleared > 0) ++counters_.clearings;
+  if (!outcome.converged) ++counters_.unconverged_clearings;
   counters_.solver_sweeps += outcome.solver_sweeps;
   counters_.objective_evals += outcome.objective_evals;
   if (outcome.warm_started) ++counters_.warm_started_clearings;
-  if (tele_.metrics != nullptr)
-    for (const auto& grant : outcome.grants)
-      tele_.metrics->observe(tele_.ids->grant_mhz, grant.bandwidth_mhz);
 
   for (const auto& request : outcome.priced_out) {
     ++counters_.priced_out;
@@ -881,7 +881,6 @@ void shard_engine::deliver(const shard_message& message,
       // previous resolution landed close to the boundary): execute at the
       // barrier instead — skewed by less than one window, never dropped.
       ++counters_.late_handoffs;
-      if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->late);
       at = queue_.now();
     }
     queue_.schedule(at, {fleet_event::kind::handover,
@@ -894,7 +893,6 @@ void shard_engine::deliver(const shard_message& message,
   double at = retarget.clearing_s;
   if (at < queue_.now()) {
     ++counters_.late_handoffs;
-    if (tele_.metrics != nullptr) tele_.metrics->add(tele_.ids->late);
     at = queue_.now();
   }
   const std::size_t pidx = pool_index(retarget.request.to_rsu);
@@ -903,14 +901,14 @@ void shard_engine::deliver(const shard_message& message,
 }
 
 void shard_engine::run_window(double t_end) {
-  util::trace_span span(tele_.trace, "shard.window");
+  util::trace_span span(trace_, "shard.window");
   span.arg("t_end", t_end);
   queue_.run_until(t_end,
                    [this](const fleet_event& event) { dispatch(event); });
 }
 
 std::size_t shard_engine::drain_round() {
-  util::trace_span span(tele_.trace, "shard.drain");
+  util::trace_span span(trace_, "shard.drain");
   const std::size_t events =
       queue_.run_all(std::numeric_limits<std::size_t>::max(),
                      [this](const fleet_event& event) { dispatch(event); });
@@ -972,6 +970,9 @@ shard_coordinator::shard_coordinator(const streaming_config& config)
     : shard_coordinator(streaming_base(config), /*spawn=*/false) {
   stream_ = config;
   streaming_ = true;
+  // Poisson arrivals: exponential inter-arrival gaps, each drawn as soon
+  // as the previous arrival is admitted (the first one here).
+  next_arrival_s_ = gen_.exponential(stream_.arrival_rate_per_s.value());
 }
 
 shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
@@ -1015,16 +1016,9 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
   lo = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::size_t count = base + (s < extra ? 1 : 0);
-    shard_telemetry tele;
-    if (trace_ != nullptr) tele.trace = trace_->lane(s);
-    if (metrics_ != nullptr) {
-      tele.metrics = &metrics_->lane(s);
-      tele.ids = &ids_;
-    }
-    tele.log = config_.log;
     shards_.push_back(std::make_unique<shard_engine>(
         config_, chain_, msp_chains_, s, lo, count, rsu_shard_, vehicles_,
-        mailbox_, std::move(tele)));
+        mailbox_, trace_ != nullptr ? trace_->lane(s) : nullptr));
     lo += count;
   }
   flushed_.resize(shard_count);
@@ -1045,9 +1039,6 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
            {"routes", static_cast<double>(config_.graph->route_count())},
            {"sites", static_cast<double>(config_.graph->rsu_count())}});
     }
-    if (coord_metrics_ != nullptr)
-      coord_metrics_->set(ids_.graph_routes,
-                          static_cast<double>(config_.graph->route_count()));
     util::trace_span span(coord_trace_, "coord.route_profiles");
     routes_.reserve(config_.graph->route_count());
     for (std::size_t r = 0; r < config_.graph->route_count(); ++r)
@@ -1115,39 +1106,19 @@ void shard_coordinator::init_telemetry() {
   if (!util::telemetry_compiled()) return;
   metrics_ = config_.telemetry.metrics;
   trace_ = config_.telemetry.trace;
-  const std::size_t lanes = config_.shard_count + 1;  // +1: coordinator.
   if (metrics_ != nullptr) {
-    ids_.handovers = metrics_->counter("fleet.handovers");
-    ids_.clearings = metrics_->counter("fleet.clearings");
-    ids_.boundary_posted = metrics_->counter("mailbox.boundary_posted");
-    ids_.retarget_posted = metrics_->counter("mailbox.retarget_posted");
-    ids_.delivered = metrics_->counter("mailbox.delivered");
-    ids_.late = metrics_->counter("mailbox.late");
-    ids_.arrivals = metrics_->counter("stream.arrivals");
-    ids_.retired = metrics_->counter("stream.retired");
-    ids_.live = metrics_->gauge("stream.live");
-    ids_.slot_high_water = metrics_->gauge("stream.slot_high_water");
-    ids_.deferral_depth = metrics_->gauge("stream.deferral_depth");
-    ids_.pool_utilization = metrics_->gauge("stream.pool_utilization");
-    ids_.graph_routes = metrics_->gauge("graph.routes");
-    ids_.cohort = metrics_->histogram(
+    cohort_histogram_ = metrics_->histogram(
         "market.cohort", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0});
-    ids_.grant_mhz = metrics_->histogram("market.grant_mhz",
-                                         {1.0, 2.0, 5.0, 10.0, 20.0, 50.0});
-    metrics_->bind_lanes(lanes);
-    coord_metrics_ = &metrics_->lane(config_.shard_count);
+    grant_mhz_histogram_ = metrics_->histogram(
+        "market.grant_mhz", {1.0, 2.0, 5.0, 10.0, 20.0, 50.0});
   }
   if (trace_ != nullptr) {
-    trace_->ensure_lanes(lanes);
+    trace_->ensure_lanes(config_.shard_count + 1);  // +1: coordinator.
     for (std::size_t s = 0; s < config_.shard_count; ++s)
       trace_->set_lane_name(s, "shard " + std::to_string(s));
     trace_->set_lane_name(config_.shard_count, "coordinator");
     coord_trace_ = trace_->lane(config_.shard_count);
   }
-}
-
-void shard_coordinator::merge_metrics() {
-  if (metrics_ != nullptr) metrics_->merge(barrier_);
 }
 
 void shard_coordinator::draw_spawn(vehicle_slot& slot) {
@@ -1203,8 +1174,6 @@ std::size_t shard_coordinator::exchange() {
         },
         barrier_);
   }
-  if (coord_metrics_ != nullptr && delivered > 0)
-    coord_metrics_->add(ids_.delivered, delivered);
   span.arg("delivered", static_cast<double>(delivered));
   return delivered;
 }
@@ -1232,7 +1201,6 @@ void shard_coordinator::run_windows() {
   bool draining = false;
   double next_flush = streaming_ ? stream_.flush_period_s.value()
                                  : std::numeric_limits<double>::infinity();
-  std::size_t flush_index = 0;
   pool_.run_phased(
       shards_.size(),
       [&](std::size_t lane, std::size_t) {
@@ -1246,28 +1214,12 @@ void shard_coordinator::run_windows() {
         // the one place the barrier capability is legitimately acquired.
         const util::barrier_scope at_barrier(barrier_);
         const std::size_t delivered = exchange();
-        merge_metrics();
         if (draining) return delivered > 0;
         // Emit every flush boundary this window crossed. A flush covers
         // events up to the barrier that emitted it (window granularity);
         // conservation holds per window by the exactly-once ledger.
         while (next_flush <= t_end) {
           flushes_.push_back(flush_window(/*final=*/false));
-          if (flush_index == stream_.reseed_flush) {
-            // Mid-stream reseed: every pre-reseed draw fed an arrival
-            // admitted at or before t_end, whose events landed in this or
-            // an earlier flush — so flushes 0..reseed_flush are
-            // bitwise-unaffected, and the stream restarts cleanly from the
-            // admitted-up-to point.
-            if (config_.log.enabled(util::log_level::info))
-              config_.log.info("stream reseed at flush " +
-                               std::to_string(flush_index) + " (seed " +
-                               std::to_string(stream_.reseed_seed) + ")");
-            gen_ = util::rng(stream_.reseed_seed);
-            arrival_pending_ = false;
-            next_arrival_s_ = t_end;
-          }
-          ++flush_index;
           next_flush += stream_.flush_period_s.value();
         }
         if (t_end >= horizon) {
@@ -1275,9 +1227,6 @@ void shard_coordinator::run_windows() {
           return true;
         }
         t_end = std::min(horizon, t_end + window_s_);
-        if (config_.log.enabled(util::log_level::debug))
-          config_.log.debug("window advance: t_end " +
-                            std::to_string(t_end));
         inject_arrivals(t_end);
         return true;
       });
@@ -1288,7 +1237,6 @@ void shard_coordinator::run_windows() {
   const util::barrier_scope at_barrier(barrier_);
   for (auto& shard : shards_) shard->abandon_remaining();
   flushes_.push_back(flush_window(/*final=*/true));
-  merge_metrics();
 }
 
 fleet_result shard_coordinator::run() {
@@ -1307,20 +1255,8 @@ void shard_coordinator::inject_arrivals(double upto) {
       shards_[owner_[v]]->adopt(v);
     arrivals_ = vehicles_.size();
   } else {
-    for (;;) {
-      if (!arrival_pending_) {
-        // Poisson arrivals: exponential inter-arrival gaps. The
-        // undrawn-gap flag keeps the stream exact across reseeds — a
-        // drawn-but-unadmitted arrival survives window barriers, and a
-        // reseed discards it.
-        next_arrival_s_ +=
-            gen_.exponential(stream_.arrival_rate_per_s.value());
-        arrival_pending_ = true;
-      }
-      if (next_arrival_s_ > upto ||
-          next_arrival_s_ > stream_.horizon_s.value())
-        break;
-      arrival_pending_ = false;
+    while (next_arrival_s_ <= upto &&
+           next_arrival_s_ <= stream_.horizon_s.value()) {
       const double at = next_arrival_s_;
 
       std::size_t v;
@@ -1344,13 +1280,12 @@ void shard_coordinator::inject_arrivals(double upto) {
       slot.twin->set_host_rsu(serving);
       owner_[v] = rsu_shard_[serving];
       shards_[owner_[v]]->inject(v, at);
+      next_arrival_s_ += gen_.exponential(stream_.arrival_rate_per_s.value());
     }
   }
   const std::size_t admitted = arrivals_ - before;
   live_ += admitted;
   peak_live_ = std::max(peak_live_, live_);
-  if (coord_metrics_ != nullptr && admitted > 0)
-    coord_metrics_->add(ids_.arrivals, admitted);
   span.arg("admitted", static_cast<double>(admitted));
 }
 
@@ -1411,6 +1346,10 @@ fleet_result shard_coordinator::flush_window(bool final) {
     sum_amplification_ += entry.amplification;
     sum_price_bandwidth_ += entry.price_bandwidth;
     sum_bandwidth_ += entry.bandwidth;
+    if (metrics_ != nullptr) {
+      metrics_->observe(cohort_histogram_, static_cast<double>(entry.cohort));
+      metrics_->observe(grant_mhz_histogram_, entry.bandwidth);
+    }
     if (config_.record_migrations) {
       migration_record record = std::move(data[best].records[head[best]]);
       // Records carry the stable identity — the slot index is recycled.
@@ -1456,11 +1395,9 @@ fleet_result shard_coordinator::flush_window(bool final) {
     --live_;
   }
 
-  // Flush snapshot: live twins, slot-arena high water, deferral-book depth,
-  // and aggregate pool utilization at this barrier. All values are
-  // deterministic functions of (seed, config) at this flush boundary, so
-  // they are metric-safe; the trace instant mirrors them for Perfetto.
-  if (coord_metrics_ != nullptr || coord_trace_ != nullptr) {
+  // Flush snapshot for Perfetto: live twins, slot-arena high water,
+  // deferral-book depth, and aggregate pool utilization at this barrier.
+  if (coord_trace_ != nullptr) {
     std::size_t depth = 0;
     shard_engine::pool_usage usage;
     for (const auto& shard : shards_) {
@@ -1472,24 +1409,14 @@ fleet_result shard_coordinator::flush_window(bool final) {
     const double utilization = usage.capacity_mhz > 0.0
                                    ? usage.allocated_mhz / usage.capacity_mhz
                                    : 0.0;
-    if (coord_metrics_ != nullptr) {
-      coord_metrics_->set(ids_.live, static_cast<double>(live_));
-      coord_metrics_->set(ids_.slot_high_water,
-                          static_cast<double>(vehicles_.size()));
-      coord_metrics_->set(ids_.deferral_depth, static_cast<double>(depth));
-      coord_metrics_->set(ids_.pool_utilization, utilization);
-      if (window_retired > 0)
-        coord_metrics_->add(ids_.retired, window_retired);
-    }
-    if (coord_trace_ != nullptr)
-      coord_trace_->instant(
-          "stream.flush",
-          {{"live", static_cast<double>(live_)},
-           {"arena", static_cast<double>(vehicles_.size())},
-           {"deferral_depth", static_cast<double>(depth)},
-           {"pool_utilization", utilization},
-           {"completed", static_cast<double>(window.completed)},
-           {"retired", static_cast<double>(window_retired)}});
+    coord_trace_->instant(
+        "stream.flush",
+        {{"live", static_cast<double>(live_)},
+         {"arena", static_cast<double>(vehicles_.size())},
+         {"deferral_depth", static_cast<double>(depth)},
+         {"pool_utilization", utilization},
+         {"completed", static_cast<double>(window.completed)},
+         {"retired", static_cast<double>(window_retired)}});
   }
   return window;
 }

@@ -18,10 +18,12 @@
 // runs share one window loop. Each barrier exchanges messages, emits any
 // flush due, and admits the next window's arrivals; past the horizon the
 // loop drains to quiescence and emits a final flush. A flush reduces the
-// shards' completion ledgers in global finish-time order and folds their
-// counter deltas. A closed run is the degenerate stream: its arrival source
-// is the t = 0 spawn cohort, adopted before the first exchange, it never
-// flushes periodically, and its `fleet_result` is the one final flush.
+// shards' completion ledgers in global finish-time order, folds their
+// counter deltas, and fills the run's metric histograms: it is the one
+// place a run's deterministic numbers are recorded, and the shards record
+// none. A closed run is the degenerate stream: its arrival source is the
+// t = 0 spawn cohort, adopted before the first exchange, it never flushes
+// periodically, and its `fleet_result` is the one final flush.
 //
 // Fidelity contract (DESIGN.md §10): with `shard_count = 1` the engine is
 // bitwise identical to the pre-shard serial engine. Multi-shard runs are
@@ -73,7 +75,6 @@
 #include "sim/mailbox.hpp"
 #include "sim/mobility.hpp"
 #include "sim/vt.hpp"
-#include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
@@ -142,40 +143,6 @@ struct retarget_handoff {
 
 using shard_message = std::variant<boundary_handoff, retarget_handoff>;
 
-/// Resolved ids of the fleet engine's metric schema, registered once by the
-/// coordinator (`shard_coordinator` ctor) and shared read-only by every
-/// shard. All recorded values are deterministic quantities (counts, cohort
-/// sizes, bandwidth) — never wall-clock — so merged metric values are
-/// bitwise-identical across reruns (DESIGN.md §16).
-struct fleet_metric_ids {
-  util::metric_id handovers = 0;        ///< Counter: coverage handovers.
-  util::metric_id clearings = 0;        ///< Counter: markets cleared.
-  util::metric_id boundary_posted = 0;  ///< Counter: boundary handoffs sent.
-  util::metric_id retarget_posted = 0;  ///< Counter: retarget handoffs sent.
-  util::metric_id delivered = 0;        ///< Counter: messages delivered.
-  util::metric_id late = 0;             ///< Counter: barrier-clamped msgs.
-  util::metric_id arrivals = 0;         ///< Counter: streaming arrivals.
-  util::metric_id retired = 0;          ///< Counter: retired twins.
-  util::metric_id live = 0;             ///< Gauge: live twins at last flush.
-  util::metric_id slot_high_water = 0;  ///< Gauge: slot-arena high water.
-  util::metric_id deferral_depth = 0;   ///< Gauge: pending book depth.
-  util::metric_id pool_utilization = 0; ///< Gauge: Σalloc / Σcap at flush.
-  util::metric_id graph_routes = 0;     ///< Gauge: graph route count.
-  util::metric_id cohort = 0;           ///< Histogram: clearing cohort size.
-  util::metric_id grant_mhz = 0;        ///< Histogram: granted bandwidth.
-};
-
-/// Telemetry hooks threaded into one shard engine. Everything is optional:
-/// null lanes make every recording call a cheap branch, and a
-/// default-constructed logger discards. Sinks never influence results —
-/// enforced by tests/telemetry_test.cpp's bitwise on/off comparison.
-struct shard_telemetry {
-  util::trace_lane* trace = nullptr;
-  util::metrics_lane* metrics = nullptr;
-  const fleet_metric_ids* ids = nullptr;
-  util::logger log;
-};
-
 /// One shard: the fleet engine scoped to a contiguous RSU range, advancing
 /// its own event queue under the coordinator's window protocol.
 class shard_engine {
@@ -228,7 +195,7 @@ class shard_engine {
                std::span<const std::uint32_t> rsu_shard,
                std::vector<vehicle_slot>& vehicles,
                sim::shard_mailbox<shard_message>& mailbox,
-               shard_telemetry telemetry = {});
+               util::trace_lane* trace = nullptr);
 
   /// Take ownership of a spawned vehicle and schedule its next handover
   /// (posts a boundary handoff instead when the crossing leaves the shard).
@@ -260,10 +227,8 @@ class shard_engine {
   void abandon_remaining();
 
   /// Book of the pool serving global RSU `rsu` (white-box tests; joint mode
-  /// only — oligopoly books live in `comarket_at`).
+  /// only).
   [[nodiscard]] spot_market& market_at(std::size_t rsu);
-  /// Oligopoly book of the cell at global RSU `rsu` (white-box tests).
-  [[nodiscard]] competitive_market& comarket_at(std::size_t rsu);
 
   [[nodiscard]] const counters& stats() const noexcept { return counters_; }
 
@@ -387,7 +352,7 @@ class shard_engine {
   std::vector<completion_entry> ledger_;
   std::vector<migration_record> records_;
   std::vector<cohort_snapshot> cohorts_;
-  shard_telemetry tele_;  ///< Null/discarding when telemetry is off.
+  util::trace_lane* trace_;  ///< Null when tracing is off.
 };
 
 /// Owns the chain, the vehicle slots, the shards, and the window protocol.
@@ -429,13 +394,9 @@ class shard_coordinator {
   shard_coordinator(const fleet_config& config, bool spawn);
 
   /// Resolve the telemetry sinks from `config_.telemetry`: register the
-  /// metric schema, bind one metrics/trace lane per shard plus one for the
-  /// coordinator, and name the trace lanes. Serial-only (ctor).
+  /// metric histograms, and open and name one trace lane per shard plus one
+  /// for the coordinator. Serial-only (ctor).
   void init_telemetry();
-  /// Fold every lane's metric deltas into the registry totals (lane-index
-  /// order — deterministic). Called at every window barrier and after the
-  /// final sweep.
-  void merge_metrics() VTM_REQUIRES(barrier_);
 
   void spawn_vehicles();
   /// Draw one vehicle's spawn state, in draw order: route (graphs only),
@@ -448,8 +409,9 @@ class shard_coordinator {
   /// queues across lanes.
   void inject_arrivals(double upto) VTM_REQUIRES(barrier_);
   /// Emit one flush window: fold shard counter deltas, reduce the window's
-  /// completion ledgers in finish-time order, and retire exited twins
-  /// (all twins when `final`), recycling their slots.
+  /// completion ledgers in finish-time order (observing each completion's
+  /// cohort and granted bandwidth into the metric histograms), and retire
+  /// exited twins (all twins when `final`), recycling their slots.
   [[nodiscard]] fleet_result flush_window(bool final) VTM_REQUIRES(barrier_);
   /// Deliver every buffered message in (destination, sender, send order)
   /// sequence; returns the number delivered. Barrier only — the analysis
@@ -485,8 +447,7 @@ class shard_coordinator {
   bool streaming_ = false;
   bool ran_ = false;  ///< `run_windows()` has started (single-shot).
   std::vector<std::size_t> free_slots_;  ///< Retired slots, recycled LIFO.
-  double next_arrival_s_ = 0.0;
-  bool arrival_pending_ = false;  ///< `next_arrival_s_` drawn, not admitted.
+  double next_arrival_s_ = 0.0;  ///< Next Poisson arrival, drawn ahead.
   std::size_t arrivals_ = 0;
   std::size_t retired_ = 0;
   std::size_t live_ = 0;
@@ -508,14 +469,14 @@ class shard_coordinator {
   /// delivery to barrier scopes (DESIGN.md §13).
   util::barrier_phase barrier_;
   sim::shard_mailbox<shard_message> mailbox_;
-  // Telemetry sinks resolved from `config_.telemetry` (null when off) plus
-  // the registered metric schema; `coord_trace_`/`coord_metrics_` are the
-  // coordinator's own lanes (index == shard count).
+  // Telemetry sinks resolved from `config_.telemetry` (null when off) and
+  // the registered histograms; `coord_trace_` is the coordinator's own
+  // trace lane (index == shard count).
   util::metrics_registry* metrics_ = nullptr;
   util::trace_session* trace_ = nullptr;
   util::trace_lane* coord_trace_ = nullptr;
-  util::metrics_lane* coord_metrics_ = nullptr;
-  fleet_metric_ids ids_;
+  util::metric_id cohort_histogram_ = 0;     ///< market.cohort
+  util::metric_id grant_mhz_histogram_ = 0;  ///< market.grant_mhz
   std::vector<std::unique_ptr<shard_engine>> shards_;
   util::thread_pool pool_;
 };

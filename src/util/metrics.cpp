@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <ostream>
 #include <utility>
 
@@ -12,8 +11,6 @@ namespace vtm::util {
 
 namespace {
 
-constexpr double inf = std::numeric_limits<double>::infinity();
-
 /// Round-trip-exact double formatting shared by every JSON field, so two
 /// registries with bitwise-equal values serialize to identical bytes.
 void write_double(std::ostream& out, double value) {
@@ -22,28 +19,8 @@ void write_double(std::ostream& out, double value) {
   out << buf;
 }
 
-void write_name(std::ostream& out, const std::string& name) {
-  // Instrument names are dotted identifiers (no escapes needed); keep the
-  // writer trivial and enforce the charset at registration instead.
-  out << '"' << name << '"';
-}
-
-}  // namespace
-
-void metrics_lane::observe(metric_id histogram, double value) noexcept {
-  const auto& bounds = owner_->histograms_[histogram].bounds;
-  auto& cell = histograms_[histogram];
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  ++cell.buckets[static_cast<std::size_t>(it - bounds.begin())];
-  ++cell.count;
-  cell.sum += value;
-  cell.min = std::min(cell.min, value);
-  cell.max = std::max(cell.max, value);
-}
-
-namespace {
-
 void validate_name(const std::string& name) {
+  // Names are dotted identifiers, so the JSON writer needs no escapes.
   VTM_EXPECTS(!name.empty());
   for (const char c : name)
     VTM_EXPECTS((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -51,22 +28,6 @@ void validate_name(const std::string& name) {
 }
 
 }  // namespace
-
-metric_id metrics_registry::counter(std::string name) {
-  validate_name(name);
-  for (std::size_t i = 0; i < counters_.size(); ++i)
-    if (counters_[i].name == name) return i;
-  counters_.push_back({std::move(name), 0});
-  return counters_.size() - 1;
-}
-
-metric_id metrics_registry::gauge(std::string name) {
-  validate_name(name);
-  for (std::size_t i = 0; i < gauges_.size(); ++i)
-    if (gauges_[i].name == name) return i;
-  gauges_.push_back({std::move(name), 0.0, 0});
-  return gauges_.size() - 1;
-}
 
 metric_id metrics_registry::histogram(std::string name,
                                       std::vector<double> bounds) {
@@ -77,115 +38,45 @@ metric_id metrics_registry::histogram(std::string name,
       VTM_EXPECTS(histograms_[i].bounds == bounds);
       return i;
     }
-  histogram_def def;
+  histogram_snapshot def;
   def.name = std::move(name);
   def.bounds = std::move(bounds);
   def.buckets.assign(def.bounds.size() + 1, 0);
-  def.min = inf;
-  def.max = -inf;
   histograms_.push_back(std::move(def));
   return histograms_.size() - 1;
 }
 
-void metrics_registry::bind_lanes(std::size_t lanes) {
-  lanes_.assign(lanes, metrics_lane{});
-  for (auto& lane : lanes_) {
-    lane.owner_ = this;
-    lane.counters_.assign(counters_.size(), 0);
-    lane.gauges_.assign(gauges_.size(), {});
-    lane.histograms_.assign(histograms_.size(), {});
-    for (std::size_t h = 0; h < histograms_.size(); ++h) {
-      lane.histograms_[h].buckets.assign(histograms_[h].bounds.size() + 1, 0);
-      lane.histograms_[h].min = inf;
-      lane.histograms_[h].max = -inf;
-    }
-  }
-}
-
-void metrics_registry::merge(const barrier_phase& barrier) {
-  barrier.assert_held();
-  for (auto& lane : lanes_) {  // lane-index order: the deterministic fold
-    for (std::size_t c = 0; c < counters_.size(); ++c) {
-      counters_[c].total += lane.counters_[c];
-      lane.counters_[c] = 0;
-    }
-    for (std::size_t g = 0; g < gauges_.size(); ++g) {
-      auto& cell = lane.gauges_[g];
-      if (cell.writes > 0) {
-        gauges_[g].value = cell.value;
-        gauges_[g].writes += cell.writes;
-        cell.writes = 0;
-      }
-    }
-    for (std::size_t h = 0; h < histograms_.size(); ++h) {
-      auto& cell = lane.histograms_[h];
-      if (cell.count == 0) continue;
-      auto& def = histograms_[h];
-      for (std::size_t b = 0; b < def.buckets.size(); ++b) {
-        def.buckets[b] += cell.buckets[b];
-        cell.buckets[b] = 0;
-      }
-      def.count += cell.count;
-      def.sum += cell.sum;  // lane-order fold keeps the FP sum reproducible
-      def.min = std::min(def.min, cell.min);
-      def.max = std::max(def.max, cell.max);
-      cell.count = 0;
-      cell.sum = 0.0;
-      cell.min = inf;
-      cell.max = -inf;
-    }
-  }
-}
-
-histogram_snapshot metrics_registry::histogram_value(metric_id id) const {
-  const auto& def = histograms_[id];
-  histogram_snapshot snap;
-  snap.name = def.name;
-  snap.bounds = def.bounds;
-  snap.buckets = def.buckets;
-  snap.count = def.count;
-  snap.sum = def.sum;
-  snap.min = def.count > 0 ? def.min : 0.0;
-  snap.max = def.count > 0 ? def.max : 0.0;
-  return snap;
+void metrics_registry::observe(metric_id histogram, double value) {
+  auto& h = histograms_[histogram];
+  const auto it = std::lower_bound(h.bounds.begin(), h.bounds.end(), value);
+  ++h.buckets[static_cast<std::size_t>(it - h.bounds.begin())];
+  h.min = h.count == 0 ? value : std::min(h.min, value);
+  h.max = h.count == 0 ? value : std::max(h.max, value);
+  ++h.count;
+  h.sum += value;
 }
 
 void metrics_registry::write_json(std::ostream& out) const {
-  out << "{\n  \"counters\": {";
-  for (std::size_t c = 0; c < counters_.size(); ++c) {
-    out << (c == 0 ? "\n    " : ",\n    ");
-    write_name(out, counters_[c].name);
-    out << ": " << counters_[c].total;
-  }
-  out << "\n  },\n  \"gauges\": {";
-  for (std::size_t g = 0; g < gauges_.size(); ++g) {
-    out << (g == 0 ? "\n    " : ",\n    ");
-    write_name(out, gauges_[g].name);
-    out << ": {\"value\": ";
-    write_double(out, gauges_[g].value);
-    out << ", \"writes\": " << gauges_[g].writes << '}';
-  }
-  out << "\n  },\n  \"histograms\": {";
-  for (std::size_t h = 0; h < histograms_.size(); ++h) {
-    const auto& def = histograms_[h];
-    out << (h == 0 ? "\n    " : ",\n    ");
-    write_name(out, def.name);
-    out << ": {\"bounds\": [";
-    for (std::size_t b = 0; b < def.bounds.size(); ++b) {
+  out << "{\n  \"histograms\": {";
+  for (std::size_t i = 0; i < histograms_.size(); ++i) {
+    const auto& h = histograms_[i];
+    out << (i == 0 ? "\n    \"" : ",\n    \"") << h.name
+        << "\": {\"bounds\": [";
+    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out << ", ";
-      write_double(out, def.bounds[b]);
+      write_double(out, h.bounds[b]);
     }
     out << "], \"buckets\": [";
-    for (std::size_t b = 0; b < def.buckets.size(); ++b) {
+    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out << ", ";
-      out << def.buckets[b];
+      out << h.buckets[b];
     }
-    out << "], \"count\": " << def.count << ", \"sum\": ";
-    write_double(out, def.sum);
+    out << "], \"count\": " << h.count << ", \"sum\": ";
+    write_double(out, h.sum);
     out << ", \"min\": ";
-    write_double(out, def.count > 0 ? def.min : 0.0);
+    write_double(out, h.min);
     out << ", \"max\": ";
-    write_double(out, def.count > 0 ? def.max : 0.0);
+    write_double(out, h.max);
     out << '}';
   }
   out << "\n  }\n}\n";

@@ -1,21 +1,16 @@
-// Deterministic metrics: named counters, gauges, and fixed-bucket
-// histograms with per-lane write buffers.
+// Deterministic run metrics: named fixed-bucket histograms.
 //
-// The registry is built for the sharded fleet engine's execution model
-// (DESIGN.md §10): instruments are registered serially up front, every
-// worker lane gets its own `metrics_lane` write buffer (no locks, no atomics
-// — a lane buffer is written by exactly one lane between barriers), and the
-// coordinator folds the lane deltas into the global totals at the window
-// barriers, in lane-index order. Because each lane's delta stream is a
-// deterministic function of (seed, config) and the fold order is fixed,
-// identical runs produce bitwise-identical metric values regardless of how
-// the OS interleaves the worker threads — the property pinned by
-// tests/telemetry_test.cpp.
+// A fleet run fills its histograms serially at each flush, from the
+// completion ledger in global finish-time order (DESIGN.md §16), so
+// identical runs produce bitwise-identical values and byte-identical JSON
+// regardless of how the OS interleaved the shard lanes — the property
+// pinned by tests/telemetry_test.cpp. Counts live in `fleet_result`; the
+// registry holds only the distributions the result does not carry.
 //
 // Determinism contract: only record quantities that are themselves
-// deterministic (counts, cohort sizes, bandwidth). Wall-clock durations are
-// *not* — they belong in trace spans (util/trace.hpp), which are exempt
-// from the bitwise policy (DESIGN.md §16).
+// deterministic (cohort sizes, bandwidth). Wall-clock durations are *not* —
+// they belong in trace spans (util/trace.hpp), which are exempt from the
+// bitwise policy.
 #pragma once
 
 #include <cstddef>
@@ -24,56 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "util/sync.hpp"
-
 namespace vtm::util {
 
-class metrics_registry;
-
-/// Dense per-kind instrument index returned at registration.
+/// Dense histogram index returned at registration.
 using metric_id = std::size_t;
 
-/// One lane's private write buffer. Not synchronized by design: exactly one
-/// lane writes it between barriers, and the coordinator merges it only while
-/// every lane is parked (`metrics_registry::merge`, barrier-gated).
-class metrics_lane {
- public:
-  /// Bump a counter by `delta`.
-  void add(metric_id counter, std::uint64_t delta = 1) noexcept {
-    counters_[counter] += delta;
-  }
-  /// Set a gauge to `value` (last write during a phase wins; across lanes,
-  /// the highest-indexed writing lane wins — a fixed, documented rule, so
-  /// the merged value is deterministic).
-  void set(metric_id gauge, double value) noexcept {
-    gauges_[gauge].value = value;
-    ++gauges_[gauge].writes;
-  }
-  /// Record one histogram observation.
-  void observe(metric_id histogram, double value) noexcept;
-
- private:
-  friend class metrics_registry;
-
-  struct gauge_cell {
-    double value = 0.0;
-    std::uint64_t writes = 0;  ///< Sets since the last merge.
-  };
-  struct histogram_cell {
-    std::vector<std::uint64_t> buckets;  ///< One per bound, plus overflow.
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
-  const metrics_registry* owner_ = nullptr;
-  std::vector<std::uint64_t> counters_;
-  std::vector<gauge_cell> gauges_;
-  std::vector<histogram_cell> histograms_;
-};
-
-/// Read-side view of one merged histogram.
+/// One histogram's bounds and totals.
 struct histogram_snapshot {
   std::string name;
   std::vector<double> bounds;            ///< Ascending upper bounds.
@@ -84,78 +35,36 @@ struct histogram_snapshot {
   double max = 0.0;
 };
 
-/// Instrument registry + merged totals. Lifecycle: register instruments
-/// (serial), `bind_lanes` (serial), lanes write through their buffers,
-/// `merge` at barriers, read/export after. Reusing one registry across
-/// sequential runs accumulates totals; use a fresh registry per run when
-/// comparing runs.
+/// Histogram registry. Serial-only: register, observe and read from one
+/// thread (the fleet coordinator fills it at flush barriers). Reusing one
+/// registry across sequential runs accumulates totals; use a fresh registry
+/// per run when comparing runs.
 class metrics_registry {
  public:
   metrics_registry() = default;
   metrics_registry(const metrics_registry&) = delete;
   metrics_registry& operator=(const metrics_registry&) = delete;
 
-  /// Register (or look up, by name) an instrument. Re-registration returns
-  /// the existing id; a histogram re-registered with different bounds is a
-  /// contract violation. Serial-only, like `bind_lanes`.
-  metric_id counter(std::string name);
-  metric_id gauge(std::string name);
+  /// Register (or look up, by name) a histogram with ascending upper
+  /// `bounds`. Re-registration returns the existing id; different bounds
+  /// under one name are a contract violation.
   metric_id histogram(std::string name, std::vector<double> bounds);
 
-  /// Size (or re-size) the per-lane buffers to the registered schema and
-  /// reset their deltas. Serial-only: call before handing lane references
-  /// to workers. Merged totals are preserved.
-  void bind_lanes(std::size_t lanes);
+  /// Record one observation: the first bucket whose bound is >= `value`,
+  /// else the overflow bucket.
+  void observe(metric_id histogram, double value);
 
-  [[nodiscard]] std::size_t lane_count() const noexcept {
-    return lanes_.size();
+  [[nodiscard]] const histogram_snapshot& histogram_value(metric_id id) const {
+    return histograms_[id];
   }
-  [[nodiscard]] metrics_lane& lane(std::size_t i) { return lanes_[i]; }
 
-  /// Fold every lane's deltas into the global totals, in lane-index order,
-  /// and clear the deltas. Barrier-only: requires the run's barrier
-  /// capability (every lane parked), like mailbox delivery.
-  void merge(const barrier_phase& barrier) VTM_REQUIRES(barrier);
-
-  [[nodiscard]] std::uint64_t counter_value(metric_id id) const {
-    return counters_[id].total;
-  }
-  [[nodiscard]] double gauge_value(metric_id id) const {
-    return gauges_[id].value;
-  }
-  [[nodiscard]] histogram_snapshot histogram_value(metric_id id) const;
-
-  /// Merged totals as one deterministic JSON object (instruments in
-  /// registration order; doubles printed round-trip exact, so two bitwise-
-  /// identical registries serialize to identical bytes).
+  /// Every histogram as one deterministic JSON object (registration order;
+  /// doubles printed round-trip exact, so two bitwise-identical registries
+  /// serialize to identical bytes).
   void write_json(std::ostream& out) const;
 
  private:
-  friend class metrics_lane;
-
-  struct counter_def {
-    std::string name;
-    std::uint64_t total = 0;
-  };
-  struct gauge_def {
-    std::string name;
-    double value = 0.0;
-    std::uint64_t writes = 0;
-  };
-  struct histogram_def {
-    std::string name;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-
-  std::vector<counter_def> counters_;
-  std::vector<gauge_def> gauges_;
-  std::vector<histogram_def> histograms_;
-  std::vector<metrics_lane> lanes_;
+  std::vector<histogram_snapshot> histograms_;
 };
 
 }  // namespace vtm::util

@@ -1,6 +1,5 @@
 #include "wireless/ofdma.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "util/contracts.hpp"
@@ -13,15 +12,8 @@ constexpr std::uint64_t index_mask = 0xffff'ffffULL;
 
 }  // namespace
 
-ofdma_pool::ofdma_pool(double capacity_mhz, double granularity_mhz)
-    : capacity_(capacity_mhz), granularity_(granularity_mhz) {
+ofdma_pool::ofdma_pool(double capacity_mhz) : capacity_(capacity_mhz) {
   VTM_EXPECTS(capacity_mhz > 0.0);
-  VTM_EXPECTS(granularity_mhz >= 0.0);
-}
-
-double ofdma_pool::rounded(double mhz) const {
-  if (granularity_ <= 0.0) return mhz;
-  return std::ceil(mhz / granularity_) * granularity_;
 }
 
 std::optional<std::uint32_t> ofdma_pool::live_index(grant_id id) const
@@ -34,9 +26,8 @@ std::optional<std::uint32_t> ofdma_pool::live_index(grant_id id) const
 
 std::optional<grant_id> ofdma_pool::allocate(double mhz) {
   VTM_EXPECTS(mhz > 0.0);
-  const double size = rounded(mhz);
   // Tolerate floating accumulation at the boundary.
-  if (size > available_mhz() + 1e-12) return std::nullopt;
+  if (mhz > available_mhz() + 1e-12) return std::nullopt;
   if (free_.empty()) {
     VTM_ASSERT(slots_.size() < std::numeric_limits<std::uint32_t>::max());
     free_.push_back(static_cast<std::uint32_t>(slots_.size()));
@@ -45,8 +36,8 @@ std::optional<grant_id> ofdma_pool::allocate(double mhz) {
   const std::uint32_t index = free_.back();
   free_.pop_back();
   slot& s = slots_[index];
-  s.mhz = size;
-  allocated_ += size;
+  s.mhz = mhz;
+  allocated_ += mhz;
   VTM_ENSURES(allocated_ <= capacity_ + 1e-9);
   return grant_id{(std::uint64_t{s.generation} << 32) | index};
 }

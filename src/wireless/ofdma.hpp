@@ -31,14 +31,12 @@ struct grant_id {
 /// Allocator over a fixed amount of orthogonal bandwidth (MHz).
 class ofdma_pool {
  public:
-  /// Pool of `capacity_mhz` (> 0) with an optional subchannel granularity:
-  /// when granularity > 0, grants are rounded *up* to whole subchannels.
-  explicit ofdma_pool(double capacity_mhz, double granularity_mhz = 0.0);
+  /// Pool of `capacity_mhz` (> 0).
+  explicit ofdma_pool(double capacity_mhz);
 
   /// Typed sibling of the raw-double constructor.
-  explicit ofdma_pool(util::megahertz capacity,
-                      util::megahertz granularity = util::megahertz{0.0})
-      : ofdma_pool(capacity.value(), granularity.value()) {}
+  explicit ofdma_pool(util::megahertz capacity)
+      : ofdma_pool(capacity.value()) {}
 
   /// Total capacity in MHz.
   [[nodiscard]] double capacity_mhz() const noexcept { return capacity_; }
@@ -65,9 +63,6 @@ class ofdma_pool {
   /// Release a live grant. Returns false for unknown ids (idempotent-safe).
   bool release(grant_id id);
 
-  /// Effective size of a request after granularity rounding.
-  [[nodiscard]] double rounded(double mhz) const;
-
  private:
   struct slot {
     double mhz = 0.0;
@@ -78,7 +73,6 @@ class ofdma_pool {
       noexcept;
 
   double capacity_;
-  double granularity_;
   double allocated_ = 0.0;
   std::vector<slot> slots_;
   std::vector<std::uint32_t> free_;  ///< Released slots, reused LIFO.

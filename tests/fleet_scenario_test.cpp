@@ -347,6 +347,32 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   rejects("link.noise_power_dbm", [&](core::fleet_config& c) {
     c.link.noise_power_dbm = vtm::util::dbm{nan};
   });
+  // A finite channel whose linear form overflows (an infinite SNR) or
+  // underflows (a noise power of 0 W).
+  rejects("link.tx_power_dbm 4000", [&](core::fleet_config& c) {
+    c.link.tx_power_dbm = vtm::util::dbm{4000.0};
+  });
+  rejects("link.noise_power_dbm -4000", [&](core::fleet_config& c) {
+    c.link.noise_power_dbm = vtm::util::dbm{-4000.0};
+  });
+  // The chain's construction contract: contiguous cells, centres strictly
+  // forward, and a spawn window that reaches a handover.
+  rejects("coverage_radius_m < spacing / 2", [&](core::fleet_config& c) {
+    c.coverage_radius_m = vtm::util::meters{100.0};
+  });
+  rejects("rsu_positions_m descending", [&](core::fleet_config& c) {
+    c.rsu_positions_m = {vtm::util::meters{2000.0}, vtm::util::meters{1000.0}};
+  });
+  rejects("spawn_max_m inf", [&](core::fleet_config& c) {
+    c.spawn_max_m = vtm::util::meters{inf};
+  });
+  rejects("spawn_min_m past the last centre", [&](core::fleet_config& c) {
+    c.spawn_min_m = vtm::util::meters{1e9};
+  });
+  // NaN is not the "< 0 means auto" sentinel.
+  rejects("spawn_min_m NaN", [&](core::fleet_config& c) {
+    c.spawn_min_m = vtm::util::meters{nan};
+  });
   const auto roster = [](core::fleet_config& c) {
     c.mode = core::market_mode::oligopoly;
     c.msps.resize(2);

@@ -1,9 +1,8 @@
 // Telemetry layer (DESIGN.md §16): metrics-registry unit behaviour, the
 // bitwise on-vs-off contract (attaching sinks must not perturb a single bit
-// of the fleet results, sharded / oligopoly / streaming alike, with a live
-// logger on the streams), metric-merge determinism across repeated
-// multi-lane runs, the metrics-vs-result cross-check, and the Chrome trace
-// export.
+// of the fleet results, sharded / oligopoly / streaming alike), the
+// histograms' reconciliation with the result and their determinism across
+// repeated multi-lane runs, and the Chrome trace export.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,9 +12,8 @@
 
 #include "core/fleet_scenario.hpp"
 #include "sim/road_graph.hpp"
-#include "util/log.hpp"
+#include "util/contracts.hpp"
 #include "util/metrics.hpp"
-#include "util/sync.hpp"
 #include "util/trace.hpp"
 
 namespace core = vtm::core;
@@ -88,43 +86,22 @@ std::string metrics_json(const util::metrics_registry& registry) {
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
   util::metrics_registry registry;
-  const auto a = registry.counter("fleet.handovers");
-  const auto b = registry.counter("fleet.handovers");
-  EXPECT_EQ(a, b);
-  const auto g1 = registry.gauge("stream.live");
-  const auto g2 = registry.gauge("stream.live");
-  EXPECT_EQ(g1, g2);
   const auto h1 = registry.histogram("market.cohort", {1.0, 4.0, 16.0});
   const auto h2 = registry.histogram("market.cohort", {1.0, 4.0, 16.0});
   EXPECT_EQ(h1, h2);
+  EXPECT_THROW((void)registry.histogram("market.cohort", {1.0, 2.0}),
+               util::contract_error);
 }
 
-TEST(MetricsRegistry, MergeFoldsLaneDeltasInLaneOrder) {
+TEST(MetricsRegistry, ObserveFillsBucketsAndTotals) {
   util::metrics_registry registry;
-  const auto hits = registry.counter("hits");
-  const auto depth = registry.gauge("depth");
   const auto sizes = registry.histogram("sizes", {1.0, 2.0, 4.0});
-  registry.bind_lanes(3);
+  EXPECT_EQ(registry.histogram_value(sizes).count, 0u);
+  registry.observe(sizes, 3.0);   // bucket (2, 4]
+  registry.observe(sizes, 1.0);   // bucket [<=1]
+  registry.observe(sizes, 99.0);  // overflow
 
-  registry.lane(0).add(hits, 2);
-  registry.lane(1).add(hits);
-  registry.lane(2).add(hits, 7);
-  // Gauge rule: the highest-indexed lane that wrote during the phase wins.
-  registry.lane(0).set(depth, 5.0);
-  registry.lane(1).set(depth, 3.0);
-  registry.lane(0).observe(sizes, 1.0);   // bucket [<=1]
-  registry.lane(1).observe(sizes, 3.0);   // bucket (2, 4]
-  registry.lane(2).observe(sizes, 99.0);  // overflow
-
-  util::barrier_phase barrier;
-  {
-    util::barrier_scope scope(barrier);
-    registry.merge(barrier);
-  }
-
-  EXPECT_EQ(registry.counter_value(hits), 10u);
-  EXPECT_EQ(registry.gauge_value(depth), 3.0);
-  const auto snap = registry.histogram_value(sizes);
+  const auto& snap = registry.histogram_value(sizes);
   EXPECT_EQ(snap.count, 3u);
   EXPECT_EQ(snap.sum, 103.0);
   EXPECT_EQ(snap.min, 1.0);
@@ -134,36 +111,22 @@ TEST(MetricsRegistry, MergeFoldsLaneDeltasInLaneOrder) {
   EXPECT_EQ(snap.buckets[1], 0u);
   EXPECT_EQ(snap.buckets[2], 1u);
   EXPECT_EQ(snap.buckets[3], 1u);
-
-  // Merge consumed the deltas: folding again must not double-count, and a
-  // non-writing phase must leave the gauge at its last merged value.
-  {
-    util::barrier_scope scope(barrier);
-    registry.merge(barrier);
-  }
-  EXPECT_EQ(registry.counter_value(hits), 10u);
-  EXPECT_EQ(registry.gauge_value(depth), 3.0);
 }
 
 TEST(MetricsRegistry, JsonSerializationIsByteStable) {
   const auto fill = [](util::metrics_registry& registry) {
-    const auto c = registry.counter("events");
-    const auto g = registry.gauge("utilization");
     const auto h = registry.histogram("grant", {1.0, 5.0});
-    registry.bind_lanes(2);
-    registry.lane(0).add(c, 3);
-    registry.lane(1).set(g, 0.375);
-    registry.lane(1).observe(h, 2.5);
-    util::barrier_phase barrier;
-    util::barrier_scope scope(barrier);
-    registry.merge(barrier);
+    registry.observe(h, 2.5);
+    registry.observe(h, 0.375);
   };
   util::metrics_registry a;
   util::metrics_registry b;
   fill(a);
   fill(b);
   EXPECT_EQ(metrics_json(a), metrics_json(b));
-  EXPECT_NE(metrics_json(a).find("\"events\": 3"), std::string::npos);
+  EXPECT_NE(metrics_json(a).find("\"grant\": {\"bounds\": [1, 5], "
+                                 "\"buckets\": [1, 1, 0], \"count\": 2"),
+            std::string::npos);
 }
 
 // --- bitwise on-vs-off -------------------------------------------------------
@@ -199,9 +162,9 @@ TEST(TelemetryBitwise, OligopolyRunIsIdenticalWithAndWithoutSinks) {
   expect_identical(bare, traced);
 }
 
-// Two inputs, each with a debug-level logger next to the trace and metrics
-// sinks: the 8-RSU chain stream, and a 4-shard λ = 40/s stream on the 4x4
-// road grid (graph-tile mailbox traffic on real threads).
+// Two inputs, each with trace and metrics sinks: the 8-RSU chain stream, and
+// a 4-shard λ = 40/s stream on the 4x4 road grid (graph-tile mailbox
+// traffic on real threads).
 TEST(TelemetryBitwise, StreamingRunIsIdenticalWithAndWithoutSinks) {
   auto grid = stream_config();
   grid.base.graph = std::make_shared<const vtm::sim::road_graph>(
@@ -216,12 +179,9 @@ TEST(TelemetryBitwise, StreamingRunIsIdenticalWithAndWithoutSinks) {
 
     util::metrics_registry registry;
     util::trace_session session;
-    std::ostringstream log_lines;
     auto instrumented = config;
     instrumented.base.telemetry.metrics = &registry;
     instrumented.base.telemetry.trace = &session;
-    instrumented.base.log = util::logger::to_stream(log_lines, "fleet",
-                                                    util::log_level::debug);
     const auto traced = core::run_streaming_fleet(instrumented);
 
     EXPECT_EQ(bare.arrivals, traced.arrivals);
@@ -231,64 +191,63 @@ TEST(TelemetryBitwise, StreamingRunIsIdenticalWithAndWithoutSinks) {
     EXPECT_EQ(bare.flushes.size(), traced.flushes.size());
     expect_identical(bare.totals, traced.totals);
     EXPECT_GT(traced.totals.cross_shard_transfers, 0u);
-    EXPECT_NE(log_lines.str().find("debug [fleet] window advance"),
-              std::string::npos);
   }
 }
 
-// --- metric determinism and the result cross-check ---------------------------
+// --- the histograms against the result ---------------------------------------
 
-TEST(TelemetryDeterminism, MergedMetricsAreByteIdenticalAcrossRuns) {
+// The coordinator fills both histograms from the flush's finish-time-ordered
+// completion ledger, so each is one observation per completed migration and
+// reconciles with the result: counts with `completed`, the cohort maximum
+// with `max_cohort`, and the granted-bandwidth sum with the ordered sum over
+// the records. Two runs serialize to identical bytes, however the OS
+// interleaved the four shard lanes.
+TEST(TelemetryDeterminism, HistogramsReconcileWithTheResult) {
   if (!util::telemetry_compiled())
     GTEST_SKIP() << "built with -DVTM_TELEMETRY=OFF";
-  const auto run_once = [](util::metrics_registry& registry) {
-    util::trace_session session;
+  // A fresh registry holds the engine's two histograms in registration
+  // order.
+  const auto expect_reconciled = [](const util::metrics_registry& registry,
+                                    const core::fleet_result& result) {
+    const auto& cohort = registry.histogram_value(0);
+    const auto& grant = registry.histogram_value(1);
+    ASSERT_EQ(cohort.name, "market.cohort");
+    ASSERT_EQ(grant.name, "market.grant_mhz");
+    ASSERT_GT(result.completed, 0u);
+    EXPECT_EQ(cohort.count, result.completed);
+    EXPECT_EQ(grant.count, result.completed);
+    EXPECT_EQ(cohort.max, static_cast<double>(result.max_cohort));
+    ASSERT_EQ(result.migrations.size(), result.completed);
+    double granted_mhz = 0.0;
+    for (const auto& record : result.migrations)
+      granted_mhz += record.bandwidth_mhz;
+    EXPECT_EQ(grant.sum, granted_mhz);
+  };
+
+  const auto closed_run = [](util::metrics_registry& registry) {
     auto config = sharded_config();
     config.telemetry.metrics = &registry;
-    config.telemetry.trace = &session;
     return core::run_fleet_scenario(config);
   };
-  util::metrics_registry first;
-  util::metrics_registry second;
-  (void)run_once(first);
-  (void)run_once(second);
-  // The OS may interleave the four shard lanes differently on each run;
-  // the lane-order fold at the barriers must erase that.
-  EXPECT_EQ(metrics_json(first), metrics_json(second));
-}
+  util::metrics_registry closed;
+  util::metrics_registry closed_again;
+  const auto closed_result = closed_run(closed);
+  (void)closed_run(closed_again);
+  expect_reconciled(closed, closed_result);
+  EXPECT_EQ(metrics_json(closed), metrics_json(closed_again));
 
-TEST(TelemetryDeterminism, CountersCrossCheckAgainstTheResult) {
-  if (!util::telemetry_compiled())
-    GTEST_SKIP() << "built with -DVTM_TELEMETRY=OFF";
-  util::metrics_registry registry;
-  auto config = sharded_config();
-  config.telemetry.metrics = &registry;
-  const auto result = core::run_fleet_scenario(config);
-
-  EXPECT_EQ(registry.counter_value(registry.counter("fleet.handovers")),
-            result.handovers);
-  EXPECT_EQ(registry.counter_value(registry.counter("fleet.clearings")),
-            result.clearings);
-  EXPECT_EQ(registry.counter_value(registry.counter("mailbox.late")),
-            result.late_handoffs);
-  EXPECT_GT(result.handovers, 0u);
-}
-
-TEST(TelemetryDeterminism, StreamCountersCrossCheckAgainstTheResult) {
-  if (!util::telemetry_compiled())
-    GTEST_SKIP() << "built with -DVTM_TELEMETRY=OFF";
-  util::metrics_registry registry;
-  auto config = stream_config();
-  config.base.telemetry.metrics = &registry;
-  const auto result = core::run_streaming_fleet(config);
-
-  EXPECT_EQ(registry.counter_value(registry.counter("stream.arrivals")),
-            result.arrivals);
-  EXPECT_EQ(registry.counter_value(registry.counter("stream.retired")),
-            result.retired);
-  EXPECT_EQ(registry.gauge_value(registry.gauge("stream.slot_high_water")),
-            static_cast<double>(result.slot_high_water));
-  EXPECT_GT(result.arrivals, 0u);
+  const auto stream_run = [](util::metrics_registry& registry) {
+    auto config = stream_config();
+    config.base.telemetry.metrics = &registry;
+    return core::run_streaming_fleet(config);
+  };
+  util::metrics_registry stream;
+  util::metrics_registry stream_again;
+  const auto stream_result = stream_run(stream);
+  (void)stream_run(stream_again);
+  EXPECT_GT(stream_result.flushes.size(), 1u);
+  expect_reconciled(stream, stream_result.totals);
+  EXPECT_EQ(metrics_json(stream), metrics_json(stream_again));
 }
 
 // --- trace export ------------------------------------------------------------

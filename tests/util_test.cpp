@@ -6,7 +6,6 @@
 
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -370,26 +369,4 @@ TEST(chart, handles_empty_and_constant) {
   vu::ascii_chart flat(20, 4);
   flat.add_series({"c", {2.0, 2.0, 2.0}, '*'});
   EXPECT_FALSE(flat.render().empty());
-}
-
-// ---- log ---------------------------------------------------------------------
-
-TEST(log, default_logger_discards) {
-  const vu::logger quiet;
-  EXPECT_FALSE(quiet.enabled(vu::log_level::error));
-  EXPECT_NO_THROW(quiet.error("nobody hears this"));
-}
-
-TEST(log, stream_logger_formats_and_filters) {
-  std::ostringstream out;
-  const auto log =
-      vu::logger::to_stream(out, "market", vu::log_level::info);
-  log.debug("hidden");
-  log.info("visible");
-  EXPECT_EQ(out.str(), "info [market] visible\n");
-}
-
-TEST(log, level_names) {
-  EXPECT_STREQ(vu::to_string(vu::log_level::debug), "debug");
-  EXPECT_STREQ(vu::to_string(vu::log_level::off), "off");
 }

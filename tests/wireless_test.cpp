@@ -145,15 +145,6 @@ TEST(ofdma, stale_id_misses_the_grant_reusing_its_slot) {
   EXPECT_EQ(pool.active_grants(), 0u);
 }
 
-TEST(ofdma, granularity_rounds_up) {
-  w::ofdma_pool pool(10.0, 0.5);
-  EXPECT_DOUBLE_EQ(pool.rounded(1.2), 1.5);
-  EXPECT_DOUBLE_EQ(pool.rounded(1.5), 1.5);
-  const auto grant = pool.allocate(1.2);
-  ASSERT_TRUE(grant);
-  EXPECT_DOUBLE_EQ(pool.grant_mhz(*grant).value(), 1.5);
-}
-
 TEST(ofdma, rejects_invalid_construction_and_requests) {
   EXPECT_THROW((void)w::ofdma_pool(0.0), vtm::util::contract_error);
   w::ofdma_pool pool(10.0);

@@ -13,7 +13,7 @@ struct fleet_config {
   util::megabytes page_mb{0.25};  // never validated: flagged
   double unit_cost = 5.0;
   std::size_t vehicle_count = 100;
-  util::logger log;
+  bool record_migrations = true;
 };
 
 void validate_fleet_config(const fleet_config& config) {

@@ -1,8 +1,9 @@
 // Lint fixture: MUST trip exactly `raw-io`.
 //
-// Library code writing straight to the console bypasses util::logger, so
-// embedders cannot silence or redirect it. std::snprintf into a buffer is
-// formatting, not I/O, and must NOT be flagged.
+// Library code writing straight to the console takes the process's output
+// away from the embedder, who can neither silence nor redirect it; src/
+// reports through returned results and caller-attached sinks. std::snprintf
+// into a buffer is formatting, not I/O, and must NOT be flagged.
 #include <cstdio>
 #include <iostream>
 

@@ -47,10 +47,9 @@ sanitizers) cannot express:
 
   raw-io
       No direct console output (`std::cout`/`std::cerr`/`std::clog`, the
-      printf family, `puts`/`putchar`) inside `src/` — library code reports
-      through `util::logger` (caller-supplied sink) or returned results, so
-      embedders and the bench own every byte the process prints. The logger's
-      own stream sink (`src/util/log.cpp`) is the one allowed exception;
+      printf family, `puts`/`putchar`) anywhere in `src/` — library code
+      reports through returned results and the caller-attached telemetry
+      sinks, so embedders and the bench own every byte the process prints.
       `std::snprintf` into a buffer is formatting, not I/O, and is not
       flagged. Benches, examples, tests, and tools keep their stdout.
 
@@ -88,8 +87,6 @@ SCAN_DIRS = ("src", "bench", "examples", "tests", "tools")
 EXTENSIONS = {".hpp", ".cpp", ".h", ".cc"}
 # The RNG facade is the one place the standard engines may appear.
 RAW_RANDOM_ALLOWED = {"src/util/rng.hpp", "src/util/rng.cpp"}
-# The logger's stream sink is the one library file that may write a stream.
-RAW_IO_ALLOWED = {"src/util/log.cpp"}
 
 ALLOW_RE = re.compile(r"vtm-lint:\s*allow\(([a-z-]+)\)")
 
@@ -240,7 +237,7 @@ RAW_IO_RE = re.compile(
 
 def check_raw_io(path: Path, rel: str, raw: list[str],
                  clean: list[str]) -> list[Finding]:
-    library = rel.startswith("src/") and rel not in RAW_IO_ALLOWED
+    library = rel.startswith("src/")
     fixture = "lint_fixtures" in rel
     if not (library or fixture):
         return []
@@ -251,8 +248,8 @@ def check_raw_io(path: Path, rel: str, raw: list[str],
             findings.append(Finding(
                 path, i + 1, "raw-io",
                 f"`{m.group(1).strip().rstrip('(').strip()}` in library code "
-                "— src/ reports through util::logger (caller-supplied sink) "
-                "or returned results, never a raw stream"))
+                "— src/ reports through returned results or the "
+                "caller-attached telemetry sinks, never a raw stream"))
     return findings
 
 
