@@ -36,8 +36,8 @@
 namespace vtm::core {
 
 /// One competing MSP of a fleet-scale oligopoly: its economics plus the
-/// placement of its RSU chain relative to the primary (geometry-defining)
-/// chain. Offsets model independently-deployed infrastructure along the same
+/// placement of its RSU chain relative to the road's RSUs along its one
+/// route. Offsets model independently-deployed infrastructure along the same
 /// highway: a shifted chain resolves its own serving RSU per location, so
 /// neighbouring clearing books can contend for one of this MSP's pools.
 struct fleet_msp {

@@ -104,20 +104,23 @@ struct fleet_config {
   util::mps max_speed_mps{35.0};
   util::seconds duration_s{120.0};  ///< Handover-admission horizon.
 
-  /// Spawn span along the highway; < 0 means "auto" (spread across the whole
-  /// chain so every RSU sees load), so an explicit window may start at 0 m.
-  /// When both bounds are explicit, spawn_max_m >= spawn_min_m is required.
+  /// Spawn span along each route; < 0 means "auto", so an explicit window
+  /// may start at 0 m. An auto bound spreads the fleet over the whole road
+  /// so every RSU sees load: a chain spawns over [s/2, (n − ½)·s] (explicit
+  /// centres: half the first gap before the first centre to half the last
+  /// gap before the last), a graph route over [0, route length]. An explicit
+  /// ceiling is finite and clamped to its route's length (a chain's route
+  /// ends at its last centre); an explicit floor must lie before every
+  /// route's end, and the window must not be empty.
   util::meters spawn_min_m{-1.0};
   util::meters spawn_max_m{-1.0};
 
   /// Road-network topology (sim/road_graph.hpp). When set it replaces the
-  /// 1-D chain: the RSUs are the graph's sites, vehicles route over
-  /// entry->exit paths, and pools price graph distance (`upstream_gap_m`) —
-  /// the chain geometry fields above are ignored. A degenerate single-path
-  /// graph (`road_graph::as_chain()`) collapses back onto the chain
-  /// config bitwise. Oligopoly mode stays chain-only. An explicit spawn
-  /// window must intersect every route (spawn_min_m < the shortest route
-  /// length), else it spans zero edges on some route and is rejected.
+  /// chain fields above: the RSUs are the graph's sites, vehicles route over
+  /// entry->exit paths, and pools price graph distance (`upstream_gap_m`).
+  /// When null the engine lowers the chain fields to their path graph
+  /// (`road_graph::path`), so every run has one geometry. Oligopoly mode
+  /// needs one route through every site, as a chain has.
   std::shared_ptr<const sim::road_graph> graph;
 
   // Economics (paper ranges; α enters ×100 per the unit calibration).
@@ -128,7 +131,8 @@ struct fleet_config {
   util::megahertz bandwidth_per_pool_mhz{50.0};  ///< Per-OFDMA-pool capacity.
   double unit_cost = 5.0;
   double price_cap = 50.0;
-  wireless::link_params link{};  ///< d is overridden by the RSU spacing.
+  wireless::link_params link{};  ///< d is overridden by each pool's
+                                 ///< upstream gap.
 
   // Spot-market clearing.
   market_mode mode = market_mode::joint;
@@ -139,7 +143,7 @@ struct fleet_config {
   /// The competing sellers: at least two in oligopoly mode (one seller is
   /// the monopoly, which joint mode prices with the economics above), empty
   /// in joint mode. Each MSP owns a chain of pools shifted `chain_offset_m`
-  /// from the primary chain.
+  /// along the road's one route.
   std::vector<fleet_msp> msps;
   double share_sharpness = 0.25;  ///< λ of the softmin split (finite, > 0).
 
@@ -168,7 +172,7 @@ struct fleet_config {
   /// Contiguous RSU shards a single run is partitioned into. Each shard owns
   /// its RSUs' pools, spot-market books, and its own event queue; shards run
   /// on `util::thread_pool` workers and exchange boundary handoffs at
-  /// conservative window barriers, the window derived from the chain's
+  /// conservative window barriers, the window derived from the graph's
   /// minimum boundary travel time at `max_speed_mps`. 1 = the serial engine
   /// (bitwise identical to the pre-shard code); requires shard_count <= RSU
   /// count.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -12,74 +11,87 @@
 #include "sim/road_graph.hpp"
 #include "util/contracts.hpp"
 #include "util/units.hpp"
+#include "wireless/link.hpp"
 
 namespace vtm::core {
 
 namespace {
 
-/// Build the RSU chain: explicit (possibly non-uniform) centres when given,
-/// the uniform layout otherwise. In graph mode the chain only sizes
-/// the global RSU index space — per-route geometry lives in the route
-/// profiles and pool links come from `upstream_gap_m` — so its centres are
-/// never read (spacing 2·radius keeps the ctor's contiguity contract).
-sim::rsu_chain make_chain(const fleet_config& config) {
-  if (config.graph)
-    return sim::rsu_chain(config.graph->rsu_count(),
-                          2.0 * config.graph->coverage_radius_m(),
-                          config.graph->coverage_radius_m());
-  if (!config.rsu_positions_m.empty())
-    return sim::rsu_chain(config.rsu_positions_m, config.coverage_radius_m);
-  return sim::rsu_chain(config.rsu_count, config.rsu_spacing_m,
-                        config.coverage_radius_m);
-}
-
-/// Validate, then collapse a degenerate single-path graph back onto the
-/// chain fields (`road_graph::as_chain()`), so it runs as a chain run —
-/// bitwise-golden against the pre-graph engine. Real networks keep `graph`
-/// set, which selects graph mode everywhere downstream
-/// (`config.graph != nullptr` is the single mode switch).
-fleet_config normalized(fleet_config config) {
-  validate_fleet_config(config);
-  if (!config.graph) return config;
-  if (const auto view = config.graph->as_chain()) {
-    if (view->uniform) {
-      config.rsu_count = view->count;
-      config.rsu_spacing_m = view->spacing_m;
-      config.rsu_positions_m.clear();
-    } else {
-      config.rsu_positions_m = view->centers_m;
-    }
-    config.coverage_radius_m = view->coverage_radius_m;
-    config.graph.reset();
-  }
+/// Lower a validated chain config to its path graph, so the engine runs one
+/// geometry: a uniform chain becomes `road_graph::path(n, s, r)`, explicit
+/// centres the path with one edge per gap. A graph config is returned as
+/// given.
+fleet_config lowered(fleet_config config) {
+  if (config.graph) return config;
+  config.graph = std::make_shared<const sim::road_graph>(
+      config.rsu_positions_m.empty()
+          ? sim::road_graph::path(config.rsu_count,
+                                  config.rsu_spacing_m.value(),
+                                  config.coverage_radius_m.value())
+          : sim::road_graph::path(config.rsu_positions_m,
+                                  config.coverage_radius_m));
   return config;
 }
 
-/// Conservative window for the chain: a vehicle entering a shard's first
-/// cell must traverse at least the narrowest inter-boundary cell before it
-/// can cross into the next shard, so half that travel time leaves margin for
-/// crossings announced late (a migration resolving near the boundary). The
-/// window snaps down to a clearing-epoch multiple so epoch-grid clearings —
-/// and the requests they re-home across shards — land exactly on barriers.
-/// Graph mode bounds the same quantity over every route: the narrowest
-/// inter-boundary gap at the worst-case speed (max base speed × max edge
-/// factor).
-double auto_window_s(const fleet_config& config,
-                     const sim::rsu_chain& chain) {
-  double min_cell_m = std::numeric_limits<double>::infinity();
-  double top_speed = config.max_speed_mps.value();
+/// The spawn span of every route (the rule `fleet_config::spawn_min_m`
+/// documents), read from the config as given: the chain fields (one route)
+/// or the user's graph. Fails its contract on a floor at or past a route's
+/// end or an empty window; NaN bounds are the validator's to reject. The
+/// validator and the coordinator both call it, so a validated config spawns.
+std::vector<spawn_span> resolve_spawn_spans(const fleet_config& config) {
+  const bool fixed_lo = config.spawn_min_m >= util::meters{0.0};
+  const bool fixed_hi = config.spawn_max_m >= util::meters{0.0};
+  const auto resolve = [&](spawn_span automatic, double length_m) {
+    spawn_span span;
+    span.lo_m = fixed_lo ? config.spawn_min_m.value() : automatic.lo_m;
+    if (fixed_lo) VTM_EXPECTS(span.lo_m < length_m);
+    span.hi_m = fixed_hi ? std::min(config.spawn_max_m.value(), length_m)
+                         : std::max(span.lo_m, automatic.hi_m);
+    VTM_EXPECTS(span.hi_m >= span.lo_m);
+    return span;
+  };
+  std::vector<spawn_span> spans;
   if (config.graph) {
-    min_cell_m = config.graph->min_boundary_gap_m();
-    top_speed =
-        config.max_speed_mps.value() * config.graph->max_speed_factor();
+    const auto& graph = *config.graph;
+    spans.reserve(graph.route_count());
+    for (std::size_t r = 0; r < graph.route_count(); ++r) {
+      const double length = graph.route(r).length_m;
+      spans.push_back(resolve({0.0, length}, length));
+    }
+  } else if (config.rsu_positions_m.empty()) {
+    const double spacing = config.rsu_spacing_m.value();
+    const auto n = static_cast<double>(config.rsu_count);
+    spans.push_back(resolve({0.5 * spacing, (n - 0.5) * spacing},
+                            spacing * n));
   } else {
-    for (std::size_t i = 0; i + 2 < chain.count(); ++i)
-      min_cell_m = std::min(min_cell_m, chain.handover_position_m(i + 1) -
-                                            chain.handover_position_m(i));
+    const auto& c = config.rsu_positions_m;
+    const double first = c.front().value();
+    const double last = c.back().value();
+    const double first_gap = c.size() > 1
+                                 ? c[1].value() - first
+                                 : 2.0 * config.coverage_radius_m.value();
+    const double last_gap = c.size() > 1 ? last - c[c.size() - 2].value()
+                                         : 0.0;
+    spans.push_back(
+        resolve({first - 0.5 * first_gap, last - 0.5 * last_gap}, last));
   }
+  return spans;
+}
+
+/// Conservative window: a vehicle entering a shard's first cell must
+/// traverse at least the narrowest inter-boundary cell before it can cross
+/// into the next shard, so half that travel time at the worst-case speed
+/// (max base speed × max edge factor) leaves margin for crossings announced
+/// late (a migration resolving near the boundary). The window snaps down to
+/// a clearing-epoch multiple so epoch-grid clearings — and the requests they
+/// re-home across shards — land exactly on barriers.
+double auto_window_s(const fleet_config& config) {
+  const auto& graph = *config.graph;
+  const double min_cell_m = graph.min_boundary_gap_m();
   if (!std::isfinite(min_cell_m))
     return config.duration_s.value();  // <= 1 boundary
-  double window = 0.5 * min_cell_m / top_speed;
+  double window = 0.5 * min_cell_m /
+                  (config.max_speed_mps.value() * graph.max_speed_factor());
   const double epoch_s = config.clearing_epoch_s.value();
   if (epoch_s > 0.0)
     window = epoch_s * std::max(1.0, std::floor(window / epoch_s));
@@ -155,8 +167,6 @@ double epoch_grid_snap(double now_s, double epoch_s) {
 }
 
 void validate_fleet_config(const fleet_config& config) {
-  VTM_EXPECTS(config.graph != nullptr || config.rsu_count >= 1 ||
-              !config.rsu_positions_m.empty());
   VTM_EXPECTS(config.vehicle_count >= 1);
   // Every bound, capacity, price and migration or channel parameter below
   // must be finite: an infinite α, speed or pool passes the ordering checks
@@ -215,65 +225,83 @@ void validate_fleet_config(const fleet_config& config) {
               config.link.path_loss_exponent >= 0.0);
   const double noise_w = util::to_watts(config.link.noise_power_dbm).value();
   VTM_EXPECTS(std::isfinite(noise_w) && noise_w > 0.0);
+  // Geometry, read from the config as given: the chain fields or the
+  // user's graph. `shortest_link_m` is the shortest link a pool prices (the
+  // smallest upstream gap) and `longest_hop_m` the longest hop a drifted
+  // request can take (the widest first-to-last site span over the routes).
+  std::size_t rsu_count = 0;
+  double shortest_link_m = std::numeric_limits<double>::infinity();
+  double longest_hop_m = 0.0;
+  if (config.graph) {
+    // The RSUs are the graph's sites, so explicit chain centres would be
+    // dead config.
+    const auto& graph = *config.graph;
+    VTM_EXPECTS(config.rsu_positions_m.empty());
+    rsu_count = graph.rsu_count();
+    for (std::size_t s = 0; s < rsu_count; ++s)
+      shortest_link_m = std::min(shortest_link_m, graph.upstream_gap_m(s));
+    for (std::size_t r = 0; r < graph.route_count(); ++r) {
+      const auto& sites = graph.route(r).site_pos_m;
+      longest_hop_m = std::max(longest_hop_m, sites.back() - sites.front());
+    }
+    // The sellers' offset chains shift the road's one route, so oligopoly
+    // needs a single route through every site, as a chain has.
+    if (config.mode == market_mode::oligopoly)
+      VTM_EXPECTS(graph.route_count() == 1 &&
+                  graph.route(0).sites.size() == rsu_count);
+  } else if (config.rsu_positions_m.empty()) {
+    // The chain's own construction contract (`sim::rsu_chain`), which the
+    // path graph's route profile inherits: cells cover the road without
+    // gaps. A radius below that would be silently inflated per route.
+    VTM_EXPECTS(config.rsu_count >= 1);
+    VTM_EXPECTS(config.coverage_radius_m.value() >=
+                config.rsu_spacing_m.value() / 2.0);
+    rsu_count = config.rsu_count;
+    shortest_link_m = config.rsu_spacing_m.value();
+    longest_hop_m = config.rsu_spacing_m.value() *
+                    static_cast<double>(rsu_count - 1);
+  } else {
+    // Explicit centres run strictly forward from a positive first centre
+    // (the path graph's first edge runs from 0 m to it), and cells cover
+    // the road without gaps.
+    const auto& centres = config.rsu_positions_m;
+    rsu_count = centres.size();
+    VTM_EXPECTS(std::isfinite(centres.front().value()) &&
+                centres.front().value() > 0.0);
+    double widest_gap_m = 0.0;
+    for (std::size_t i = 1; i < rsu_count; ++i) {
+      const double gap = centres[i].value() - centres[i - 1].value();
+      VTM_EXPECTS(std::isfinite(centres[i].value()) && gap > 0.0);
+      widest_gap_m = std::max(widest_gap_m, gap);
+      shortest_link_m = std::min(shortest_link_m, gap);
+    }
+    VTM_EXPECTS(config.coverage_radius_m.value() >= widest_gap_m / 2.0);
+    longest_hop_m = centres.back().value() - centres.front().value();
+  }
+  // The channel at the extremes of the geometry: the SNR falls with
+  // distance, so a finite, positive spectral efficiency at both ends holds
+  // on every link the run migrates over. A product that overflows (AoTM 0)
+  // or rounds log2(1 + SNR) to 0 would otherwise fail mid-run. A road with
+  // one RSU never migrates.
+  if (rsu_count > 1) {
+    for (const double distance_m :
+         {shortest_link_m, std::max(shortest_link_m, longest_hop_m)}) {
+      wireless::link_params link = config.link;
+      link.distance_m = util::meters{distance_m};
+      const double efficiency =
+          wireless::link_budget(link).spectral_efficiency();
+      VTM_EXPECTS(std::isfinite(efficiency) && efficiency > 0.0);
+    }
+  }
   // A NaN spawn bound would silently read as the "< 0 means auto"
-  // sentinel. Both bounds explicit (>= 0) must form a window; mixed
-  // explicit/auto is resolved at spawn time.
+  // sentinel, and an explicit ceiling is a finite distance. The window
+  // itself is checked against every route by the one spawn resolver the
+  // coordinator also calls.
   VTM_EXPECTS(!std::isnan(config.spawn_min_m.value()) &&
               !std::isnan(config.spawn_max_m.value()));
-  if (config.spawn_min_m >= util::meters{0.0} &&
-      config.spawn_max_m >= util::meters{0.0})
-    VTM_EXPECTS(config.spawn_max_m >= config.spawn_min_m);
-  const std::size_t rsu_count =
-      config.graph ? config.graph->rsu_count()
-                   : (config.rsu_positions_m.empty()
-                          ? config.rsu_count
-                          : config.rsu_positions_m.size());
-  if (!config.graph) {
-    // The chain's own construction contract (`sim::rsu_chain`): cells cover
-    // the road without gaps, and explicit centres run strictly forward.
-    double last_centre_m = 0.0;
-    if (config.rsu_positions_m.empty()) {
-      VTM_EXPECTS(config.coverage_radius_m.value() >=
-                  config.rsu_spacing_m.value() / 2.0);
-      last_centre_m = config.rsu_spacing_m.value() *
-                      static_cast<double>(config.rsu_count);
-    } else {
-      double widest_gap_m = 0.0;
-      for (std::size_t i = 0; i < config.rsu_positions_m.size(); ++i) {
-        const double centre = config.rsu_positions_m[i].value();
-        VTM_EXPECTS(std::isfinite(centre));
-        if (i > 0) {
-          const double gap = centre - config.rsu_positions_m[i - 1].value();
-          VTM_EXPECTS(gap > 0.0);
-          widest_gap_m = std::max(widest_gap_m, gap);
-        }
-      }
-      VTM_EXPECTS(config.coverage_radius_m.value() >= widest_gap_m / 2.0);
-      last_centre_m = config.rsu_positions_m.back().value();
-    }
-    // An explicit spawn window is finite, and its floor lies before the
-    // last centre: a vehicle spawned past it never hands over (the graph's
-    // shortest-route rule below, on the chain).
-    if (config.spawn_min_m >= util::meters{0.0})
-      VTM_EXPECTS(std::isfinite(config.spawn_min_m.value()) &&
-                  config.spawn_min_m.value() < last_centre_m);
-    if (config.spawn_max_m >= util::meters{0.0})
-      VTM_EXPECTS(std::isfinite(config.spawn_max_m.value()));
-  } else {
-    // Graph topology: the RSUs are the graph's sites, so explicit chain
-    // centres would be dead config, and the oligopoly roster's offset
-    // chains have no graph analogue yet.
-    VTM_EXPECTS(config.rsu_positions_m.empty());
-    VTM_EXPECTS(config.mode != market_mode::oligopoly);
-    // An explicit spawn floor at/after the shortest route's end would leave
-    // a spawn window spanning zero graph edges on that route — the `< 0`
-    // auto sentinel only guards the chain path, so graph configs must be
-    // rejected here (tools/vtm_lint.py gates run_* entry points on calling
-    // a validate helper for exactly this class of hole).
-    if (config.spawn_min_m >= util::meters{0.0})
-      VTM_EXPECTS(config.spawn_min_m.value() <
-                  config.graph->min_route_length_m());
-  }
+  if (config.spawn_max_m >= util::meters{0.0})
+    VTM_EXPECTS(std::isfinite(config.spawn_max_m.value()));
+  (void)resolve_spawn_spans(config);
   VTM_EXPECTS(config.shard_count >= 1);
   VTM_EXPECTS(config.shard_count <= rsu_count);
 
@@ -316,8 +344,7 @@ void validate_streaming_config(const streaming_config& config) {
 // ---- shard_engine -----------------------------------------------------------
 
 shard_engine::shard_engine(const fleet_config& config,
-                           const sim::rsu_chain& chain,
-                           std::span<const sim::rsu_chain> msp_chains,
+                           std::span<const std::size_t> candidates,
                            std::size_t index, std::size_t rsu_lo,
                            std::size_t rsu_count,
                            std::span<const std::uint32_t> rsu_shard,
@@ -325,7 +352,6 @@ shard_engine::shard_engine(const fleet_config& config,
                            sim::shard_mailbox<shard_message>& mailbox,
                            util::trace_lane* trace)
     : config_(config),
-      chain_(chain),
       graph_(config.graph.get()),
       index_(index),
       rsu_lo_(rsu_lo),
@@ -333,11 +359,11 @@ shard_engine::shard_engine(const fleet_config& config,
       vehicles_(vehicles),
       mailbox_(mailbox),
       epoch_s_(config.clearing_epoch_s.value()),
-      msp_chains_(msp_chains),
       trace_(trace) {
+  VTM_EXPECTS(graph_ != nullptr);
   VTM_EXPECTS(rsu_count >= 1);
-  VTM_EXPECTS(rsu_lo + rsu_count <= chain.count());
-  VTM_EXPECTS(msp_chains_.size() == config.msps.size());
+  VTM_EXPECTS(rsu_lo + rsu_count <= graph_->rsu_count());
+  VTM_EXPECTS(candidates.size() == rsu_count * config.msps.size());
 
   if (oligopoly()) {
     // One pool per (MSP, local RSU) plus one competitive book per cell; the
@@ -364,19 +390,18 @@ shard_engine::shard_engine(const fleet_config& config,
     pool_links_.reserve(rsu_count);
     budgets_.reserve(rsu_count);
     for (std::size_t p = 0; p < rsu_count; ++p) {
-      const std::size_t rsu = rsu_lo + p;
-      const wireless::link_params link = link_for(pool_link_distance_m(rsu));
+      const wireless::link_params link =
+          link_for(graph_->upstream_gap_m(rsu_lo + p));
       pool_links_.push_back(link);
       budgets_.emplace_back(link);
       book_config.link = link;
       comarkets_.emplace_back(book_config);
-      std::vector<std::size_t> cell_candidates =
-          msp_chains_.candidates(chain_.center_m(rsu));
-      for (std::size_t& serving : cell_candidates) {
+      auto& slots = candidates_.emplace_back();
+      for (const std::size_t serving :
+           candidates.subspan(p * msps.size(), msps.size())) {
         VTM_ASSERT(serving >= rsu_lo_ && serving < rsu_lo_ + rsu_count);
-        serving -= rsu_lo_;
+        slots.push_back(serving - rsu_lo_);
       }
-      candidates_.push_back(std::move(cell_candidates));
     }
     clearing_scheduled_.assign(rsu_count, false);
     return;
@@ -388,7 +413,7 @@ shard_engine::shard_engine(const fleet_config& config,
   market_config.min_clearable_mhz = config.min_clearable_mhz;
   market_config.pool_capacity_mhz = config.bandwidth_per_pool_mhz;
   // Copied into every pool's book below (one learned pricer serves the
-  // whole chain; null selects the analytic oracle per book).
+  // whole road; null selects the analytic oracle per book).
   market_config.pricer = config.pricer;
   market_config.trace = trace_;
 
@@ -398,7 +423,7 @@ shard_engine::shard_engine(const fleet_config& config,
   budgets_.reserve(rsu_count);
   for (std::size_t p = 0; p < rsu_count; ++p) {
     const wireless::link_params link =
-        link_for(pool_link_distance_m(rsu_lo + p));
+        link_for(graph_->upstream_gap_m(rsu_lo + p));
     pool_links_.push_back(link);
     budgets_.emplace_back(link);
     market_config.link = link;
@@ -438,23 +463,6 @@ wireless::link_params shard_engine::link_for(double distance_m) const {
   wireless::link_params link = config_.link;
   link.distance_m = util::meters{distance_m};
   return link;
-}
-
-/// Migration-link distance of the pool serving global RSU `rsu`: the actual
-/// gap to the destination RSU's upstream neighbour (forward traffic hands
-/// over from RSU r-1 to RSU r). RSU 0 receives no forward handovers, so its
-/// pool uses the downstream gap. Uniform chains return the configured spacing
-/// directly — on a uniform chain every gap *is* the spacing, and the
-/// centre-difference arithmetic would drift from it by ulps for non-dyadic
-/// values, breaking bitwise reproduction of the pre-heterogeneity engine.
-double shard_engine::pool_link_distance_m(std::size_t rsu) const {
-  // Graph mode: the pool prices its site's upstream gap along the traffic
-  // flow through the road network.
-  if (graph_) return graph_->upstream_gap_m(rsu);
-  if (chain_.count() < 2 || config_.rsu_positions_m.empty())
-    return chain_.spacing_m();
-  return rsu > 0 ? chain_.link_distance_m(rsu - 1, rsu)
-                 : chain_.link_distance_m(0, 1);
 }
 
 /// Bring a vehicle's kinematics forward to the current simulation time.
@@ -501,7 +509,7 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
   // Both decline branches leave the vehicle with no scheduled event, no
   // booked request, and no in-flight migration — nothing will ever touch
   // this twin again, so streaming runs may retire it at the next flush.
-  if (!next) {  // cruising past the end of the chain/route
+  if (!next) {  // cruising past the end of its route
     slot.exited = true;
     return;
   }
@@ -746,31 +754,23 @@ void shard_engine::launch_migration(std::uint32_t flight,
   precopy.dirty_rate_mb_s = config_.dirty_rate_mb_s;
   precopy.stop_copy_threshold_mb = config_.stop_copy_threshold_mb;
 
-  // The pool budget prices the upstream-adjacent gap, which is the link a
-  // forward handover actually migrates over. A request that drifted while
-  // deferred can arrive from further back (from + 1 != to): its twin moves
-  // over the true (from, to) distance, so the transfer rate and closed-form
-  // AoTM are rebuilt over that gap. The *price* stays the posted cohort
-  // price — the market clears one link per cell.
+  // The pool budget prices the destination's upstream gap, which is the
+  // link a forward handover actually migrates over. A request that drifted
+  // while deferred can arrive from further back: its twin moves over the
+  // true graph distance from its host's site, so a hop that differs from
+  // the pool's link rebuilds the transfer rate and closed-form AoTM over it.
+  // Same-site re-homes keep the pool budget. The *price* stays the posted
+  // cohort price — the market clears one link per cell.
   const wireless::link_budget* budget = &budgets_[pidx];
   std::optional<wireless::link_budget> actual;
-  if (graph_) {
-    // Graph mode prices the destination's upstream gap; a hop whose true
-    // graph distance (from's site to to's site along the network) differs
-    // rebuilds over it. Same-site re-homes keep the pool budget.
-    if (request.to_rsu != request.from_rsu) {
-      const double gap = graph_->site_distance_m(request.from_rsu,
-                                                 request.to_rsu);
-      if (gap != pool_link_distance_m(request.to_rsu)) {
-        VTM_ASSERT(std::isfinite(gap));
-        actual.emplace(link_for(gap));
-        budget = &*actual;
-      }
+  if (request.to_rsu != request.from_rsu) {
+    const double gap =
+        graph_->site_distance_m(request.from_rsu, request.to_rsu);
+    if (gap != pool_links_[pidx].distance_m.value()) {
+      VTM_ASSERT(std::isfinite(gap));
+      actual.emplace(link_for(gap));
+      budget = &*actual;
     }
-  } else if (request.to_rsu != request.from_rsu + 1) {
-    actual.emplace(link_for(
-        chain_.link_distance_m(request.from_rsu, request.to_rsu)));
-    budget = &*actual;
   }
   const double rate_mb_s = bandwidth_mhz * budget->spectral_efficiency();
   const auto report = sim::run_precopy(*slot.twin, rate_mb_s, precopy);
@@ -963,8 +963,11 @@ shard_engine::pool_usage shard_engine::pool_utilization(
 
 // ---- shard_coordinator ------------------------------------------------------
 
+// Each public constructor validates its config once (a stream's base
+// through `streaming_base`); the shared one lowers it.
 shard_coordinator::shard_coordinator(const fleet_config& config)
-    : shard_coordinator(config, /*spawn=*/true) {}
+    : shard_coordinator((validate_fleet_config(config), config),
+                        /*spawn=*/true) {}
 
 shard_coordinator::shard_coordinator(const streaming_config& config)
     : shard_coordinator(streaming_base(config), /*spawn=*/false) {
@@ -976,18 +979,21 @@ shard_coordinator::shard_coordinator(const streaming_config& config)
 }
 
 shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
-    : config_(normalized(config)),
-      chain_(make_chain(config_)),
+    : config_(lowered(config)),
+      route_spans_(resolve_spawn_spans(config)),
       gen_(config_.seed),
       mailbox_(config_.shard_count),
       pool_(config_.shard_count > 1 ? config_.shard_count - 1 : 0) {
-  window_s_ = auto_window_s(config_, chain_);
+  const sim::road_graph& graph = *config_.graph;
+  window_s_ = auto_window_s(config_);
 
-  // Contiguous balanced partition of the chain into shards.
+  // Contiguous balanced partition of the sites, in their global order, into
+  // shards.
   const std::size_t shard_count = config_.shard_count;
-  rsu_shard_.resize(chain_.count());
-  const std::size_t base = chain_.count() / shard_count;
-  const std::size_t extra = chain_.count() % shard_count;
+  const std::size_t rsu_count = graph.rsu_count();
+  rsu_shard_.resize(rsu_count);
+  const std::size_t base = rsu_count / shard_count;
+  const std::size_t extra = rsu_count % shard_count;
 
   std::size_t lo = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -997,107 +1003,65 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     lo += count;
   }
 
-  // Oligopoly: one (possibly offset) chain per roster MSP, and every cell's
-  // per-MSP candidate pool must live in the cell's own shard — an offset
-  // pushing a candidate across a shard boundary would let two shards race
-  // on one pool, so it is rejected up front (reduce the offset or the shard
-  // count).
-  for (const auto& msp : config_.msps)
-    msp_chains_.push_back(chain_.shifted(msp.chain_offset_m));
-  const sim::chain_set candidate_chains(msp_chains_);
-  for (std::size_t r = 0; r < chain_.count(); ++r)
-    for (const std::size_t candidate :
-         candidate_chains.candidates(chain_.center_m(r)))
-      VTM_EXPECTS(rsu_shard_[candidate] == rsu_shard_[r]);
-
   init_telemetry();
+
+  // One mobility profile per route (slots point into this, so it is built
+  // once and never resized again). The graph self-measured its
+  // shortest-path and route-enumeration phases; export them here, where the
+  // run's trace lanes exist.
+  if (coord_trace_ != nullptr) {
+    const auto& gstats = graph.stats();
+    coord_trace_->instant(
+        "graph.build",
+        {{"floyd_warshall_us",
+          static_cast<double>(gstats.floyd_warshall_ns) / 1000.0},
+         {"routes_us", static_cast<double>(gstats.routes_ns) / 1000.0},
+         {"routes", static_cast<double>(graph.route_count())},
+         {"sites", static_cast<double>(rsu_count)}});
+  }
+  {
+    util::trace_span span(coord_trace_, "coord.route_profiles");
+    routes_.reserve(graph.route_count());
+    for (std::size_t r = 0; r < graph.route_count(); ++r)
+      routes_.push_back(graph.make_route_profile(r));
+    span.arg("routes", static_cast<double>(routes_.size()));
+  }
+
+  // Oligopoly: each seller serves a cell from its own chain, the road's one
+  // route shifted by the seller's offset, and the (cell, MSP) table holds
+  // the global RSU it serves the cell from. Every candidate must live in
+  // the cell's own shard — an offset pushing one across a shard boundary
+  // would let two shards race on one pool, so it is rejected up front
+  // (reduce the offset or the shard count).
+  const std::size_t sellers = config_.msps.size();
+  std::vector<std::size_t> candidates(rsu_count * sellers);
+  const sim::route_profile& road = routes_.front();
+  std::vector<sim::rsu_chain> chains;
+  for (const auto& msp : config_.msps)
+    chains.push_back(road.chain().shifted(msp.chain_offset_m));
+  for (std::size_t i = 0; i < road.count(); ++i) {
+    const std::size_t cell = road.global_rsu(i);
+    for (std::size_t m = 0; m < sellers; ++m) {
+      const std::size_t candidate =
+          road.global_rsu(chains[m].serving_rsu(road.chain().center_m(i)));
+      VTM_EXPECTS(rsu_shard_[candidate] == rsu_shard_[cell]);
+      candidates[cell * sellers + m] = candidate;
+    }
+  }
 
   shards_.reserve(shard_count);
   lo = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::size_t count = base + (s < extra ? 1 : 0);
     shards_.push_back(std::make_unique<shard_engine>(
-        config_, chain_, msp_chains_, s, lo, count, rsu_shard_, vehicles_,
-        mailbox_, trace_ != nullptr ? trace_->lane(s) : nullptr));
+        config_,
+        std::span<const std::size_t>(candidates)
+            .subspan(lo * sellers, count * sellers),
+        s, lo, count, rsu_shard_, vehicles_, mailbox_,
+        trace_ != nullptr ? trace_->lane(s) : nullptr));
     lo += count;
   }
   flushed_.resize(shard_count);
-
-  // One mobility profile per route (slots point into this, so it is built
-  // once and never resized again), with its spawn span resolved once
-  // (streaming arrivals draw them too).
-  if (config_.graph) {
-    // The graph self-measured its shortest-path and route-enumeration
-    // phases; export them here, where the run's trace lanes exist.
-    if (coord_trace_ != nullptr) {
-      const auto& gstats = config_.graph->stats();
-      coord_trace_->instant(
-          "graph.build",
-          {{"floyd_warshall_us",
-            static_cast<double>(gstats.floyd_warshall_ns) / 1000.0},
-           {"routes_us", static_cast<double>(gstats.routes_ns) / 1000.0},
-           {"routes", static_cast<double>(config_.graph->route_count())},
-           {"sites", static_cast<double>(config_.graph->rsu_count())}});
-    }
-    util::trace_span span(coord_trace_, "coord.route_profiles");
-    routes_.reserve(config_.graph->route_count());
-    for (std::size_t r = 0; r < config_.graph->route_count(); ++r)
-      routes_.push_back(config_.graph->make_route_profile(r));
-    span.arg("routes", static_cast<double>(routes_.size()));
-
-    route_span_lo_.reserve(routes_.size());
-    route_span_hi_.reserve(routes_.size());
-    for (std::size_t r = 0; r < routes_.size(); ++r) {
-      const double length = config_.graph->route(r).length_m;
-      const double span_lo = config_.spawn_min_m >= util::meters{0.0}
-                                 ? config_.spawn_min_m.value()
-                                 : 0.0;
-      const double span_hi =
-          config_.spawn_max_m >= util::meters{0.0}
-              ? std::min(config_.spawn_max_m.value(), length)
-              : length;
-      route_span_lo_.push_back(span_lo);
-      route_span_hi_.push_back(std::max(span_lo, span_hi));
-    }
-  } else {
-    // The chain is one route: identity RSU indices and no speed segments,
-    // whose unit-factor arithmetic is the chain's own (bitwise).
-    std::vector<std::size_t> rsus(chain_.count());
-    std::iota(rsus.begin(), rsus.end(), std::size_t{0});
-    routes_.emplace_back(chain_, std::move(rsus), std::vector<double>{},
-                         std::vector<double>{});
-
-    // Auto spawn span: spread the fleet over the whole chain so every RSU
-    // sees load. Uniform chains keep the original spacing arithmetic
-    // verbatim (bitwise reproduction); explicit chains derive the span from
-    // the actual centres.
-    double auto_lo, auto_hi;
-    if (config_.rsu_positions_m.empty()) {
-      const double spacing = config_.rsu_spacing_m.value();
-      auto_lo = 0.5 * spacing;
-      auto_hi = (static_cast<double>(config_.rsu_count) - 0.5) * spacing;
-    } else {
-      auto_lo = chain_.center_m(0) -
-                0.5 * (chain_.count() > 1 ? chain_.link_distance_m(0, 1)
-                                          : chain_.spacing_m());
-      auto_hi = chain_.center_m(chain_.count() - 1) -
-                0.5 * (chain_.count() > 1
-                           ? chain_.link_distance_m(chain_.count() - 2,
-                                                    chain_.count() - 1)
-                           : 0.0);
-    }
-    // Explicit bounds use the "< 0 means auto" sentinel, so a window may
-    // legitimately start (or end) at 0 m.
-    const double span_lo = config_.spawn_min_m >= util::meters{0.0}
-                               ? config_.spawn_min_m.value()
-                               : auto_lo;
-    const double span_hi = config_.spawn_max_m >= util::meters{0.0}
-                               ? config_.spawn_max_m.value()
-                               : std::max(span_lo, auto_hi);
-    VTM_EXPECTS(span_hi >= span_lo);
-    route_span_lo_.push_back(span_lo);
-    route_span_hi_.push_back(span_hi);
-  }
 
   if (spawn) spawn_vehicles();
 }
@@ -1122,15 +1086,16 @@ void shard_coordinator::init_telemetry() {
 }
 
 void shard_coordinator::draw_spawn(vehicle_slot& slot) {
-  // On the chain the draw sequence (position, speed, α, data) is bitwise
-  // the legacy spawn loop; a graph run draws the route first.
+  // A road with several routes draws the route first; one route (every
+  // chain) draws none, so a chain's draw sequence (position, speed, α,
+  // data) is bitwise the legacy spawn loop.
   std::size_t route = 0;
   if (routes_.size() > 1)
     route = static_cast<std::size_t>(gen_.uniform_int(
         0, static_cast<std::int64_t>(routes_.size()) - 1));
   slot.route = &routes_[route];
   slot.kinematics.position_m =
-      gen_.uniform(route_span_lo_[route], route_span_hi_[route]);
+      gen_.uniform(route_spans_[route].lo_m, route_spans_[route].hi_m);
   slot.kinematics.speed_mps = gen_.uniform(config_.min_speed_mps.value(),
                                            config_.max_speed_mps.value());
   slot.profile.alpha = gen_.uniform(config_.min_alpha, config_.max_alpha);

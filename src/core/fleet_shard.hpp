@@ -1,12 +1,15 @@
 // Sharded fleet engine: per-RSU-range event shards with boundary handoff.
 //
-// A fleet run partitions the RSU chain into `shard_count` contiguous shards.
-// Each `shard_engine` owns its RSUs' OFDMA pools and `core::spot_market`
-// books, and advances its *own* `sim::basic_event_queue<fleet_event>`; the
-// `shard_coordinator` drives all shards in conservative time windows on
-// `util::thread_pool` (lookahead: the minimum boundary travel time at
-// `max_speed_mps`). Anything one shard does to another crosses a
-// `sim::shard_mailbox` and is applied at the next window barrier:
+// Every run is on a road graph: a chain config is lowered to its path graph
+// when the coordinator is built (`sim::road_graph::path`). A fleet run
+// partitions the graph's RSU sites, in their global (edge, offset) order,
+// into `shard_count` contiguous shards. Each `shard_engine` owns its RSUs'
+// OFDMA pools and `core::spot_market` books, and advances its *own*
+// `sim::basic_event_queue<fleet_event>`; the `shard_coordinator` drives all
+// shards in conservative time windows on `util::thread_pool` (lookahead: the
+// minimum boundary travel time at the top speed). Anything one shard does
+// to another crosses a `sim::shard_mailbox` and is applied at the next
+// window barrier:
 //
 //   - `boundary_handoff` — a vehicle whose next coverage handover lands in a
 //     neighbouring shard's RSU; ownership of the vehicle slot moves with it.
@@ -95,7 +98,11 @@ namespace vtm::core {
 /// Validate a fleet configuration (shared by `run_fleet_scenario` and
 /// `shard_coordinator`); throws util::contract_error on violations. Negative
 /// and zero speeds are rejected here by design: pools price their upstream
-/// RSU gap, so backward traffic would clear over the wrong link.
+/// RSU gap, so backward traffic would clear over the wrong link. Geometry is
+/// read from the config itself (the chain fields, or the graph), never from
+/// the lowered path graph, and the channel must give a finite, positive
+/// spectral efficiency over the shortest link a pool prices and the longest
+/// hop a drifted request can take.
 void validate_fleet_config(const fleet_config& config);
 
 /// Validate a streaming configuration (arrival process, windows, and the
@@ -114,9 +121,8 @@ struct vehicle_slot {
   /// recycled slot admits an arrival without allocating.
   std::optional<sim::vehicular_twin> twin;
   double position_at = 0.0;  ///< Simulation time of `kinematics.position_m`.
-  /// Route the vehicle travels (coordinator-owned): a graph route, or the
-  /// chain as the one route of a chain run. Positions are the route's arc
-  /// coordinate. Set at spawn.
+  /// Route the vehicle travels (coordinator-owned). Positions are the
+  /// route's arc coordinate. Set at spawn.
   const sim::route_profile* route = nullptr;
   std::size_t id = 0;    ///< Stable vehicle identity (slots are recycled).
   /// The vehicle left coverage (no further handover) with no booked or
@@ -184,13 +190,16 @@ class shard_engine {
     double bandwidth = 0.0;
   };
 
-  /// `rsu_shard` maps every global RSU index to its owning shard and must
-  /// outlive the engine, as must `chain`, `msp_chains`, `vehicles`, and
+  /// `config.graph` is the run's road (the coordinator lowers a chain to
+  /// its path graph). `rsu_shard` maps every global RSU index to its owning
+  /// shard and must outlive the engine, as must `config`, `vehicles`, and
   /// `mailbox`. The engine owns pools and books for global RSUs
-  /// [rsu_lo, rsu_lo + rsu_count); in oligopoly mode `msp_chains` holds one
-  /// (possibly offset) chain per roster MSP (empty otherwise).
-  shard_engine(const fleet_config& config, const sim::rsu_chain& chain,
-               std::span<const sim::rsu_chain> msp_chains, std::size_t index,
+  /// [rsu_lo, rsu_lo + rsu_count). In oligopoly mode `candidates` holds this
+  /// shard's rows of the (cell, MSP) table: for each of its cells in order,
+  /// the global RSU each roster MSP serves it from, all inside the shard
+  /// (empty otherwise).
+  shard_engine(const fleet_config& config,
+               std::span<const std::size_t> candidates, std::size_t index,
                std::size_t rsu_lo, std::size_t rsu_count,
                std::span<const std::uint32_t> rsu_shard,
                std::vector<vehicle_slot>& vehicles,
@@ -284,8 +293,7 @@ class shard_engine {
 
   void dispatch(const fleet_event& event);
   [[nodiscard]] std::size_t pool_index(std::size_t rsu) const noexcept;
-  [[nodiscard]] double pool_link_distance_m(std::size_t rsu) const;
-  /// The chain's channel over a migration link of `distance_m`.
+  /// The run's channel over a migration link of `distance_m`.
   [[nodiscard]] wireless::link_params link_for(double distance_m) const;
   [[nodiscard]] bool oligopoly() const noexcept {
     return config_.mode == market_mode::oligopoly;
@@ -321,10 +329,9 @@ class shard_engine {
   void resolve_abandoned(const clearing_request& request);
 
   const fleet_config& config_;
-  const sim::rsu_chain& chain_;
-  /// Road network in graph mode (null on a chain): pools price
-  /// `upstream_gap_m` and drifted grants rebuild over `site_distance_m`.
-  const sim::road_graph* graph_ = nullptr;
+  /// The run's road: pools price `upstream_gap_m` and drifted grants
+  /// rebuild over `site_distance_m`.
+  const sim::road_graph* graph_;
   std::size_t index_;
   std::size_t rsu_lo_;
   std::span<const std::uint32_t> rsu_shard_;
@@ -342,7 +349,6 @@ class shard_engine {
   // this shard's RSU range, the per-cell books, the per-(cell, MSP)
   // candidate pool slots resolved from the offset chains, and the clearing's
   // per-MSP availability scratch.
-  sim::chain_set msp_chains_;
   std::vector<std::vector<wireless::ofdma_pool>> msp_pools_;
   std::vector<double> msp_available_;
   std::vector<competitive_market> comarkets_;
@@ -355,9 +361,17 @@ class shard_engine {
   util::trace_lane* trace_;  ///< Null when tracing is off.
 };
 
-/// Owns the chain, the vehicle slots, the shards, and the window protocol.
-/// Single-shot: construct one per run; a second `run()` or `run_stream()`
-/// fails its entry contract.
+/// One route's spawn span, in the route's arc coordinate. A chain's auto
+/// floor can sit before the road's entry (below 0 m), so the span is a value,
+/// not the config's "< 0 means auto" sentinel.
+struct spawn_span {
+  double lo_m = 0.0;
+  double hi_m = 0.0;
+};
+
+/// Owns the lowered config, the route profiles, the vehicle slots, the
+/// shards, and the window protocol. Single-shot: construct one per run; a
+/// second `run()` or `run_stream()` fails its entry contract.
 class shard_coordinator {
  public:
   /// Closed run: the whole population spawns here and arrives at t = 0.
@@ -399,8 +413,8 @@ class shard_coordinator {
   void init_telemetry();
 
   void spawn_vehicles();
-  /// Draw one vehicle's spawn state, in draw order: route (graphs only),
-  /// position, speed, α, data.
+  /// Draw one vehicle's spawn state, in draw order: route (roads with
+  /// several routes only), position, speed, α, data.
   void draw_spawn(vehicle_slot& slot);
   /// Admit every arrival with time <= `upto` (and <= the horizon) into its
   /// owning shard. A closed run's arrivals are its spawn cohort, adopted at
@@ -426,21 +440,15 @@ class shard_coordinator {
   /// Fails its contract on a second call.
   void run_windows();
 
+  /// The validated config, its chain lowered to a path graph (`graph` is
+  /// always set).
   fleet_config config_;
-  sim::rsu_chain chain_;
-  /// Oligopoly rosters' (possibly offset) chains, one per MSP; empty in
-  /// joint mode. Candidate resolution (`chain_set` semantics) must keep
-  /// every cell's per-MSP pool inside the cell's own shard — validated at
-  /// construction.
-  std::vector<sim::rsu_chain> msp_chains_;
-  /// Route profiles (vehicle slots point into this): one per graph route,
-  /// or the chain itself as one route with identity RSU indices.
+  /// Spawn spans, one per route, resolved from the config as given.
+  std::vector<spawn_span> route_spans_;
+  /// Route profiles, one per graph route (vehicle slots point into this).
   std::vector<sim::route_profile> routes_;
   util::rng gen_;
   double window_s_ = 0.0;
-  // Spawn-window spans, one [lo, hi] per route.
-  std::vector<double> route_span_lo_;
-  std::vector<double> route_span_hi_;
   // Stream state. `stream_` is set by the streaming ctor only; a closed run
   // admits one t = 0 cohort and emits one final flush.
   streaming_config stream_;

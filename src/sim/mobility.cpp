@@ -15,7 +15,7 @@ vehicle_state advance(vehicle_state v, double dt) {
 
 rsu_chain::rsu_chain(std::size_t count, double spacing_m,
                      double coverage_radius_m)
-    : spacing_(spacing_m), radius_(coverage_radius_m), uniform_(true) {
+    : radius_(coverage_radius_m) {
   VTM_EXPECTS(count >= 1);
   VTM_EXPECTS(spacing_m > 0.0);
   VTM_EXPECTS(coverage_radius_m > 0.0);
@@ -23,12 +23,11 @@ rsu_chain::rsu_chain(std::size_t count, double spacing_m,
   centers_.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
     centers_.push_back(spacing_m * static_cast<double>(i + 1));
+  build_midpoints();
 }
 
 rsu_chain::rsu_chain(std::vector<double> centers_m, double coverage_radius_m)
-    : centers_(std::move(centers_m)),
-      radius_(coverage_radius_m),
-      uniform_(false) {
+    : centers_(std::move(centers_m)), radius_(coverage_radius_m) {
   VTM_EXPECTS(!centers_.empty());
   VTM_EXPECTS(coverage_radius_m > 0.0);
   double max_gap = 0.0;
@@ -38,24 +37,18 @@ rsu_chain::rsu_chain(std::vector<double> centers_m, double coverage_radius_m)
     max_gap = std::max(max_gap, gap);
   }
   VTM_EXPECTS(coverage_radius_m >= max_gap / 2.0);
-  spacing_ = centers_.size() > 1 ? (centers_.back() - centers_.front()) /
-                                       static_cast<double>(centers_.size() - 1)
-                                 : 2.0 * radius_;
+  build_midpoints();
 }
 
-namespace {
-[[nodiscard]] std::vector<double> unwrap(
-    const std::vector<util::meters>& centers) {
-  std::vector<double> raw;
-  raw.reserve(centers.size());
-  for (const util::meters c : centers) raw.push_back(c.value());
-  return raw;
+void rsu_chain::build_midpoints() {
+  midpoints_.reserve(centers_.size() - 1);
+  for (std::size_t i = 0; i + 1 < centers_.size(); ++i)
+    midpoints_.push_back(0.5 * (centers_[i] + centers_[i + 1]));
+  inv_spacing_ = midpoints_.empty()
+                     ? 0.0
+                     : static_cast<double>(midpoints_.size()) /
+                           (centers_.back() - centers_.front());
 }
-}  // namespace
-
-rsu_chain::rsu_chain(const std::vector<util::meters>& centers,
-                     util::meters coverage_radius)
-    : rsu_chain(unwrap(centers), coverage_radius.value()) {}
 
 double rsu_chain::center_m(std::size_t i) const {
   VTM_EXPECTS(i < centers_.size());
@@ -65,27 +58,22 @@ double rsu_chain::center_m(std::size_t i) const {
 std::size_t rsu_chain::serving_rsu(double position_m) const noexcept {
   if (position_m <= centers_.front()) return 0;
   if (position_m >= centers_.back()) return centers_.size() - 1;
-  if (uniform_) {
-    // Equal spacing makes nearest-centre arithmetic; kept verbatim so the
-    // uniform chains the fleet engine builds reproduce historic rounding at
-    // cell midpoints bit for bit.
-    const double offset = (position_m - centers_.front()) / spacing_;
-    const auto i = static_cast<std::size_t>(std::lround(offset));
-    return std::min(i, centers_.size() - 1);
-  }
-  // Non-uniform: nearest centre via the first midpoint strictly beyond the
-  // position (a position exactly on a midpoint belongs to the next cell,
-  // matching lround's round-half-up on the uniform path).
-  std::size_t i = 0;
-  while (i + 1 < centers_.size() &&
-         position_m >= 0.5 * (centers_[i] + centers_[i + 1]))
-    ++i;
+  // The serving cell is the number of midpoints at or before the position.
+  // Guess it as the nearest multiple of the mean gap past the first centre
+  // (right on an evenly spaced chain), then step against the stored
+  // midpoints, so the answer never depends on the guess's rounding.
+  std::size_t i = std::min(
+      static_cast<std::size_t>(
+          (position_m - centers_.front()) * inv_spacing_ + 0.5),
+      midpoints_.size());
+  while (i > 0 && position_m < midpoints_[i - 1]) --i;
+  while (i < midpoints_.size() && position_m >= midpoints_[i]) ++i;
   return i;
 }
 
 double rsu_chain::handover_position_m(std::size_t i) const {
-  VTM_EXPECTS(i + 1 < centers_.size());
-  return 0.5 * (centers_[i] + centers_[i + 1]);
+  VTM_EXPECTS(i < midpoints_.size());
+  return midpoints_[i];
 }
 
 std::optional<rsu_chain::handover_event> rsu_chain::next_handover(
@@ -224,28 +212,6 @@ std::optional<rsu_chain::handover_event> route_profile::next_handover(
           : travel_time_s(vehicle.position_m, boundary, vehicle.speed_mps);
   return rsu_chain::handover_event{after_s, global_[current],
                                    global_[current + 1]};
-}
-
-chain_set::chain_set(std::span<const rsu_chain> chains) : chains_(chains) {
-  for (const auto& chain : chains_)
-    VTM_EXPECTS(chain.count() == chains_.front().count());
-}
-
-const rsu_chain& chain_set::chain(std::size_t m) const {
-  VTM_EXPECTS(m < chains_.size());
-  return chains_[m];
-}
-
-std::size_t chain_set::candidate(std::size_t m, double position_m) const {
-  VTM_EXPECTS(m < chains_.size());
-  return chains_[m].serving_rsu(position_m);
-}
-
-std::vector<std::size_t> chain_set::candidates(double position_m) const {
-  std::vector<std::size_t> result(chains_.size());
-  for (std::size_t m = 0; m < chains_.size(); ++m)
-    result[m] = chains_[m].serving_rsu(position_m);
-  return result;
 }
 
 }  // namespace vtm::sim

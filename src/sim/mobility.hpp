@@ -1,14 +1,13 @@
 // Highway mobility and RSU coverage geometry.
 //
-// Vehicles travel along a 1-D highway covered by a chain of equally-spaced
-// RSUs. A vehicle is served by the nearest RSU; crossing the midpoint between
-// two adjacent RSUs is the handover event that triggers a VT migration (the
-// paper's motivating dynamic: limited RSU coverage + vehicle mobility).
+// Vehicles travel along a 1-D road covered by a chain of RSUs. A vehicle is
+// served by the nearest RSU; crossing the midpoint between two adjacent RSUs
+// is the handover event that triggers a VT migration (the paper's motivating
+// dynamic: limited RSU coverage + vehicle mobility).
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "util/quantity.hpp"
@@ -41,25 +40,24 @@ class rsu_chain {
 
   /// Explicitly-placed (possibly non-uniform) RSU centres, strictly
   /// increasing. Requires every adjacent gap > 0 and contiguous coverage
-  /// (radius >= max gap / 2). `spacing_m()` then reports the mean gap.
+  /// (radius >= max gap / 2).
   rsu_chain(std::vector<double> centers_m, double coverage_radius_m);
 
-  /// Typed siblings of the two constructors.
+  /// Typed sibling of the uniform constructor.
   rsu_chain(std::size_t count, util::meters spacing,
             util::meters coverage_radius)
       : rsu_chain(count, spacing.value(), coverage_radius.value()) {}
-  rsu_chain(const std::vector<util::meters>& centers,
-            util::meters coverage_radius);
 
   [[nodiscard]] std::size_t count() const noexcept { return centers_.size(); }
-  [[nodiscard]] double spacing_m() const noexcept { return spacing_; }
   [[nodiscard]] double coverage_radius_m() const noexcept { return radius_; }
 
   /// Centre position of RSU `i`. Requires i < count().
   [[nodiscard]] double center_m(std::size_t i) const;
 
-  /// Index of the serving (nearest) RSU for a position on the highway.
-  /// Positions beyond the chain clamp to the first/last RSU.
+  /// Index of the serving (nearest) RSU for a position on the highway: the
+  /// number of cell midpoints at or before it, so a position exactly on a
+  /// midpoint belongs to the next cell. Positions beyond the chain clamp to
+  /// the first/last RSU.
   [[nodiscard]] std::size_t serving_rsu(double position_m) const noexcept;
 
   /// Boundary position where service hands over from RSU i to RSU i+1
@@ -92,10 +90,13 @@ class rsu_chain {
   }
 
  private:
+  /// Stores the cell midpoints; shared tail of both constructors.
+  void build_midpoints();
+
   std::vector<double> centers_;
-  double spacing_;
+  std::vector<double> midpoints_;  ///< midpoints_[i] is handover i -> i+1.
+  double inv_spacing_;  ///< 1 / mean gap: the serving rule's first guess.
   double radius_;
-  bool uniform_;  ///< Uniform ctor: keep the exact arithmetic nearest-centre.
 };
 
 /// Mobility along one road-network route (sim/road_graph.hpp), expressed in
@@ -152,31 +153,6 @@ class route_profile {
   std::vector<double> seg_end_;
   std::vector<double> seg_factor_;
   bool unit_factor_ = true;  ///< All factors 1: keep exact chain arithmetic.
-};
-
-/// Several operators' chains over the same highway (overlapping coverage) —
-/// a non-owning view (the chains must outlive it). `serving_rsu` generalizes
-/// to a per-chain *candidate set*: for one highway position, each operator
-/// resolves its own serving RSU, and a buyer at that position can purchase
-/// from any of them. An empty set models "no competing operators".
-class chain_set {
- public:
-  chain_set() = default;
-  /// All chains must have the same RSU count so per-operator candidate
-  /// indices share one index space.
-  explicit chain_set(std::span<const rsu_chain> chains);
-
-  [[nodiscard]] std::size_t size() const noexcept { return chains_.size(); }
-  [[nodiscard]] const rsu_chain& chain(std::size_t m) const;
-
-  /// Operator m's serving RSU for a highway position.
-  [[nodiscard]] std::size_t candidate(std::size_t m, double position_m) const;
-
-  /// All operators' serving RSUs for one position (index m -> candidate).
-  [[nodiscard]] std::vector<std::size_t> candidates(double position_m) const;
-
- private:
-  std::span<const rsu_chain> chains_;
 };
 
 }  // namespace vtm::sim

@@ -43,8 +43,6 @@ road_graph::road_graph(std::vector<road_node> nodes,
   VTM_EXPECTS(!exits_.empty());
   VTM_EXPECTS(std::isfinite(radius_) && radius_ > 0.0);
 
-  in_edges_.resize(nodes_.size());
-  out_edges_.resize(nodes_.size());
   for (std::size_t e = 0; e < edges_.size(); ++e) {
     const auto& edge = edges_[e];
     VTM_EXPECTS(edge.from < nodes_.size());
@@ -52,8 +50,6 @@ road_graph::road_graph(std::vector<road_node> nodes,
     VTM_EXPECTS(edge.from != edge.to);
     VTM_EXPECTS(std::isfinite(edge.length_m) && edge.length_m > 0.0);
     VTM_EXPECTS(std::isfinite(edge.speed_factor) && edge.speed_factor > 0.0);
-    in_edges_[edge.to].push_back(e);
-    out_edges_[edge.from].push_back(e);
     max_speed_factor_ = std::max(max_speed_factor_, edge.speed_factor);
   }
 
@@ -74,6 +70,20 @@ road_graph::road_graph(std::vector<road_node> nodes,
     }
     if (edge_first_site_[site.edge] == npos) edge_first_site_[site.edge] = s;
     ++edge_site_count_[site.edge];
+  }
+  // Per node, the shortest run from an incoming edge's last site to the
+  // node and from the node to an outgoing edge's first site: the neighbours
+  // `upstream_gap_m` prices across a node.
+  tail_to_node_m_.assign(nodes_.size(), inf);
+  node_to_head_m_.assign(nodes_.size(), inf);
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    if (edge_site_count_[e] == 0) continue;
+    const std::size_t first = edge_first_site_[e];
+    const std::size_t last = first + edge_site_count_[e] - 1;
+    double& tail = tail_to_node_m_[edges_[e].to];
+    tail = std::min(tail, edges_[e].length_m - sites_[last].offset_m);
+    double& head = node_to_head_m_[edges_[e].from];
+    head = std::min(head, sites_[first].offset_m);
   }
   for (const std::size_t node : entries_) VTM_EXPECTS(node < nodes_.size());
   for (const std::size_t node : exits_) VTM_EXPECTS(node < nodes_.size());
@@ -203,63 +213,21 @@ double road_graph::site_distance_m(std::size_t a, std::size_t b) const {
 double road_graph::upstream_gap_m(std::size_t s) const {
   VTM_EXPECTS(s < sites_.size());
   const auto& site = sites_[s];
+  const auto& edge = edges_[site.edge];
   // Previous site on the same edge: plain offset gap.
   if (s > 0 && sites_[s - 1].edge == site.edge)
     return site.offset_m - sites_[s - 1].offset_m;
-  // Nearest last-site over the incoming edges (edge-index order, strict
-  // improvement — deterministic).
-  double best = inf;
-  for (const std::size_t e : in_edges_[edges_[site.edge].from]) {
-    if (edge_site_count_[e] == 0) continue;
-    const std::size_t last = edge_first_site_[e] + edge_site_count_[e] - 1;
-    const double gap =
-        (edges_[e].length_m - sites_[last].offset_m) + site.offset_m;
-    if (gap < best) best = gap;
-  }
-  if (std::isfinite(best)) return best;
+  // Nearest last site over the incoming edges (rounding is monotone, so
+  // adding the offset to the nearest tail is the nearest sum).
+  if (std::isfinite(tail_to_node_m_[edge.from]))
+    return tail_to_node_m_[edge.from] + site.offset_m;
   // Entry-edge site with nothing upstream: price the downstream gap, like
   // the chain engine's RSU 0.
   if (s + 1 < sites_.size() && sites_[s + 1].edge == site.edge)
     return sites_[s + 1].offset_m - site.offset_m;
-  for (const std::size_t e : out_edges_[edges_[site.edge].to]) {
-    if (edge_site_count_[e] == 0) continue;
-    const double gap = (edges_[site.edge].length_m - site.offset_m) +
-                       sites_[edge_first_site_[e]].offset_m;
-    if (gap < best) best = gap;
-  }
-  return std::isfinite(best) ? best : 2.0 * radius_;
-}
-
-std::optional<chain_view> road_graph::as_chain() const {
-  if (routes_.size() != 1) return std::nullopt;
-  const auto& route = routes_[0];
-  if (route.sites.size() != sites_.size()) return std::nullopt;
-  for (const double factor : route.seg_factor)
-    if (factor != 1.0) return std::nullopt;
-  double max_gap = 0.0;
-  for (std::size_t i = 1; i < route.site_pos_m.size(); ++i)
-    max_gap = std::max(max_gap,
-                       route.site_pos_m[i] - route.site_pos_m[i - 1]);
-  // The chain engine requires contiguous coverage; a sparser graph stays in
-  // route mode, where the profile inflates the per-route radius instead.
-  if (radius_ < max_gap / 2.0) return std::nullopt;
-
-  chain_view view;
-  view.coverage_radius_m = util::meters{radius_};
-  view.count = route.sites.size();
-  const double spacing = route.site_pos_m.front();
-  bool uniform = spacing > 0.0 && radius_ >= spacing / 2.0;
-  for (std::size_t i = 0; uniform && i < route.site_pos_m.size(); ++i)
-    uniform = route.site_pos_m[i] == spacing * static_cast<double>(i + 1);
-  if (uniform) {
-    view.uniform = true;
-    view.spacing_m = util::meters{spacing};
-  } else {
-    view.centers_m.reserve(route.site_pos_m.size());
-    for (const double c : route.site_pos_m)
-      view.centers_m.push_back(util::meters{c});
-  }
-  return view;
+  if (std::isfinite(node_to_head_m_[edge.to]))
+    return (edge.length_m - site.offset_m) + node_to_head_m_[edge.to];
+  return 2.0 * radius_;
 }
 
 route_profile road_graph::make_route_profile(std::size_t r) const {
@@ -278,21 +246,41 @@ route_profile road_graph::make_route_profile(std::size_t r) const {
                        route.seg_factor);
 }
 
-road_graph road_graph::path(std::size_t rsu_count, double spacing_m,
-                            double coverage_radius_m) {
-  VTM_EXPECTS(rsu_count >= 1);
-  VTM_EXPECTS(std::isfinite(spacing_m) && spacing_m > 0.0);
-  std::vector<road_node> nodes(rsu_count + 1);
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    nodes[i].x_m = spacing_m * static_cast<double>(i);
-  std::vector<road_edge> edges(rsu_count);
-  std::vector<rsu_site> sites(rsu_count);
-  for (std::size_t i = 0; i < rsu_count; ++i) {
-    edges[i] = road_edge{i, i + 1, spacing_m, 1.0};
-    sites[i] = rsu_site{i, spacing_m};  // centre at spacing x (i + 1)
+namespace {
+
+/// A one-way path of edges with the given lengths, one site at each edge's
+/// far end, entered at node 0 and left at the last node.
+road_graph path_of(const std::vector<double>& lengths_m,
+                   double coverage_radius_m) {
+  const std::size_t count = lengths_m.size();
+  VTM_EXPECTS(count >= 1);
+  std::vector<road_node> nodes(count + 1);
+  std::vector<road_edge> edges(count);
+  std::vector<rsu_site> sites(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    VTM_EXPECTS(std::isfinite(lengths_m[i]) && lengths_m[i] > 0.0);
+    nodes[i + 1].x_m = nodes[i].x_m + lengths_m[i];
+    edges[i] = road_edge{i, i + 1, lengths_m[i], 1.0};
+    sites[i] = rsu_site{i, lengths_m[i]};
   }
   return road_graph(std::move(nodes), std::move(edges), std::move(sites),
-                    {0}, {rsu_count}, coverage_radius_m);
+                    {0}, {count}, coverage_radius_m);
+}
+
+}  // namespace
+
+road_graph road_graph::path(std::size_t rsu_count, double spacing_m,
+                            double coverage_radius_m) {
+  return path_of(std::vector<double>(rsu_count, spacing_m),
+                 coverage_radius_m);
+}
+
+road_graph road_graph::path(const std::vector<util::meters>& centers,
+                            util::meters coverage_radius) {
+  std::vector<double> gaps(centers.size());
+  for (std::size_t i = 0; i < centers.size(); ++i)
+    gaps[i] = centers[i].value() - (i > 0 ? centers[i - 1].value() : 0.0);
+  return path_of(gaps, coverage_radius.value());
 }
 
 road_graph road_graph::grid(std::size_t rows, std::size_t cols,

@@ -8,16 +8,15 @@
 // the per-route serving/handover geometry reuses `rsu_chain` through
 // `route_profile` (sim/mobility.hpp).
 //
-// Degeneracy contract (DESIGN.md §14): a graph that is a single path whose
-// sites cover every edge in order, with unit speed factors, reports itself
-// via `as_chain()`; the fleet engine then runs it as the equivalent chain
-// config, so `road_graph::path(n, spacing, radius)` is bitwise-golden
-// against `rsu_chain(n, spacing, radius)` configs.
+// One topology (DESIGN.md §14): the fleet engine runs every config on a
+// graph. A chain config is lowered to its path graph (`path`): one edge per
+// gap, each RSU at its edge's far end, so the path's single route places the
+// sites at the chain's centres and prices the chain's gaps (bit for bit on
+// integer spacings; arc positions are summed edge by edge).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sim/mobility.hpp"
@@ -60,19 +59,6 @@ struct road_route {
   double length_m = 0.0;
 };
 
-/// The chain a degenerate (single-path) graph collapses to. `uniform` keeps
-/// the exact count x spacing arithmetic of the legacy uniform chain (bitwise
-/// golden reproduction); otherwise `centers_m` holds explicit centres.
-/// Geometry is typed (util/quantity.hpp) — the view feeds straight into the
-/// typed `fleet_config` geometry fields.
-struct chain_view {
-  bool uniform = false;
-  std::size_t count = 0;
-  util::meters spacing_m{0.0};
-  std::vector<util::meters> centers_m;
-  util::meters coverage_radius_m{0.0};
-};
-
 class road_graph {
  public:
   /// Construction timing + size stats, self-measured by the constructor
@@ -93,12 +79,19 @@ class road_graph {
              std::vector<rsu_site> sites, std::vector<std::size_t> entries,
              std::vector<std::size_t> exits, double coverage_radius_m);
 
-  /// The 1-D highway as a degenerate graph: `rsu_count` edges of
-  /// `spacing_m`, one site at each edge's far end (centres at spacing,
-  /// 2·spacing, ... — exactly the uniform `rsu_chain` layout).
+  /// The 1-D highway as a path graph: `rsu_count` edges of `spacing_m`,
+  /// one site at each edge's far end (centres at spacing, 2·spacing, ... —
+  /// the uniform `rsu_chain` layout).
   [[nodiscard]] static road_graph path(std::size_t rsu_count,
                                        double spacing_m,
                                        double coverage_radius_m);
+
+  /// The path through explicit, strictly increasing centres: the first edge
+  /// runs from 0 m to the first centre, then one edge per gap, with a site
+  /// at each edge's far end. Requires a positive first centre.
+  [[nodiscard]] static road_graph path(
+      const std::vector<util::meters>& centers,
+      util::meters coverage_radius);
 
   /// rows x cols Manhattan grid DAG (edges point right and down) with one
   /// mid-edge RSU per edge. Horizontal edges are free-flow arterials
@@ -124,7 +117,6 @@ class road_graph {
   [[nodiscard]] const road_edge& edge(std::size_t e) const;
   [[nodiscard]] const rsu_site& site(std::size_t s) const;
   [[nodiscard]] const road_route& route(std::size_t r) const;
-  [[nodiscard]] double coverage_radius_m() const noexcept { return radius_; }
   [[nodiscard]] const std::vector<std::size_t>& entries() const noexcept {
     return entries_;
   }
@@ -167,11 +159,6 @@ class road_graph {
   /// Constructor timing (see `build_stats`).
   [[nodiscard]] const build_stats& stats() const noexcept { return stats_; }
 
-  /// Degenerate single-path collapse (see the header comment); nullopt when
-  /// the graph is a real network (multiple routes, partial site coverage,
-  /// non-unit factors, or coverage too small for the site gaps).
-  [[nodiscard]] std::optional<chain_view> as_chain() const;
-
   /// Build route `r`'s mobility profile: a `rsu_chain` over the route's site
   /// arc positions (coverage inflated to keep the chain contiguous) plus the
   /// per-edge speed segments and the local->global RSU index map.
@@ -199,8 +186,8 @@ class road_graph {
   /// `sites_` array.
   std::vector<std::size_t> edge_first_site_;
   std::vector<std::size_t> edge_site_count_;
-  std::vector<std::vector<std::size_t>> in_edges_;   ///< Per-node, edge order.
-  std::vector<std::vector<std::size_t>> out_edges_;  ///< Per-node, edge order.
+  std::vector<double> tail_to_node_m_;  ///< Per node; +inf: no such site.
+  std::vector<double> node_to_head_m_;  ///< Per node; +inf: no such site.
   std::vector<double> dist_;          ///< Dense n x n shortest distances.
   std::vector<std::size_t> via_edge_; ///< Best direct edge a -> b (or npos).
   std::vector<std::size_t> mid_node_; ///< FW intermediate node (or npos).

@@ -454,23 +454,20 @@ TEST(competitive_market, validates_config) {
 
 // ---- per-MSP candidate sets -------------------------------------------------
 
-// Overlapping deployments: each operator's chain resolves its own serving
-// RSU per position; a downstream offset flips the candidate around the
-// shifted cell midpoints.
-TEST(competitive_market, chain_set_resolves_per_operator_candidates) {
+// Overlapping deployments: each operator's chain, the primary shifted by its
+// offset, resolves its own serving RSU per position; a downstream offset
+// flips the candidate around the shifted cell midpoints.
+TEST(competitive_market, offset_chains_resolve_per_operator_candidates) {
   const vtm::sim::rsu_chain primary(4, 1000.0, 600.0);  // centres 1000..4000
-  const std::vector<vtm::sim::rsu_chain> chains{primary.shifted(0.0),
-                                                primary.shifted(300.0)};
-  const vtm::sim::chain_set set(chains);
-  ASSERT_EQ(set.size(), 2u);
+  const auto same = primary.shifted(0.0);
+  const auto offset = primary.shifted(300.0);
   // 1600 m sits past the primary 0 -> 1 midpoint (1500) but short of the
   // shifted chain's (centres 1300, 2300 — midpoint 1800): the operators
   // serve the same position from different RSUs.
-  EXPECT_EQ(set.candidate(0, 1600.0), 1u);
-  EXPECT_EQ(set.candidate(1, 1600.0), 0u);
-  const auto both = set.candidates(2700.0);
-  EXPECT_EQ(both[0], 2u);  // primary: past 2500
-  EXPECT_EQ(both[1], 1u);  // shifted: 2800 not yet crossed
+  EXPECT_EQ(same.serving_rsu(1600.0), 1u);
+  EXPECT_EQ(offset.serving_rsu(1600.0), 0u);
+  EXPECT_EQ(same.serving_rsu(2700.0), 2u);    // primary: past 2500
+  EXPECT_EQ(offset.serving_rsu(2700.0), 1u);  // shifted: 2800 not yet crossed
 }
 
 // ---- fleet engine integration ----------------------------------------------

@@ -355,6 +355,31 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   rejects("link.noise_power_dbm -4000", [&](core::fleet_config& c) {
     c.link.noise_power_dbm = vtm::util::dbm{-4000.0};
   });
+  // Fields that are each finite but whose SNR, over the links the run
+  // prices, overflows to inf (AoTM 0) or rounds log2(1 + SNR) to 0: the
+  // spectral efficiency is checked at the shortest and the longest link.
+  rejects("tx_power_dbm 3000, noise_power_dbm -3000",
+          [&](core::fleet_config& c) {
+            c.link.tx_power_dbm = vtm::util::dbm{3000.0};
+            c.link.noise_power_dbm = vtm::util::dbm{-3000.0};
+          });
+  rejects("unit_gain_db 3000, tx_power_dbm 3000", [&](core::fleet_config& c) {
+    c.link.unit_gain_db = vtm::util::db{3000.0};
+    c.link.tx_power_dbm = vtm::util::dbm{3000.0};
+  });
+  rejects("unit_gain_db -3020", [&](core::fleet_config& c) {
+    c.link.unit_gain_db = vtm::util::db{-3020.0};
+  });
+  rejects("path_loss_exponent 2e300", [&](core::fleet_config& c) {
+    c.link.path_loss_exponent = 2e300;
+  });
+  rejects("noise_power_dbm 2850", [&](core::fleet_config& c) {
+    c.link.noise_power_dbm = vtm::util::dbm{2850.0};
+  });
+  // 1e-318 W is subnormal: positive, yet the SNR overflows.
+  rejects("noise_power_dbm -3150", [&](core::fleet_config& c) {
+    c.link.noise_power_dbm = vtm::util::dbm{-3150.0};
+  });
   // The chain's construction contract: contiguous cells, centres strictly
   // forward, and a spawn window that reaches a handover.
   rejects("coverage_radius_m < spacing / 2", [&](core::fleet_config& c) {
@@ -368,6 +393,22 @@ TEST(fleet_scenario, rejects_invalid_configs) {
   });
   rejects("spawn_min_m past the last centre", [&](core::fleet_config& c) {
     c.spawn_min_m = vtm::util::meters{1e9};
+  });
+  // An explicit ceiling below the auto floor (500 m) leaves an empty window.
+  rejects("spawn_max_m 0 under an auto floor", [&](core::fleet_config& c) {
+    c.spawn_max_m = vtm::util::meters{0.0};
+  });
+  rejects("spawn_max_m 1 under an auto floor", [&](core::fleet_config& c) {
+    c.spawn_max_m = vtm::util::meters{1.0};
+  });
+  // Every site sits at a positive distance from the road's entry.
+  rejects("rsu_positions_m from 0 m", [&](core::fleet_config& c) {
+    c.rsu_positions_m = {vtm::util::meters{0.0}, vtm::util::meters{1000.0},
+                         vtm::util::meters{2000.0}};
+  });
+  rejects("rsu_positions_m from -500 m", [&](core::fleet_config& c) {
+    c.rsu_positions_m = {vtm::util::meters{-500.0}, vtm::util::meters{500.0},
+                         vtm::util::meters{1500.0}};
   });
   // NaN is not the "< 0 means auto" sentinel.
   rejects("spawn_min_m NaN", [&](core::fleet_config& c) {

@@ -337,9 +337,9 @@ TEST(fleet_shard, epoch_grid_snap_uses_relative_tolerance) {
 // engine whose book still holds a request when the horizon is cut.
 TEST(fleet_shard, drain_sweep_rehomes_abandoned_twins) {
   core::fleet_config config;
-  config.rsu_count = 4;
+  config.graph = std::make_shared<const sim::road_graph>(
+      sim::road_graph::path(4, 1000.0, 600.0));
   config.vehicle_count = 1;
-  const sim::rsu_chain chain(4, 1000.0, 600.0);
   const std::vector<std::uint32_t> rsu_shard(4, 0);
   std::vector<core::vehicle_slot> vehicles(1);
   vehicles[0].kinematics = {2600.0, 25.0};
@@ -349,7 +349,7 @@ TEST(fleet_shard, drain_sweep_rehomes_abandoned_twins) {
   vehicles[0].twin->set_host_rsu(1);
 
   sim::shard_mailbox<core::shard_message> mailbox(1);
-  core::shard_engine engine(config, chain, {}, 0, 0, 4, rsu_shard, vehicles,
+  core::shard_engine engine(config, {}, 0, 0, 4, rsu_shard, vehicles,
                             mailbox);
 
   core::clearing_request request;
@@ -382,6 +382,23 @@ TEST(fleet_shard, explicit_zero_spawn_window_is_not_auto) {
   // handovers. The pre-fix code silently spread the fleet over the chain.
   EXPECT_EQ(r.handovers, 0u);
   for (const auto& v : r.vehicles) EXPECT_EQ(v.host_rsu, 0u);
+}
+
+// An explicit window is clamped to its route: on the default chain the
+// road ends at the last centre (8000 m), so a ceiling past it runs bitwise
+// as a ceiling on it.
+TEST(fleet_shard, explicit_spawn_window_is_clamped_to_the_route) {
+  core::fleet_config wide;
+  wide.spawn_min_m = vtm::util::meters{500.0};
+  wide.spawn_max_m = vtm::util::meters{20000.0};
+  core::fleet_config clamped = wide;
+  clamped.spawn_max_m = vtm::util::meters{8000.0};
+  const auto a = core::run_fleet_scenario(wide);
+  const auto b = core::run_fleet_scenario(clamped);
+  EXPECT_GT(a.handovers, 0u);
+  expect_identical(a, b);
+  for (std::size_t v = 0; v < a.vehicles.size(); ++v)
+    EXPECT_EQ(a.vehicles[v].position_m, b.vehicles[v].position_m) << v;
 }
 
 TEST(fleet_shard, rejects_inverted_explicit_spawn_window) {

@@ -1,11 +1,12 @@
-// Road-network topology: path-graph degeneracy bitwise against the 1-D
-// chain (serving cells, handover boundaries, RSU gaps, and the full fleet
-// engine), routing validity over the grid network, piecewise speed-profile
-// arithmetic, and graph-config validation.
+// Road-network topology: a chain is its path graph (serving cells, handover
+// boundaries, RSU gaps, and the full fleet engine, bitwise), routing
+// validity over the grid network, piecewise speed-profile arithmetic, and
+// graph-config validation.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fleet_scenario.hpp"
@@ -27,11 +28,20 @@ void expect_identical(const core::fleet_result& a,
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.clearings, b.clearings);
   EXPECT_EQ(a.max_cohort, b.max_cohort);
+  EXPECT_EQ(a.cross_shard_transfers, b.cross_shard_transfers);
+  EXPECT_EQ(a.cross_shard_retargets, b.cross_shard_retargets);
+  EXPECT_EQ(a.late_handoffs, b.late_handoffs);
+  EXPECT_EQ(a.unconverged_clearings, b.unconverged_clearings);
+  EXPECT_EQ(a.solver_sweeps, b.solver_sweeps);
+  EXPECT_EQ(a.objective_evals, b.objective_evals);
+  EXPECT_EQ(a.warm_started_clearings, b.warm_started_clearings);
   EXPECT_EQ(a.msp_total_utility, b.msp_total_utility);
   EXPECT_EQ(a.vmu_total_utility, b.vmu_total_utility);
   EXPECT_EQ(a.mean_aotm, b.mean_aotm);
   EXPECT_EQ(a.mean_amplification, b.mean_amplification);
   EXPECT_EQ(a.mean_price, b.mean_price);
+  EXPECT_EQ(a.msp_utilities, b.msp_utilities);
+  EXPECT_EQ(a.msp_sold_mhz, b.msp_sold_mhz);
   ASSERT_EQ(a.migrations.size(), b.migrations.size());
   for (std::size_t i = 0; i < a.migrations.size(); ++i) {
     EXPECT_EQ(a.migrations[i].start_s, b.migrations[i].start_s);
@@ -47,26 +57,78 @@ void expect_identical(const core::fleet_result& a,
   }
   ASSERT_EQ(a.vehicles.size(), b.vehicles.size());
   for (std::size_t v = 0; v < a.vehicles.size(); ++v) {
+    EXPECT_EQ(a.vehicles[v].id, b.vehicles[v].id);
     EXPECT_EQ(a.vehicles[v].host_rsu, b.vehicles[v].host_rsu);
     EXPECT_EQ(a.vehicles[v].migrations, b.vehicles[v].migrations);
     EXPECT_EQ(a.vehicles[v].position_m, b.vehicles[v].position_m);
+    EXPECT_EQ(a.vehicles[v].shard, b.vehicles[v].shard);
   }
+}
+
+/// The path through explicit centres, built edge by edge: the first edge
+/// runs from the road's entry to the first centre, then one edge per gap,
+/// with each site at its edge's far end.
+sim::road_graph path_through(const std::vector<double>& centres,
+                             double radius_m) {
+  std::vector<sim::road_node> nodes(centres.size() + 1);
+  std::vector<sim::road_edge> edges;
+  std::vector<sim::rsu_site> sites;
+  double from_m = 0.0;
+  for (std::size_t i = 0; i < centres.size(); ++i) {
+    nodes[i + 1].x_m = centres[i];
+    edges.push_back(sim::road_edge{i, i + 1, centres[i] - from_m, 1.0});
+    sites.push_back(sim::rsu_site{i, centres[i] - from_m});
+    from_m = centres[i];
+  }
+  return sim::road_graph(std::move(nodes), std::move(edges), std::move(sites),
+                         {0}, {centres.size()}, radius_m);
 }
 
 }  // namespace
 
 // ---- path-graph degeneracy: bitwise the 1-D chain --------------------------
 
-TEST(road_graph, path_collapses_to_the_uniform_chain) {
-  const auto graph = sim::road_graph::path(8, 1000.0, 600.0);
-  EXPECT_EQ(graph.rsu_count(), 8u);
-  EXPECT_EQ(graph.route_count(), 1u);
-  const auto view = graph.as_chain();
-  ASSERT_TRUE(view.has_value());
-  EXPECT_TRUE(view->uniform);
-  EXPECT_EQ(view->count, 8u);
-  EXPECT_EQ(view->spacing_m.value(), 1000.0);
-  EXPECT_EQ(view->coverage_radius_m.value(), 600.0);
+// A chain is its path graph: the uniform path and the explicit-centre path
+// place their one route's sites exactly at the chain's centres, and every
+// site prices the chain's gap (site 0 its downstream gap).
+TEST(road_graph, path_sites_sit_at_the_chain_centres) {
+  const auto uniform = sim::road_graph::path(8, 1000.0, 600.0);
+  const sim::rsu_chain chain(8, 1000.0, 600.0);
+  ASSERT_EQ(uniform.route_count(), 1u);
+  ASSERT_EQ(uniform.route(0).sites.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(uniform.route(0).sites[i], i);
+    EXPECT_EQ(uniform.route(0).site_pos_m[i], chain.center_m(i));
+  }
+  EXPECT_EQ(uniform.route(0).length_m, 8000.0);
+
+  const std::vector<double> centres{800.0,  2000.0, 2900.0,
+                                    4400.0, 5200.0, 6800.0};
+  std::vector<vtm::util::meters> typed;
+  for (const double c : centres) typed.push_back(vtm::util::meters{c});
+  const auto path = sim::road_graph::path(typed, vtm::util::meters{900.0});
+  ASSERT_EQ(path.route_count(), 1u);
+  const auto& route = path.route(0);
+  ASSERT_EQ(route.sites.size(), centres.size());
+  EXPECT_EQ(path.edge(0).length_m, 800.0);  // from the road's entry
+  for (std::size_t i = 0; i < centres.size(); ++i) {
+    EXPECT_EQ(route.site_pos_m[i], centres[i]) << i;
+    const double gap = i > 0 ? centres[i] - centres[i - 1]
+                             : centres[1] - centres[0];
+    EXPECT_EQ(path.upstream_gap_m(i), gap) << i;
+  }
+  EXPECT_EQ(route.length_m, 6800.0);
+  EXPECT_EQ(path.site_distance_m(1, 4), 3200.0);
+
+  // Every site sits past the road's entry, and centres run forward.
+  const vtm::util::meters radius{600.0};
+  EXPECT_THROW((void)sim::road_graph::path(
+                   {vtm::util::meters{0.0}, vtm::util::meters{1000.0}}, radius),
+               vtm::util::contract_error);
+  EXPECT_THROW((void)sim::road_graph::path({vtm::util::meters{1000.0},
+                                            vtm::util::meters{1000.0}},
+                                           radius),
+               vtm::util::contract_error);
 }
 
 // Serving cells, handover boundaries, and beacon (next-handover) timings of
@@ -104,27 +166,72 @@ TEST(road_graph, path_route_profile_is_bitwise_the_chain) {
   EXPECT_EQ(graph.site_distance_m(3, 4), 1000.0);
 }
 
-// The full engine on the degenerate path graph reproduces today's default
-// chain run bitwise — spawn draws, market outcomes, records, and final
-// vehicle positions (the tier2 figure goldens run this exact config).
-TEST(road_graph, degenerate_path_graph_reproduces_chain_fleet_bitwise) {
-  core::fleet_config chain_config;  // defaults: 8 RSUs x 1000 m, radius 600
-  const auto baseline = core::run_fleet_scenario(chain_config);
-
-  core::fleet_config graph_config;
-  graph_config.graph = std::make_shared<const sim::road_graph>(
+// The oracle "a path graph == its chain": each row runs a chain config and
+// the same road given as a path graph, under one explicit spawn window (a
+// graph's auto window is [0, route length], a chain's is its own), at 1, 2
+// and 4 shards, and every aggregate, the per-MSP split, the records and the
+// vehicle summaries must agree bitwise. The oligopoly rows run the sellers'
+// offset chains over the graph's one route.
+TEST(road_graph, path_graph_runs_bitwise_as_its_chain) {
+  const auto default_path = std::make_shared<const sim::road_graph>(
       sim::road_graph::path(8, 1000.0, 600.0));
-  const auto r = core::run_fleet_scenario(graph_config);
-  EXPECT_EQ(r.handovers, 276u);  // the pinned structural golden
-  expect_identical(baseline, r);
 
-  // Sharded degenerate graphs keep the chain's shard equivalence.
-  auto sharded_config = graph_config;
-  sharded_config.shard_count = 4;
-  const auto sharded = core::run_fleet_scenario(sharded_config);
-  EXPECT_GT(sharded.cross_shard_transfers, 0u);
-  EXPECT_EQ(sharded.late_handoffs, 0u);
-  expect_identical(baseline, sharded);
+  core::fleet_config uniform;  // defaults: 8 RSUs x 1000 m, radius 600
+
+  const std::vector<double> centres{800.0,  2000.0, 2900.0,
+                                    4400.0, 5200.0, 6800.0};
+  core::fleet_config explicit_centres;
+  for (const double c : centres)
+    explicit_centres.rsu_positions_m.push_back(vtm::util::meters{c});
+  explicit_centres.coverage_radius_m = vtm::util::meters{900.0};
+  explicit_centres.vehicle_count = 80;
+  explicit_centres.duration_s = vtm::util::seconds{90.0};
+  explicit_centres.seed = 99;
+
+  core::fleet_config three_msps;  // the pinned three-seller roster
+  three_msps.mode = core::market_mode::oligopoly;
+  three_msps.vehicle_count = 300;
+  for (const double cost : {5.0, 5.5, 6.0})
+    three_msps.msps.push_back(
+        {vtm::util::meters{0.0}, cost, 12.0, vtm::util::megahertz{10.0}});
+
+  core::fleet_config offset_duopoly;
+  offset_duopoly.mode = core::market_mode::oligopoly;
+  offset_duopoly.msps = {
+      {vtm::util::meters{0.0}, 5.0, 50.0, vtm::util::megahertz{50.0}},
+      {vtm::util::meters{120.0}, 5.5, 50.0, vtm::util::megahertz{50.0}}};
+
+  struct row {
+    const char* name;
+    core::fleet_config chain;
+    std::shared_ptr<const sim::road_graph> graph;
+  };
+  const std::vector<row> rows{
+      {"default chain", uniform, default_path},
+      {"explicit centres", explicit_centres,
+       std::make_shared<const sim::road_graph>(path_through(centres, 900.0))},
+      {"three sellers", three_msps, default_path},
+      {"duopoly offset 120 m", offset_duopoly, default_path}};
+  for (const auto& r : rows) {
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(r.name) + ", shards " +
+                   std::to_string(shards));
+      core::fleet_config chain_config = r.chain;
+      chain_config.spawn_min_m = vtm::util::meters{400.0};
+      chain_config.spawn_max_m = vtm::util::meters{6400.0};
+      chain_config.shard_count = shards;
+      core::fleet_config graph_config = chain_config;
+      graph_config.rsu_positions_m.clear();
+      graph_config.graph = r.graph;
+      const auto chain_run = core::run_fleet_scenario(chain_config);
+      const auto graph_run = core::run_fleet_scenario(graph_config);
+      EXPECT_GT(chain_run.completed, 0u);
+      if (shards > 1) {
+        EXPECT_GT(chain_run.cross_shard_transfers, 0u);
+      }
+      expect_identical(chain_run, graph_run);
+    }
+  }
 }
 
 // ---- grid network: routing validity ----------------------------------------
@@ -134,7 +241,7 @@ TEST(road_graph, grid_routes_traverse_only_real_connected_edges) {
   EXPECT_EQ(graph.node_count(), 16u);
   EXPECT_EQ(graph.edge_count(), 24u);  // 12 right + 12 down
   EXPECT_EQ(graph.rsu_count(), 24u);   // one mid-edge site per edge
-  EXPECT_FALSE(graph.as_chain().has_value());  // a real network
+  EXPECT_GT(graph.route_count(), 1u);  // a real network
   ASSERT_GT(graph.route_count(), 0u);
 
   for (std::size_t r = 0; r < graph.route_count(); ++r) {
@@ -235,7 +342,8 @@ TEST(road_graph, rejects_invalid_graph_configs) {
   EXPECT_THROW((void)core::run_fleet_scenario(zero_span),
                vtm::util::contract_error);
 
-  // A valid two-seller roster: the graph alone rejects the oligopoly.
+  // A valid two-seller roster: the sellers' offset chains need one route
+  // through every site, which the grid has not.
   core::fleet_config oligopoly;
   oligopoly.graph = grid;
   oligopoly.mode = core::market_mode::oligopoly;

@@ -350,6 +350,26 @@ TEST(mobility, serving_rsu_is_nearest) {
   EXPECT_EQ(chain.serving_rsu(9999.0), 2u);   // past the chain
 }
 
+// One serving rule on every chain: the serving cell is the number of cell
+// midpoints at or before the position, so a position exactly on a midpoint
+// belongs to the next cell, and one ulp short of it to the previous one.
+TEST(mobility, serving_rule_on_a_non_uniform_chain) {
+  const s::rsu_chain chain(std::vector<double>{800.0, 2000.0, 2900.0, 4400.0,
+                                               5200.0, 6800.0},
+                           900.0);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i + 1 < chain.count(); ++i) {
+    const double midpoint = chain.handover_position_m(i);
+    EXPECT_EQ(midpoint, 0.5 * (chain.center_m(i) + chain.center_m(i + 1)));
+    EXPECT_EQ(chain.serving_rsu(midpoint), i + 1) << i;
+    EXPECT_EQ(chain.serving_rsu(std::nextafter(midpoint, -inf)), i) << i;
+    EXPECT_EQ(chain.serving_rsu(std::nextafter(midpoint, inf)), i + 1) << i;
+    EXPECT_EQ(chain.serving_rsu(chain.center_m(i)), i) << i;
+  }
+  EXPECT_EQ(chain.serving_rsu(-1e9), 0u);
+  EXPECT_EQ(chain.serving_rsu(1e9), chain.count() - 1);
+}
+
 TEST(mobility, forward_handover_event) {
   const s::rsu_chain chain(3, 1000.0, 600.0);
   const s::vehicle_state v{1200.0, 30.0};  // serving RSU 0, boundary at 1500
