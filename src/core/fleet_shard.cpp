@@ -838,11 +838,11 @@ void shard_engine::finish_migration(std::uint32_t flight) {
       record.data_sent_mb / std::max(1e-9, slot.twin->total_mb());
   entry.price_bandwidth = record.price * record.bandwidth_mhz;
   entry.bandwidth = record.bandwidth_mhz;
-  ledger_.push_back(entry);
+  completions_.ledger.push_back(entry);
   if (config_.record_migrations) {
     migration_record finished = record;
     finished.finish_s = queue_.now();
-    records_.push_back(std::move(finished));
+    completions_.records.push_back(std::move(finished));
   }
 
   // Neither the handover schedule nor a clearing schedule touches the slab,
@@ -925,17 +925,11 @@ void shard_engine::abandon_remaining() {
       resolve_abandoned(request);
 }
 
-shard_engine::flush_data shard_engine::take_flush(
+std::vector<cohort_snapshot> shard_engine::take_cohorts(
     [[maybe_unused]] const util::barrier_phase& barrier) {
-  flush_data flush;
-  flush.stats = counters_;  // cumulative; the coordinator diffs
-  flush.ledger = std::move(ledger_);
-  ledger_.clear();
-  flush.records = std::move(records_);
-  records_.clear();
-  flush.cohorts = std::move(cohorts_);
+  std::vector<cohort_snapshot> cohorts = std::move(cohorts_);
   cohorts_.clear();
-  return flush;
+  return cohorts;
 }
 
 std::size_t shard_engine::book_depth(
@@ -1062,6 +1056,7 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     lo += count;
   }
   flushed_.resize(shard_count);
+  heads_.resize(shard_count);
 
   if (spawn) spawn_vehicles();
 }
@@ -1180,9 +1175,12 @@ void shard_coordinator::run_windows() {
         const util::barrier_scope at_barrier(barrier_);
         const std::size_t delivered = exchange();
         if (draining) return delivered > 0;
-        // Emit every flush boundary this window crossed. A flush covers
-        // events up to the barrier that emitted it (window granularity);
-        // conservation holds per window by the exactly-once ledger.
+        // Fold the window's completions into the open flush, so the shards'
+        // logs stay one window long. Then emit every flush boundary this
+        // window crossed. A flush covers events up to the barrier that
+        // emitted it (window granularity); conservation holds per window by
+        // the exactly-once ledger.
+        reduce_completions(t_end);
         while (next_flush <= t_end) {
           flushes_.push_back(flush_window(/*final=*/false));
           next_flush += stream_.flush_period_s.value();
@@ -1254,87 +1252,103 @@ void shard_coordinator::inject_arrivals(double upto) {
   span.arg("admitted", static_cast<double>(admitted));
 }
 
-fleet_result shard_coordinator::flush_window(bool final) {
-  util::trace_span span(coord_trace_, "coord.flush");
-  fleet_result window;
-  std::vector<shard_engine::flush_data> data;
-  data.reserve(shards_.size());
-  for (auto& shard : shards_) data.push_back(shard->take_flush(barrier_));
+void shard_coordinator::completion_sums::add(
+    const shard_engine::completion_entry& entry) {
+  ++completed;
+  max_cohort = std::max<std::size_t>(max_cohort, entry.cohort);
+  msp_utility += entry.msp_utility;
+  vmu_utility += entry.vmu_utility;
+  aotm += entry.aotm;
+  amplification += entry.amplification;
+  price_bandwidth += entry.price_bandwidth;
+  bandwidth += entry.bandwidth;
+}
 
-  // Counter deltas against the previous flush's cumulative snapshots.
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    fold_counters(window, data[s].stats, flushed_[s]);
-    flushed_[s] = std::move(data[s].stats);
-    total += data[s].ledger.size();
-  }
+void shard_coordinator::completion_sums::write(fleet_result& out) const {
+  out.completed = completed;
+  out.max_cohort = max_cohort;
+  out.msp_total_utility = msp_utility;
+  out.vmu_total_utility = vmu_utility;
+  if (completed == 0) return;
+  const double n = static_cast<double>(completed);
+  out.mean_aotm = aotm / n;
+  out.mean_amplification = amplification / n;
+  if (bandwidth > 0.0) out.mean_price = price_bandwidth / bandwidth;
+}
 
-  // Reduce this window's completion ledgers in global finish-time order
+void shard_coordinator::reduce_completions(double before) {
+  util::trace_span span(coord_trace_, "coord.merge");
+  // A k-way merge of the shards' log prefixes finishing before `before`
   // (vehicle slot breaks exact ties): one shard reproduces the serial
   // engine's event-order summation bitwise, and multi-shard aggregates are
-  // independent of thread timing by construction. The run-total
-  // accumulators advance inside the same loop, so a stream's totals are the
-  // same ordered sum an unwindowed reduction of the whole stream would
-  // produce.
-  double sum_aotm = 0.0;
-  double sum_amplification = 0.0;
-  double sum_price_bandwidth = 0.0;
-  double sum_bandwidth = 0.0;
-  std::vector<std::size_t> head(shards_.size(), 0);
-  if (config_.record_migrations) window.migrations.reserve(total);
-  for (std::size_t n = 0; n < total; ++n) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (head[s] >= data[s].ledger.size()) continue;
-      if (best == shards_.size()) {
+  // independent of thread timing by construction. The flush and run sums
+  // advance in the same loop, so a stream's totals are the ordered sum one
+  // reduction of the whole stream would produce.
+  const std::size_t shards = shards_.size();
+  std::fill(heads_.begin(), heads_.end(), std::size_t{0});
+  std::size_t reduced = 0;
+  for (;; ++reduced) {
+    std::size_t best = shards;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const auto& ledger = shards_[s]->completions(barrier_).ledger;
+      if (heads_[s] >= ledger.size() || !(ledger[heads_[s]].finish_s < before))
+        continue;
+      if (best == shards) {
         best = s;
         continue;
       }
-      const auto& a = data[s].ledger[head[s]];
-      const auto& b = data[best].ledger[head[best]];
+      const auto& a = ledger[heads_[s]];
+      const auto& b = shards_[best]->completions(barrier_).ledger[heads_[best]];
       if (a.finish_s < b.finish_s ||
           (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
         best = s;
     }
-    const auto& entry = data[best].ledger[head[best]];
-    ++window.completed;
-    window.max_cohort = std::max<std::size_t>(window.max_cohort, entry.cohort);
-    window.msp_total_utility += entry.msp_utility;
-    window.vmu_total_utility += entry.vmu_utility;
-    sum_aotm += entry.aotm;
-    sum_amplification += entry.amplification;
-    sum_price_bandwidth += entry.price_bandwidth;
-    sum_bandwidth += entry.bandwidth;
-    total_msp_utility_ += entry.msp_utility;
-    total_vmu_utility_ += entry.vmu_utility;
-    sum_aotm_ += entry.aotm;
-    sum_amplification_ += entry.amplification;
-    sum_price_bandwidth_ += entry.price_bandwidth;
-    sum_bandwidth_ += entry.bandwidth;
+    if (best == shards) break;
+    auto& log = shards_[best]->completions(barrier_);
+    const auto& entry = log.ledger[heads_[best]];
+    flush_sums_.add(entry);
+    run_sums_.add(entry);
     if (metrics_ != nullptr) {
       metrics_->observe(cohort_histogram_, static_cast<double>(entry.cohort));
       metrics_->observe(grant_mhz_histogram_, entry.bandwidth);
     }
     if (config_.record_migrations) {
-      migration_record record = std::move(data[best].records[head[best]]);
-      // Records carry the stable identity — the slot index is recycled.
+      migration_record record = std::move(log.records[heads_[best]]);
+      // Records carry the stable identity — the slot index is recycled, but
+      // only by a flush, after this reduction.
       record.vehicle = vehicles_[record.vehicle].id;
-      window.migrations.push_back(std::move(record));
+      flush_migrations_.push_back(std::move(record));
     }
-    ++head[best];
+    ++heads_[best];
   }
-  for (auto& shard_data : data)
-    window.cohorts.insert(window.cohorts.end(),
-                          std::make_move_iterator(shard_data.cohorts.begin()),
-                          std::make_move_iterator(shard_data.cohorts.end()));
+  for (std::size_t s = 0; s < shards; ++s) {
+    auto& log = shards_[s]->completions(barrier_);
+    const auto taken = static_cast<std::ptrdiff_t>(heads_[s]);
+    log.ledger.erase(log.ledger.begin(), log.ledger.begin() + taken);
+    if (config_.record_migrations)
+      log.records.erase(log.records.begin(), log.records.begin() + taken);
+  }
+  span.arg("completions", static_cast<double>(reduced));
+}
 
-  if (window.completed > 0) {
-    const double n = static_cast<double>(window.completed);
-    window.mean_aotm = sum_aotm / n;
-    window.mean_amplification = sum_amplification / n;
-    if (sum_bandwidth > 0.0)
-      window.mean_price = sum_price_bandwidth / sum_bandwidth;
+fleet_result shard_coordinator::flush_window(bool final) {
+  util::trace_span span(coord_trace_, "coord.flush");
+  reduce_completions(std::numeric_limits<double>::infinity());
+  fleet_result window;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    // Counter deltas against the previous flush's cumulative snapshots.
+    const shard_engine::counters& stats = shards_[s]->stats();
+    fold_counters(window, stats, flushed_[s]);
+    flushed_[s] = stats;
+    auto cohorts = shards_[s]->take_cohorts(barrier_);
+    window.cohorts.insert(window.cohorts.end(),
+                          std::make_move_iterator(cohorts.begin()),
+                          std::make_move_iterator(cohorts.end()));
   }
+  flush_sums_.write(window);
+  flush_sums_ = {};
+  window.migrations = std::move(flush_migrations_);
+  flush_migrations_.clear();
 
   // Retire exited twins (every live twin on the final flush): nothing can
   // reference them again — exited is only set when a vehicle has no
@@ -1397,12 +1411,9 @@ streaming_result shard_coordinator::run_stream() {
 
   fleet_result& totals = result.totals;
   for (const auto& shard : shards_) fold_counters(totals, shard->stats(), {});
-  totals.msp_total_utility = total_msp_utility_;
-  totals.vmu_total_utility = total_vmu_utility_;
+  run_sums_.write(totals);
   totals.vehicles.resize(arrivals_);
   for (const auto& flush : result.flushes) {
-    totals.completed += flush.completed;
-    totals.max_cohort = std::max(totals.max_cohort, flush.max_cohort);
     for (const auto& summary : flush.vehicles) {
       VTM_ASSERT(summary.id < arrivals_);
       totals.vehicles[summary.id] = summary;
@@ -1413,13 +1424,6 @@ streaming_result shard_coordinator::run_stream() {
                                flush.migrations.end());
     totals.cohorts.insert(totals.cohorts.end(), flush.cohorts.begin(),
                           flush.cohorts.end());
-  }
-  if (totals.completed > 0) {
-    const double n = static_cast<double>(totals.completed);
-    totals.mean_aotm = sum_aotm_ / n;
-    totals.mean_amplification = sum_amplification_ / n;
-    if (sum_bandwidth_ > 0.0)
-      totals.mean_price = sum_price_bandwidth_ / sum_bandwidth_;
   }
   return result;
 }

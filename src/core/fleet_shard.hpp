@@ -18,15 +18,17 @@
 //     to the pool now serving the vehicle.
 //
 // One protocol, one reduction (DESIGN.md §10, §14): closed and streaming
-// runs share one window loop. Each barrier exchanges messages, emits any
-// flush due, and admits the next window's arrivals; past the horizon the
-// loop drains to quiescence and emits a final flush. A flush reduces the
-// shards' completion ledgers in global finish-time order, folds their
-// counter deltas, and fills the run's metric histograms: it is the one
-// place a run's deterministic numbers are recorded, and the shards record
-// none. A closed run is the degenerate stream: its arrival source is the
-// t = 0 spawn cohort, adopted before the first exchange, it never flushes
-// periodically, and its `fleet_result` is the one final flush.
+// runs share one window loop. Each barrier exchanges messages, reduces the
+// window's completions, emits any flush due, and admits the next window's
+// arrivals; past the horizon the loop drains to quiescence and emits a final
+// flush. The reduction merges the shards' completion ledgers in global
+// finish-time order into the open flush and fills the run's metric
+// histograms; a flush reduces what is left, folds the shards' counter
+// deltas, and emits. That is the one place a run's deterministic numbers are
+// recorded, and the shards record none. A closed run is the degenerate
+// stream: its arrival source is the t = 0 spawn cohort, adopted before the
+// first exchange, it never flushes periodically, and its `fleet_result` is
+// the one final flush.
 //
 // Fidelity contract (DESIGN.md §10): with `shard_count = 1` the engine is
 // bitwise identical to the pre-shard serial engine. Multi-shard runs are
@@ -45,18 +47,18 @@
 // dropped.
 //
 // Event core: each shard advances a `sim::basic_event_queue<fleet_event>` —
-// the same `(time, seq)` 4-ary heap as `sim::event_queue`, so equal-time
-// events still run in schedule order — over a closed, trivially copyable
-// event record (arrival, handover, clearing, completion) that one switch
+// the same monotone radix queue as `sim::event_queue`, so equal-time events
+// still run in schedule order — over a closed, trivially copyable event
+// record (arrival, handover, clearing, completion) that one switch
 // dispatches. A completion event carries only an index into the shard's
 // in-flight slab, which holds the migration's grants, seller slices, and
-// record until it lands; slab slots recycle through a free list. The heap,
-// the slab, the pools' grant slots and the spot and oligopoly books'
-// clearing scratch grow on first use and are then reused, and twins live in
-// their vehicle slots, so a steady-state window admits, clears, migrates and
-// completes without allocating; only flushes and the learned pricer's
-// clearings do (tests/alloc_guard_test.cpp). A completion is scheduled at
-// exactly `now() + total_time_s`.
+// record until it lands; slab slots recycle through a free list. The queue's
+// buckets, the slab, the completion ledger, the pools' grant slots and the
+// spot and oligopoly books' clearing scratch grow on first use and are then
+// reused, and twins live in their vehicle slots, so a steady-state window
+// admits, clears, migrates and completes without allocating; only flushes
+// and the learned pricer's clearings do (tests/alloc_guard_test.cpp). A
+// completion is scheduled at exactly `now() + total_time_s`.
 //
 // `shard_engine` is an engine-internal component driven by the coordinator;
 // it is exposed here (rather than hidden in a TU) so white-box tests and
@@ -241,18 +243,26 @@ class shard_engine {
 
   [[nodiscard]] const counters& stats() const noexcept { return counters_; }
 
-  /// Snapshot for one flush: cumulative counters plus the ledger, records,
-  /// and cohorts accrued since the previous flush (moved out, so per-window
-  /// memory is released). Barrier only — reads engine state the lanes
-  /// otherwise own.
-  struct flush_data {
-    counters stats;  ///< Cumulative; the coordinator diffs against the last.
+  /// Completions not yet reduced, in local completion order (nondecreasing
+  /// finish time), and their records when the run records migrations (one
+  /// per ledger entry, in the same order).
+  struct completion_log {
     std::vector<completion_entry> ledger;
     std::vector<migration_record> records;
-    std::vector<cohort_snapshot> cohorts;
   };
-  [[nodiscard]] flush_data take_flush(const util::barrier_phase& barrier)
-      VTM_REQUIRES(barrier);
+  /// The log the coordinator reduces: it merges a prefix and erases it, so
+  /// the vectors keep their capacity. Barrier only — the lane appends to it
+  /// mid-window.
+  [[nodiscard]] completion_log& completions(
+      [[maybe_unused]] const util::barrier_phase& barrier)
+      VTM_REQUIRES(barrier) {
+    return completions_;
+  }
+
+  /// Cohort snapshots accrued since the previous flush, moved out. Barrier
+  /// only.
+  [[nodiscard]] std::vector<cohort_snapshot> take_cohorts(
+      const util::barrier_phase& barrier) VTM_REQUIRES(barrier);
 
   /// Requests waiting in this shard's deferral books, summed over its pools.
   /// Barrier only — reads state the lanes otherwise own.
@@ -355,8 +365,7 @@ class shard_engine {
   std::vector<std::vector<std::size_t>> candidates_;
   std::vector<bool> clearing_scheduled_;
   counters counters_;
-  std::vector<completion_entry> ledger_;
-  std::vector<migration_record> records_;
+  completion_log completions_;
   std::vector<cohort_snapshot> cohorts_;
   util::trace_lane* trace_;  ///< Null when tracing is off.
 };
@@ -422,10 +431,21 @@ class shard_coordinator {
   /// arrival and draws its spawn. Barrier only — touches slots and shard
   /// queues across lanes.
   void inject_arrivals(double upto) VTM_REQUIRES(barrier_);
-  /// Emit one flush window: fold shard counter deltas, reduce the window's
-  /// completion ledgers in finish-time order (observing each completion's
-  /// cohort and granted bandwidth into the metric histograms), and retire
-  /// exited twins (all twins when `final`), recycling their slots.
+  /// The reduce step, run at every window barrier and by each flush: merge
+  /// the shards' completions that finish before `before` into the open
+  /// flush and the run totals, in global (finish time, vehicle) order,
+  /// observing each completion's cohort and granted bandwidth into the
+  /// metric histograms, then erase them from the shards' logs. Every later
+  /// completion finishes at or after the window's end, so reducing the
+  /// entries before it keeps the order one merge at the flush would give.
+  /// A drain round runs each shard to its own empty queue, so a later round
+  /// can land a completion before an earlier round's: only the final flush
+  /// reduces drain-round completions.
+  void reduce_completions(double before) VTM_REQUIRES(barrier_);
+  /// The emit step: reduce every completion left, close the open flush
+  /// (counter deltas since the previous flush, the reduced sums, records
+  /// and cohorts), and retire exited twins (all twins when `final`),
+  /// recycling their slots.
   [[nodiscard]] fleet_result flush_window(bool final) VTM_REQUIRES(barrier_);
   /// Deliver every buffered message in (destination, sender, send order)
   /// sequence; returns the number delivered. Barrier only — the analysis
@@ -462,13 +482,27 @@ class shard_coordinator {
   std::size_t peak_live_ = 0;
   std::vector<shard_engine::counters> flushed_;  ///< Last-flush snapshots.
   std::vector<fleet_result> flushes_;
-  // Run-total FP accumulators (finish-time reduction order across flushes).
-  double sum_aotm_ = 0.0;
-  double sum_amplification_ = 0.0;
-  double sum_price_bandwidth_ = 0.0;
-  double sum_bandwidth_ = 0.0;
-  double total_msp_utility_ = 0.0;
-  double total_vmu_utility_ = 0.0;
+
+  /// Counts and sums over reduced completions, in reduction order.
+  struct completion_sums {
+    std::size_t completed = 0;
+    std::size_t max_cohort = 0;
+    double msp_utility = 0.0;
+    double vmu_utility = 0.0;
+    double aotm = 0.0;
+    double amplification = 0.0;
+    double price_bandwidth = 0.0;
+    double bandwidth = 0.0;
+
+    void add(const shard_engine::completion_entry& entry);
+    /// Set `out`'s completion count, largest cohort, utility totals and
+    /// means.
+    void write(fleet_result& out) const;
+  };
+  completion_sums flush_sums_;  ///< The open flush's.
+  completion_sums run_sums_;    ///< The run's, across flushes.
+  std::vector<migration_record> flush_migrations_;  ///< The open flush's.
+  std::vector<std::size_t> heads_;  ///< Reduce scratch: next entry per shard.
   std::vector<std::uint32_t> rsu_shard_;  ///< Global RSU index -> shard.
   std::vector<vehicle_slot> vehicles_;
   std::vector<std::uint32_t> owner_;      ///< Vehicle -> owning shard.

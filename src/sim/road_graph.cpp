@@ -192,12 +192,6 @@ const road_route& road_graph::route(std::size_t r) const {
   return routes_[r];
 }
 
-double road_graph::node_distance_m(std::size_t a, std::size_t b) const {
-  VTM_EXPECTS(a < nodes_.size());
-  VTM_EXPECTS(b < nodes_.size());
-  return dist_at(a, b);
-}
-
 double road_graph::site_distance_m(std::size_t a, std::size_t b) const {
   VTM_EXPECTS(a < sites_.size());
   VTM_EXPECTS(b < sites_.size());

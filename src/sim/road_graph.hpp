@@ -117,15 +117,6 @@ class road_graph {
   [[nodiscard]] const road_edge& edge(std::size_t e) const;
   [[nodiscard]] const rsu_site& site(std::size_t s) const;
   [[nodiscard]] const road_route& route(std::size_t r) const;
-  [[nodiscard]] const std::vector<std::size_t>& entries() const noexcept {
-    return entries_;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& exits() const noexcept {
-    return exits_;
-  }
-
-  /// Shortest-path distance between two nodes; +infinity when unreachable.
-  [[nodiscard]] double node_distance_m(std::size_t a, std::size_t b) const;
 
   /// Graph distance between two RSU sites along the road network (the link
   /// distance d a migration a -> b transfers over): same-edge forward runs

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 
 namespace vtm::util {
@@ -7,7 +9,7 @@ namespace vtm::util {
 thread_pool::thread_pool(std::size_t threads) {
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
 }
 
 thread_pool::~thread_pool() {
@@ -19,6 +21,12 @@ thread_pool::~thread_pool() {
   for (auto& worker : workers_) worker.join();
 }
 
+void thread_pool::record_error() {
+  const mutex_lock lock(mutex_);
+  if (!error_) error_ = std::current_exception();
+  failed_.store(true, std::memory_order_relaxed);
+}
+
 void thread_pool::run_indices(const std::function<void(std::size_t)>& fn,
                               std::size_t n) {
   for (;;) {
@@ -27,16 +35,45 @@ void thread_pool::run_indices(const std::function<void(std::size_t)>& fn,
     try {
       fn(i);
     } catch (...) {
-      const mutex_lock lock(mutex_);
-      if (!error_) error_ = std::current_exception();
+      record_error();
     }
   }
 }
 
-void thread_pool::worker_loop() {
+void thread_pool::run_lanes(const phased_job& job, std::size_t participant,
+                            std::size_t phase) {
+  for (std::size_t lane = participant; lane < job.lanes;
+       lane += job.participants) {
+    try {
+      (*job.fn)(lane, phase);
+    } catch (...) {
+      record_error();
+    }
+  }
+}
+
+void thread_pool::run_participant(const phased_job& job,
+                                  std::size_t participant) {
+  if (participant >= job.participants) return;  // more workers than lanes
+  const auto workers = static_cast<std::uint32_t>(job.participants - 1);
+  // The caller bumps `phase_` only once every worker has arrived, so this
+  // read precedes the first bump and each wait sees exactly one.
+  std::uint32_t generation = phase_.load(std::memory_order_acquire);
+  for (std::size_t phase = 0;; ++phase) {
+    run_lanes(job, participant, phase);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers)
+      arrived_.notify_one();
+    phase_.wait(generation, std::memory_order_acquire);
+    ++generation;
+    if (last_phase_.load(std::memory_order_relaxed)) return;
+  }
+}
+
+void thread_pool::worker_loop(std::size_t participant) {
   std::size_t seen_generation = 0;
   for (;;) {
     const std::function<void(std::size_t)>* job = nullptr;
+    const phased_job* phased = nullptr;
     std::size_t n = 0;
     {
       mutex_lock lock(mutex_);
@@ -45,14 +82,49 @@ void thread_pool::worker_loop() {
       seen_generation = generation_;
       job = job_;
       n = job_size_;
+      phased = phased_;
     }
-    run_indices(*job, n);
+    if (phased != nullptr)
+      run_participant(*phased, participant);
+    else
+      run_indices(*job, n);
     {
       const mutex_lock lock(mutex_);
       --active_;
     }
     done_.notify_one();
   }
+}
+
+void thread_pool::start_job(const std::function<void(std::size_t)>* fn,
+                            std::size_t n, const phased_job* phased) {
+  {
+    const mutex_lock lock(mutex_);
+    VTM_EXPECTS(job_ == nullptr && phased_ == nullptr);  // not reentrant
+    job_ = fn;
+    job_size_ = n;
+    phased_ = phased;
+    next_.store(0, std::memory_order_relaxed);
+    error_ = nullptr;
+    // The workers read these after taking the mutex, so relaxed stores do.
+    failed_.store(false, std::memory_order_relaxed);
+    arrived_.store(0, std::memory_order_relaxed);
+    last_phase_.store(false, std::memory_order_relaxed);
+    active_ = workers_.size();
+    ++generation_;
+  }
+  wake_.notify_all();
+}
+
+std::exception_ptr thread_pool::finish_job() {
+  mutex_lock lock(mutex_);
+  while (active_ != 0) done_.wait(lock);
+  job_ = nullptr;
+  job_size_ = 0;
+  phased_ = nullptr;
+  std::exception_ptr error = error_;
+  error_ = nullptr;
+  return error;
 }
 
 void thread_pool::parallel_for(std::size_t n,
@@ -63,31 +135,10 @@ void thread_pool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-
-  {
-    const mutex_lock lock(mutex_);
-    VTM_EXPECTS(job_ == nullptr);  // not reentrant
-    job_ = &fn;
-    job_size_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    error_ = nullptr;
-    active_ = workers_.size();
-    ++generation_;
-  }
-  wake_.notify_all();
-
+  start_job(&fn, n, nullptr);
   run_indices(fn, n);  // the caller helps drain the loop
-
-  std::exception_ptr error;
-  {
-    mutex_lock lock(mutex_);
-    while (active_ != 0) done_.wait(lock);
-    job_ = nullptr;
-    job_size_ = 0;
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
+  if (const std::exception_ptr error = finish_job())
+    std::rethrow_exception(error);
 }
 
 void thread_pool::run_phased(
@@ -95,10 +146,39 @@ void thread_pool::run_phased(
     const std::function<bool(std::size_t)>& barrier) {
   VTM_EXPECTS(fn != nullptr);
   VTM_EXPECTS(barrier != nullptr);
-  for (std::size_t phase = 0;; ++phase) {
-    parallel_for(lanes, [&](std::size_t lane) { fn(lane, phase); });
-    if (!barrier(phase)) return;
+  if (workers_.empty() || lanes < 2) {
+    for (std::size_t phase = 0;; ++phase) {
+      for (std::size_t lane = 0; lane < lanes; ++lane) fn(lane, phase);
+      if (!barrier(phase)) return;
+    }
   }
+
+  const phased_job job{&fn, lanes, std::min(workers_.size() + 1, lanes)};
+  const auto workers = static_cast<std::uint32_t>(job.participants - 1);
+  start_job(nullptr, 0, &job);
+  for (std::size_t phase = 0;; ++phase) {
+    run_lanes(job, 0, phase);
+    for (std::uint32_t arrived = arrived_.load(std::memory_order_acquire);
+         arrived != workers;
+         arrived = arrived_.load(std::memory_order_acquire))
+      arrived_.wait(arrived, std::memory_order_acquire);
+    arrived_.store(0, std::memory_order_relaxed);
+    // Every lane is done with `phase` and every worker waits on `phase_`.
+    bool more = false;
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        more = barrier(phase);
+      } catch (...) {
+        record_error();
+      }
+    }
+    if (!more) last_phase_.store(true, std::memory_order_relaxed);
+    phase_.fetch_add(1, std::memory_order_release);
+    phase_.notify_all();
+    if (!more) break;
+  }
+  if (const std::exception_ptr error = finish_job())
+    std::rethrow_exception(error);
 }
 
 }  // namespace vtm::util

@@ -1,4 +1,4 @@
-// Fixed-size worker pool for data-parallel loops.
+// Fixed-size worker pool for data-parallel loops and phased lanes.
 //
 // `parallel_for(n, fn)` runs fn(0..n-1) across the workers plus the calling
 // thread and blocks until every index has finished. Indices are handed out
@@ -7,10 +7,20 @@
 // environment per index, each with its own RNG). A pool of size zero has no
 // workers and parallel_for degenerates to a plain serial loop, which keeps
 // single-threaded call sites allocation- and synchronization-free.
+//
+// `run_phased(lanes, fn, barrier)` is lane-affine: lane l runs on
+// participant l mod (workers + 1) for the whole run, participant 0 being the
+// calling thread, which alone runs the barrier callback. The workers join
+// the run once, through the same mutex hand-off as a parallel_for; from then
+// on phases hand off through one atomic arrival count and one atomic phase
+// generation, waited on with `std::atomic::wait`/`notify`. A phase takes no
+// lock and builds no `std::function`, and a lane's state stays in the cache
+// of the core that last ran it.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -47,18 +57,44 @@ class thread_pool {
   /// ever runs phase k + 1 before every lane has completed phase k, and the
   /// barrier callback runs with all workers idle, so it may freely touch
   /// state the lanes share (exchange mailboxes, pick the next time window).
-  /// Exceptions from any lane abort the loop and rethrow after the phase
-  /// drains. Not reentrant.
+  /// Lane l runs on the same thread in every phase: the caller's when
+  /// l mod (size() + 1) == 0. An exception from a lane or from the barrier
+  /// ends the run at the next barrier (the phase's other lanes still run)
+  /// and is rethrown here; a serial pool rethrows at once. Not reentrant.
   void run_phased(std::size_t lanes,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   const std::function<bool(std::size_t)>& barrier);
 
  private:
-  void worker_loop() VTM_EXCLUDES(mutex_);
+  /// One run_phased call, shared with the workers for its duration.
+  struct phased_job {
+    const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::size_t lanes = 0;
+    std::size_t participants = 0;  ///< Threads with lanes, the caller's too.
+  };
+
+  /// `participant` is the worker's index + 1 (the caller is participant 0).
+  void worker_loop(std::size_t participant) VTM_EXCLUDES(mutex_);
+  /// Hand one job to every worker: a parallel_for loop, or a phased run
+  /// when `phased` is set.
+  void start_job(const std::function<void(std::size_t)>* fn, std::size_t n,
+                 const phased_job* phased) VTM_EXCLUDES(mutex_);
+  /// Wait for every worker to leave the job; returns its first exception.
+  [[nodiscard]] std::exception_ptr finish_job() VTM_EXCLUDES(mutex_);
   /// Drain indices of the current job. Takes the job by argument (snapshotted
   /// under `mutex_` by the caller) so no guarded member is read mid-loop.
   void run_indices(const std::function<void(std::size_t)>& fn, std::size_t n)
       VTM_EXCLUDES(mutex_);
+  /// Run `participant`'s lanes of `phase`; a throwing lane is recorded and
+  /// the others still run.
+  void run_lanes(const phased_job& job, std::size_t participant,
+                 std::size_t phase) VTM_EXCLUDES(mutex_);
+  /// A worker's side of a phased run: its lanes, then arrive and wait for
+  /// the next phase generation, until the caller ends the run.
+  void run_participant(const phased_job& job, std::size_t participant)
+      VTM_EXCLUDES(mutex_);
+  /// Keep the first exception of the current job.
+  void record_error() VTM_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
 
@@ -68,13 +104,23 @@ class thread_pool {
   const std::function<void(std::size_t)>* job_ VTM_GUARDED_BY(mutex_) =
       nullptr;
   std::size_t job_size_ VTM_GUARDED_BY(mutex_) = 0;
-  /// Bumped per parallel_for call.
+  const phased_job* phased_ VTM_GUARDED_BY(mutex_) = nullptr;
+  /// Bumped per job.
   std::size_t generation_ VTM_GUARDED_BY(mutex_) = 0;
-  /// Workers still draining the current job.
+  /// Workers still in the current job.
   std::size_t active_ VTM_GUARDED_BY(mutex_) = 0;
   std::atomic<std::size_t> next_{0};
   std::exception_ptr error_ VTM_GUARDED_BY(mutex_);
   bool stop_ VTM_GUARDED_BY(mutex_) = false;
+
+  // Phased hand-off. A worker adds to `arrived_` when its lanes are done;
+  // the caller waits for every worker, runs the barrier, resets the count
+  // and bumps `phase_`, which the workers wait on. `last_phase_` and
+  // `failed_` are read after that acquire, so relaxed order suffices.
+  std::atomic<std::uint32_t> arrived_{0};
+  std::atomic<std::uint32_t> phase_{0};
+  std::atomic<bool> last_phase_{false};
+  std::atomic<bool> failed_{false};  ///< `error_` is set (any job).
 };
 
 }  // namespace vtm::util

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -144,4 +146,119 @@ TEST(concurrency_stress, run_phased_survives_lane_exception_under_load) {
       });
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(epoch, 3u);
+}
+
+// Lane affinity: every lane runs on one thread for the whole run — the
+// caller's when its index is a multiple of the participant count (workers +
+// 1), a worker's otherwise — and the barrier runs on the caller's thread.
+// Lanes record their phase-0 thread in plain slots and compare against it
+// every later phase, so under TSan the test also checks that the atomic
+// hand-off orders those reads.
+TEST(concurrency_stress, run_phased_keeps_each_lane_on_one_thread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::uint64_t sink = 0;
+  for (const std::size_t threads : {1u, 3u}) {
+    vtm::util::thread_pool pool(threads);
+    const std::size_t participants = threads + 1;
+    const std::size_t lanes = 2 * participants + 1;
+    std::vector<std::thread::id> home(lanes);
+    std::vector<lane_sink> moves(lanes);
+    std::vector<lane_sink> sinks(lanes);
+    std::size_t barriers_off_caller = 0;
+    std::size_t barriers = 0;
+    pool.run_phased(
+        lanes,
+        [&](std::size_t lane, std::size_t phase) {
+          const std::thread::id self = std::this_thread::get_id();
+          if (phase == 0)
+            home[lane] = self;
+          else if (home[lane] != self)
+            ++moves[lane].value;
+          sinks[lane].value +=
+              churn(lane * 131 + phase, (lane * 17 + phase * 29) % 503);
+        },
+        [&](std::size_t phase) {
+          if (std::this_thread::get_id() != caller) ++barriers_off_caller;
+          ++barriers;
+          return phase + 1 < 30;
+        });
+    EXPECT_EQ(barriers, 30u);
+    EXPECT_EQ(barriers_off_caller, 0u) << "threads=" << threads;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      EXPECT_EQ(moves[lane].value, 0u)
+          << "lane " << lane << " changed thread, threads=" << threads;
+      if (lane % participants == 0)
+        EXPECT_EQ(home[lane], caller) << "lane " << lane;
+      else
+        EXPECT_NE(home[lane], caller) << "lane " << lane;
+      // Lanes that share a participant share its thread.
+      EXPECT_EQ(home[lane], home[lane % participants]) << "lane " << lane;
+      sink += sinks[lane].value;
+    }
+  }
+  EXPECT_NE(sink, 0u);
+}
+
+// An exception from a lane, or from the barrier, ends the run at the next
+// barrier and rethrows on the caller: the throwing phase's other lanes still
+// run, no lane starts another phase, and the pool runs the next job.
+TEST(concurrency_stress, run_phased_rethrows_lane_and_barrier_exceptions) {
+  vtm::util::thread_pool pool(3);
+  constexpr std::size_t lanes = 9;
+  std::vector<std::size_t> last_phase(lanes, 0);
+  std::size_t barriers = 0;
+
+  // Lane 5 runs on a worker (participant 1 of 4).
+  try {
+    pool.run_phased(
+        lanes,
+        [&](std::size_t lane, std::size_t phase) {
+          last_phase[lane] = phase;
+          if (phase == 2 && lane == 5) throw std::runtime_error("lane");
+        },
+        [&](std::size_t) {
+          ++barriers;
+          return true;
+        });
+    ADD_FAILURE() << "the lane's exception was not rethrown";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "lane");
+  }
+  EXPECT_EQ(barriers, 2u);  // no barrier ran for the throwing phase
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    EXPECT_EQ(last_phase[lane], 2u) << "lane " << lane;
+
+  barriers = 0;
+  EXPECT_THROW(pool.run_phased(
+                   lanes,
+                   [&](std::size_t lane, std::size_t phase) {
+                     last_phase[lane] = phase;
+                   },
+                   [&](std::size_t phase) -> bool {
+                     ++barriers;
+                     if (phase == 3) throw std::logic_error("barrier");
+                     return true;
+                   }),
+               std::logic_error);
+  EXPECT_EQ(barriers, 4u);
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    EXPECT_EQ(last_phase[lane], 3u) << "lane " << lane;
+
+  // The pool is still usable, for both kinds of job.
+  std::vector<std::size_t> out(lanes, 0);
+  pool.parallel_for(lanes, [&](std::size_t i) { out[i] = i + 1; });
+  for (std::size_t i = 0; i < lanes; ++i) EXPECT_EQ(out[i], i + 1);
+  std::size_t epoch = 0;
+  std::atomic<int> violations{0};
+  pool.run_phased(
+      lanes,
+      [&](std::size_t, std::size_t phase) {
+        if (epoch != phase) ++violations;
+      },
+      [&](std::size_t phase) {
+        ++epoch;
+        return phase + 1 < 5;
+      });
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(epoch, 5u);
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -132,7 +133,7 @@ TEST(event_queue, windowed_run_until_matches_single_run) {
   EXPECT_EQ(ran_at_boundary, 1);
 }
 
-// The heap's pop order is a stable sort by time over schedule order: exact
+// The queue's pop order is a stable sort by time over schedule order: exact
 // ties run FIFO, and an event scheduled at now() while another is being
 // dispatched runs after every event already pending at that time. Random
 // schedules over a few distinct times (many exact ties), events that schedule
@@ -175,6 +176,216 @@ TEST(event_queue, pop_order_is_a_stable_sort_by_time) {
                      });
     EXPECT_EQ(popped, expected) << "seed " << seed;
   }
+}
+
+namespace {
+
+/// The 4-ary `(time, seq)` min-heap the radix queue replaced, kept as the
+/// differential reference: `seq` is the schedule order, so it pops in time
+/// order and first-in first-out among equal times.
+template <class Payload>
+class reference_heap {
+ public:
+  [[nodiscard]] double now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  [[nodiscard]] std::optional<double> next_event_time() const {
+    if (heap_.empty()) return std::nullopt;
+    return heap_.front().time;
+  }
+
+  void schedule(double at, Payload payload) {
+    VTM_EXPECTS(at >= now_);
+    heap_.push_back(entry{at, next_seq_++, std::move(payload)});
+    std::size_t i = heap_.size() - 1;
+    entry moving = std::move(heap_[i]);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / arity;
+      if (!before(moving, heap_[parent])) break;
+      heap_[i] = std::move(heap_[parent]);
+      i = parent;
+    }
+    heap_[i] = std::move(moving);
+  }
+
+  template <class Dispatch>
+  bool step(Dispatch&& dispatch) {
+    if (heap_.empty()) return false;
+    entry top = pop();
+    now_ = top.time;
+    dispatch(top.payload);
+    return true;
+  }
+
+  template <class Dispatch>
+  std::size_t run_until(double t, Dispatch&& dispatch) {
+    VTM_EXPECTS(t >= now_);
+    std::size_t executed = 0;
+    while (!heap_.empty() && heap_.front().time <= t) {
+      step(dispatch);
+      ++executed;
+    }
+    now_ = t;
+    return executed;
+  }
+
+  template <class Dispatch>
+  std::size_t run_all(std::size_t max_events, Dispatch&& dispatch) {
+    std::size_t executed = 0;
+    while (executed < max_events && step(dispatch)) ++executed;
+    return executed;
+  }
+
+ private:
+  static constexpr std::size_t arity = 4;
+
+  struct entry {
+    double time;
+    std::uint64_t seq;
+    Payload payload;
+  };
+
+  [[nodiscard]] static bool before(const entry& a, const entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
+  /// Take the root out; the last entry refills the hole and sinks.
+  entry pop() {
+    entry top = std::move(heap_.front());
+    entry moving = std::move(heap_.back());
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * arity + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + arity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c)
+        if (before(heap_[c], heap_[best])) best = c;
+      if (!before(heap_[best], moving)) break;
+      heap_[i] = std::move(heap_[best]);
+      i = best;
+    }
+    heap_[i] = std::move(moving);
+    return top;
+  }
+
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 1;
+  std::vector<entry> heap_;
+};
+
+/// One randomized scenario, driven identically on `Queue`. Returns every
+/// observation in order: each pop's id and clock, each window's event count,
+/// clock and peeked minimum (-1 when empty), and each drain's count. Two
+/// queues that pop the same sequence return equal traces.
+template <class Queue>
+std::vector<double> queue_scenario(std::uint64_t seed) {
+  vtm::util::rng gen(seed);
+  Queue q;
+  std::vector<double> seen;
+  std::size_t next_id = 0;
+  const auto add = [&](double at) { q.schedule(at, next_id++); };
+  // A time at or after `from`: exactly `from`, a small integer step (exact
+  // ties across bursts), a continuous step, a step of a few ulps, or a far
+  // jump that lands in a high bucket.
+  const auto later = [&](double from) {
+    switch (gen.uniform_int(0, 4)) {
+      case 0:
+        return from;
+      case 1:
+        return from + static_cast<double>(gen.uniform_int(0, 3));
+      case 2:
+        return from + gen.uniform(0.0, 5.0);
+      case 3:
+        return std::nextafter(
+            from + static_cast<double>(gen.uniform_int(0, 1)),
+            std::numeric_limits<double>::infinity());
+      default:
+        return from + gen.uniform(0.0, 1e6);
+    }
+  };
+  const auto dispatch = [&](std::size_t id) {
+    seen.push_back(static_cast<double>(id));
+    seen.push_back(q.now());
+    if (next_id >= 6000 || !gen.bernoulli(0.4)) return;
+    // Schedules from inside a dispatch, half of them at now(): those run
+    // after every event already pending at this time.
+    const auto extra = gen.uniform_int(1, 3);
+    for (std::int64_t k = 0; k < extra; ++k)
+      add(gen.bernoulli(0.5) ? q.now() : later(q.now()));
+  };
+  const auto peek = [&] {
+    const auto next = q.next_event_time();
+    seen.push_back(next ? *next : -1.0);
+    return next;
+  };
+
+  add(-0.0);  // the same instant as +0.0, first in line
+  for (int round = 0; round < 3; ++round) {
+    // Refill (after the previous round's drain): an equal-time burst, then
+    // a spread of times.
+    const double burst_at = later(q.now());
+    const auto burst = gen.uniform_int(1, 60);
+    for (std::int64_t i = 0; i < burst; ++i) add(burst_at);
+    const auto spread = gen.uniform_int(0, 300);
+    for (std::int64_t i = 0; i < spread; ++i) add(later(q.now()));
+
+    // Windowed runs. After each, peek twice (a peek must not move the base)
+    // and schedule between now() and the pending minimum, both ends
+    // included: a barrier's injections behind the next event.
+    double t = q.now();
+    const auto windows = gen.uniform_int(1, 12);
+    for (std::int64_t w = 0; w < windows; ++w) {
+      t = gen.bernoulli(0.2) ? t : later(t);
+      seen.push_back(static_cast<double>(q.run_until(t, dispatch)));
+      seen.push_back(q.now());
+      const auto next = peek();
+      (void)peek();
+      if (!next) continue;
+      const auto injections = gen.uniform_int(0, 4);
+      for (std::int64_t k = 0; k < injections; ++k) {
+        switch (gen.uniform_int(0, 2)) {
+          case 0:
+            add(q.now());
+            break;
+          case 1:
+            add(*next);
+            break;
+          default:
+            add(gen.uniform(q.now(), *next));
+        }
+      }
+      (void)peek();
+    }
+
+    // Drain to empty; the next round refills the drained queue.
+    seen.push_back(static_cast<double>(
+        q.run_all(std::numeric_limits<std::size_t>::max(), dispatch)));
+    seen.push_back(static_cast<double>(q.pending()));
+    (void)peek();
+  }
+  return seen;
+}
+
+}  // namespace
+
+// The radix queue against the 4-ary heap it replaced: equal-time bursts,
+// schedules at now() during dispatch, windowed run_until followed by
+// schedules between now() and the pending minimum, peeks that must not move
+// the radix base, and drains followed by refills. Any difference in pop
+// order, clock or peeked minimum shows up as a trace mismatch.
+TEST(event_queue, radix_queue_pops_the_reference_heap_sequence) {
+  std::size_t observations = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    const auto radix = queue_scenario<s::basic_event_queue<std::size_t>>(seed);
+    const auto reference = queue_scenario<reference_heap<std::size_t>>(seed);
+    ASSERT_EQ(radix, reference) << "seed " << seed;
+    observations += radix.size();
+  }
+  EXPECT_GT(observations, 100'000u);
 }
 
 // ---- vehicular twin ------------------------------------------------------------
