@@ -152,6 +152,18 @@ void fold_counters(fleet_result& out, const shard_engine::counters& now,
   fold(out.msp_sold_mhz, now.msp_sold_mhz, since.msp_sold_mhz);
 }
 
+/// Move `from`'s entries onto the back of `into`, leaving `from` empty. An
+/// empty `into` trades buffers with `from`, so both keep their capacity.
+template <class T>
+void move_onto(std::vector<T>& into, std::vector<T>& from) {
+  if (into.empty())
+    into.swap(from);
+  else
+    into.insert(into.end(), std::make_move_iterator(from.begin()),
+                std::make_move_iterator(from.end()));
+  from.clear();
+}
+
 }  // namespace
 
 double epoch_grid_snap(double now_s, double epoch_s) {
@@ -387,6 +399,7 @@ shard_engine::shard_engine(const fleet_config& config,
     book_config.trace = trace_;
     comarkets_.reserve(rsu_count);
     candidates_.reserve(rsu_count);
+    sharers_.resize(msps.size() * rsu_count);
     pool_links_.reserve(rsu_count);
     budgets_.reserve(rsu_count);
     for (std::size_t p = 0; p < rsu_count; ++p) {
@@ -402,6 +415,8 @@ shard_engine::shard_engine(const fleet_config& config,
         VTM_ASSERT(serving >= rsu_lo_ && serving < rsu_lo_ + rsu_count);
         slots.push_back(serving - rsu_lo_);
       }
+      for (std::size_t m = 0; m < msps.size(); ++m)
+        sharers_[m * rsu_count + slots[m]].push_back(p);
     }
     clearing_scheduled_.assign(rsu_count, false);
     return;
@@ -479,9 +494,9 @@ void shard_engine::adopt(std::size_t vehicle) {
   schedule_next_handover(vehicle);
 }
 
-void shard_engine::inject(std::size_t vehicle, double at) {
-  VTM_EXPECTS(at >= queue_.now());
-  queue_.schedule(at, {fleet_event::kind::arrival, narrow_index(vehicle)});
+void shard_engine::stage(const vehicle_arrival& arrival,
+                         [[maybe_unused]] const util::barrier_phase& barrier) {
+  staged_.push_back(arrival);
 }
 
 void shard_engine::dispatch(const fleet_event& event) {
@@ -510,12 +525,12 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
   // booked request, and no in-flight migration — nothing will ever touch
   // this twin again, so streaming runs may retire it at the next flush.
   if (!next) {  // cruising past the end of its route
-    slot.exited = true;
+    exit_vehicle(vehicle);
     return;
   }
   const double when = queue_.now() + next->after_s;
   if (when > config_.duration_s.value()) {
-    slot.exited = true;
+    exit_vehicle(vehicle);
     return;
   }
   const std::size_t dest = rsu_shard_[next->to_rsu];
@@ -532,6 +547,20 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
   queue_.schedule(when, {fleet_event::kind::handover, narrow_index(vehicle),
                          narrow_index(next->from_rsu),
                          narrow_index(next->to_rsu)});
+}
+
+void shard_engine::exit_vehicle(std::size_t vehicle) {
+  if (!log_exits_) return;
+  // The slot stays as it is until a flush retires it, so its state now is
+  // the state the flush reports.
+  const auto& slot = vehicles_[vehicle];
+  auto& exit = log_.exits.emplace_back();
+  exit.slot = vehicle;
+  exit.summary.id = slot.id;
+  exit.summary.host_rsu = slot.twin->host_rsu();
+  exit.summary.migrations = slot.twin->migration_count();
+  exit.summary.position_m = slot.kinematics.position_m;
+  exit.summary.shard = index_;
 }
 
 void shard_engine::on_handover(std::size_t vehicle, std::size_t from,
@@ -826,7 +855,10 @@ void shard_engine::finish_migration(std::uint32_t flight) {
   // Completion-based accounting: every completion lands one ledger entry
   // (and one record when recording), and the coordinator reduces the merged
   // ledger in global finish-time order, so totals == Σ over `migrations`
-  // and sharded aggregates reproduce the serial summation order.
+  // and sharded aggregates reproduce the serial summation order. The entry
+  // keys ties by slot; the record carries the stable id, since the
+  // coordinator lane reduces it a window later, when the slot may already
+  // hold another vehicle.
   completion_entry entry;
   entry.finish_s = queue_.now();
   entry.vehicle = narrow_index(record.vehicle);
@@ -838,11 +870,12 @@ void shard_engine::finish_migration(std::uint32_t flight) {
       record.data_sent_mb / std::max(1e-9, slot.twin->total_mb());
   entry.price_bandwidth = record.price * record.bandwidth_mhz;
   entry.bandwidth = record.bandwidth_mhz;
-  completions_.ledger.push_back(entry);
+  log_.ledger.push_back(entry);
   if (config_.record_migrations) {
     migration_record finished = record;
     finished.finish_s = queue_.now();
-    completions_.records.push_back(std::move(finished));
+    finished.vehicle = slot.id;
+    log_.records.push_back(std::move(finished));
   }
 
   // Neither the handover schedule nor a clearing schedule touches the slab,
@@ -855,18 +888,20 @@ void shard_engine::finish_migration(std::uint32_t flight) {
     // Offset chains let neighbouring cells draw on the same MSP pool, so a
     // release can unblock any book sharing one of the released candidate
     // pools (book q shares seller m's pool with this cell iff both resolve
-    // m to the same slot). Scanned in cell order — deterministic.
-    for (std::size_t q = 0; q < comarkets_.size(); ++q) {
-      if (comarkets_[q].pending() == 0) continue;
-      bool shares = false;
-      for (const auto& slice : slices) {
-        if (candidates_[q][slice.msp] == candidates_[pidx][slice.msp]) {
-          shares = true;
-          break;
-        }
-      }
-      if (shares) schedule_clearing(q, queue_.now());
+    // m to the same slot). Visit the union of the released pools' sharer
+    // lists in cell order — deterministic.
+    const std::size_t cells = comarkets_.size();
+    unblocked_.clear();
+    for (const auto& slice : slices) {
+      const auto& sharers =
+          sharers_[slice.msp * cells + candidates_[pidx][slice.msp]];
+      unblocked_.insert(unblocked_.end(), sharers.begin(), sharers.end());
     }
+    std::sort(unblocked_.begin(), unblocked_.end());
+    unblocked_.erase(std::unique(unblocked_.begin(), unblocked_.end()),
+                     unblocked_.end());
+    for (const std::size_t q : unblocked_)
+      if (comarkets_[q].pending() > 0) schedule_clearing(q, queue_.now());
   }
   free_flights_.push_back(flight);
 }
@@ -903,6 +938,23 @@ void shard_engine::deliver(const shard_message& message,
 void shard_engine::run_window(double t_end) {
   util::trace_span span(trace_, "shard.window");
   span.arg("t_end", t_end);
+  // The barrier delivered its messages first, so each queue sees them
+  // before the arrivals, as when the coordinator scheduled both.
+  for (const auto& arrival : staged_) {
+    VTM_EXPECTS(arrival.at_s >= queue_.now());
+    auto& slot = vehicles_[arrival.slot];
+    slot.route = arrival.route;
+    slot.kinematics = arrival.kinematics;
+    slot.profile = arrival.profile;
+    slot.position_at = arrival.at_s;
+    slot.id = arrival.id;
+    slot.twin.emplace(sim::vehicular_twin::with_total_mb(
+        arrival.id, arrival.profile.data_mb, config_.page_mb.value()));
+    slot.twin->set_host_rsu(arrival.serving_rsu);
+    queue_.schedule(arrival.at_s, {fleet_event::kind::arrival,
+                                   narrow_index(arrival.slot)});
+  }
+  staged_.clear();
   queue_.run_until(t_end,
                    [this](const fleet_event& event) { dispatch(event); });
 }
@@ -923,6 +975,19 @@ void shard_engine::abandon_remaining() {
   for (auto& market : comarkets_)
     for (const auto& request : market.abandon_pending())
       resolve_abandoned(request);
+}
+
+void shard_engine::hand_off(window_log& into,
+                            [[maybe_unused]] const util::barrier_phase&
+                                barrier) {
+  move_onto(into.ledger, log_.ledger);
+  move_onto(into.records, log_.records);
+  move_onto(into.exits, log_.exits);
+}
+
+bool shard_engine::idle(
+    [[maybe_unused]] const util::barrier_phase& barrier) const {
+  return queue_.pending() == 0;
 }
 
 std::vector<cohort_snapshot> shard_engine::take_cohorts(
@@ -967,16 +1032,21 @@ shard_coordinator::shard_coordinator(const streaming_config& config)
     : shard_coordinator(streaming_base(config), /*spawn=*/false) {
   stream_ = config;
   streaming_ = true;
-  // Poisson arrivals: exponential inter-arrival gaps, each drawn as soon
-  // as the previous arrival is admitted (the first one here).
+  // Periodic flushes retire exited twins from the shards' exit logs; a
+  // stream whose only flush is the final one retires by scanning the slots.
+  if (stream_.flush_period_s.value() <= stream_.horizon_s.value())
+    for (auto& shard : shards_) shard->log_exits();
+  // Poisson arrivals: exponential inter-arrival gaps, each drawn right after
+  // the previous arrival's spawn (the first one here).
+  const util::lane_scope lane(lane_);
   next_arrival_s_ = gen_.exponential(stream_.arrival_rate_per_s.value());
 }
 
 shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     : config_(lowered(config)),
       route_spans_(resolve_spawn_spans(config)),
-      gen_(config_.seed),
       mailbox_(config_.shard_count),
+      gen_(config_.seed),
       pool_(config_.shard_count > 1 ? config_.shard_count - 1 : 0) {
   const sim::road_graph& graph = *config_.graph;
   window_s_ = auto_window_s(config_);
@@ -1056,8 +1126,9 @@ shard_coordinator::shard_coordinator(const fleet_config& config, bool spawn)
     lo += count;
   }
   flushed_.resize(shard_count);
+  const util::lane_scope lane(lane_);
+  logs_.resize(shard_count);
   heads_.resize(shard_count);
-
   if (spawn) spawn_vehicles();
 }
 
@@ -1080,7 +1151,8 @@ void shard_coordinator::init_telemetry() {
   }
 }
 
-void shard_coordinator::draw_spawn(vehicle_slot& slot) {
+template <class Spawn>
+void shard_coordinator::draw_spawn(Spawn& spawn) {
   // A road with several routes draws the route first; one route (every
   // chain) draws none, so a chain's draw sequence (position, speed, α,
   // data) is bitwise the legacy spawn loop.
@@ -1088,13 +1160,13 @@ void shard_coordinator::draw_spawn(vehicle_slot& slot) {
   if (routes_.size() > 1)
     route = static_cast<std::size_t>(gen_.uniform_int(
         0, static_cast<std::int64_t>(routes_.size()) - 1));
-  slot.route = &routes_[route];
-  slot.kinematics.position_m =
+  spawn.route = &routes_[route];
+  spawn.kinematics.position_m =
       gen_.uniform(route_spans_[route].lo_m, route_spans_[route].hi_m);
-  slot.kinematics.speed_mps = gen_.uniform(config_.min_speed_mps.value(),
-                                           config_.max_speed_mps.value());
-  slot.profile.alpha = gen_.uniform(config_.min_alpha, config_.max_alpha);
-  slot.profile.data_mb =
+  spawn.kinematics.speed_mps = gen_.uniform(config_.min_speed_mps.value(),
+                                            config_.max_speed_mps.value());
+  spawn.profile.alpha = gen_.uniform(config_.min_alpha, config_.max_alpha);
+  spawn.profile.data_mb =
       gen_.uniform(config_.min_data_mb.value(), config_.max_data_mb.value());
 }
 
@@ -1142,14 +1214,19 @@ void shard_coordinator::run_windows() {
   VTM_EXPECTS(!ran_);  // single-shot: construct one coordinator per run
   ran_ = true;
   const double horizon = config_.duration_s.value();
-  double t_end = std::min(horizon, window_s_);
+  const auto next_window_end = [&](double t) {
+    return std::min(horizon, t + window_s_);
+  };
+  double t_end = next_window_end(0.0);
   {
-    // No lane has started yet, so the barrier capability holds trivially.
-    // The first window's arrivals — a closed run's whole spawn cohort — are
+    // No lane has started yet, so both capabilities hold trivially. The
+    // first window's arrivals — a closed run's whole spawn cohort — are
     // admitted before the first exchange, so vehicles spawned next to a
     // shard boundary re-home at t = 0 and no handoff posted then is late.
     const util::barrier_scope at_barrier(barrier_);
-    inject_arrivals(t_end);
+    const util::lane_scope lane(lane_);
+    draw_arrivals(t_end);
+    admit_arrivals();
     exchange();
   }
 
@@ -1158,57 +1235,93 @@ void shard_coordinator::run_windows() {
   // admitted past the horizon, so only completions and the re-clearings
   // they trigger remain, and running to quiescence guarantees every started
   // migration lands in a flush. A closed run never flushes periodically.
+  // Lane `shard_count` is the coordinator's: `run_phased` runs it on the
+  // calling thread after shard 0, where it reduces the previous window
+  // while the shards run this one.
   bool draining = false;
   double next_flush = streaming_ ? stream_.flush_period_s.value()
                                  : std::numeric_limits<double>::infinity();
   pool_.run_phased(
-      shards_.size(),
+      shards_.size() + 1,
       [&](std::size_t lane, std::size_t) {
-        if (draining)
+        if (lane == shards_.size()) {
+          const util::lane_scope in_lane(lane_);
+          reduce_window();
+          draw_arrivals(next_window_end(t_end));
+        } else if (draining) {
           shards_[lane]->drain_round();
-        else
+        } else {
           shards_[lane]->run_window(t_end);
+        }
       },
       [&](std::size_t) {
         // `run_phased` runs the barrier callback with every worker idle —
-        // the one place the barrier capability is legitimately acquired.
+        // the one place the barrier capability is legitimately acquired,
+        // and the coordinator lane is parked too.
         const util::barrier_scope at_barrier(barrier_);
+        const util::lane_scope lane(lane_);
         const std::size_t delivered = exchange();
         if (draining) return delivered > 0;
-        // Fold the window's completions into the open flush, so the shards'
-        // logs stay one window long. Then emit every flush boundary this
-        // window crossed. A flush covers events up to the barrier that
-        // emitted it (window granularity); conservation holds per window by
-        // the exactly-once ledger.
-        reduce_completions(t_end);
+        // Hand the window's logs to the coordinator lane, which folds them
+        // into the open flush in the next phase, and open every flush whose
+        // boundary this window crossed (a flush reduces all it is handed).
+        // A flush covers events up to the barrier that opened it (window
+        // granularity); conservation holds per window by the exactly-once
+        // ledger.
+        hand_off(next_flush <= t_end ? std::numeric_limits<double>::infinity()
+                                     : t_end);
         while (next_flush <= t_end) {
-          flushes_.push_back(flush_window(/*final=*/false));
+          open_flush(/*final=*/false);
           next_flush += stream_.flush_period_s.value();
         }
         if (t_end >= horizon) {
           draining = true;
           return true;
         }
-        t_end = std::min(horizon, t_end + window_s_);
-        inject_arrivals(t_end);
+        // When nothing can happen in the windows left before the horizon,
+        // the next window ends there; the flushes it crosses still open at
+        // its end.
+        t_end = quiescent() ? horizon : next_window_end(t_end);
+        admit_arrivals();
         return true;
       });
 
   // Quiesced: anything still booked has no release left to wait for. The
-  // pool has joined, so the barrier capability holds for the sweep and the
-  // final flush, which retires every remaining twin.
+  // pool has joined, so both capabilities hold for the sweep and the final
+  // flush, which reduces everything left and retires every remaining twin.
   const util::barrier_scope at_barrier(barrier_);
+  const util::lane_scope lane(lane_);
+  reduce_window();
   for (auto& shard : shards_) shard->abandon_remaining();
-  flushes_.push_back(flush_window(/*final=*/true));
+  hand_off(std::numeric_limits<double>::infinity());
+  open_flush(/*final=*/true);
+  reduce_window();
 }
 
 fleet_result shard_coordinator::run() {
   if (streaming_) return run_stream().totals;
   run_windows();
-  return std::move(flushes_.back());  // a closed run's one flush
+  const util::lane_scope lane(lane_);  // joined: the lane is done
+  return std::move(flushes_.back());   // a closed run's one flush
 }
 
-void shard_coordinator::inject_arrivals(double upto) {
+void shard_coordinator::draw_arrivals(double upto) {
+  if (!streaming_) return;
+  util::trace_span span(coord_trace_, "coord.draw");
+  const std::size_t before = drawn_.size();
+  while (next_arrival_s_ <= upto &&
+         next_arrival_s_ <= stream_.horizon_s.value()) {
+    vehicle_arrival& arrival = drawn_.emplace_back();
+    draw_spawn(arrival);
+    arrival.serving_rsu =
+        arrival.route->serving_rsu(arrival.kinematics.position_m);
+    arrival.at_s = next_arrival_s_;
+    next_arrival_s_ += gen_.exponential(stream_.arrival_rate_per_s.value());
+  }
+  span.arg("drawn", static_cast<double>(drawn_.size() - before));
+}
+
+void shard_coordinator::admit_arrivals() {
   if (!streaming_ && arrivals_ > 0) return;  // the closed cohort arrived
   util::trace_span span(coord_trace_, "coord.arrivals");
   const std::size_t before = arrivals_;
@@ -1218,38 +1331,128 @@ void shard_coordinator::inject_arrivals(double upto) {
       shards_[owner_[v]]->adopt(v);
     arrivals_ = vehicles_.size();
   } else {
-    while (next_arrival_s_ <= upto &&
-           next_arrival_s_ <= stream_.horizon_s.value()) {
-      const double at = next_arrival_s_;
-
-      std::size_t v;
+    for (vehicle_arrival& arrival : drawn_) {
       if (!free_slots_.empty()) {
-        v = free_slots_.back();  // LIFO keeps the arena hot and bounded
+        arrival.slot = free_slots_.back();  // LIFO keeps the arena hot
         free_slots_.pop_back();
       } else {
-        v = vehicles_.size();
+        arrival.slot = vehicles_.size();
         vehicles_.emplace_back();
         owner_.push_back(0);
       }
-      auto& slot = vehicles_[v];
-      draw_spawn(slot);
-      slot.id = arrivals_++;
-      slot.position_at = at;
-      slot.exited = false;
-      slot.twin.emplace(sim::vehicular_twin::with_total_mb(
-          slot.id, slot.profile.data_mb, config_.page_mb.value()));
-      const std::size_t serving =
-          slot.route->serving_rsu(slot.kinematics.position_m);
-      slot.twin->set_host_rsu(serving);
-      owner_[v] = rsu_shard_[serving];
-      shards_[owner_[v]]->inject(v, at);
-      next_arrival_s_ += gen_.exponential(stream_.arrival_rate_per_s.value());
+      arrival.id = arrivals_++;
+      owner_[arrival.slot] = rsu_shard_[arrival.serving_rsu];
+      shards_[owner_[arrival.slot]]->stage(arrival, barrier_);
     }
+    drawn_.clear();
   }
   const std::size_t admitted = arrivals_ - before;
   live_ += admitted;
   peak_live_ = std::max(peak_live_, live_);
   span.arg("admitted", static_cast<double>(admitted));
+}
+
+bool shard_coordinator::quiescent() const {
+  if (!drawn_.empty()) return false;
+  if (streaming_ && next_arrival_s_ <= stream_.horizon_s.value()) return false;
+  for (const auto& shard : shards_)
+    if (!shard->idle(barrier_)) return false;
+  return true;
+}
+
+void shard_coordinator::hand_off(double before) {
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    shards_[s]->hand_off(logs_[s], barrier_);
+  merge_before_ = before;
+  handed_off_ = true;
+}
+
+void shard_coordinator::open_flush(bool final) {
+  util::trace_span span(coord_trace_, "coord.flush");
+  const bool first = opened_.empty();
+  opened_flush& flush = opened_.emplace_back();
+  fleet_result& window = flush.result;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    // Counter deltas against the previous flush's cumulative snapshots.
+    const shard_engine::counters& stats = shards_[s]->stats();
+    fold_counters(window, stats, flushed_[s]);
+    flushed_[s] = stats;
+    auto cohorts = shards_[s]->take_cohorts(barrier_);
+    window.cohorts.insert(window.cohorts.end(),
+                          std::make_move_iterator(cohorts.begin()),
+                          std::make_move_iterator(cohorts.end()));
+  }
+
+  if (final) {
+    // Every live twin retires, in slot order: the slots not on the free
+    // list. Their logged exits, if any, are the same states, so they go.
+    period_exits_.clear();
+    for (auto& log : logs_) log.exits.clear();
+    std::vector<bool> free_slot(vehicles_.size(), false);
+    for (const std::size_t v : free_slots_) free_slot[v] = true;
+    for (std::size_t v = 0; v < vehicles_.size(); ++v) {
+      if (free_slot[v]) continue;
+      const auto& slot = vehicles_[v];
+      VTM_ASSERT(slot.twin.has_value());
+      vehicle_summary& summary = window.vehicles.emplace_back();
+      summary.id = slot.id;
+      summary.host_rsu = slot.twin->host_rsu();
+      summary.migrations = slot.twin->migration_count();
+      summary.position_m = slot.kinematics.position_m;
+      summary.shard = owner_[v];
+      ++flush.retired;
+    }
+  } else if (first) {
+    // The twins that exited since the previous flush: the coordinator lane
+    // holds the earlier windows' exits in slot order, and this window's
+    // were just handed off. Nothing references them again, so their slots
+    // go onto the free list in ascending order, as an arena scan would push
+    // them, and memory stays bounded by the live population.
+    slot_scratch_.clear();
+    for (const auto& log : logs_)
+      for (const auto& exit : log.exits) slot_scratch_.push_back(exit.slot);
+    std::sort(slot_scratch_.begin(), slot_scratch_.end());
+    const auto& held = period_exits_;
+    const auto& fresh = slot_scratch_;
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < held.size() || j < fresh.size()) {
+      if (j == fresh.size() || (i < held.size() && held[i].slot < fresh[j]))
+        free_slots_.push_back(held[i++].slot);
+      else
+        free_slots_.push_back(fresh[j++]);
+    }
+    flush.retired = held.size() + fresh.size();
+  }
+  retired_ += flush.retired;
+  live_ -= flush.retired;
+
+  // Flush snapshot for Perfetto: live twins, slot-arena high water,
+  // deferral-book depth, and aggregate pool utilization at this barrier.
+  if (coord_trace_ != nullptr) {
+    shard_engine::pool_usage usage;
+    for (const auto& shard : shards_) {
+      flush.deferral_depth += shard->book_depth(barrier_);
+      const auto shard_usage = shard->pool_utilization(barrier_);
+      usage.allocated_mhz += shard_usage.allocated_mhz;
+      usage.capacity_mhz += shard_usage.capacity_mhz;
+    }
+    flush.pool_utilization = usage.capacity_mhz > 0.0
+                                 ? usage.allocated_mhz / usage.capacity_mhz
+                                 : 0.0;
+    flush.live = live_;
+    flush.arena = vehicles_.size();
+  }
+}
+
+void shard_coordinator::reduce_window() {
+  if (!handed_off_) return;
+  handed_off_ = false;
+  util::trace_span span(coord_trace_, "coord.merge");
+  span.arg("completions",
+           static_cast<double>(reduce_completions(merge_before_)));
+  absorb_exits();
+  close_flushes();
 }
 
 void shard_coordinator::completion_sums::add(
@@ -1276,21 +1479,20 @@ void shard_coordinator::completion_sums::write(fleet_result& out) const {
   if (bandwidth > 0.0) out.mean_price = price_bandwidth / bandwidth;
 }
 
-void shard_coordinator::reduce_completions(double before) {
-  util::trace_span span(coord_trace_, "coord.merge");
-  // A k-way merge of the shards' log prefixes finishing before `before`
+std::size_t shard_coordinator::reduce_completions(double before) {
+  // A k-way merge of the handed-off log prefixes finishing before `before`
   // (vehicle slot breaks exact ties): one shard reproduces the serial
   // engine's event-order summation bitwise, and multi-shard aggregates are
   // independent of thread timing by construction. The flush and run sums
   // advance in the same loop, so a stream's totals are the ordered sum one
   // reduction of the whole stream would produce.
-  const std::size_t shards = shards_.size();
+  const std::size_t shards = logs_.size();
   std::fill(heads_.begin(), heads_.end(), std::size_t{0});
   std::size_t reduced = 0;
   for (;; ++reduced) {
     std::size_t best = shards;
     for (std::size_t s = 0; s < shards; ++s) {
-      const auto& ledger = shards_[s]->completions(barrier_).ledger;
+      const auto& ledger = logs_[s].ledger;
       if (heads_[s] >= ledger.size() || !(ledger[heads_[s]].finish_s < before))
         continue;
       if (best == shards) {
@@ -1298,13 +1500,13 @@ void shard_coordinator::reduce_completions(double before) {
         continue;
       }
       const auto& a = ledger[heads_[s]];
-      const auto& b = shards_[best]->completions(barrier_).ledger[heads_[best]];
+      const auto& b = logs_[best].ledger[heads_[best]];
       if (a.finish_s < b.finish_s ||
           (a.finish_s == b.finish_s && a.vehicle < b.vehicle))
         best = s;
     }
     if (best == shards) break;
-    auto& log = shards_[best]->completions(barrier_);
+    auto& log = logs_[best];
     const auto& entry = log.ledger[heads_[best]];
     flush_sums_.add(entry);
     run_sums_.add(entry);
@@ -1312,96 +1514,69 @@ void shard_coordinator::reduce_completions(double before) {
       metrics_->observe(cohort_histogram_, static_cast<double>(entry.cohort));
       metrics_->observe(grant_mhz_histogram_, entry.bandwidth);
     }
-    if (config_.record_migrations) {
-      migration_record record = std::move(log.records[heads_[best]]);
-      // Records carry the stable identity — the slot index is recycled, but
-      // only by a flush, after this reduction.
-      record.vehicle = vehicles_[record.vehicle].id;
-      flush_migrations_.push_back(std::move(record));
-    }
+    if (config_.record_migrations)
+      flush_migrations_.push_back(std::move(log.records[heads_[best]]));
     ++heads_[best];
   }
   for (std::size_t s = 0; s < shards; ++s) {
-    auto& log = shards_[s]->completions(barrier_);
+    auto& log = logs_[s];
     const auto taken = static_cast<std::ptrdiff_t>(heads_[s]);
     log.ledger.erase(log.ledger.begin(), log.ledger.begin() + taken);
     if (config_.record_migrations)
       log.records.erase(log.records.begin(), log.records.begin() + taken);
   }
-  span.arg("completions", static_cast<double>(reduced));
+  return reduced;
 }
 
-fleet_result shard_coordinator::flush_window(bool final) {
-  util::trace_span span(coord_trace_, "coord.flush");
-  reduce_completions(std::numeric_limits<double>::infinity());
-  fleet_result window;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    // Counter deltas against the previous flush's cumulative snapshots.
-    const shard_engine::counters& stats = shards_[s]->stats();
-    fold_counters(window, stats, flushed_[s]);
-    flushed_[s] = stats;
-    auto cohorts = shards_[s]->take_cohorts(barrier_);
-    window.cohorts.insert(window.cohorts.end(),
-                          std::make_move_iterator(cohorts.begin()),
-                          std::make_move_iterator(cohorts.end()));
+void shard_coordinator::absorb_exits() {
+  const auto by_slot = [](const shard_engine::exit_entry& a,
+                          const shard_engine::exit_entry& b) {
+    return a.slot < b.slot;
+  };
+  const std::size_t held = period_exits_.size();
+  for (auto& log : logs_) {
+    period_exits_.insert(period_exits_.end(), log.exits.begin(),
+                         log.exits.end());
+    log.exits.clear();
   }
-  flush_sums_.write(window);
-  flush_sums_ = {};
-  window.migrations = std::move(flush_migrations_);
-  flush_migrations_.clear();
+  if (period_exits_.size() == held) return;
+  const auto fresh = period_exits_.begin() + static_cast<std::ptrdiff_t>(held);
+  std::sort(fresh, period_exits_.end(), by_slot);
+  if (held == 0) return;
+  exit_scratch_.clear();
+  std::merge(period_exits_.begin(), fresh, fresh, period_exits_.end(),
+             std::back_inserter(exit_scratch_), by_slot);
+  period_exits_.swap(exit_scratch_);
+}
 
-  // Retire exited twins (every live twin on the final flush): nothing can
-  // reference them again — exited is only set when a vehicle has no
-  // scheduled event, no booked request, and no in-flight migration — so
-  // their slots recycle into the free list and memory stays bounded by the
-  // live population.
-  std::size_t window_retired = 0;
-  for (std::size_t v = 0; v < vehicles_.size(); ++v) {
-    auto& slot = vehicles_[v];
-    if (!slot.twin || (!final && !slot.exited)) continue;
-    vehicle_summary summary;
-    summary.id = slot.id;
-    summary.host_rsu = slot.twin->host_rsu();
-    summary.migrations = slot.twin->migration_count();
-    summary.position_m = slot.kinematics.position_m;
-    summary.shard = owner_[v];
-    window.vehicles.push_back(summary);
-    slot.twin.reset();
-    slot.exited = false;
-    free_slots_.push_back(v);
-    ++window_retired;
-    ++retired_;
-    --live_;
+void shard_coordinator::close_flushes() {
+  for (opened_flush& flush : opened_) {
+    fleet_result& window = flush.result;
+    flush_sums_.write(window);
+    flush_sums_ = {};
+    window.migrations = std::move(flush_migrations_);
+    flush_migrations_.clear();
+    window.vehicles.reserve(window.vehicles.size() + period_exits_.size());
+    for (const auto& exit : period_exits_)
+      window.vehicles.push_back(exit.summary);
+    period_exits_.clear();
+    if (coord_trace_ != nullptr)
+      coord_trace_->instant(
+          "stream.flush",
+          {{"live", static_cast<double>(flush.live)},
+           {"arena", static_cast<double>(flush.arena)},
+           {"deferral_depth", static_cast<double>(flush.deferral_depth)},
+           {"pool_utilization", flush.pool_utilization},
+           {"completed", static_cast<double>(window.completed)},
+           {"retired", static_cast<double>(flush.retired)}});
+    flushes_.push_back(std::move(window));
   }
-
-  // Flush snapshot for Perfetto: live twins, slot-arena high water,
-  // deferral-book depth, and aggregate pool utilization at this barrier.
-  if (coord_trace_ != nullptr) {
-    std::size_t depth = 0;
-    shard_engine::pool_usage usage;
-    for (const auto& shard : shards_) {
-      depth += shard->book_depth(barrier_);
-      const auto shard_usage = shard->pool_utilization(barrier_);
-      usage.allocated_mhz += shard_usage.allocated_mhz;
-      usage.capacity_mhz += shard_usage.capacity_mhz;
-    }
-    const double utilization = usage.capacity_mhz > 0.0
-                                   ? usage.allocated_mhz / usage.capacity_mhz
-                                   : 0.0;
-    coord_trace_->instant(
-        "stream.flush",
-        {{"live", static_cast<double>(live_)},
-         {"arena", static_cast<double>(vehicles_.size())},
-         {"deferral_depth", static_cast<double>(depth)},
-         {"pool_utilization", utilization},
-         {"completed", static_cast<double>(window.completed)},
-         {"retired", static_cast<double>(window_retired)}});
-  }
-  return window;
+  opened_.clear();
 }
 
 streaming_result shard_coordinator::run_stream() {
   run_windows();
+  const util::lane_scope lane(lane_);  // joined: the lane is done
   streaming_result result;
   result.arrivals = arrivals_;
   result.retired = retired_;

@@ -18,14 +18,21 @@
 //     to the pool now serving the vehicle.
 //
 // One protocol, one reduction (DESIGN.md §10, §14): closed and streaming
-// runs share one window loop. Each barrier exchanges messages, reduces the
-// window's completions, emits any flush due, and admits the next window's
-// arrivals; past the horizon the loop drains to quiescence and emits a final
-// flush. The reduction merges the shards' completion ledgers in global
-// finish-time order into the open flush and fills the run's metric
-// histograms; a flush reduces what is left, folds the shards' counter
-// deltas, and emits. That is the one place a run's deterministic numbers are
-// recorded, and the shards record none. A closed run is the degenerate
+// runs share one window loop, run as `shard_count` shard lanes plus one
+// coordinator lane. A barrier does only the work that needs every lane
+// parked: it exchanges messages, hands each shard's window log (completions
+// and exits) to the coordinator lane, opens any flush due (counter deltas,
+// cohorts, and the exited slots returned to the free list), and gives the
+// next window's drawn arrivals their slots, staged per shard. Each shard
+// lane admits its staged arrivals as its window starts and logs its own
+// exits. The coordinator lane runs one window behind, beside the shards: it
+// merges the handed-off ledgers in global finish-time order into the open
+// flush and fills the run's metric histograms, closes the flushes the
+// barrier opened, and draws the arrivals of the window after next. That
+// reduction is the one place a run's deterministic numbers are recorded, and
+// the shards record none. Past the horizon the loop drains to quiescence and
+// emits a final flush; a barrier at which nothing is scheduled or still to
+// arrive jumps straight to the horizon. A closed run is the degenerate
 // stream: its arrival source is the t = 0 spawn cohort, adopted before the
 // first exchange, it never flushes periodically, and its `fleet_result` is
 // the one final flush.
@@ -115,7 +122,10 @@ void validate_streaming_config(const streaming_config& config);
 
 /// Mutable per-vehicle simulation state. Slots live in one coordinator-owned
 /// vector; exactly one shard owns (reads or writes) a slot at any time, and
-/// ownership only moves at window barriers.
+/// ownership only moves at window barriers. The coordinator writes a slot
+/// only to spawn a closed run's cohort, and reads slots only in the final
+/// flush; a stream's arrivals are written by the shard that admits them,
+/// and its exits are logged by the shard that owns them.
 struct vehicle_slot {
   sim::vehicle_state kinematics;
   vmu_profile profile;
@@ -127,9 +137,19 @@ struct vehicle_slot {
   /// route's arc coordinate. Set at spawn.
   const sim::route_profile* route = nullptr;
   std::size_t id = 0;    ///< Stable vehicle identity (slots are recycled).
-  /// The vehicle left coverage (no further handover) with no booked or
-  /// in-flight work — streaming runs retire such twins at the next flush.
-  bool exited = false;
+};
+
+/// One streaming arrival: drawn by the coordinator lane a window ahead,
+/// given its slot and stable id at the barrier before its window, and
+/// written into the slot by the shard that admits it.
+struct vehicle_arrival {
+  double at_s = 0.0;
+  std::size_t slot = 0;
+  std::size_t id = 0;
+  const sim::route_profile* route = nullptr;
+  sim::vehicle_state kinematics;  ///< At `at_s`.
+  vmu_profile profile;
+  std::size_t serving_rsu = 0;  ///< Hosts the twin on arrival.
 };
 
 /// A vehicle whose next coverage handover lands in another shard: the
@@ -212,10 +232,18 @@ class shard_engine {
   /// (posts a boundary handoff instead when the crossing leaves the shard).
   void adopt(std::size_t vehicle);
 
-  /// Streaming arrival: schedule the vehicle's first handover computation at
-  /// its arrival time `at` (the slot's kinematics/position_at are already
-  /// set to the arrival instant). Must land at/after the shard clock.
-  void inject(std::size_t vehicle, double at);
+  /// Stage a streaming arrival whose slot this shard owns from now on. The
+  /// lane admits it when its next window starts — after the barrier's
+  /// deliveries, so the queue sees them first: it writes the slot and the
+  /// twin, then schedules the first handover computation at `at_s`, which
+  /// must land at/after the shard clock. Barrier only.
+  void stage(const vehicle_arrival& arrival,
+             const util::barrier_phase& barrier) VTM_REQUIRES(barrier);
+
+  /// Log every exit (a stream that flushes periodically): a vehicle whose
+  /// next handover declines appends its slot and final state to the window
+  /// log. Without it only the final flush retires, by scanning the slots.
+  void log_exits() noexcept { log_exits_ = true; }
 
   /// Apply one cross-shard message. Barrier only — enforced by the analysis:
   /// the caller must hold the run's barrier capability (every lane parked).
@@ -223,7 +251,8 @@ class shard_engine {
   void deliver(const shard_message& message,
                const util::barrier_phase& barrier) VTM_REQUIRES(barrier);
 
-  /// Run every event with time <= t_end and advance the clock to t_end.
+  /// Admit the staged arrivals, then run every event with time <= t_end and
+  /// advance the clock to t_end.
   void run_window(double t_end);
 
   /// Drain-phase round: run until the queue empties (messages delivered at
@@ -243,21 +272,33 @@ class shard_engine {
 
   [[nodiscard]] const counters& stats() const noexcept { return counters_; }
 
-  /// Completions not yet reduced, in local completion order (nondecreasing
-  /// finish time), and their records when the run records migrations (one
-  /// per ledger entry, in the same order).
-  struct completion_log {
+  /// A vehicle that left coverage (its next handover declines) with no
+  /// booked or in-flight work, so nothing touches its slot again until the
+  /// flush that retires it: its slot and its final state.
+  struct exit_entry {
+    std::size_t slot = 0;
+    vehicle_summary summary;
+  };
+
+  /// What a lane logs for the coordinator: completions in local completion
+  /// order (nondecreasing finish time), their records when the run records
+  /// migrations (one per ledger entry, in the same order, each carrying the
+  /// stable vehicle id, since a slot can be recycled before the record is
+  /// reduced), and exits when `log_exits()` is on, in exit order.
+  struct window_log {
     std::vector<completion_entry> ledger;
     std::vector<migration_record> records;
+    std::vector<exit_entry> exits;
   };
-  /// The log the coordinator reduces: it merges a prefix and erases it, so
-  /// the vectors keep their capacity. Barrier only — the lane appends to it
-  /// mid-window.
-  [[nodiscard]] completion_log& completions(
-      [[maybe_unused]] const util::barrier_phase& barrier)
-      VTM_REQUIRES(barrier) {
-    return completions_;
-  }
+  /// Move this shard's log onto the back of `into` and start an empty one.
+  /// An empty vector of `into` trades buffers with the shard's, so both
+  /// keep their capacity. Barrier only — the lane appends to it mid-window.
+  void hand_off(window_log& into, const util::barrier_phase& barrier)
+      VTM_REQUIRES(barrier);
+
+  /// No event is scheduled. Barrier only.
+  [[nodiscard]] bool idle(const util::barrier_phase& barrier) const
+      VTM_REQUIRES(barrier);
 
   /// Cohort snapshots accrued since the previous flush, moved out. Barrier
   /// only.
@@ -337,6 +378,8 @@ class shard_engine {
   void finish_migration(std::uint32_t flight);
   /// Shared bookkeeping of both abandon paths (in-run and final sweep).
   void resolve_abandoned(const clearing_request& request);
+  /// The vehicle's next handover declined: log its exit when logging.
+  void exit_vehicle(std::size_t vehicle);
 
   const fleet_config& config_;
   /// The run's road: pools price `upstream_gap_m` and drifted grants
@@ -357,15 +400,21 @@ class shard_engine {
   std::vector<spot_market> markets_;
   // Oligopoly state (empty in joint mode): each roster MSP's pools over
   // this shard's RSU range, the per-cell books, the per-(cell, MSP)
-  // candidate pool slots resolved from the offset chains, and the clearing's
-  // per-MSP availability scratch.
+  // candidate pool slots resolved from the offset chains, for each (MSP,
+  // pool slot) the cells that draw on that pool (index m · cells + slot),
+  // the clearing's per-MSP availability scratch, and the completion's
+  // scratch of the books its release may unblock.
   std::vector<std::vector<wireless::ofdma_pool>> msp_pools_;
   std::vector<double> msp_available_;
   std::vector<competitive_market> comarkets_;
   std::vector<std::vector<std::size_t>> candidates_;
+  std::vector<std::vector<std::size_t>> sharers_;
+  std::vector<std::size_t> unblocked_;
   std::vector<bool> clearing_scheduled_;
   counters counters_;
-  completion_log completions_;
+  window_log log_;
+  bool log_exits_ = false;
+  std::vector<vehicle_arrival> staged_;  ///< Admitted when a window starts.
   std::vector<cohort_snapshot> cohorts_;
   util::trace_lane* trace_;  ///< Null when tracing is off.
 };
@@ -396,10 +445,10 @@ class shard_coordinator {
   /// thread timing.
   [[nodiscard]] fleet_result run();
 
-  /// Execute the run as a stream: arrivals inject at each barrier up to the
-  /// next window end, results flush every `flush_period_s`, and completed
-  /// twins retire so the slot arena stays bounded by the live population.
-  /// A closed run yields its single final flush and totals equal to it.
+  /// Execute the run as a stream: arrivals are admitted window by window up
+  /// to the horizon, results flush every `flush_period_s`, and exited twins
+  /// retire so the slot arena stays bounded by the live population. A
+  /// closed run yields its single final flush and totals equal to it.
   [[nodiscard]] streaming_result run_stream();
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
@@ -421,41 +470,71 @@ class shard_coordinator {
   /// for the coordinator. Serial-only (ctor).
   void init_telemetry();
 
-  void spawn_vehicles();
-  /// Draw one vehicle's spawn state, in draw order: route (roads with
-  /// several routes only), position, speed, α, data.
-  void draw_spawn(vehicle_slot& slot);
-  /// Admit every arrival with time <= `upto` (and <= the horizon) into its
-  /// owning shard. A closed run's arrivals are its spawn cohort, adopted at
-  /// t = 0 by the first call; a stream pops or grows a slot per Poisson
-  /// arrival and draws its spawn. Barrier only — touches slots and shard
-  /// queues across lanes.
-  void inject_arrivals(double upto) VTM_REQUIRES(barrier_);
-  /// The reduce step, run at every window barrier and by each flush: merge
-  /// the shards' completions that finish before `before` into the open
-  /// flush and the run totals, in global (finish time, vehicle) order,
-  /// observing each completion's cohort and granted bandwidth into the
-  /// metric histograms, then erase them from the shards' logs. Every later
-  /// completion finishes at or after the window's end, so reducing the
-  /// entries before it keeps the order one merge at the flush would give.
-  /// A drain round runs each shard to its own empty queue, so a later round
-  /// can land a completion before an earlier round's: only the final flush
-  /// reduces drain-round completions.
-  void reduce_completions(double before) VTM_REQUIRES(barrier_);
-  /// The emit step: reduce every completion left, close the open flush
-  /// (counter deltas since the previous flush, the reduced sums, records
-  /// and cohorts), and retire exited twins (all twins when `final`),
-  /// recycling their slots.
-  [[nodiscard]] fleet_result flush_window(bool final) VTM_REQUIRES(barrier_);
+  void spawn_vehicles() VTM_REQUIRES(lane_);
+  /// Draw one vehicle's spawn state into `spawn` (a closed run's slot, or a
+  /// stream's drawn arrival), in draw order: route (roads with several
+  /// routes only), position, speed, α, data.
+  template <class Spawn>
+  void draw_spawn(Spawn& spawn) VTM_REQUIRES(lane_);
+
+  // ---- Barrier steps (every lane parked, the coordinator lane's too) ----
+
   /// Deliver every buffered message in (destination, sender, send order)
   /// sequence; returns the number delivered. Barrier only — the analysis
   /// requires the coordinator's barrier capability, acquired exclusively by
   /// `run_windows()`'s barrier callback (and around the serial pre-/post-
   /// phase steps, where every lane is trivially idle).
   std::size_t exchange() VTM_REQUIRES(barrier_);
+  /// Move each shard's window log onto the coordinator lane's, which
+  /// reduces the completions that finish before `before` in the next phase.
+  void hand_off(double before) VTM_REQUIRES(barrier_, lane_);
+  /// Open a flush for the coordinator lane to close: fold each shard's
+  /// counter deltas since the previous flush, take its cohorts, and retire
+  /// twins — a periodic flush those that exited since the previous flush
+  /// (the first flush a barrier opens; a later one covers a span with no
+  /// events), the final flush every live twin — returning their slots to
+  /// the free list in ascending order.
+  void open_flush(bool final) VTM_REQUIRES(barrier_, lane_);
+  /// Admit the arrivals of the window that ends at the next barrier. A
+  /// closed run's arrivals are its spawn cohort, adopted at t = 0 by the
+  /// first call; a stream gives each drawn arrival a slot (popped from the
+  /// free list, or grown), its stable id and its owner, and stages it into
+  /// that shard.
+  void admit_arrivals() VTM_REQUIRES(barrier_, lane_);
+  /// Nothing can happen before the horizon: no shard has an event left, and
+  /// no arrival is drawn or still to come.
+  [[nodiscard]] bool quiescent() const VTM_REQUIRES(barrier_, lane_);
+
+  // ---- Coordinator lane (one window behind the shards) ----
+
+  /// Reduce what the last barrier handed off, once: merge its completions,
+  /// fold its exits into the open flush period, and close the flushes it
+  /// opened.
+  void reduce_window() VTM_REQUIRES(lane_);
+  /// Merge the handed-off completions that finish before `before` into the
+  /// open flush and the run totals, in global (finish time, vehicle slot)
+  /// order, observing each completion's cohort and granted bandwidth into
+  /// the metric histograms, then erase them. Every later completion
+  /// finishes at or after the window's end, so an entry at exactly the end
+  /// waits for the next reduction and the order stays the one a single
+  /// merge at the flush would give. A drain round runs each shard to its own
+  /// empty queue, so a later round can land a completion before an earlier
+  /// round's: only the final flush reduces drain-round completions.
+  /// Returns the number reduced.
+  std::size_t reduce_completions(double before) VTM_REQUIRES(lane_);
+  /// Sort the handed-off exits by slot and merge them into the open flush
+  /// period's, which stay in slot order.
+  void absorb_exits() VTM_REQUIRES(lane_);
+  /// Close every opened flush, in order: the reduced sums, the records and
+  /// the retired twins' summaries in slot order go to the first (a later
+  /// one is empty), with the `stream.flush` trace instant.
+  void close_flushes() VTM_REQUIRES(lane_);
+  /// Draw every Poisson arrival at or before `upto` (and the horizon), in
+  /// draw order: its spawn, then the next inter-arrival gap.
+  void draw_arrivals(double upto) VTM_REQUIRES(lane_);
+
   /// The one window protocol behind `run()` and `run_stream()`: admit the
-  /// first window, advance lockstep windows to the horizon (exchanging,
-  /// flushing when due, and admitting at each barrier), drain to
+  /// first window, advance lockstep windows to the horizon, drain to
   /// quiescence, sweep the books, and push the final flush onto `flushes_`.
   /// Fails its contract on a second call.
   void run_windows();
@@ -467,21 +546,61 @@ class shard_coordinator {
   std::vector<spawn_span> route_spans_;
   /// Route profiles, one per graph route (vehicle slots point into this).
   std::vector<sim::route_profile> routes_;
-  util::rng gen_;
   double window_s_ = 0.0;
   // Stream state. `stream_` is set by the streaming ctor only; a closed run
   // admits one t = 0 cohort and emits one final flush.
   streaming_config stream_;
   bool streaming_ = false;
   bool ran_ = false;  ///< `run_windows()` has started (single-shot).
+
+  // Barrier state.
   std::vector<std::size_t> free_slots_;  ///< Retired slots, recycled LIFO.
-  double next_arrival_s_ = 0.0;  ///< Next Poisson arrival, drawn ahead.
   std::size_t arrivals_ = 0;
   std::size_t retired_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
   std::vector<shard_engine::counters> flushed_;  ///< Last-flush snapshots.
-  std::vector<fleet_result> flushes_;
+  std::vector<std::size_t> slot_scratch_;  ///< A window's exited slots.
+  std::vector<std::uint32_t> rsu_shard_;  ///< Global RSU index -> shard.
+  std::vector<vehicle_slot> vehicles_;
+  std::vector<std::uint32_t> owner_;      ///< Vehicle -> owning shard.
+  /// The run's barrier capability: "all shard lanes are parked". Stateless;
+  /// exists so the analysis can gate `exchange`/`open_flush`/mailbox
+  /// delivery to barrier scopes (DESIGN.md §13).
+  util::barrier_phase barrier_;
+  sim::shard_mailbox<shard_message> mailbox_;
+
+  /// The coordinator lane's capability: held by its phase function and at
+  /// barriers, never by a shard lane (DESIGN.md §13).
+  util::lane_role lane_;
+  util::rng gen_ VTM_GUARDED_BY(lane_);
+  /// Next Poisson arrival, drawn ahead.
+  double next_arrival_s_ VTM_GUARDED_BY(lane_) = 0.0;
+  /// Arrivals drawn for the window after the current one; the next barrier
+  /// admits them.
+  std::vector<vehicle_arrival> drawn_ VTM_GUARDED_BY(lane_);
+  /// Per shard: the handed-off log the lane has yet to reduce. Completions
+  /// at exactly a window's end stay here until the next reduction.
+  std::vector<shard_engine::window_log> logs_ VTM_GUARDED_BY(lane_);
+  double merge_before_ VTM_GUARDED_BY(lane_) = 0.0;
+  bool handed_off_ VTM_GUARDED_BY(lane_) = false;
+  /// Exits since the last periodic flush, in slot order.
+  std::vector<shard_engine::exit_entry> period_exits_ VTM_GUARDED_BY(lane_);
+  std::vector<shard_engine::exit_entry> exit_scratch_ VTM_GUARDED_BY(lane_);
+
+  /// A flush the barrier opened and the coordinator lane closes: the
+  /// counter deltas and cohorts (the final flush's summaries too), and the
+  /// state of the `stream.flush` trace instant at the barrier.
+  struct opened_flush {
+    fleet_result result;
+    std::size_t retired = 0;
+    std::size_t live = 0;
+    std::size_t arena = 0;
+    std::size_t deferral_depth = 0;
+    double pool_utilization = 0.0;
+  };
+  std::vector<opened_flush> opened_ VTM_GUARDED_BY(lane_);
+  std::vector<fleet_result> flushes_ VTM_GUARDED_BY(lane_);
 
   /// Counts and sums over reduced completions, in reduction order.
   struct completion_sums {
@@ -499,21 +618,18 @@ class shard_coordinator {
     /// means.
     void write(fleet_result& out) const;
   };
-  completion_sums flush_sums_;  ///< The open flush's.
-  completion_sums run_sums_;    ///< The run's, across flushes.
-  std::vector<migration_record> flush_migrations_;  ///< The open flush's.
-  std::vector<std::size_t> heads_;  ///< Reduce scratch: next entry per shard.
-  std::vector<std::uint32_t> rsu_shard_;  ///< Global RSU index -> shard.
-  std::vector<vehicle_slot> vehicles_;
-  std::vector<std::uint32_t> owner_;      ///< Vehicle -> owning shard.
-  /// The run's barrier capability: "all shard lanes are parked". Stateless;
-  /// exists so the analysis can gate `exchange`/`flush_window`/mailbox
-  /// delivery to barrier scopes (DESIGN.md §13).
-  util::barrier_phase barrier_;
-  sim::shard_mailbox<shard_message> mailbox_;
+  completion_sums flush_sums_ VTM_GUARDED_BY(lane_);  ///< The open flush's.
+  completion_sums run_sums_ VTM_GUARDED_BY(lane_);    ///< Across flushes.
+  /// The open flush's records.
+  std::vector<migration_record> flush_migrations_ VTM_GUARDED_BY(lane_);
+  /// Reduce scratch: next entry per shard.
+  std::vector<std::size_t> heads_ VTM_GUARDED_BY(lane_);
+
   // Telemetry sinks resolved from `config_.telemetry` (null when off) and
-  // the registered histograms; `coord_trace_` is the coordinator's own
-  // trace lane (index == shard count).
+  // the registered histograms, which only the coordinator lane fills;
+  // `coord_trace_` is the coordinator's own trace lane (index == shard
+  // count), written by the barrier and the coordinator lane, both on the
+  // calling thread.
   util::metrics_registry* metrics_ = nullptr;
   util::trace_session* trace_ = nullptr;
   util::trace_lane* coord_trace_ = nullptr;

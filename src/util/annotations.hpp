@@ -7,7 +7,7 @@
 // documentation there and a hard gate in the Clang CI job, which builds with
 // `-Wthread-safety -Werror=thread-safety`.
 //
-// Two kinds of capability are annotated in this codebase:
+// Three kinds of capability are annotated in this codebase:
 //
 //   - `util::mutex` (sync.hpp) — a classic data lock; members it protects
 //     carry VTM_GUARDED_BY(mutex_name_).
@@ -18,6 +18,9 @@
 //     `const barrier_phase&` parameter annotated VTM_REQUIRES(barrier), and
 //     only the coordinator's barrier callback ever acquires one (through
 //     `util::barrier_scope`), so a mid-phase call is a compile error.
+//   - `util::lane_role` (sync.hpp) — the state one lane owns outright (the
+//     fleet coordinator's lane): members carry VTM_GUARDED_BY(role), and
+//     only `util::lane_scope`, on that lane or at a barrier, acquires it.
 //
 // Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 #pragma once

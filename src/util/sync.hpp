@@ -15,6 +15,13 @@
 // barrier callback (where `thread_pool::run_phased` guarantees all workers
 // are idle). Mid-phase calls to barrier-only functions therefore fail to
 // compile under `-Wthread-safety -Werror=thread-safety`.
+//
+// `lane_role` is the third kind: a stateless token for state that one lane
+// owns outright (the fleet coordinator's lane, DESIGN.md §13). Members only
+// that lane touches are VTM_GUARDED_BY it, and only a `lane_scope` acquires
+// it, constructed where the lane runs or at a barrier, where that lane is
+// parked too. A function any other lane runs cannot name that state without
+// failing the same gate.
 #pragma once
 
 #include <condition_variable>
@@ -103,6 +110,37 @@ class VTM_SCOPED_CAPABILITY barrier_scope {
 
  private:
   const barrier_phase& phase_;
+};
+
+/// Capability token for "this thread runs the lane that owns the guarded
+/// state, or every lane is parked". Stateless and zero-cost, like
+/// `barrier_phase` (see file comment).
+class VTM_CAPABILITY("lane") lane_role {
+ public:
+  lane_role() = default;
+  lane_role(const lane_role&) = delete;
+  lane_role& operator=(const lane_role&) = delete;
+
+  /// No-ops at runtime; the attributes are the point.
+  void acquire() const VTM_ACQUIRE() {}
+  void release() const VTM_RELEASE() {}
+};
+
+/// RAII acquisition of a `lane_role` for the duration of the owning lane's
+/// phase, or of a barrier. Construct one only on the lane that owns the
+/// state, or where every lane is provably idle.
+class VTM_SCOPED_CAPABILITY lane_scope {
+ public:
+  explicit lane_scope(const lane_role& role) VTM_ACQUIRE(role) : role_(role) {
+    role_.acquire();
+  }
+  ~lane_scope() VTM_RELEASE() { role_.release(); }
+
+  lane_scope(const lane_scope&) = delete;
+  lane_scope& operator=(const lane_scope&) = delete;
+
+ private:
+  const lane_role& role_;
 };
 
 }  // namespace vtm::util

@@ -19,6 +19,7 @@
 #include "sim/road_graph.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 #include "wireless/link.hpp"
 
 namespace core = vtm::core;
@@ -284,6 +285,50 @@ TEST(fleet_shard, single_shot_entry_points_work_in_either_mode) {
       expect_same_counters(result, *same);
     }
     EXPECT_THROW((void)closed_stream.run(), vtm::util::contract_error);
+  }
+}
+
+// ---- a quiescent run jumps to its horizon ----------------------------------
+
+// Once no shard has an event left and nothing is still to arrive, the
+// windows up to the horizon can hold no event, so a barrier jumps straight
+// there. The default chain's 50 vehicles leave the road long before 5,000 s,
+// so at a 1e12 s horizon the run still finishes, bitwise equal to the
+// 5,000 s run; walking its ~7e10 empty windows would never finish.
+TEST(fleet_shard, quiescent_run_jumps_to_its_horizon) {
+  for (const std::size_t shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    core::fleet_config config;
+    config.vehicle_count = 50;
+    config.shard_count = shards;
+    config.duration_s = vtm::util::seconds{5000.0};
+    // First a horizon 200 times longer, which a walk still finishes at
+    // once: it must record exactly the same spans and instants, so a run
+    // that walks fails here instead of hanging below.
+    vtm::util::trace_session near_trace;
+    vtm::util::trace_session far_trace;
+    auto near = config;
+    near.telemetry.trace = &near_trace;
+    auto far = near;
+    far.duration_s = vtm::util::seconds{1e6};
+    far.telemetry.trace = &far_trace;
+    (void)core::run_fleet_scenario(near);
+    (void)core::run_fleet_scenario(far);
+    ASSERT_EQ(near_trace.event_count(), far_trace.event_count());
+
+    auto unbounded = config;
+    unbounded.duration_s = vtm::util::seconds{1e12};
+    const auto a = core::run_fleet_scenario(config);
+    const auto b = core::run_fleet_scenario(unbounded);
+    EXPECT_GT(a.completed, 0u);
+    expect_identical(a, b);
+    expect_same_counters(a, b);
+    ASSERT_EQ(a.vehicles.size(), b.vehicles.size());
+    for (std::size_t v = 0; v < a.vehicles.size(); ++v) {
+      EXPECT_EQ(a.vehicles[v].id, b.vehicles[v].id) << v;
+      EXPECT_EQ(a.vehicles[v].position_m, b.vehicles[v].position_m) << v;
+      EXPECT_EQ(a.vehicles[v].shard, b.vehicles[v].shard) << v;
+    }
   }
 }
 

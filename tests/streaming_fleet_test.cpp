@@ -182,6 +182,127 @@ TEST(streaming_fleet, sharded_stream_counts_are_pinned) {
   }
 }
 
+namespace {
+
+/// One flush's integer counts: handovers, completed, deferred, clearings,
+/// late handoffs, largest cohort, and vehicles retired.
+struct flush_counts {
+  std::size_t handovers = 0;
+  std::size_t completed = 0;
+  std::size_t deferred = 0;
+  std::size_t clearings = 0;
+  std::size_t late_handoffs = 0;
+  std::size_t max_cohort = 0;
+  std::size_t retired = 0;
+};
+
+/// Every flush of `r` against its pinned counts and its pinned sequence of
+/// retired vehicle ids (slot order, as the flush emits them).
+void expect_flushes_pinned(
+    const core::streaming_result& r, const std::vector<flush_counts>& counts,
+    const std::vector<std::vector<std::size_t>>& retired_ids) {
+  ASSERT_EQ(r.flushes.size(), counts.size());
+  ASSERT_EQ(r.flushes.size(), retired_ids.size());
+  for (std::size_t k = 0; k < r.flushes.size(); ++k) {
+    SCOPED_TRACE(k);
+    const auto& flush = r.flushes[k];
+    EXPECT_EQ(flush.handovers, counts[k].handovers);
+    EXPECT_EQ(flush.completed, counts[k].completed);
+    EXPECT_EQ(flush.deferred, counts[k].deferred);
+    EXPECT_EQ(flush.clearings, counts[k].clearings);
+    EXPECT_EQ(flush.late_handoffs, counts[k].late_handoffs);
+    EXPECT_EQ(flush.max_cohort, counts[k].max_cohort);
+    EXPECT_EQ(flush.vehicles.size(), counts[k].retired);
+    std::vector<std::size_t> ids;
+    for (const auto& summary : flush.vehicles) ids.push_back(summary.id);
+    EXPECT_EQ(ids, retired_ids[k]);
+  }
+}
+
+}  // namespace
+
+// Every flush of the two pinned sharded streams, not only their totals: a
+// completion reduced into the wrong flush, or a twin retired out of slot
+// order, moves a flush's counts or its id sequence while the totals hold.
+TEST(streaming_fleet, sharded_stream_flushes_are_pinned) {
+  expect_flushes_pinned(
+      core::run_streaming_fleet(congested_chain_stream()),
+      {
+      {28, 26, 0, 24, 1, 2, 6},
+      {96, 87, 5, 70, 3, 3, 14},
+      {138, 101, 25, 79, 3, 4, 17},
+      {154, 108, 67, 76, 3, 5, 19},
+      {126, 94, 84, 59, 6, 5, 22},
+      {113, 95, 82, 57, 8, 7, 97},
+      {1, 145, 0, 1, 0, 7, 145},
+      },
+      {
+      {1, 2, 7, 21, 24, 30},
+      {0, 10, 11, 15, 19, 26, 42, 50, 58, 60, 63, 65, 66, 71},
+      {110, 17, 22, 34, 39, 41, 107, 45, 48, 104, 103, 70, 73, 81, 82, 87, 132},
+      {13, 14, 170, 25, 108, 51, 31, 32, 43, 49, 74, 78, 85, 91, 93, 122, 143,
+       148, 153},
+      {5, 223, 35, 36, 38, 166, 222, 44, 165, 61, 62, 69, 72, 79, 80, 99, 125,
+       129, 142, 147, 152, 173},
+      {56, 55, 281, 6, 54, 16, 18, 20, 226, 27, 225, 280, 33, 37, 40, 276, 273,
+       164, 57, 163, 102, 67, 270, 161, 100, 77, 219, 159, 218, 88, 90, 92, 96,
+       97, 114, 115, 120, 127, 264, 130, 133, 136, 138, 140, 141, 263, 213,
+       149, 261, 260, 180, 186, 188, 193, 195, 203, 210, 231, 235, 237, 238,
+       247, 251, 252, 256, 259, 283, 286, 287, 290, 293, 294, 295, 296, 297,
+       298, 299, 300, 301, 302, 303, 304, 305, 306, 307, 308, 309, 310, 311,
+       312, 313, 314, 315, 316, 317, 318, 319},
+      {113, 3, 4, 8, 9, 112, 111, 12, 230, 229, 172, 171, 109, 53, 228, 23, 52,
+       227, 28, 29, 224, 169, 279, 278, 277, 168, 167, 275, 274, 46, 47, 221,
+       106, 105, 59, 272, 271, 162, 64, 101, 68, 269, 160, 220, 75, 76, 268,
+       267, 158, 83, 84, 86, 157, 89, 217, 216, 94, 95, 98, 266, 116, 117, 118,
+       119, 121, 215, 123, 124, 265, 126, 128, 131, 156, 134, 135, 137, 139,
+       214, 144, 145, 146, 262, 150, 151, 212, 154, 155, 174, 175, 176, 177,
+       178, 179, 181, 182, 183, 184, 185, 187, 189, 190, 191, 192, 194, 196,
+       197, 198, 199, 200, 201, 202, 204, 205, 206, 207, 208, 209, 211, 232,
+       233, 234, 236, 239, 240, 241, 242, 243, 244, 245, 246, 248, 249, 250,
+       253, 254, 255, 257, 258, 282, 284, 285, 288, 289, 291, 292},
+      });
+  expect_flushes_pinned(
+      core::run_streaming_fleet(grid_stream()),
+      {
+      {5, 5, 0, 5, 2, 1, 39},
+      {22, 20, 0, 22, 4, 1, 52},
+      {32, 32, 0, 31, 8, 2, 61},
+      {42, 43, 0, 39, 3, 2, 69},
+      {18, 18, 0, 18, 2, 1, 41},
+      {39, 38, 0, 39, 2, 1, 83},
+      {1, 3, 0, 1, 0, 1, 3},
+      },
+      {
+      {0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17, 20, 21, 22, 23, 24,
+       26, 27, 28, 29, 30, 31, 32, 34, 36, 39, 40, 41, 43, 44, 46, 47, 51, 53,
+       56},
+      {94, 93, 3, 91, 89, 88, 87, 10, 86, 85, 83, 15, 82, 81, 18, 19, 79, 78,
+       77, 76, 25, 75, 74, 72, 71, 70, 33, 35, 67, 38, 64, 42, 63, 62, 61, 48,
+       49, 50, 59, 58, 57, 96, 99, 100, 102, 103, 105, 107, 108, 114, 115, 117},
+      {95, 169, 168, 92, 166, 165, 161, 160, 84, 159, 158, 156, 155, 154, 80,
+       153, 151, 150, 149, 73, 146, 144, 69, 143, 142, 37, 140, 66, 65, 136,
+       135, 133, 132, 52, 130, 54, 55, 128, 97, 98, 127, 126, 125, 124, 123,
+       113, 120, 119, 118, 171, 172, 175, 177, 180, 181, 182, 184, 189, 190,
+       191, 192},
+      {254, 251, 90, 163, 248, 247, 246, 244, 157, 243, 241, 239, 152, 238,
+       237, 148, 147, 235, 234, 233, 232, 68, 230, 229, 228, 227, 226, 139,
+       225, 60, 134, 223, 220, 219, 218, 129, 217, 216, 215, 214, 212, 104,
+       210, 122, 121, 109, 110, 208, 206, 170, 205, 204, 173, 174, 203, 176,
+       202, 178, 201, 200, 199, 183, 198, 185, 188, 197, 196, 195, 193},
+      {252, 249, 162, 245, 242, 145, 231, 141, 297, 296, 138, 137, 295, 292,
+       221, 290, 289, 213, 283, 282, 280, 278, 277, 111, 209, 276, 207, 275,
+       274, 271, 269, 268, 266, 179, 262, 261, 260, 187, 258, 257, 194},
+      {253, 338, 167, 250, 337, 164, 336, 335, 334, 240, 236, 347, 346, 333,
+       345, 344, 332, 343, 342, 331, 341, 339, 330, 329, 328, 327, 326, 45,
+       224, 294, 293, 325, 222, 131, 324, 291, 323, 322, 288, 287, 286, 285,
+       284, 321, 101, 320, 211, 319, 281, 318, 279, 317, 316, 315, 112, 314,
+       313, 312, 116, 311, 310, 273, 272, 309, 270, 308, 307, 267, 306, 305,
+       265, 264, 263, 304, 303, 302, 186, 301, 259, 300, 299, 256, 298},
+      {340, 106, 255},
+      });
+}
+
 // `flushes[k]` covers window k only, so its max_cohort is the largest
 // cohort among the migrations that completed in that window — not the
 // shards' run-to-date maximum.
