@@ -15,7 +15,7 @@
 // A single run parallelizes across `shard_count` contiguous RSU shards, each
 // owning its RSUs' pools, books, and its own
 // `sim::basic_event_queue<fleet_event>`; shards advance in conservative time
-// windows and exchange boundary handoffs at barriers (core/fleet_shard.hpp,
+// windows and hand boundary handoffs across barriers (core/fleet_shard.hpp,
 // DESIGN.md §10). `shard_count = 1` (the default) is bitwise identical to
 // the pre-shard serial engine.
 #pragma once
@@ -171,7 +171,7 @@ struct fleet_config {
   // Sharded execution (core/fleet_shard.hpp).
   /// Contiguous RSU shards a single run is partitioned into. Each shard owns
   /// its RSUs' pools, spot-market books, and its own event queue; shards run
-  /// on `util::thread_pool` workers and exchange boundary handoffs at
+  /// on `util::thread_pool` workers and hand boundary handoffs across
   /// conservative window barriers, the window derived from the graph's
   /// minimum boundary travel time at `max_speed_mps`. 1 = the serial engine
   /// (bitwise identical to the pre-shard code); requires shard_count <= RSU

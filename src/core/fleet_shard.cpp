@@ -541,7 +541,7 @@ void shard_engine::schedule_next_handover(std::size_t vehicle) {
     ++counters_.cross_shard_transfers;
     mailbox_.post(index_, dest,
                   boundary_handoff{vehicle, next->from_rsu, next->to_rsu,
-                                   when});
+                                   mail_time(when)});
     return;
   }
   queue_.schedule(when, {fleet_event::kind::handover, narrow_index(vehicle),
@@ -606,13 +606,13 @@ void shard_engine::run_clearing(std::size_t pidx) {
       const std::size_t dest = rsu_shard_[request.to_rsu];
       if (dest != index_) {
         // The vehicle drifted out of this shard's RSU range while deferred:
-        // the request (and the vehicle with it) re-homes at the next
+        // the request (and the vehicle with it) re-homes across the next
         // barrier, at this clearing's grid time.
         ++counters_.cross_shard_retargets;
         mailbox_.post(index_, dest,
                       retarget_handoff{std::move(request),
-                                       epoch_grid_snap(queue_.now(),
-                                                       epoch_s_)});
+                                       mail_time(epoch_grid_snap(
+                                           queue_.now(), epoch_s_))});
         stays = false;
       } else {
         const std::size_t target = pool_index(request.to_rsu);
@@ -906,40 +906,52 @@ void shard_engine::finish_migration(std::uint32_t flight) {
   free_flights_.push_back(flight);
 }
 
-void shard_engine::deliver(const shard_message& message,
-                           [[maybe_unused]] const util::barrier_phase&
-                               barrier) {
+double shard_engine::mail_time(double at) {
+  if (!(at < mail_clock_)) return at;
+  // The crossing or clearing falls inside the window that announced it (a
+  // resolution landed close to the boundary): every receiver's clock on
+  // delivery is the window's end, so it runs there instead — skewed by less
+  // than one window, never dropped — and is counted now, in the flush the
+  // next barrier opens.
+  ++counters_.late_handoffs;
+  return mail_clock_;
+}
+
+std::size_t shard_engine::receive_mail() {
+  return mailbox_.receive(
+      index_, [this](const shard_message& message) { deliver(message); });
+}
+
+void shard_engine::deliver(const shard_message& message) {
+  // A drain round's mail was not clamped by its sender: it runs at this
+  // shard's clock if that has passed, counted late here.
+  const auto clamped = [this](double at) {
+    if (!(at < queue_.now())) return at;
+    ++counters_.late_handoffs;
+    return queue_.now();
+  };
   if (const auto* handoff = std::get_if<boundary_handoff>(&message)) {
-    double at = handoff->crossing_s;
-    if (at < queue_.now()) {
-      // The crossing happened inside the window that announced it (the
-      // previous resolution landed close to the boundary): execute at the
-      // barrier instead — skewed by less than one window, never dropped.
-      ++counters_.late_handoffs;
-      at = queue_.now();
-    }
-    queue_.schedule(at, {fleet_event::kind::handover,
-                         narrow_index(handoff->vehicle),
-                         narrow_index(handoff->from_rsu),
-                         narrow_index(handoff->to_rsu)});
+    queue_.schedule(clamped(handoff->crossing_s),
+                    {fleet_event::kind::handover,
+                     narrow_index(handoff->vehicle),
+                     narrow_index(handoff->from_rsu),
+                     narrow_index(handoff->to_rsu)});
     return;
   }
   const auto& retarget = std::get<retarget_handoff>(message);
-  double at = retarget.clearing_s;
-  if (at < queue_.now()) {
-    ++counters_.late_handoffs;
-    at = queue_.now();
-  }
   const std::size_t pidx = pool_index(retarget.request.to_rsu);
   submit_request(pidx, retarget.request);
-  schedule_clearing(pidx, at);
+  schedule_clearing(pidx, clamped(retarget.clearing_s));
 }
 
 void shard_engine::run_window(double t_end) {
   util::trace_span span(trace_, "shard.window");
   span.arg("t_end", t_end);
-  // The barrier delivered its messages first, so each queue sees them
-  // before the arrivals, as when the coordinator scheduled both.
+  // Mail first, then the arrivals: equal-time events run in push order, and
+  // the pinned results were taken with this one.
+  const std::size_t mail = receive_mail();
+  span.arg("mail", static_cast<double>(mail));
+  mail_clock_ = t_end;
   for (const auto& arrival : staged_) {
     VTM_EXPECTS(arrival.at_s >= queue_.now());
     auto& slot = vehicles_[arrival.slot];
@@ -961,6 +973,9 @@ void shard_engine::run_window(double t_end) {
 
 std::size_t shard_engine::drain_round() {
   util::trace_span span(trace_, "shard.drain");
+  const std::size_t mail = receive_mail();
+  span.arg("mail", static_cast<double>(mail));
+  mail_clock_ = -std::numeric_limits<double>::infinity();
   const std::size_t events =
       queue_.run_all(std::numeric_limits<std::size_t>::max(),
                      [this](const fleet_event& event) { dispatch(event); });
@@ -1172,7 +1187,6 @@ void shard_coordinator::draw_spawn(Spawn& spawn) {
 
 void shard_coordinator::spawn_vehicles() {
   vehicles_.resize(config_.vehicle_count);
-  owner_.resize(config_.vehicle_count);
   for (std::size_t v = 0; v < vehicles_.size(); ++v) {
     auto& slot = vehicles_[v];
     draw_spawn(slot);
@@ -1182,32 +1196,7 @@ void shard_coordinator::spawn_vehicles() {
     const std::size_t serving =
         slot.route->serving_rsu(slot.kinematics.position_m);
     slot.twin->set_host_rsu(serving);
-    owner_[v] = rsu_shard_[serving];
   }
-}
-
-std::size_t shard_coordinator::exchange() {
-  util::trace_span span(coord_trace_, "coord.exchange");
-  std::size_t delivered = 0;
-  for (std::size_t dst = 0; dst < shards_.size(); ++dst) {
-    delivered += mailbox_.deliver(
-        dst,
-        [&](const shard_message& message) {
-          // The callback runs synchronously inside `deliver`, which this
-          // function already holds the barrier for; the lambda is analyzed
-          // standalone, so restate the holding.
-          barrier_.assert_held();
-          shards_[dst]->deliver(message, barrier_);
-          const std::size_t vehicle =
-              std::holds_alternative<boundary_handoff>(message)
-                  ? std::get<boundary_handoff>(message).vehicle
-                  : std::get<retarget_handoff>(message).request.vehicle;
-          owner_[vehicle] = static_cast<std::uint32_t>(dst);
-        },
-        barrier_);
-  }
-  span.arg("delivered", static_cast<double>(delivered));
-  return delivered;
 }
 
 void shard_coordinator::run_windows() {
@@ -1221,13 +1210,14 @@ void shard_coordinator::run_windows() {
   {
     // No lane has started yet, so both capabilities hold trivially. The
     // first window's arrivals — a closed run's whole spawn cohort — are
-    // admitted before the first exchange, so vehicles spawned next to a
-    // shard boundary re-home at t = 0 and no handoff posted then is late.
+    // admitted before the first flip, so vehicles spawned next to a shard
+    // boundary re-home as the first window starts, at t = 0, and no handoff
+    // posted then is late.
     const util::barrier_scope at_barrier(barrier_);
     const util::lane_scope lane(lane_);
     draw_arrivals(t_end);
     admit_arrivals();
-    exchange();
+    mailbox_.flip(barrier_);
   }
 
   // Window phases up to the admission horizon, then drain rounds until
@@ -1235,9 +1225,10 @@ void shard_coordinator::run_windows() {
   // admitted past the horizon, so only completions and the re-clearings
   // they trigger remain, and running to quiescence guarantees every started
   // migration lands in a flush. A closed run never flushes periodically.
-  // Lane `shard_count` is the coordinator's: `run_phased` runs it on the
-  // calling thread after shard 0, where it reduces the previous window
-  // while the shards run this one.
+  // Each shard lane starts its phase by delivering the mail the barrier
+  // flipped to it. Lane `shard_count` is the coordinator's: `run_phased`
+  // runs it on the calling thread after shard 0, where it reduces the
+  // previous window while the shards run this one.
   bool draining = false;
   double next_flush = streaming_ ? stream_.flush_period_s.value()
                                  : std::numeric_limits<double>::infinity();
@@ -1255,13 +1246,16 @@ void shard_coordinator::run_windows() {
         }
       },
       [&](std::size_t) {
-        // `run_phased` runs the barrier callback with every worker idle —
+        // `run_phased` runs the barrier callback once every lane of the
+        // phase has returned, on the thread of the one that returned last —
         // the one place the barrier capability is legitimately acquired,
-        // and the coordinator lane is parked too.
+        // and the coordinator lane is parked too. What the lanes posted
+        // becomes their next phase's mail; drain rounds go on while any is
+        // in flight.
         const util::barrier_scope at_barrier(barrier_);
         const util::lane_scope lane(lane_);
-        const std::size_t delivered = exchange();
-        if (draining) return delivered > 0;
+        const std::size_t mail = mailbox_.flip(barrier_);
+        if (draining) return mail > 0;
         // Hand the window's logs to the coordinator lane, which folds them
         // into the open flush in the next phase, and open every flush whose
         // boundary this window crossed (a flush reduces all it is handed).
@@ -1281,7 +1275,7 @@ void shard_coordinator::run_windows() {
         // When nothing can happen in the windows left before the horizon,
         // the next window ends there; the flushes it crosses still open at
         // its end.
-        t_end = quiescent() ? horizon : next_window_end(t_end);
+        t_end = quiescent(mail) ? horizon : next_window_end(t_end);
         admit_arrivals();
         return true;
       });
@@ -1326,9 +1320,10 @@ void shard_coordinator::admit_arrivals() {
   util::trace_span span(coord_trace_, "coord.arrivals");
   const std::size_t before = arrivals_;
   if (!streaming_) {
-    // A closed run's arrival source is its spawn cohort, all at t = 0.
+    // A closed run's arrival source is its spawn cohort, all at t = 0, each
+    // vehicle adopted by the shard of the RSU hosting its twin.
     for (std::size_t v = 0; v < vehicles_.size(); ++v)
-      shards_[owner_[v]]->adopt(v);
+      shards_[rsu_shard_[vehicles_[v].twin->host_rsu()]]->adopt(v);
     arrivals_ = vehicles_.size();
   } else {
     for (vehicle_arrival& arrival : drawn_) {
@@ -1338,11 +1333,9 @@ void shard_coordinator::admit_arrivals() {
       } else {
         arrival.slot = vehicles_.size();
         vehicles_.emplace_back();
-        owner_.push_back(0);
       }
       arrival.id = arrivals_++;
-      owner_[arrival.slot] = rsu_shard_[arrival.serving_rsu];
-      shards_[owner_[arrival.slot]]->stage(arrival, barrier_);
+      shards_[rsu_shard_[arrival.serving_rsu]]->stage(arrival, barrier_);
     }
     drawn_.clear();
   }
@@ -1352,8 +1345,8 @@ void shard_coordinator::admit_arrivals() {
   span.arg("admitted", static_cast<double>(admitted));
 }
 
-bool shard_coordinator::quiescent() const {
-  if (!drawn_.empty()) return false;
+bool shard_coordinator::quiescent(std::size_t mail) const {
+  if (mail > 0 || !drawn_.empty()) return false;
   if (streaming_ && next_arrival_s_ <= stream_.horizon_s.value()) return false;
   for (const auto& shard : shards_)
     if (!shard->idle(barrier_)) return false;
@@ -1386,6 +1379,9 @@ void shard_coordinator::open_flush(bool final) {
   if (final) {
     // Every live twin retires, in slot order: the slots not on the free
     // list. Their logged exits, if any, are the same states, so they go.
+    // At quiescence every twin is hosted in the shard that owns its vehicle:
+    // a shard resolves every request it takes over onto one of its own
+    // RSUs, and hands on the ones it cannot.
     period_exits_.clear();
     for (auto& log : logs_) log.exits.clear();
     std::vector<bool> free_slot(vehicles_.size(), false);
@@ -1399,7 +1395,7 @@ void shard_coordinator::open_flush(bool final) {
       summary.host_rsu = slot.twin->host_rsu();
       summary.migrations = slot.twin->migration_count();
       summary.position_m = slot.kinematics.position_m;
-      summary.shard = owner_[v];
+      summary.shard = rsu_shard_[summary.host_rsu];
       ++flush.retired;
     }
   } else if (first) {

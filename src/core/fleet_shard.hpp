@@ -8,8 +8,8 @@
 // `sim::basic_event_queue<fleet_event>`; the `shard_coordinator` drives all
 // shards in conservative time windows on `util::thread_pool` (lookahead: the
 // minimum boundary travel time at the top speed). Anything one shard does
-// to another crosses a `sim::shard_mailbox` and is applied at the next
-// window barrier:
+// to another crosses a `sim::shard_mailbox`: the barrier flips it, and the
+// receiving lane applies its mail as its next window or drain round starts:
 //
 //   - `boundary_handoff` — a vehicle whose next coverage handover lands in a
 //     neighbouring shard's RSU; ownership of the vehicle slot moves with it.
@@ -20,29 +20,31 @@
 // One protocol, one reduction (DESIGN.md §10, §14): closed and streaming
 // runs share one window loop, run as `shard_count` shard lanes plus one
 // coordinator lane. A barrier does only the work that needs every lane
-// parked: it exchanges messages, hands each shard's window log (completions
-// and exits) to the coordinator lane, opens any flush due (counter deltas,
-// cohorts, and the exited slots returned to the free list), and gives the
-// next window's drawn arrivals their slots, staged per shard. Each shard
-// lane admits its staged arrivals as its window starts and logs its own
-// exits. The coordinator lane runs one window behind, beside the shards: it
-// merges the handed-off ledgers in global finish-time order into the open
-// flush and fills the run's metric histograms, closes the flushes the
-// barrier opened, and draws the arrivals of the window after next. That
-// reduction is the one place a run's deterministic numbers are recorded, and
-// the shards record none. Past the horizon the loop drains to quiescence and
-// emits a final flush; a barrier at which nothing is scheduled or still to
-// arrive jumps straight to the horizon. A closed run is the degenerate
-// stream: its arrival source is the t = 0 spawn cohort, adopted before the
-// first exchange, it never flushes periodically, and its `fleet_result` is
-// the one final flush.
+// parked, on the thread of the lane that finished last: it flips the
+// mailbox, hands each shard's window log (completions and exits) to the
+// coordinator lane, opens any flush due (counter deltas, cohorts, and the
+// exited slots returned to the free list), and gives the next window's
+// drawn arrivals their slots, staged per shard. Each shard lane delivers
+// its own inbox and then admits its staged arrivals as its window starts,
+// and logs its own exits. The coordinator lane runs one window behind,
+// beside the shards: it merges the handed-off ledgers in global finish-time
+// order into the open flush and fills the run's metric histograms, closes
+// the flushes the barrier opened, and draws the arrivals of the window after
+// next. That reduction is the one place a run's deterministic numbers are
+// recorded, and the shards record none. Past the horizon the loop drains to quiescence and
+// emits a final flush; a barrier at which nothing is scheduled, in flight
+// or still to arrive jumps straight to the horizon. A closed run is the
+// degenerate stream: its arrival source is the t = 0 spawn cohort, adopted
+// before the first flip so its boundary mail arrives with the first window,
+// it never flushes periodically, and its `fleet_result` is the one final
+// flush.
 //
 // Fidelity contract (DESIGN.md §10): with `shard_count = 1` the engine is
 // bitwise identical to the pre-shard serial engine. Multi-shard runs are
 // deterministic for a fixed (seed, shard_count) and preserve every market
 // invariant (exactly-once request resolution, no pool oversubscription,
 // totals == Σ records); they reproduce the serial run bitwise whenever no
-// delivery was clamped behind a barrier (`fleet_result::late_handoffs == 0`
+// delivery was clamped behind a window end (`fleet_result::late_handoffs == 0`
 // and `cross_shard_retargets == 0`) and no two migrations finish at exactly
 // the same instant — the reduction breaks exact finish-time ties by vehicle
 // id, not the serial engine's schedule order, so degenerate configs (equal
@@ -122,10 +124,12 @@ void validate_streaming_config(const streaming_config& config);
 
 /// Mutable per-vehicle simulation state. Slots live in one coordinator-owned
 /// vector; exactly one shard owns (reads or writes) a slot at any time, and
-/// ownership only moves at window barriers. The coordinator writes a slot
-/// only to spawn a closed run's cohort, and reads slots only in the final
-/// flush; a stream's arrivals are written by the shard that admits them,
-/// and its exits are logged by the shard that owns them.
+/// ownership only moves across a window barrier: the sender lets go when it
+/// posts a handoff, and the receiver takes over when it delivers it in the
+/// next phase. The coordinator writes a slot only to spawn a closed run's
+/// cohort, and reads slots only in the final flush; a stream's arrivals are
+/// written by the shard that admits them, and its exits are logged by the
+/// shard that owns them.
 struct vehicle_slot {
   sim::vehicle_state kinematics;
   vmu_profile profile;
@@ -153,20 +157,25 @@ struct vehicle_arrival {
 };
 
 /// A vehicle whose next coverage handover lands in another shard: the
-/// destination schedules the handover at the kinematic crossing time (or the
-/// barrier, if the crossing already passed — counted as late).
+/// destination schedules the handover at the kinematic crossing time, or at
+/// its clock on delivery if the crossing already passed (a late handoff).
 struct boundary_handoff {
   std::size_t vehicle = 0;
   std::size_t from_rsu = 0;
   std::size_t to_rsu = 0;
-  double crossing_s = 0.0;  ///< Kinematic boundary-crossing time.
+  /// Kinematic boundary-crossing time. Mail posted in a window is clamped
+  /// to the window's end, the receiver's clock on delivery, and the sender
+  /// counts the clamp as late.
+  double crossing_s = 0.0;
 };
 
 /// A deferred request re-homed to a pool in another shard (the vehicle
 /// drifted out of the sender's RSU range while waiting).
 struct retarget_handoff {
   clearing_request request;  ///< from/to already recomputed by the sender.
-  double clearing_s = 0.0;   ///< Epoch-snapped clearing time at the sender.
+  /// Epoch-snapped clearing time at the sender, clamped like
+  /// `boundary_handoff::crossing_s`.
+  double clearing_s = 0.0;
 };
 
 using shard_message = std::variant<boundary_handoff, retarget_handoff>;
@@ -233,8 +242,8 @@ class shard_engine {
   void adopt(std::size_t vehicle);
 
   /// Stage a streaming arrival whose slot this shard owns from now on. The
-  /// lane admits it when its next window starts — after the barrier's
-  /// deliveries, so the queue sees them first: it writes the slot and the
+  /// lane admits it when its next window starts — after delivering its
+  /// mail, so the queue sees the mail first: it writes the slot and the
   /// twin, then schedules the first handover computation at `at_s`, which
   /// must land at/after the shard clock. Barrier only.
   void stage(const vehicle_arrival& arrival,
@@ -245,18 +254,17 @@ class shard_engine {
   /// log. Without it only the final flush retires, by scanning the slots.
   void log_exits() noexcept { log_exits_ = true; }
 
-  /// Apply one cross-shard message. Barrier only — enforced by the analysis:
-  /// the caller must hold the run's barrier capability (every lane parked).
-  /// Deliveries behind the shard clock are clamped to it and counted as late.
-  void deliver(const shard_message& message,
-               const util::barrier_phase& barrier) VTM_REQUIRES(barrier);
-
-  /// Admit the staged arrivals, then run every event with time <= t_end and
-  /// advance the clock to t_end.
+  /// Deliver this shard's flipped mail, admit the staged arrivals, then run
+  /// every event with time <= t_end and advance the clock to t_end. Mail the
+  /// window posts is clamped to t_end, every receiver's clock when it
+  /// arrives, and a clamp is counted late here, so the flush the next
+  /// barrier opens holds it.
   void run_window(double t_end);
 
-  /// Drain-phase round: run until the queue empties (messages delivered at
-  /// the next barrier may refill it). Returns the number of events executed.
+  /// Drain-phase round: deliver this shard's flipped mail, clamping what
+  /// lands behind the clock and counting it late, then run until the queue
+  /// empties (mail it posts is delivered in the next round). Returns the
+  /// number of events executed.
   std::size_t drain_round();
 
   /// Final sweep once every queue is dry and no messages remain: anything
@@ -296,7 +304,8 @@ class shard_engine {
   void hand_off(window_log& into, const util::barrier_phase& barrier)
       VTM_REQUIRES(barrier);
 
-  /// No event is scheduled. Barrier only.
+  /// No event is scheduled (mail still in the mailbox is not counted).
+  /// Barrier only.
   [[nodiscard]] bool idle(const util::barrier_phase& barrier) const
       VTM_REQUIRES(barrier);
 
@@ -343,6 +352,15 @@ class shard_engine {
   };
 
   void dispatch(const fleet_event& event);
+  /// Apply every message the last flip left for this shard, in (sender,
+  /// send order) sequence; returns the number applied.
+  std::size_t receive_mail();
+  /// Apply one cross-shard message. A delivery behind the shard clock is
+  /// clamped to it and counted late.
+  void deliver(const shard_message& message);
+  /// The time a handoff posted for `at` (a crossing or a clearing) carries:
+  /// `at`, or `mail_clock_` when that is later, counted late.
+  [[nodiscard]] double mail_time(double at);
   [[nodiscard]] std::size_t pool_index(std::size_t rsu) const noexcept;
   /// The run's channel over a migration link of `distance_m`.
   [[nodiscard]] wireless::link_params link_for(double distance_m) const;
@@ -414,6 +432,10 @@ class shard_engine {
   counters counters_;
   window_log log_;
   bool log_exits_ = false;
+  /// Every receiver's clock when this shard's mail is delivered: the running
+  /// window's end (0 before the first window), or −∞ in a drain round, whose
+  /// receivers' clocks differ, so they count lateness on delivery.
+  double mail_clock_ = 0.0;
   std::vector<vehicle_arrival> staged_;  ///< Admitted when a window starts.
   std::vector<cohort_snapshot> cohorts_;
   util::trace_lane* trace_;  ///< Null when tracing is off.
@@ -478,13 +500,10 @@ class shard_coordinator {
   void draw_spawn(Spawn& spawn) VTM_REQUIRES(lane_);
 
   // ---- Barrier steps (every lane parked, the coordinator lane's too) ----
+  // The analysis requires the coordinator's barrier capability, acquired
+  // only by `run_windows()`'s barrier callback and around the serial pre-
+  // and post-phase steps, where every lane is trivially idle.
 
-  /// Deliver every buffered message in (destination, sender, send order)
-  /// sequence; returns the number delivered. Barrier only — the analysis
-  /// requires the coordinator's barrier capability, acquired exclusively by
-  /// `run_windows()`'s barrier callback (and around the serial pre-/post-
-  /// phase steps, where every lane is trivially idle).
-  std::size_t exchange() VTM_REQUIRES(barrier_);
   /// Move each shard's window log onto the coordinator lane's, which
   /// reduces the completions that finish before `before` in the next phase.
   void hand_off(double before) VTM_REQUIRES(barrier_, lane_);
@@ -498,12 +517,13 @@ class shard_coordinator {
   /// Admit the arrivals of the window that ends at the next barrier. A
   /// closed run's arrivals are its spawn cohort, adopted at t = 0 by the
   /// first call; a stream gives each drawn arrival a slot (popped from the
-  /// free list, or grown), its stable id and its owner, and stages it into
-  /// that shard.
+  /// free list, or grown) and its stable id, and stages it into the shard
+  /// that serves it.
   void admit_arrivals() VTM_REQUIRES(barrier_, lane_);
-  /// Nothing can happen before the horizon: no shard has an event left, and
-  /// no arrival is drawn or still to come.
-  [[nodiscard]] bool quiescent() const VTM_REQUIRES(barrier_, lane_);
+  /// Nothing can happen before the horizon: no `mail` is in flight, no
+  /// shard has an event left, and no arrival is drawn or still to come.
+  [[nodiscard]] bool quiescent(std::size_t mail) const
+      VTM_REQUIRES(barrier_, lane_);
 
   // ---- Coordinator lane (one window behind the shards) ----
 
@@ -563,10 +583,9 @@ class shard_coordinator {
   std::vector<std::size_t> slot_scratch_;  ///< A window's exited slots.
   std::vector<std::uint32_t> rsu_shard_;  ///< Global RSU index -> shard.
   std::vector<vehicle_slot> vehicles_;
-  std::vector<std::uint32_t> owner_;      ///< Vehicle -> owning shard.
   /// The run's barrier capability: "all shard lanes are parked". Stateless;
-  /// exists so the analysis can gate `exchange`/`open_flush`/mailbox
-  /// delivery to barrier scopes (DESIGN.md §13).
+  /// exists so the analysis can gate the mailbox flip, `open_flush` and the
+  /// other barrier steps to barrier scopes (DESIGN.md §13).
   util::barrier_phase barrier_;
   sim::shard_mailbox<shard_message> mailbox_;
 
@@ -628,8 +647,9 @@ class shard_coordinator {
   // Telemetry sinks resolved from `config_.telemetry` (null when off) and
   // the registered histograms, which only the coordinator lane fills;
   // `coord_trace_` is the coordinator's own trace lane (index == shard
-  // count), written by the barrier and the coordinator lane, both on the
-  // calling thread.
+  // count), written by the barrier and by the coordinator lane. The lane
+  // runs on the calling thread; the barrier runs on whichever thread
+  // finished its phase last, after every lane, so the writes never overlap.
   util::metrics_registry* metrics_ = nullptr;
   util::trace_session* trace_ = nullptr;
   util::trace_lane* coord_trace_ = nullptr;

@@ -90,7 +90,9 @@ road_graph::road_graph(std::vector<road_node> nodes,
 
   // Deterministic Floyd–Warshall: strict improvement only and fully ordered
   // iteration, so ties resolve to the lowest (edge, intermediate) indices on
-  // every platform.
+  // every platform. The relaxation selects instead of branching, so it
+  // vectorizes; row k is skipped, since d(k, k) = 0 means it cannot
+  // improve, and so the row being relaxed never aliases row k.
   const std::size_t n = nodes_.size();
   const std::int64_t fw_start_ns = build_clock_ns();
   dist_.assign(n * n, inf);
@@ -105,18 +107,22 @@ road_graph::road_graph(std::vector<road_node> nodes,
       mid_node_[edge.from * n + edge.to] = npos;
     }
   }
-  for (std::size_t k = 0; k < n; ++k)
+  for (std::size_t k = 0; k < n; ++k) {
+    const double* __restrict row_k = &dist_[k * n];
     for (std::size_t i = 0; i < n; ++i) {
-      const double ik = dist_at(i, k);
+      if (i == k) continue;
+      double* __restrict row_i = &dist_[i * n];
+      std::size_t* __restrict mid_i = &mid_node_[i * n];
+      const double ik = row_i[k];
       if (!std::isfinite(ik)) continue;
       for (std::size_t j = 0; j < n; ++j) {
-        const double through = ik + dist_at(k, j);
-        if (through < dist_at(i, j)) {
-          dist_at(i, j) = through;
-          mid_node_[i * n + j] = k;
-        }
+        const double through = ik + row_k[j];
+        const bool better = through < row_i[j];
+        row_i[j] = better ? through : row_i[j];
+        mid_i[j] = better ? k : mid_i[j];
       }
     }
+  }
 
   const std::int64_t routes_start_ns = build_clock_ns();
   stats_.floyd_warshall_ns = routes_start_ns - fw_start_ns;

@@ -13,8 +13,8 @@
 //     carry VTM_GUARDED_BY(mutex_name_).
 //   - `util::barrier_phase` (sync.hpp) — a *phase* capability with no
 //     runtime state at all: it models "all shard lanes are parked at a
-//     window barrier". Functions that may only run between windows (mailbox
-//     deliver/pending, cross-shard state application) take a
+//     window barrier". Functions that may only run between windows (the
+//     mailbox flip, the coordinator's barrier steps) take a
 //     `const barrier_phase&` parameter annotated VTM_REQUIRES(barrier), and
 //     only the coordinator's barrier callback ever acquires one (through
 //     `util::barrier_scope`), so a mid-phase call is a compile error.

@@ -12,8 +12,8 @@
 // functions annotated VTM_REQUIRES(barrier) on a `const barrier_phase&`
 // parameter can only be called from code that holds one, and the only
 // acquisition path is `barrier_scope`, constructed inside the coordinator's
-// barrier callback (where `thread_pool::run_phased` guarantees all workers
-// are idle). Mid-phase calls to barrier-only functions therefore fail to
+// barrier callback (where `thread_pool::run_phased` guarantees every lane
+// is idle). Mid-phase calls to barrier-only functions therefore fail to
 // compile under `-Wthread-safety -Werror=thread-safety`.
 //
 // `lane_role` is the third kind: a stateless token for state that one lane
@@ -87,12 +87,6 @@ class VTM_CAPABILITY("barrier") barrier_phase {
   /// No-ops at runtime; the attributes are the point.
   void acquire() const VTM_ACQUIRE() {}
   void release() const VTM_RELEASE() {}
-
-  /// Tells the analysis the capability is held from here on. For callback
-  /// bodies invoked *synchronously* from a function that already requires
-  /// the capability (Clang analyzes a lambda as a standalone function and
-  /// cannot see its caller's holdings). Runtime no-op.
-  void assert_held() const VTM_ASSERT_CAPABILITY(this) {}
 };
 
 /// RAII acquisition of a `barrier_phase` for the duration of a barrier

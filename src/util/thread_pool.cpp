@@ -55,17 +55,33 @@ void thread_pool::run_lanes(const phased_job& job, std::size_t participant,
 void thread_pool::run_participant(const phased_job& job,
                                   std::size_t participant) {
   if (participant >= job.participants) return;  // more workers than lanes
-  const auto workers = static_cast<std::uint32_t>(job.participants - 1);
-  // The caller bumps `phase_` only once every worker has arrived, so this
-  // read precedes the first bump and each wait sees exactly one.
+  const auto participants = static_cast<std::uint32_t>(job.participants);
+  // `phase_` moves only once every participant has arrived, so this read
+  // precedes the first bump and each wait sees exactly one.
   std::uint32_t generation = phase_.load(std::memory_order_acquire);
-  for (std::size_t phase = 0;; ++phase) {
+  for (std::size_t phase = 0;; ++phase, ++generation) {
     run_lanes(job, participant, phase);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers)
-      arrived_.notify_one();
-    phase_.wait(generation, std::memory_order_acquire);
-    ++generation;
-    if (last_phase_.load(std::memory_order_relaxed)) return;
+    // Acquire-release: the last to arrive sees every lane's writes.
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 != participants) {
+      phase_.wait(generation, std::memory_order_acquire);
+      if (last_phase_.load(std::memory_order_relaxed)) return;
+      continue;
+    }
+    // Every lane is done with `phase` and every other participant waits on
+    // `phase_`: run the barrier here, then release them.
+    arrived_.store(0, std::memory_order_relaxed);
+    bool more = false;
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        more = (*job.barrier)(phase);
+      } catch (...) {
+        record_error();
+      }
+    }
+    if (!more) last_phase_.store(true, std::memory_order_relaxed);
+    phase_.fetch_add(1, std::memory_order_release);
+    phase_.notify_all();
+    if (!more) return;
   }
 }
 
@@ -153,30 +169,10 @@ void thread_pool::run_phased(
     }
   }
 
-  const phased_job job{&fn, lanes, std::min(workers_.size() + 1, lanes)};
-  const auto workers = static_cast<std::uint32_t>(job.participants - 1);
+  const phased_job job{&fn, &barrier, lanes,
+                       std::min(workers_.size() + 1, lanes)};
   start_job(nullptr, 0, &job);
-  for (std::size_t phase = 0;; ++phase) {
-    run_lanes(job, 0, phase);
-    for (std::uint32_t arrived = arrived_.load(std::memory_order_acquire);
-         arrived != workers;
-         arrived = arrived_.load(std::memory_order_acquire))
-      arrived_.wait(arrived, std::memory_order_acquire);
-    arrived_.store(0, std::memory_order_relaxed);
-    // Every lane is done with `phase` and every worker waits on `phase_`.
-    bool more = false;
-    if (!failed_.load(std::memory_order_relaxed)) {
-      try {
-        more = barrier(phase);
-      } catch (...) {
-        record_error();
-      }
-    }
-    if (!more) last_phase_.store(true, std::memory_order_relaxed);
-    phase_.fetch_add(1, std::memory_order_release);
-    phase_.notify_all();
-    if (!more) break;
-  }
+  run_participant(job, 0);
   if (const std::exception_ptr error = finish_job())
     std::rethrow_exception(error);
 }

@@ -10,12 +10,14 @@
 //
 // `run_phased(lanes, fn, barrier)` is lane-affine: lane l runs on
 // participant l mod (workers + 1) for the whole run, participant 0 being the
-// calling thread, which alone runs the barrier callback. The workers join
-// the run once, through the same mutex hand-off as a parallel_for; from then
-// on phases hand off through one atomic arrival count and one atomic phase
-// generation, waited on with `std::atomic::wait`/`notify`. A phase takes no
-// lock and builds no `std::function`, and a lane's state stays in the cache
-// of the core that last ran it.
+// calling thread. The workers join the run once, through the same mutex
+// hand-off as a parallel_for; from then on phases hand off through one
+// atomic arrival count and one atomic phase generation, waited on with
+// `std::atomic::wait`/`notify`. The participant that arrives last runs the
+// barrier callback and releases the others, so no wake-up sits between the
+// slowest lane finishing and the next phase starting. A phase takes no lock
+// and builds no `std::function`, and a lane's state stays in the cache of
+// the core that last ran it.
 #pragma once
 
 #include <atomic>
@@ -52,15 +54,17 @@ class thread_pool {
 
   /// Barrier/phase execution for windowed simulations: run one *phase* —
   /// fn(lane, phase) for every lane in [0, lanes), in parallel — then run
-  /// `barrier(phase)` serially on the calling thread once every lane has
-  /// finished; repeat with phase + 1 while the barrier returns true. No lane
-  /// ever runs phase k + 1 before every lane has completed phase k, and the
-  /// barrier callback runs with all workers idle, so it may freely touch
-  /// state the lanes share (exchange mailboxes, pick the next time window).
-  /// Lane l runs on the same thread in every phase: the caller's when
-  /// l mod (size() + 1) == 0. An exception from a lane or from the barrier
-  /// ends the run at the next barrier (the phase's other lanes still run)
-  /// and is rethrown here; a serial pool rethrows at once. Not reentrant.
+  /// `barrier(phase)` once, after every lane of the phase has returned, on
+  /// the thread of the participant that finished last; repeat with
+  /// phase + 1 while the barrier returns true. No lane ever runs phase k + 1
+  /// before the barrier of phase k has returned, and the barrier runs with
+  /// every lane idle, so it may freely touch state the lanes share (flip
+  /// mailboxes, pick the next time window); each lane's writes happen before
+  /// it, and its writes before the next phase. Lane l runs on the same
+  /// thread in every phase: the caller's when l mod (size() + 1) == 0. An
+  /// exception from a lane or from the barrier ends the run at the next
+  /// barrier (the phase's other lanes still run) and is rethrown here; a
+  /// serial pool rethrows at once. Not reentrant.
   void run_phased(std::size_t lanes,
                   const std::function<void(std::size_t, std::size_t)>& fn,
                   const std::function<bool(std::size_t)>& barrier);
@@ -69,6 +73,7 @@ class thread_pool {
   /// One run_phased call, shared with the workers for its duration.
   struct phased_job {
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    const std::function<bool(std::size_t)>* barrier = nullptr;
     std::size_t lanes = 0;
     std::size_t participants = 0;  ///< Threads with lanes, the caller's too.
   };
@@ -89,8 +94,9 @@ class thread_pool {
   /// the others still run.
   void run_lanes(const phased_job& job, std::size_t participant,
                  std::size_t phase) VTM_EXCLUDES(mutex_);
-  /// A worker's side of a phased run: its lanes, then arrive and wait for
-  /// the next phase generation, until the caller ends the run.
+  /// A participant's side of a phased run, the caller's too: its lanes,
+  /// then arrive; the last to arrive runs the barrier and moves the phase
+  /// generation, which the others wait on, until the barrier ends the run.
   void run_participant(const phased_job& job, std::size_t participant)
       VTM_EXCLUDES(mutex_);
   /// Keep the first exception of the current job.
@@ -113,10 +119,11 @@ class thread_pool {
   std::exception_ptr error_ VTM_GUARDED_BY(mutex_);
   bool stop_ VTM_GUARDED_BY(mutex_) = false;
 
-  // Phased hand-off. A worker adds to `arrived_` when its lanes are done;
-  // the caller waits for every worker, runs the barrier, resets the count
-  // and bumps `phase_`, which the workers wait on. `last_phase_` and
-  // `failed_` are read after that acquire, so relaxed order suffices.
+  // Phased hand-off. A participant adds to `arrived_` when its lanes are
+  // done; the one that completes the count resets it, runs the barrier and
+  // bumps `phase_`, which the others wait on. `failed_` is read after the
+  // last arrival's acquire and `last_phase_` after `phase_`'s, so relaxed
+  // order suffices.
   std::atomic<std::uint32_t> arrived_{0};
   std::atomic<std::uint32_t> phase_{0};
   std::atomic<bool> last_phase_{false};

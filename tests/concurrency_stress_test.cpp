@@ -1,14 +1,14 @@
 // Contention stress for util::thread_pool's barrier protocol (DESIGN.md
 // §13). These tests deliberately share NON-atomic state across the phase
 // boundary: lanes read values rival lanes wrote in the previous phase, and
-// the main thread's barrier callback mutates state every lane reads next
-// phase. That is only defined behaviour if run_phased establishes a
-// happens-before edge lane-write → barrier → lane-read — exactly the
-// contract the shard coordinator's mailbox exchange leans on — so under
-// TSan (VTM_SANITIZE=thread) these tests verify the synchronization itself,
-// not merely the observable ordering.
+// the barrier callback mutates state every lane reads next phase. That is
+// only defined behaviour if run_phased establishes a happens-before edge
+// lane-write → barrier → lane-read — exactly the contract the shard
+// mailbox's flip leans on — so under TSan (VTM_SANITIZE=thread) these tests
+// verify the synchronization itself, not merely the observable ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -150,7 +150,8 @@ TEST(concurrency_stress, run_phased_survives_lane_exception_under_load) {
 
 // Lane affinity: every lane runs on one thread for the whole run — the
 // caller's when its index is a multiple of the participant count (workers +
-// 1), a worker's otherwise — and the barrier runs on the caller's thread.
+// 1), a worker's otherwise — and each phase's one barrier runs after every
+// lane of the phase has returned, on one of those participants' threads.
 // Lanes record their phase-0 thread in plain slots and compare against it
 // every later phase, so under TSan the test also checks that the atomic
 // hand-off orders those reads.
@@ -164,7 +165,9 @@ TEST(concurrency_stress, run_phased_keeps_each_lane_on_one_thread) {
     std::vector<std::thread::id> home(lanes);
     std::vector<lane_sink> moves(lanes);
     std::vector<lane_sink> sinks(lanes);
-    std::size_t barriers_off_caller = 0;
+    std::vector<lane_sink> returned(lanes);  // phases the lane has finished
+    std::vector<std::thread::id> barrier_thread;
+    std::size_t barriers_out_of_turn = 0;
     std::size_t barriers = 0;
     pool.run_phased(
         lanes,
@@ -176,14 +179,25 @@ TEST(concurrency_stress, run_phased_keeps_each_lane_on_one_thread) {
             ++moves[lane].value;
           sinks[lane].value +=
               churn(lane * 131 + phase, (lane * 17 + phase * 29) % 503);
+          returned[lane].value = phase + 1;
         },
         [&](std::size_t phase) {
-          if (std::this_thread::get_id() != caller) ++barriers_off_caller;
+          barrier_thread.push_back(std::this_thread::get_id());
+          bool in_turn = phase == barriers;
+          for (const lane_sink& lane : returned)
+            in_turn = in_turn && lane.value == phase + 1;
+          if (!in_turn) ++barriers_out_of_turn;
           ++barriers;
           return phase + 1 < 30;
         });
     EXPECT_EQ(barriers, 30u);
-    EXPECT_EQ(barriers_off_caller, 0u) << "threads=" << threads;
+    EXPECT_EQ(barriers_out_of_turn, 0u) << "threads=" << threads;
+    for (std::size_t phase = 0; phase < barrier_thread.size(); ++phase)
+      EXPECT_NE(std::find(home.begin(), home.begin() + participants,
+                          barrier_thread[phase]),
+                home.begin() + participants)
+          << "barrier " << phase << " ran off the participants, threads="
+          << threads;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       EXPECT_EQ(moves[lane].value, 0u)
           << "lane " << lane << " changed thread, threads=" << threads;

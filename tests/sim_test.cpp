@@ -1,5 +1,5 @@
-// Tests for the vehicular simulator: event queue, VT model, pre-copy
-// migration engine, highway mobility.
+// Tests for the vehicular simulator: event queue, cross-shard mailbox, VT
+// model, pre-copy migration engine, highway mobility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,14 +8,18 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/mailbox.hpp"
 #include "sim/mobility.hpp"
 #include "sim/precopy.hpp"
 #include "sim/vt.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/sync.hpp"
+#include "util/thread_pool.hpp"
 
 namespace s = vtm::sim;
 
@@ -386,6 +390,175 @@ TEST(event_queue, radix_queue_pops_the_reference_heap_sequence) {
     observations += radix.size();
   }
   EXPECT_GT(observations, 100'000u);
+}
+
+// ---- shard mailbox -------------------------------------------------------------
+
+namespace {
+
+/// A message naming its sender, the phase that posted it, and its place in
+/// the sender's sequence.
+struct letter {
+  std::size_t from = 0;
+  std::size_t phase = 0;
+  std::size_t seq = 0;
+};
+
+/// (sender, send order) of every message `to` receives.
+std::vector<std::pair<std::size_t, std::size_t>> receive_all(
+    s::shard_mailbox<letter>& mailbox, std::size_t to) {
+  std::vector<std::pair<std::size_t, std::size_t>> got;
+  const std::size_t n = mailbox.receive(
+      to, [&](const letter& l) { got.emplace_back(l.from, l.seq); });
+  EXPECT_EQ(n, got.size());
+  return got;
+}
+
+/// Flip `mailbox` under a barrier scope; returns the pending count.
+template <typename Message>
+std::size_t flip(s::shard_mailbox<Message>& mailbox) {
+  const vtm::util::barrier_phase barrier;
+  const vtm::util::barrier_scope at_barrier(barrier);
+  return mailbox.flip(barrier);
+}
+
+/// One lane's error count, on its own cache line.
+struct alignas(64) lane_errors {
+  std::size_t value = 0;
+};
+
+}  // namespace
+
+// Senders post in any interleaving; after a flip each destination receives
+// its column in (sender, send order), and receiving clears it.
+TEST(shard_mailbox, flipped_inbox_delivers_in_sender_then_send_order) {
+  constexpr std::size_t lanes = 3;
+  s::shard_mailbox<letter> mailbox(lanes);
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> expected(
+      lanes);
+  std::size_t posted = 0;
+  for (std::size_t seq = 0; seq < 4; ++seq)
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::size_t from = lanes - 1 - k;  // senders interleave
+      for (std::size_t to = 0; to < lanes; ++to) {
+        if ((from + 2 * to + seq) % 3 == 0) continue;  // uneven cells
+        mailbox.post(from, to, {from, 0, seq});
+        expected[to].emplace_back(from, seq);
+        ++posted;
+      }
+    }
+  EXPECT_EQ(receive_all(mailbox, 0).size(), 0u);  // nothing flipped yet
+  EXPECT_EQ(flip(mailbox), posted);
+  for (std::size_t to = 0; to < lanes; ++to) {
+    std::sort(expected[to].begin(), expected[to].end());
+    EXPECT_EQ(receive_all(mailbox, to), expected[to]) << "to " << to;
+    EXPECT_TRUE(receive_all(mailbox, to).empty()) << "to " << to;
+  }
+}
+
+// A flip moves only what was posted before it: later mail waits for the
+// next flip, which counts only it.
+TEST(shard_mailbox, mail_posted_after_a_flip_waits_for_the_next) {
+  s::shard_mailbox<letter> mailbox(2);
+  mailbox.post(0, 1, {0, 0, 0});
+  EXPECT_EQ(flip(mailbox), 1u);
+  mailbox.post(1, 1, {1, 1, 0});
+  mailbox.post(0, 1, {0, 1, 1});
+  using got = std::vector<std::pair<std::size_t, std::size_t>>;
+  EXPECT_EQ(receive_all(mailbox, 1), (got{{0, 0}}));
+  EXPECT_EQ(flip(mailbox), 2u);
+  EXPECT_EQ(receive_all(mailbox, 1), (got{{0, 1}, {1, 0}}));
+  EXPECT_EQ(flip(mailbox), 0u);
+  EXPECT_TRUE(receive_all(mailbox, 1).empty());
+}
+
+// `flip` returns how many messages it made deliverable, over every cell,
+// and refuses to bury a previous flip's unread mail.
+TEST(shard_mailbox, flip_returns_the_pending_count) {
+  s::shard_mailbox<int> mailbox(3);
+  EXPECT_EQ(flip(mailbox), 0u);
+  for (int i = 0; i < 5; ++i) mailbox.post(2, 0, i);
+  mailbox.post(0, 1, 5);
+  mailbox.post(1, 1, 6);
+  mailbox.post(1, 1, 7);
+  EXPECT_EQ(flip(mailbox), 8u);
+  mailbox.post(0, 2, 8);
+  EXPECT_THROW((void)flip(mailbox), vtm::util::contract_error);
+}
+
+// The barrier-side `deliver` drains everything buffered for one
+// destination: the flipped mail first, then what was posted since.
+TEST(shard_mailbox, barrier_delivery_takes_flipped_then_posted_mail) {
+  s::shard_mailbox<int> mailbox(2);
+  mailbox.post(1, 0, 1);
+  mailbox.post(0, 0, 0);
+  EXPECT_EQ(flip(mailbox), 2u);
+  mailbox.post(1, 0, 3);
+  mailbox.post(0, 0, 2);
+  std::vector<int> got;
+  const vtm::util::barrier_phase barrier;
+  const vtm::util::barrier_scope at_barrier(barrier);
+  EXPECT_EQ(mailbox.deliver(0, [&](int m) { got.push_back(m); }, barrier), 4u);
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(mailbox.flip(barrier), 0u);
+}
+
+// The protocol on real threads: each lane receives its inbox as its phase
+// starts, then posts to every lane; the barrier flips. Every lane must see
+// exactly the previous phase's mail, in (sender, send order). Under TSan
+// this also checks that the pool's barrier orders the cell writes of one
+// phase before the reads of the next.
+TEST(shard_mailbox, lanes_receive_last_phase_mail_across_threads) {
+  constexpr std::size_t lanes = 4;
+  constexpr std::size_t phases = 40;
+  vtm::util::thread_pool pool(lanes - 1);
+  s::shard_mailbox<letter> mailbox(lanes);
+  const vtm::util::barrier_phase barrier;
+  std::vector<lane_errors> errors(lanes);
+  std::size_t flipped = 0;
+  std::size_t barrier_errors = 0;
+  // Lane l sends (l + to + phase) % 3 messages to lane `to`.
+  const auto sent = [](std::size_t from, std::size_t to, std::size_t phase) {
+    return (from + to + phase) % 3;
+  };
+  pool.run_phased(
+      lanes,
+      [&](std::size_t lane, std::size_t phase) {
+        std::size_t from = 0;
+        std::size_t seq = 0;
+        std::size_t received = 0;
+        mailbox.receive(lane, [&](const letter& l) {
+          // Senders in order, each sender's messages in send order.
+          if (l.from < from || phase == 0 || l.phase != phase - 1)
+            ++errors[lane].value;
+          if (l.from != from) seq = 0;
+          if (l.seq != seq++) ++errors[lane].value;
+          from = l.from;
+          ++received;
+        });
+        std::size_t expected = 0;
+        for (std::size_t f = 0; phase > 0 && f < lanes; ++f)
+          expected += sent(f, lane, phase - 1);
+        if (received != expected) ++errors[lane].value;
+        for (std::size_t to = 0; to < lanes; ++to)
+          for (std::size_t k = 0; k < sent(lane, to, phase); ++k)
+            mailbox.post(lane, to, {lane, phase, k});
+      },
+      [&](std::size_t phase) {
+        const vtm::util::barrier_scope at_barrier(barrier);
+        std::size_t expected = 0;
+        for (std::size_t f = 0; f < lanes; ++f)
+          for (std::size_t to = 0; to < lanes; ++to)
+            expected += sent(f, to, phase);
+        const std::size_t pending = mailbox.flip(barrier);
+        if (pending != expected) ++barrier_errors;
+        flipped += pending;
+        return phase + 1 < phases;
+      });
+  EXPECT_EQ(barrier_errors, 0u);
+  for (std::size_t lane = 0; lane < lanes; ++lane)
+    EXPECT_EQ(errors[lane].value, 0u) << "lane " << lane;
+  EXPECT_GT(flipped, 0u);
 }
 
 // ---- vehicular twin ------------------------------------------------------------

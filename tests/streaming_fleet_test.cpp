@@ -303,6 +303,42 @@ TEST(streaming_fleet, sharded_stream_flushes_are_pinned) {
       });
 }
 
+// A stream whose late handoffs include cross-shard retargets, pinned flush by
+// flush. `stream_config` with 4 MHz pools defers requests long enough for
+// their vehicles to drift into another shard, so deferred requests re-home
+// across shards. At 4 shards, 29 retargets posted inside windows land behind
+// the window's end, and 14 posted in drain rounds land behind their
+// receiver's clock, all in the final flush; 20 boundary handoffs are late
+// too. A late handoff counted in the flush after the one whose window
+// posted it moves these counts while the totals hold. Each row is one
+// flush's {handovers, cross-shard transfers, cross-shard retargets, late
+// handoffs}.
+TEST(streaming_fleet, late_retarget_flushes_are_pinned) {
+  using row = std::vector<std::size_t>;
+  const std::vector<std::vector<row>> pinned = {
+      {{28, 9, 0, 1}, {72, 8, 0, 3}, {57, 16, 1, 4}, {68, 12, 3, 4},
+       {53, 11, 9, 9}, {58, 10, 0, 2}, {0, 0, 4, 4}},
+      {{28, 22, 0, 1}, {70, 21, 1, 7}, {57, 35, 6, 9}, {70, 27, 8, 9},
+       {53, 21, 16, 15}, {58, 23, 4, 8}, {0, 0, 22, 14}},
+  };
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    auto config = stream_config(60.0);
+    config.base.shard_count = i == 0 ? 2 : 4;
+    config.base.bandwidth_per_pool_mhz = vtm::util::megahertz{4.0};
+    SCOPED_TRACE(config.base.shard_count);
+    const auto r = core::run_streaming_fleet(config);
+    expect_stream_conserved(r);
+    ASSERT_EQ(r.flushes.size(), pinned[i].size());
+    for (std::size_t k = 0; k < r.flushes.size(); ++k) {
+      const auto& flush = r.flushes[k];
+      EXPECT_EQ((row{flush.handovers, flush.cross_shard_transfers,
+                     flush.cross_shard_retargets, flush.late_handoffs}),
+                pinned[i][k])
+          << "flush " << k;
+    }
+  }
+}
+
 // `flushes[k]` covers window k only, so its max_cohort is the largest
 // cohort among the migrations that completed in that window — not the
 // shards' run-to-date maximum.
